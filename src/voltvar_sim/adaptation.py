@@ -51,15 +51,15 @@ class AdaptiveConfig:
     def __post_init__(self) -> None:
         if self.T < 2:
             raise AdaptationError("T must be >= 2")
-        if self.k_d <= 0:
-            raise AdaptationError("k_d must be > 0")
+        if not (math.isfinite(self.k_d) and self.k_d > 0):
+            raise AdaptationError("k_d must be finite and > 0")
         if not (self.vf_lim_bar > self.vf_lim > self.eps_vf > 0):
             raise AdaptationError("need vf_lim_bar > vf_lim > eps_vf > 0")
         if not (self.delta_vf_bar > self.delta_vf > 0):
             raise AdaptationError("need delta_vf_bar > delta_vf > 0")
-        if self.eps_sse <= 0:
+        if not self.eps_sse > 0:
             raise AdaptationError("eps_sse must be > 0")
-        if self.m_floor < 0 or self.m_init < self.m_floor:
+        if not (self.m_floor >= 0 and self.m_init >= self.m_floor):
             raise AdaptationError("need m_init >= m_floor >= 0")
 
 

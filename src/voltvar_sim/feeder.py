@@ -1,22 +1,46 @@
-"""Distribution feeder model, Newton power flow, and voltage sensitivity.
+"""Distribution feeder model, power flow, and voltage sensitivity.
 
 Positive-sequence balanced model, per-unit on a single system VA base.
-All functions are pure: models are immutable snapshots and every operation
-returns new objects, so distinct snapshots are safe to use concurrently.
+Models are immutable snapshots and every operation returns new objects.
+
+Each topology is compiled once into a `CompiledNetwork`: the energized
+island, its bus index maps, Ybus, the PQ index, Z = Y_LL^-1 and
+w = -Z Y_LS, with Z from the Z-bus building algorithm rather than a
+factorization.  A model builds it on first use and keeps it; snapshots that
+differ only in loads or slack voltage share it, and a switch operation
+makes a model that compiles its own.  The compiled network is never
+written after it is built, so snapshots stay safe to use concurrently.
+
+`solve_power_flow` runs the Z-bus fixed point (the matrix form of the
+backward/forward sweep, after Shirmohammadi et al. 1988 and Teng 2003)
+V_L = w V_S + Z conj(S_L / V_L).  Z exists for any connected island, so
+radial and meshed islands take the same path.  It stops once no voltage
+moves by more than `FIXED_POINT_STEP` pu and then requires the Newton
+mismatch test; that makes it as accurate as a Newton solve, which the
+finite-difference sensitivities rely on.  Near the loadability limit the
+fixed point stalls, so a solve that does not converge within `max_iter`
+falls back to Newton-Raphson, which also supplies the Jacobian for
+`sensitivity_matrix`.  Z is dense, so memory grows as O(n^2) in the
+island size; the design suits feeders up to about 1000 buses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
+# the fixed point stops once no voltage moves more than this (pu); a
+# mismatch-only stop leaves errors up to ~5e-9, too coarse for the
+# finite-difference sensitivities
+FIXED_POINT_STEP = 1e-13
 
 
 class FeederError(Exception):
@@ -109,6 +133,10 @@ class FeederModel:
     may re-island exactly those buses; islanding any other load/PV bus is
     an error.  The set is computed on construction and carried through
     topology events unchanged.
+
+    The compiled network (`compile_network`) and the load injections are
+    computed on first solve and kept on the snapshot; neither is a field,
+    so equality and hashing ignore them.
     """
 
     buses: tuple[Bus, ...]
@@ -178,12 +206,6 @@ class FeederModel:
     def switch_ids(self) -> tuple[str, ...]:
         return tuple(ln.name for ln in self.lines if ln.switch_state != "none")
 
-    def get_bus(self, bus_id: str) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise FeederError(f"no such bus: {bus_id}")
-
     def pv_at(self, bus_id: str) -> PvUnit:
         for u in self.pv_units:
             if u.bus == bus_id:
@@ -198,16 +220,25 @@ class FeederModel:
         buses = tuple(
             replace(b, v_set=v_pu) if b.kind == "slack" else b for b in self.buses
         )
-        return replace(self, buses=buses)
+        return self._same_lines(buses)
 
     def with_scaled_loads(self, factor: float) -> "FeederModel":
-        if factor < 0:
-            raise FeederError("load scale factor must be >= 0")
+        if not (math.isfinite(factor) and factor >= 0):
+            raise FeederError("load scale factor must be finite and >= 0")
         buses = tuple(
             replace(b, load_p=b.load_p * factor, load_q=b.load_q * factor)
             for b in self.buses
         )
-        return replace(self, buses=buses)
+        return self._same_lines(buses)
+
+    def _same_lines(self, buses: tuple[Bus, ...]) -> "FeederModel":
+        """Copy with new bus data on the same lines, sharing the compiled
+        network if this snapshot has one."""
+        out = replace(self, buses=buses)
+        net = self.__dict__.get("_network")
+        if net is not None:
+            object.__setattr__(out, "_network", net)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,12 +264,6 @@ class PowerFlowSolution:
         except ValueError:
             return float("nan")
 
-    def angle(self, bus_id: str) -> float:
-        try:
-            return float(self.v_ang[self.bus_ids.index(bus_id)])
-        except ValueError:
-            return float("nan")
-
     @property
     def point_id(self) -> str:
         """Deterministic tag of the operating point (topology + voltages)."""
@@ -249,7 +274,30 @@ class PowerFlowSolution:
         return h.hexdigest()[:12]
 
 
-def _island_ybus(model: FeederModel) -> tuple[tuple[str, ...], np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class CompiledNetwork:
+    """One topology of a feeder, compiled for repeated solves.
+
+    `island` lists the energized buses in model order and `index` maps
+    each to its island position; `pos[k]` is the island position of model
+    bus k (-1 when dark) and `cols[i]` the model index of island bus i.  `z` is None when Y_LL is singular, which only
+    the Newton path can then report.
+    """
+
+    bus_ids: tuple[str, ...]
+    island: tuple[str, ...]
+    index: dict[str, int]
+    pos: np.ndarray
+    cols: np.ndarray
+    ybus: np.ndarray
+    slack_idx: int
+    pq: np.ndarray
+    z: np.ndarray | None
+    w: np.ndarray | None
+
+
+def _compile(model: FeederModel) -> CompiledNetwork:
+    bus_ids = model.bus_ids
     island = model.energized_buses()
     index = {b: i for i, b in enumerate(island)}
     n = len(island)
@@ -265,49 +313,157 @@ def _island_ybus(model: FeederModel) -> tuple[tuple[str, ...], np.ndarray]:
         ybus[j, j] += y
         ybus[i, j] -= y
         ybus[j, i] -= y
-    return island, ybus
+    pos = np.array([index.get(b, -1) for b in bus_ids], dtype=int)
+    slack_idx = index[model.slack_id]
+    pq = np.delete(np.arange(n), slack_idx)
+    z = _zbus(model, index)
+    if z is not None:
+        z = z[np.ix_(pq, pq)]
+    w = None if z is None else -z @ ybus[pq, slack_idx]
+    return CompiledNetwork(
+        bus_ids=bus_ids,
+        island=island,
+        index=index,
+        pos=pos,
+        cols=np.flatnonzero(pos >= 0),
+        ybus=ybus,
+        slack_idx=slack_idx,
+        pq=pq,
+        z=z,
+        w=w,
+    )
+
+
+def _zbus(model: FeederModel, index: Mapping[str, int]) -> np.ndarray | None:
+    """Bus impedance matrix of the island with the slack as reference (its
+    row and column stay zero), so Z[pq, pq] = Y_LL^-1.  Built by the Z-bus
+    building algorithm: a line to a new bus copies the row of the bus it
+    hangs from, and a line that closes a loop is a rank-1 update.  That is
+    O(n) per tree line and O(n^2) per loop, with no factorization.  None
+    when a loop has zero impedance (Y_LL singular)."""
+    lines = [
+        ln for ln in model.lines
+        if ln.in_service and ln.from_bus in index and ln.to_bus in index
+    ]
+    adj: dict[str, list[int]] = {b: [] for b in index}
+    for k, ln in enumerate(lines):
+        adj[ln.from_bus].append(k)
+        adj[ln.to_bus].append(k)
+    zb = np.zeros((len(index), len(index)), dtype=complex)
+    tree: set[int] = set()
+    order = [model.slack_id]
+    seen = {model.slack_id}
+    for b in order:  # breadth first; `order` grows while it is walked
+        for k in adj[b]:
+            ln = lines[k]
+            nxt = ln.to_bus if ln.from_bus == b else ln.from_bus
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            order.append(nxt)
+            tree.add(k)
+            i, j = index[b], index[nxt]
+            zb[j] = zb[i]
+            zb[:, j] = zb[:, i]
+            zb[j, j] = zb[i, i] + complex(ln.resistance, ln.reactance)
+    for k, ln in enumerate(lines):
+        if k in tree:
+            continue
+        i, j = index[ln.from_bus], index[ln.to_bus]
+        d = zb[:, i] - zb[:, j]
+        den = d[i] - d[j] + complex(ln.resistance, ln.reactance)
+        if den == 0:
+            return None
+        zb -= np.outer(d, d) / den
+    return zb
+
+
+def compile_network(model: FeederModel) -> CompiledNetwork:
+    """The model's compiled network: built on first use, then kept on the
+    model (and passed on to its load and slack-voltage updates)."""
+    net = model.__dict__.get("_network")
+    if net is None:
+        net = _compile(model)
+        object.__setattr__(model, "_network", net)
+    return net
+
+
+class BusInjections(Mapping):
+    """Extra (P, Q) injections held as arrays: `p[k]`, `q[k]` go to bus
+    `bus_ids[cols[k]]`, where `bus_ids` is a model's bus order.  It is a
+    read-only mapping, so it fits wherever a dict of injections does, and
+    the solver adds it to a compiled network with index arrays."""
+
+    def __init__(
+        self, bus_ids: tuple[str, ...], cols: np.ndarray, p: np.ndarray, q: np.ndarray
+    ) -> None:
+        self.bus_ids = bus_ids
+        self.cols = cols
+        self.p = p
+        self.q = q
+
+    def __getitem__(self, bus_id: str) -> tuple[float, float]:
+        for k, c in enumerate(self.cols):
+            if self.bus_ids[c] == bus_id:
+                return float(self.p[k]), float(self.q[k])
+        raise KeyError(bus_id)
+
+    def __iter__(self) -> Iterator[str]:
+        return (self.bus_ids[c] for c in self.cols)
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+
+def _base_injections(model: FeederModel, net: CompiledNetwork) -> np.ndarray:
+    """Complex injections of the model's loads and PV units over the
+    island, computed once per snapshot."""
+    s = model.__dict__.get("_s_base")
+    if s is None:
+        s = np.zeros(len(net.island), dtype=complex)
+        loads = np.array([complex(b.load_p, b.load_q) for b in model.buses])
+        live = net.pos >= 0
+        s[net.pos[live]] -= loads[live]
+        for u in model.pv_units:
+            if u.bus in net.index:
+                s[net.index[u.bus]] += complex(u.p_out, u.q_inj)
+        object.__setattr__(model, "_s_base", s)
+    return s
 
 
 def _spec_injections(
     model: FeederModel,
-    island: tuple[str, ...],
+    net: CompiledNetwork,
     injections: Mapping[str, tuple[float, float]] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    index = {b: i for i, b in enumerate(island)}
-    p = np.zeros(len(island))
-    q = np.zeros(len(island))
-    for b in model.buses:
-        if b.id in index:
-            p[index[b.id]] -= b.load_p
-            q[index[b.id]] -= b.load_q
-    for u in model.pv_units:
-        if u.bus in index:
-            p[index[u.bus]] += u.p_out
-            q[index[u.bus]] += u.q_inj
-    if injections:
+) -> np.ndarray:
+    s = _base_injections(model, net).copy()
+    if isinstance(injections, BusInjections) and injections.bus_ids == net.bus_ids:
+        at = net.pos[injections.cols]
+        live = at >= 0  # injections at dark buses are inert
+        np.add.at(s, at[live], (injections.p + 1j * injections.q)[live])
+    elif injections:
         for bus_id, (pi, qi) in injections.items():
-            if bus_id in index:  # injections at dark buses are inert
-                p[index[bus_id]] += pi
-                q[index[bus_id]] += qi
-    return p, q
+            if bus_id in net.index:
+                s[net.index[bus_id]] += complex(pi, qi)
+    return s
 
 
 def _dsbus_dv(ybus: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ibus = ybus @ v
-    diag_v = np.diag(v)
-    diag_i = np.diag(ibus)
-    diag_vnorm = np.diag(v / np.abs(v))
-    ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    diag = np.diag_indices_from(ybus)
+    vnorm = v / np.abs(v)
+    ds_dvm = v[:, None] * np.conj(ybus * vnorm)
+    ds_dvm[diag] += np.conj(ibus) * vnorm
+    ds_dva = -1j * v[:, None] * np.conj(ybus * v)
+    ds_dva[diag] += 1j * v * np.conj(ibus)
     return ds_dva, ds_dvm
 
 
 def _jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
     ds_dva, ds_dvm = _dsbus_dv(ybus, v)
     sel = np.ix_(pq, pq)
-    top = np.hstack([ds_dva[sel].real, ds_dvm[sel].real])
-    bot = np.hstack([ds_dva[sel].imag, ds_dvm[sel].imag])
-    return np.vstack([top, bot])
+    dva, dvm = ds_dva[sel], ds_dvm[sel]
+    return np.block([[dva.real, dvm.real], [dva.imag, dvm.imag]])
 
 
 def _newton(
@@ -358,6 +514,42 @@ def _newton(
     return v_mag, v_ang, converged, iterations, mismatch
 
 
+def _fixed_point(
+    net: CompiledNetwork,
+    s_spec: np.ndarray,
+    v_slack: float,
+    v0: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, bool, int, float]:
+    """Z-bus fixed point V_L <- w V_S + Z conj(S_L / V_L) from `v0` or the
+    no-load voltages.  Converged means the last step moved no voltage by
+    more than FIXED_POINT_STEP and the power mismatch is within `tol`."""
+    v = np.full(len(net.island), v_slack, dtype=complex)
+    if net.z is None:
+        return v, False, 0, np.inf
+    pq = net.pq
+    s_l = s_spec[pq]
+    v_src = net.w * v_slack
+    v_l = v_src if v0 is None else v0[pq]
+    step = np.inf if len(pq) else 0.0
+    iterations = 0
+    with np.errstate(all="ignore"):
+        while iterations < max_iter and step > FIXED_POINT_STEP:
+            v_new = v_src + net.z @ np.conj(s_l / v_l)
+            step = float(np.max(np.abs(v_new - v_l), initial=0.0))
+            v_l = v_new
+            iterations += 1
+            if not math.isfinite(step):
+                break
+        v[pq] = v_l
+        ds = s_l - v_l * np.conj((net.ybus @ v)[pq])
+        mismatch = float(max(np.max(np.abs(ds.real), initial=0.0),
+                             np.max(np.abs(ds.imag), initial=0.0)))
+    converged = step <= FIXED_POINT_STEP and mismatch <= tol
+    return v, converged, iterations, mismatch
+
+
 def solve_power_flow(
     model: FeederModel,
     injections: Mapping[str, tuple[float, float]] | None = None,
@@ -369,28 +561,36 @@ def solve_power_flow(
 
     `injections` are extra per-bus (P, Q) pu injections added on top of
     the model's loads and PV unit outputs (the simulation engine feeds
-    inverter dispatches through here).  `v_init` warm-starts Newton from a
-    previous solution; on non-convergence the solver falls back to a flat
-    start once.  Non-convergence is reported via `converged=False`, not
-    raised.
+    inverter dispatches through here as a `BusInjections`).  `v_init`
+    warm-starts the solve from a previous solution on the same island.
+    The Z-bus fixed point runs first; if it does not converge within
+    `max_iter` iterations, Newton-Raphson takes over from the warm start
+    and then once more from a flat start.  Non-convergence is reported
+    via `converged=False`, not raised.
     """
-    island, ybus = _island_ybus(model)
-    p_spec, q_spec = _spec_injections(model, island, injections)
-    slack_idx = island.index(model.slack_id)
+    net = compile_network(model)
+    s_spec = _spec_injections(model, net, injections)
     v_slack = model.slack.v_set
 
     v0 = None
-    if v_init is not None and v_init.bus_ids == island:
+    if v_init is not None and v_init.bus_ids == net.island:
         v0 = v_init.v_mag * np.exp(1j * v_init.v_ang)
-    v_mag, v_ang, converged, iterations, mismatch = _newton(
-        ybus, p_spec, q_spec, slack_idx, v_slack, v0, tol, max_iter
+    v, converged, iterations, mismatch = _fixed_point(
+        net, s_spec, v_slack, v0, tol, max_iter
     )
-    if not converged and v0 is not None:
+    if converged:
+        v_mag, v_ang = np.abs(v), np.angle(v)
+    else:
+        p_spec, q_spec = s_spec.real, s_spec.imag
         v_mag, v_ang, converged, iterations, mismatch = _newton(
-            ybus, p_spec, q_spec, slack_idx, v_slack, None, tol, max_iter
+            net.ybus, p_spec, q_spec, net.slack_idx, v_slack, v0, tol, max_iter
         )
+        if not converged and v0 is not None:
+            v_mag, v_ang, converged, iterations, mismatch = _newton(
+                net.ybus, p_spec, q_spec, net.slack_idx, v_slack, None, tol, max_iter
+            )
     return PowerFlowSolution(
-        bus_ids=island,
+        bus_ids=net.island,
         v_mag=v_mag,
         v_ang=v_ang,
         converged=converged,
@@ -414,7 +614,8 @@ def sensitivity_matrix(
     """
     if not solution.converged:
         raise PowerFlowError("sensitivity requires a converged operating point")
-    island, ybus = _island_ybus(model)
+    net = compile_network(model)
+    island = net.island
     if island != solution.bus_ids:
         raise PowerFlowError("solution does not match the model topology")
     if buses is None:
@@ -426,10 +627,9 @@ def sensitivity_matrix(
         if b not in load_ids:
             raise FeederError(f"bus {b} is not an energized load bus")
 
-    slack_idx = island.index(model.slack_id)
-    pq = np.array([i for i in range(len(island)) if i != slack_idx], dtype=int)
+    pq = net.pq
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    jac = _jacobian(ybus, v, pq)
+    jac = _jacobian(net.ybus, v, pq)
     npq = len(pq)
     rhs = np.vstack([np.zeros((npq, npq)), np.eye(npq)])
     try:
@@ -478,11 +678,11 @@ def apply_topology_event(
 
 def bus_injections(model: FeederModel, solution: PowerFlowSolution) -> np.ndarray:
     """Complex net power injection at each island bus, from the solution."""
-    island, ybus = _island_ybus(model)
-    if island != solution.bus_ids:
+    net = compile_network(model)
+    if net.island != solution.bus_ids:
         raise PowerFlowError("solution does not match the model topology")
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    return v * np.conj(ybus @ v)
+    return v * np.conj(net.ybus @ v)
 
 
 def total_losses(model: FeederModel, solution: PowerFlowSolution) -> complex:

@@ -34,9 +34,11 @@ from .control import (
     droop_dispatch,
 )
 from .feeder import (
+    BusInjections,
     FeederModel,
     PowerFlowSolution,
     apply_topology_event,
+    compile_network,
     sensitivity_matrix,
     solve_power_flow,
 )
@@ -75,8 +77,8 @@ class CloudCover:
     buses: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.scale < 0:
-            raise SimulationError("cloud cover scale must be >= 0")
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise SimulationError("cloud cover scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,8 @@ class LoadScale:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise SimulationError("load scale factor must be >= 0")
+        if not (math.isfinite(self.factor) and self.factor >= 0):
+            raise SimulationError("load scale factor must be finite and >= 0")
 
 
 EventKind = (
@@ -120,7 +122,7 @@ class TelegraphSpec:
     high: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.dwell < 1:
+        if not self.dwell >= 1:
             raise SimulationError("telegraph dwell must be >= 1 tick")
         if not 0 <= self.low <= self.high:
             raise SimulationError("need 0 <= low <= high")
@@ -179,8 +181,11 @@ class Scenario:
             raise SimulationError("t_outer must be >= 2")
         if self.horizon < self.t_outer:
             raise SimulationError("horizon must be >= t_outer")
-        if self.dt_inner <= 0:
-            raise SimulationError("dt_inner must be > 0")
+        if not (math.isfinite(self.dt_inner) and self.dt_inner > 0):
+            raise SimulationError("dt_inner must be finite and > 0")
+        for name in ("mu", "droop_slope", "droop_deadband"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(f"{name} must be finite")
         ticks = [t for t, _ in self.events]
         if ticks != sorted(ticks):
             raise SimulationError("events must be sorted by tick")
@@ -427,6 +432,7 @@ def linearize(
     if not sol.converged:
         raise SimulationError("cannot linearize: power flow did not converge")
     load_ids = sol.load_bus_ids
+    pq = compile_network(model).pq  # island positions of `load_ids`
     pv_buses = tuple(b for b in load_ids if b in set(model.pv_buses))
     n = len(load_ids)
     a_full_q = sensitivity_matrix(model, sol, buses=load_ids)
@@ -442,15 +448,11 @@ def linearize(
         s_p = solve_power_flow(model, injections=inj, v_init=sol)
         inj[b] = (p0 - h, q0)
         s_m = solve_power_flow(model, injections=inj, v_init=sol)
-        dv_dp[:, j] = [
-            (s_p.voltage(x) - s_m.voltage(x)) / (2 * h) for x in load_ids
-        ]
+        dv_dp[:, j] = (s_p.v_mag[pq] - s_m.v_mag[pq]) / (2 * h)
 
     stepped = model.with_slack_voltage(model.slack.v_set + slack_step)
     s_up = solve_power_flow(stepped, injections=injections, v_init=sol)
-    dv_dslack = np.array(
-        [(s_up.voltage(b) - sol.voltage(b)) / slack_step for b in load_ids]
-    )
+    dv_dslack = (s_up.v_mag[pq] - sol.v_mag[pq]) / slack_step
 
     pv_cols = [load_ids.index(b) for b in pv_buses]
     p_base = np.zeros(len(pv_buses))
@@ -465,7 +467,7 @@ def linearize(
         load_bus_ids=load_ids,
         pv_buses=pv_buses,
         pv_ratings=tuple(model.pv_at(b).rating_s for b in pv_buses),
-        v_base=np.array([sol.voltage(b) for b in load_ids]),
+        v_base=sol.v_mag[pq],
         v_slack_base=model.slack.v_set,
         dv_dq=a_full_q[:, pv_cols],
         dv_dp=dv_dp,
@@ -595,6 +597,10 @@ class SimulationEngine:
                     scenario.adaptive.m_init, 0.0, -s, s, scenario.mu
                 )
         self.q_prev = {b: 0.0 for b in self.unit_buses}
+        # column of each unit's bus in `bus_ids` / the voltage rows
+        self._unit_cols = np.array(
+            [self.bus_ids.index(b) for b in self.unit_buses], dtype=int
+        )
 
         self.voltages = np.full((h, len(self.bus_ids)), np.nan)
         self.q_rec = np.zeros((h, len(self.unit_buses)))
@@ -603,6 +609,9 @@ class SimulationEngine:
         self.dispatches: list[ParamDispatch] = []
         self.tick = 0
         self._last_solution: PowerFlowSolution | None = None
+        self._net = None if self.linear else compile_network(self.model)
+        for ev in self.live_events.get(0, []):
+            self._apply_live_event(ev)
         self._solve_and_record(0)
         self.tick = 1
 
@@ -687,6 +696,7 @@ class SimulationEngine:
             )
         if isinstance(ev, SwitchEvent):
             self.model = apply_topology_event(self.model, ev.switch_id, ev.state)
+            self._net = compile_network(self.model)
             self._last_solution = None  # island changed; cold start
         elif isinstance(ev, LoadScale):
             self.model = self.model.with_scaled_loads(ev.factor)
@@ -694,10 +704,10 @@ class SimulationEngine:
     def _dispatch(self, t: int) -> np.ndarray:
         kind = self.scenario.controller_kind
         q = np.zeros(len(self.unit_buses))
-        v_prev = self.voltages[t - 1] if t > 0 else None
+        v_units = self.voltages[t - 1, self._unit_cols] if t > 0 else None
         for j, b in enumerate(self.unit_buses):
             p_t = self.p_profile[t, j]
-            v = v_prev[self.bus_ids.index(b)] if v_prev is not None else math.nan
+            v = v_units[j] if v_units is not None else math.nan
             if p_t <= 0 or math.isnan(v) or kind.name == "none":
                 self.q_prev[b] = 0.0
                 continue
@@ -735,19 +745,16 @@ class SimulationEngine:
             row[1:] = v_load
             self.voltages[t] = row
         else:
-            inj = {
-                b: (float(p[j]), float(q[j])) for j, b in enumerate(self.unit_buses)
-            }
+            inj = BusInjections(self.bus_ids, self._unit_cols, p, q)
             sol = solve_power_flow(self.model, injections=inj, v_init=self._last_solution)
+            if sol.converged or t == 0:
+                self.voltages[t, self._net.cols] = sol.v_mag  # dark buses stay NaN
             if sol.converged:
-                self.voltages[t] = [sol.voltage(b) for b in self.bus_ids]
                 self._last_solution = sol
             else:
                 self.flags[t] = "pf_diverged"
                 if t > 0:
                     self.voltages[t] = self.voltages[t - 1]
-                else:
-                    self.voltages[t] = [sol.voltage(b) for b in self.bus_ids]
         self.q_rec[t] = q
         self.p_rec[t] = p
 
@@ -755,7 +762,7 @@ class SimulationEngine:
         cfg = self.scenario.adaptive
         T = self.scenario.t_outer
         for j, b in enumerate(self.unit_buses):
-            window_v = self.voltages[t - T + 1 : t + 1, self.bus_ids.index(b)]
+            window_v = self.voltages[t - T + 1 : t + 1, self._unit_cols[j]]
             window_p = self.p_rec[t - T + 1 : t + 1, j]
             if np.any(np.isnan(window_v)) or np.min(window_p) <= 0:
                 continue  # unit idle or dark during the window

@@ -139,6 +139,14 @@ class TestSweep:
         assert values == ["10", "2", "4.5", "7"]
         assert all(r["param"] == "k_d" for r in rows)
 
+    def test_parallel_sweep_matches_serial(self, tmp_path):
+        args = ["sweep", "--scenario", "intermittency", "--param", "k_d",
+                "--values", "1,4"]
+        assert main(args + ["--out", str(tmp_path / "one"), "--jobs", "1"]) == 0
+        assert main(args + ["--out", str(tmp_path / "two"), "--jobs", "2"]) == 0
+        serial = (tmp_path / "one" / "sweep.csv").read_bytes()
+        assert (tmp_path / "two" / "sweep.csv").read_bytes() == serial
+
     def test_single_value_equals_run_extraction(self, tmp_path):
         out_sweep = tmp_path / "sweep"
         out_run = tmp_path / "run"

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from voltvar_sim import feeder
 from voltvar_sim.feeder import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     Bus,
+    BusInjections,
     FeederModel,
     FeederError,
     Line,
@@ -12,6 +17,7 @@ from voltvar_sim.feeder import (
     PvUnit,
     apply_topology_event,
     bus_injections,
+    compile_network,
     feeder_from_dict,
     feeder_to_dict,
     sensitivity_matrix,
@@ -211,3 +217,166 @@ def test_feeder_validation_errors():
         PvUnit("a", rating_s=0.5, p_out=0.6)
     with pytest.raises(FeederError, match="kind"):
         Bus("a", "generator")
+
+
+# -- compiled network and Z-bus fixed point
+
+
+@st.composite
+def _random_feeder(draw):
+    """A random radial tree on buses b0 (slack) .. b{n-1}, sometimes closed
+    into one mesh, with random loads and extra injections."""
+    n = draw(st.integers(2, 10))
+    impedance = st.tuples(st.floats(0.001, 0.01), st.floats(0.002, 0.02))
+    lines = [
+        Line(f"b{draw(st.integers(0, k - 1))}", f"b{k}", *draw(impedance))
+        for k in range(1, n)
+    ]
+    if n >= 3 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        lines.append(Line(f"b{i}", f"b{j}", *draw(impedance), id="mesh"))
+    buses = (Bus("b0", "slack", v_set=draw(st.floats(0.95, 1.05))),) + tuple(
+        Bus(f"b{k}", "load", load_p=draw(st.floats(0.0, 0.08)),
+            load_q=draw(st.floats(0.0, 0.04)))
+        for k in range(1, n)
+    )
+    model = FeederModel(buses=buses, lines=tuple(lines))
+    injected = draw(st.lists(st.integers(1, n - 1), unique=True, max_size=n - 1))
+    injections = {
+        f"b{k}": (draw(st.floats(-0.05, 0.1)), draw(st.floats(-0.05, 0.05)))
+        for k in injected
+    }
+    return model, injections
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_random_feeder())
+def test_fixed_point_agrees_with_oracle_and_newton(case):
+    model, injections = case
+    sol = solve_power_flow(model, injections=injections)
+    assert sol.converged
+    v = sol.v_mag * np.exp(1j * sol.v_ang)
+
+    oracle = gauss_nodal_solve(model, injections)
+    assert np.max(np.abs(v - [oracle[b] for b in sol.bus_ids])) < 1e-9
+
+    net = compile_network(model)
+    y_ll = net.ybus[np.ix_(net.pq, net.pq)]
+    assert np.max(np.abs(net.z @ y_ll - np.eye(len(net.pq)))) < 1e-9
+    s = feeder._spec_injections(model, net, injections)
+    v_mag, v_ang, converged, _, _ = feeder._newton(
+        net.ybus, s.real, s.imag, net.slack_idx, model.slack.v_set, None,
+        1e-12, DEFAULT_MAX_ITER,
+    )
+    assert converged
+    assert np.max(np.abs(v - v_mag * np.exp(1j * v_ang))) < 1e-10
+
+    # the same injections as index arrays give the same bits
+    ids = model.bus_ids
+    cols = np.array([ids.index(b) for b in injections], dtype=int)
+    pq = np.array(list(injections.values())).reshape(-1, 2)
+    arrays = BusInjections(ids, cols, pq[:, 0], pq[:, 1])
+    assert dict(arrays) == injections
+    again = solve_power_flow(model, injections=arrays)
+    assert again.v_mag.tobytes() == sol.v_mag.tobytes()
+    assert again.v_ang.tobytes() == sol.v_ang.tobytes()
+
+
+def test_near_loadability_converges_through_newton_fallback(monkeypatch):
+    model = _two_bus(load_p=4.5, load_q=1.8)  # 9x the test load
+    net = compile_network(model)
+    s = feeder._spec_injections(model, net, None)
+    _, converged, iterations, _ = feeder._fixed_point(
+        net, s, 1.0, None, DEFAULT_TOL, DEFAULT_MAX_ITER
+    )
+    assert not converged
+    assert iterations == DEFAULT_MAX_ITER
+
+    calls = []
+    newton = feeder._newton
+    monkeypatch.setattr(
+        feeder, "_newton", lambda *args: calls.append(args) or newton(*args)
+    )
+    sol = solve_power_flow(model)
+    assert sol.converged
+    assert len(calls) == 1
+    assert sol.voltage("b2") == pytest.approx(
+        two_bus_voltage(1.0, 0.01, 0.05, 4.5, 1.8), abs=1e-10
+    )
+    assert solve_power_flow(_two_bus()).converged
+    assert len(calls) == 1  # the test load needs no fallback
+
+
+def test_compiled_network_follows_topology(ieee4):
+    net = compile_network(ieee4)
+    assert compile_network(ieee4) is net
+    assert compile_network(ieee4.with_slack_voltage(1.03)) is net
+    assert compile_network(ieee4.with_scaled_loads(1.5)) is net
+    closed = apply_topology_event(ieee4, "switch1", "closed")
+    assert compile_network(closed) is not net
+    assert compile_network(closed).island == ("bus1", "bus2", "bus3", "bus4")
+
+
+def test_close_then_reopen_matches_fresh_solve(ieee4):
+    closed = apply_topology_event(ieee4, "switch1", "closed")
+    assert solve_power_flow(closed).converged
+    reopened = apply_topology_event(closed, "switch1", "open")
+    again = solve_power_flow(reopened)
+    fresh = solve_power_flow(feeder_from_dict(feeder_to_dict(ieee4)))
+    assert again.bus_ids == fresh.bus_ids
+    assert again.v_mag.tobytes() == fresh.v_mag.tobytes()
+    assert again.v_ang.tobytes() == fresh.v_ang.tobytes()
+
+
+def test_nan_load_scale_rejected(ieee4):
+    with pytest.raises(FeederError):
+        ieee4.with_scaled_loads(float("nan"))
+
+
+def test_dsbus_dv_matches_diagonal_matrix_products(feeder30):
+    net = compile_network(feeder30)
+    rng = np.random.default_rng(7)
+    n = len(net.island)
+    v = rng.uniform(0.95, 1.05, n) * np.exp(1j * rng.uniform(-0.05, 0.05, n))
+    ybus = net.ybus
+    # the dense-diagonal reference form
+    diag_v, diag_i = np.diag(v), np.diag(ybus @ v)
+    diag_vnorm = np.diag(v / np.abs(v))
+    ref_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+    ref_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dva, ds_dvm = feeder._dsbus_dv(ybus, v)
+    scale = np.max(np.abs(ybus))
+    assert np.max(np.abs(ds_dva - ref_dva)) < 1e-13 * scale
+    assert np.max(np.abs(ds_dvm - ref_dvm)) < 1e-13 * scale
+
+
+def test_concurrent_first_solves_share_one_snapshot(feeder30):
+    import sys
+    import threading
+
+    inj = {"t05": (0.0, 0.01)}
+    fresh = feeder_from_dict(feeder_to_dict(feeder30))
+    expected = (solve_power_flow(fresh, injections=inj), solve_power_flow(fresh))
+    shared = feeder_from_dict(feeder_to_dict(feeder30))  # nothing compiled yet
+    results: list[list] = [[] for _ in range(4)]
+
+    def solve(out):
+        for _ in range(20):
+            out.append((solve_power_flow(shared, injections=inj), solve_power_flow(shared)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(out,)) for out in results]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    pairs = [pair for out in results for pair in out]
+    assert len(pairs) == 80
+    for pair in pairs:
+        for got, want in zip(pair, expected):
+            assert got.v_mag.tobytes() == want.v_mag.tobytes()

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from voltvar_sim import feeder as feeder_module
 from voltvar_sim.adaptation import AdaptiveConfig
 from voltvar_sim.control import ControllerKind, DroopParams, droop_dispatch, delayed_dispatch
 from voltvar_sim.feeder import Bus, FeederModel, Line, PvUnit, solve_power_flow
@@ -116,6 +120,45 @@ class TestEvents:
         assert np.all(np.isnan(v4[:30]))
         assert np.all(np.isfinite(v4[30:]))
 
+    def test_tick0_substation_event_applies(self):
+        model, sc = get_preset("intermittency")
+        sc = replace(sc, events=((0, SubstationVoltage(1.05)),) + sc.events)
+        v_slack = run(sc, model).bus_voltage(model.slack_id)
+        assert np.all(v_slack[:3] == 1.05)
+
+    def test_tick0_switch_event_compiles_before_solving(self, ieee4):
+        trace = run(
+            _scenario(
+                ControllerKind.none(), events=((0, SwitchEvent("switch1", "closed")),)
+            ),
+            ieee4,
+        )
+        assert np.all(np.isfinite(trace.bus_voltage("bus4")))
+
+    def test_network_compiled_once_per_topology(self, ieee4, monkeypatch):
+        builds = []
+        compile_ = feeder_module._compile
+        monkeypatch.setattr(feeder_module, "_compile", lambda m: builds.append(m) or compile_(m))
+        events = (
+            (5, SubstationVoltage(1.03)),
+            (10, LoadScale(1.2)),
+            (15, SwitchEvent("switch1", "closed")),
+            (20, SubstationVoltage(1.0)),
+            (25, SwitchEvent("switch1", "open")),
+        )
+        engine = SimulationEngine(
+            _scenario(ControllerKind.none(), horizon=30, events=events), ieee4
+        )
+        assert len(builds) == 1
+        while engine.tick < 15:
+            engine.step_inner()
+        assert len(builds) == 1
+        engine.step_inner()
+        assert len(builds) == 2
+        trace = engine.run()
+        assert len(builds) == 3
+        assert np.all(np.isnan(trace.bus_voltage("bus4")[25:]))
+
     def test_load_scale_drops_voltage(self, ieee4):
         trace = run(
             _scenario(ControllerKind.none(), events=((40, LoadScale(2.0)),)), ieee4
@@ -207,6 +250,29 @@ class TestScenarioValidation:
             LoadScale(-1.0)
         with pytest.raises(SimulationError):
             SwitchEvent("s", "ajar")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: CloudCover(scale=math.nan), id="CloudCover.scale"),
+            pytest.param(lambda: LoadScale(math.nan), id="LoadScale.factor"),
+            pytest.param(lambda: TelegraphSpec(dwell=math.nan), id="TelegraphSpec.dwell"),
+            pytest.param(lambda: AdaptiveConfig(k_d=math.nan), id="AdaptiveConfig.k_d"),
+            pytest.param(lambda: AdaptiveConfig(eps_sse=math.nan), id="AdaptiveConfig.eps_sse"),
+            pytest.param(lambda: AdaptiveConfig(m_floor=math.nan), id="AdaptiveConfig.m_floor"),
+            pytest.param(
+                lambda: _scenario(ControllerKind.none(), dt_inner=math.nan),
+                id="Scenario.dt_inner",
+            ),
+            pytest.param(
+                lambda: _scenario(ControllerKind.none(), slope=math.nan),
+                id="Scenario.droop_slope",
+            ),
+        ],
+    )
+    def test_nan_rejected(self, build):
+        with pytest.raises(ValueError, match="must be|need"):
+            build()
 
     def test_json_round_trip(self, ieee4):
         feeder, sc = get_preset("intermittency")
