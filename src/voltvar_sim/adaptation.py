@@ -5,7 +5,9 @@ recomputes its window statistics and updates its parameter block: the
 error offset q_p moves against the average set-point deviation (strategy
 I), the slope moves through four flicker zones (strategy II), var limits
 follow the leftover inverter capacity, and the voltage cut-offs are
-re-derived from the slope.  Everything uses local bus data only.
+re-derived from the slope.  Everything uses local bus data only.  Each
+step works elementwise, so one call updates one inverter or a whole
+fleet given as arrays with one column per inverter.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import Sequence
 
 import math
 
-from .control import AdaptiveParams, slope_to_cutoffs
+import numpy as np
+
+from .control import AdaptiveParams, clamp
 
 
 class AdaptationError(ValueError):
@@ -26,7 +30,7 @@ class AdaptationError(ValueError):
 class AdaptiveConfig:
     """Outer-loop constants.
 
-    `T` is the horizon in inner ticks.  `k_d` is the error-correction
+    The horizon is the scenario's `t_outer`.  `k_d` is the error-correction
     factor (pu var per pu volt).  Flicker thresholds are percent per
     window; `vf_lim` is the borderline limit, `vf_lim_bar` the maximum,
     `eps_vf` the safe-zone width.  `delta_vf`/`delta_vf_bar` are the small
@@ -36,7 +40,6 @@ class AdaptiveConfig:
     default.
     """
 
-    T: int = 10
     k_d: float = 4.0
     eps_sse: float = 0.005
     eps_vf: float = 0.01
@@ -49,8 +52,6 @@ class AdaptiveConfig:
     signed_flicker: bool = False
 
     def __post_init__(self) -> None:
-        if self.T < 2:
-            raise AdaptationError("T must be >= 2")
         if not (math.isfinite(self.k_d) and self.k_d > 0):
             raise AdaptationError("k_d must be finite and > 0")
         if not (self.vf_lim_bar > self.vf_lim > self.eps_vf > 0):
@@ -66,7 +67,9 @@ class AdaptiveConfig:
 @dataclass(frozen=True)
 class WindowStats:
     """Per-window measurements: signed average set-point deviation (pu),
-    flicker (percent), and mean PV real output (pu)."""
+    flicker (percent), and mean PV real output (pu).  Floats for one
+    window of one inverter, else arrays over the trailing axes of the
+    window block."""
 
     sse_avg: float
     vf: float
@@ -74,32 +77,37 @@ class WindowStats:
 
 
 def window_stats(
-    voltages: Sequence[float],
-    mu: float,
-    p_pv: Sequence[float],
+    voltages: Sequence[float] | np.ndarray,
+    mu: float | np.ndarray,
+    p_pv: Sequence[float] | np.ndarray,
     signed_flicker: bool = False,
 ) -> WindowStats:
     """Statistics over one complete horizon of T samples.
 
-    sse_avg is the signed mean of (V - mu).  Flicker sums the tick-to-tick
-    relative voltage changes over the window, divided by T, times 100;
-    changes are absolute unless `signed_flicker`.
+    `voltages` and `p_pv` hold T samples along their first axis; further
+    axes (inverters, windows) are independent.  `mu` broadcasts against
+    `voltages`.  sse_avg is the signed mean of (V - mu).  Flicker sums the
+    tick-to-tick relative voltage changes over the window, divided by T,
+    times 100; changes are absolute unless `signed_flicker`.
     """
-    t = len(voltages)
-    if len(p_pv) != t:
+    v = np.asarray(voltages, dtype=float)
+    p = np.asarray(p_pv, dtype=float)
+    t = len(v)
+    if p.shape != v.shape:
         raise AdaptationError("voltage and p_pv series lengths differ")
     if t < 2:
         raise AdaptationError("window needs at least 2 samples")
-    sse_avg = sum(v - mu for v in voltages) / t
-    diffs = (
-        (voltages[i] - voltages[i - 1]) / voltages[i] for i in range(1, t)
-    )
-    if signed_flicker:
-        vf = 100.0 * sum(diffs) / t
-    else:
-        vf = 100.0 * sum(abs(d) for d in diffs) / t
-    p_pv_avg = sum(p_pv) / t
-    return WindowStats(sse_avg=sse_avg, vf=vf, p_pv_avg=p_pv_avg)
+    mu = np.broadcast_to(mu, v.shape)
+    sse, vf, p_sum = (np.zeros(v.shape[1:]) for _ in range(3))
+    # row by row from zero, the order of Python's `sum`; np.sum would
+    # switch to pairwise summation for a single column
+    for i in range(t):
+        sse += v[i] - mu[i]
+        p_sum += p[i]
+        if i:
+            d = (v[i] - v[i - 1]) / v[i]
+            vf += d if signed_flicker else np.abs(d)
+    return WindowStats(sse_avg=sse / t, vf=100.0 * vf / t, p_pv_avg=p_sum / t)
 
 
 def strategy1_update_qp(
@@ -107,9 +115,8 @@ def strategy1_update_qp(
 ) -> float:
     """Error-adaptive offset update: move q_p against the residual SSE
     when it is outside the tolerance band, else leave it alone."""
-    if abs(stats.sse_avg) > cfg.eps_sse:
-        return q_p_prev - cfg.k_d * stats.sse_avg
-    return q_p_prev
+    moved = np.abs(stats.sse_avg) > cfg.eps_sse
+    return np.where(moved, q_p_prev - cfg.k_d * stats.sse_avg, q_p_prev)[()]
 
 
 def strategy2_update_slope(
@@ -121,38 +128,39 @@ def strategy2_update_slope(
     zone: hold.  Relaxed zone: small increase, but only when the SSE is
     still out of tolerance.  Never below m_floor.
     """
-    vf = abs(stats.vf)
-    if vf > cfg.vf_lim_bar:
-        m_new = m_prev - cfg.delta_vf_bar
-    elif vf > cfg.vf_lim:
-        m_new = m_prev - cfg.delta_vf
-    elif vf > cfg.vf_lim - cfg.eps_vf:
-        m_new = m_prev
-    elif abs(stats.sse_avg) > cfg.eps_sse:
-        m_new = m_prev + cfg.delta_vf
-    else:
-        m_new = m_prev
-    return max(m_new, cfg.m_floor)
+    vf = np.abs(stats.vf)
+    m_new = np.select(
+        [
+            vf > cfg.vf_lim_bar,
+            vf > cfg.vf_lim,
+            vf > cfg.vf_lim - cfg.eps_vf,
+            np.abs(stats.sse_avg) > cfg.eps_sse,
+        ],
+        [m_prev - cfg.delta_vf_bar, m_prev - cfg.delta_vf, m_prev, m_prev + cfg.delta_vf],
+        m_prev,
+    )
+    return np.maximum(cfg.m_floor, m_new)[()]
 
 
 def capacity_limits(rating_s: float, p_pv_avg: float) -> tuple[float, float]:
     """Symmetric var limits from the capacity left after real output;
     the real output is capped at the rating before the square root."""
-    if p_pv_avg < 0:
+    if np.any(np.less(p_pv_avg, 0)):
         raise AdaptationError("p_pv_avg must be >= 0")
-    p = min(p_pv_avg, rating_s)
-    q_max = math.sqrt(max(rating_s * rating_s - p * p, 0.0))
+    p = np.minimum(rating_s, p_pv_avg)
+    q_max = np.sqrt(np.maximum(0.0, rating_s * rating_s - p * p))
     return -q_max, q_max
 
 
 def outer_loop_step(
     params: AdaptiveParams,
-    voltages: Sequence[float],
-    p_pv: Sequence[float],
-    rating_s: float,
+    voltages: Sequence[float] | np.ndarray,
+    p_pv: Sequence[float] | np.ndarray,
+    rating_s: float | np.ndarray,
     cfg: AdaptiveConfig,
 ) -> AdaptiveParams:
-    """One outer-loop iteration for one inverter.
+    """One outer-loop iteration for one inverter, or for every inverter
+    of an array-valued `params` given (T, n) voltage and p_pv windows.
 
     Order: window statistics, strategy I (q_p), strategy II (slope),
     capacity limits, then cut-offs from the slope.  q_p is clamped into
@@ -162,14 +170,5 @@ def outer_loop_step(
     q_p = strategy1_update_qp(params.q_p, stats, cfg)
     m_p = strategy2_update_slope(params.m_p, stats, cfg)
     q_min_p, q_max_p = capacity_limits(rating_s, stats.p_pv_avg)
-    q_p = min(max(q_p, q_min_p), q_max_p)
-    v_min_p, v_max_p = slope_to_cutoffs(m_p, q_p, q_min_p, q_max_p, params.mu)
-    return AdaptiveParams(
-        m_p=m_p,
-        q_p=q_p,
-        q_min_p=q_min_p,
-        q_max_p=q_max_p,
-        v_min_p=v_min_p,
-        v_max_p=v_max_p,
-        mu=params.mu,
-    )
+    q_p = clamp(q_p, q_min_p, q_max_p)
+    return AdaptiveParams.from_slope(m_p, q_p, q_min_p, q_max_p, params.mu)

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -220,18 +219,16 @@ def cmd_analyze(args) -> int:
 
 
 def _sse_series(trace: SimulationTrace) -> list[tuple[int, str, float]]:
-    rows = []
+    """(closing tick, bus, sse_avg) of every outer-loop window without a
+    dark tick, in tick then unit order."""
     T = trace.t_outer
-    t = T
-    while t < trace.horizon:
-        for j, b in enumerate(trace.unit_buses):
-            v = trace.voltages[t - T + 1 : t + 1, trace.bus_ids.index(b)]
-            mu = trace.mu[t - T + 1 : t + 1, j]
-            if np.any(np.isnan(v)):
-                continue
-            rows.append((t, b, float(np.mean(v - mu))))
-        t += T
-    return rows
+    sse = trace.window_stats(T).sse_avg
+    return [
+        ((k + 1) * T, b, float(s))
+        for k, row in enumerate(sse)
+        for b, s in zip(trace.unit_buses, row)
+        if not np.isnan(s)
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -248,17 +245,10 @@ def cmd_sweep(args) -> int:
     if not values:
         raise _CliError("sweep needs at least one value", EXIT_USAGE)
     out = _out_dir(args)
-
-    def one(value: str) -> tuple[str, SimulationTrace]:
-        sc = override_scenario(scenario, args.param, value)
-        return value, run_sim(sc, _build_model(feeder, args.engine))
-
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [one(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, values))
+    results = [
+        (v, run_sim(override_scenario(scenario, args.param, v), _build_model(feeder, args.engine)))
+        for v in values
+    ]
 
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as f:
@@ -321,7 +311,6 @@ def _parser() -> argparse.ArgumentParser:
     common(p_sw)
     p_sw.add_argument("--param", required=True, help="one of k_d, m, tau, T")
     p_sw.add_argument("--values", required=True, help="comma-separated values")
-    p_sw.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_pr = sub.add_parser("presets", help="list bundled presets")

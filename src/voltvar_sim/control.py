@@ -5,12 +5,18 @@ delayed variant, and the adaptive law whose curve is shifted by an error
 offset and re-sloped by the outer loop.  All laws are stateless total
 functions of the local bus voltage; the simulation engine owns any state
 (previous dispatch, adaptive parameters).
+
+Every law and parameter block works elementwise: a field or voltage may
+be a float or an array with one entry per inverter, and an array-valued
+block is checked unit by unit.  `take_units`, `put_units` and
+`split_units` select, replace and separate the units of such a block.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 _SLOPE_RTOL = 1e-9
 
@@ -19,8 +25,37 @@ class ControlError(ValueError):
     """Invalid controller parameters."""
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return min(max(x, lo), hi)
+def _all(ok) -> bool:
+    """Whether a check passes on every unit (`ok`: a bool, or a bool
+    array over units).  Checks are written so that NaN fails them."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def clamp(x, lo, hi):
+    """min(max(x, lo), hi) elementwise; on ties it keeps the same operand
+    (and so the same signed zero) as Python's `min` and `max`."""
+    return np.minimum(hi, np.maximum(lo, x))
+
+
+def take_units(params, index):
+    """The units at `index` of an array-valued parameter block."""
+    return type(params)(*(getattr(params, f.name)[index] for f in fields(params)))
+
+
+def split_units(params) -> list:
+    """One block of plain floats per unit of an array-valued block."""
+    columns = (getattr(params, f.name).tolist() for f in fields(params))
+    return [type(params)(*row) for row in zip(*columns)]
+
+
+def put_units(params, index, block):
+    """`params` with the units at `index` replaced by those of `block`."""
+    values = []
+    for f in fields(params):
+        a = np.array(getattr(params, f.name), dtype=float)
+        a[index] = getattr(block, f.name)
+        values.append(a)
+    return type(params)(*values)
 
 
 @dataclass(frozen=True)
@@ -41,26 +76,25 @@ class DroopParams:
     v_max: float
 
     def __post_init__(self) -> None:
-        if self.slope_m < 0:
+        if not _all(self.slope_m >= 0):
             raise ControlError("slope_m must be >= 0")
-        if self.deadband_d < 0:
+        if not _all(self.deadband_d >= 0):
             raise ControlError("deadband_d must be >= 0")
-        if not (self.q_min <= 0.0 <= self.q_max):
+        if not _all((self.q_min <= 0.0) & (0.0 <= self.q_max)):
             raise ControlError("need q_min <= 0 <= q_max")
-        if not (self.v_min < self.mu < self.v_max):
+        if not _all((self.v_min < self.mu) & (self.mu < self.v_max)):
             raise ControlError("need v_min < mu < v_max")
 
     @classmethod
+    @np.errstate(all="ignore")
     def from_slope(
         cls, mu: float, deadband_d: float, slope_m: float, q_min: float, q_max: float
     ) -> "DroopParams":
         """Derive voltage cut-offs from the slope and var limits."""
-        if slope_m > 0:
-            v_min = mu - deadband_d / 2 - q_max / slope_m
-            v_max = mu + deadband_d / 2 - q_min / slope_m
-        else:
-            v_min, v_max = -math.inf, math.inf
-        return cls(mu, deadband_d, slope_m, q_min, q_max, v_min, v_max)
+        sloped = np.greater(slope_m, 0)
+        v_min = np.where(sloped, mu - deadband_d / 2 - np.divide(q_max, slope_m), -np.inf)
+        v_max = np.where(sloped, mu + deadband_d / 2 - np.divide(q_min, slope_m), np.inf)
+        return cls(mu, deadband_d, slope_m, q_min, q_max, v_min[()], v_max[()])
 
     @classmethod
     def from_setpoints(
@@ -73,13 +107,20 @@ class DroopParams:
         q_max: float,
     ) -> "DroopParams":
         """Derive the slope from the four set-points, which must agree."""
-        m_lo = q_max / (mu - deadband_d / 2 - v_min)
-        m_hi = q_min / (mu + deadband_d / 2 - v_max)
-        if abs(m_lo - m_hi) > _SLOPE_RTOL * max(abs(m_lo), abs(m_hi), 1.0):
+        with np.errstate(all="ignore"):
+            m_lo = np.divide(q_max, mu - deadband_d / 2 - v_min)
+            m_hi = np.divide(q_min, mu + deadband_d / 2 - v_max)
+        gap = abs(m_lo - m_hi)
+        tol = _SLOPE_RTOL
+        if not _all((gap <= tol * abs(m_lo)) | (gap <= tol * abs(m_hi)) | (gap <= tol)):
             raise ControlError(
                 f"inconsistent set-points: slopes {m_lo} vs {m_hi} disagree"
             )
         return cls(mu, deadband_d, m_lo, q_min, q_max, v_min, v_max)
+
+    def with_setpoint(self, mu: float) -> "DroopParams":
+        """The same slope and var limits around a new set-point."""
+        return self.from_slope(mu, self.deadband_d, self.slope_m, self.q_min, self.q_max)
 
 
 def droop_dispatch(params: DroopParams, v: float) -> float:
@@ -89,13 +130,9 @@ def droop_dispatch(params: DroopParams, v: float) -> float:
     [q_min, q_max].
     """
     half_d = params.deadband_d / 2
-    if abs(v - params.mu) <= half_d:
-        return 0.0
-    if v > params.mu:
-        q = -params.slope_m * (v - params.mu - half_d)
-    else:
-        q = -params.slope_m * (v - params.mu + half_d)
-    return _clamp(q, params.q_min, params.q_max)
+    dev = v - params.mu
+    q = -params.slope_m * np.where(v > params.mu, dev - half_d, dev + half_d)
+    return np.where(np.abs(dev) <= half_d, 0.0, clamp(q, params.q_min, params.q_max))[()]
 
 
 def delayed_dispatch(params: DroopParams, tau: float, v: float, q_prev: float) -> float:
@@ -103,7 +140,7 @@ def delayed_dispatch(params: DroopParams, tau: float, v: float, q_prev: float) -
     saturated after the sum so the stored var stays physical."""
     if not 0.0 <= tau < 1.0:
         raise ControlError("tau must be in [0, 1)")
-    return _clamp(droop_dispatch(params, v) + tau * q_prev, params.q_min, params.q_max)
+    return clamp(droop_dispatch(params, v) + tau * q_prev, params.q_min, params.q_max)
 
 
 @dataclass(frozen=True)
@@ -120,15 +157,16 @@ class AdaptiveParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.m_p < 0:
+        if not _all(self.m_p >= 0):
             raise ControlError("m_p must be >= 0")
-        if not (self.q_min_p <= self.q_p <= self.q_max_p):
+        if not _all((self.q_min_p <= self.q_p) & (self.q_p <= self.q_max_p)):
             raise ControlError("need q_min_p <= q_p <= q_max_p")
-        if self.m_p > 0 and math.isfinite(self.v_min_p):
-            implied = (self.q_max_p - self.q_p) * 1.0
-            expect = self.m_p * (self.mu - self.v_min_p)
-            if abs(implied - expect) > _SLOPE_RTOL * max(abs(implied), 1.0):
-                raise ControlError("cut-offs inconsistent with slope")
+        implied = self.q_max_p - self.q_p
+        flat = self.m_p == 0  # unchecked; slope 1 there keeps 0 * inf out
+        gap = abs(implied - (self.m_p + flat) * (self.mu - self.v_min_p))
+        unchecked = flat | (abs(self.v_min_p) == np.inf)
+        if not _all(unchecked | (gap <= _SLOPE_RTOL * abs(implied)) | (gap <= _SLOPE_RTOL)):
+            raise ControlError("cut-offs inconsistent with slope")
 
     @classmethod
     def from_slope(
@@ -137,6 +175,10 @@ class AdaptiveParams:
         v_min_p, v_max_p = slope_to_cutoffs(m_p, q_p, q_min_p, q_max_p, mu)
         return cls(m_p, q_p, q_min_p, q_max_p, v_min_p, v_max_p, mu)
 
+    def with_setpoint(self, mu: float) -> "AdaptiveParams":
+        """The same slope, offset and var limits around a new set-point."""
+        return self.from_slope(self.m_p, self.q_p, self.q_min_p, self.q_max_p, mu)
+
 
 def adaptive_dispatch(params: AdaptiveParams, v: float) -> float:
     """Adaptive law: q_p - m_p*(v - mu), saturated at [q_min_p, q_max_p].
@@ -144,11 +186,12 @@ def adaptive_dispatch(params: AdaptiveParams, v: float) -> float:
     Saturation is the only nonlinearity; with q_p = 0 and no saturation
     this is exactly the conventional droop with zero deadband.
     """
-    return _clamp(
+    return clamp(
         params.q_p - params.m_p * (v - params.mu), params.q_min_p, params.q_max_p
     )
 
 
+@np.errstate(all="ignore")
 def slope_to_cutoffs(
     m_p: float, q_p: float, q_min_p: float, q_max_p: float, mu: float
 ) -> tuple[float, float]:
@@ -157,13 +200,12 @@ def slope_to_cutoffs(
     Inverse of the slope relation m = (q_lim - q_p)/(mu - v_cut); exact
     round-trip.  m_p = 0 yields the (-inf, +inf) sentinel pair.
     """
-    if m_p < 0:
+    if np.any(np.less(m_p, 0)):
         raise ControlError("m_p must be >= 0")
-    if m_p == 0:
-        return -math.inf, math.inf
-    v_max_p = mu - (q_min_p - q_p) / m_p
-    v_min_p = mu - (q_max_p - q_p) / m_p
-    return v_min_p, v_max_p
+    flat = np.equal(m_p, 0)
+    v_max_p = np.where(flat, np.inf, mu - np.divide(q_min_p - q_p, m_p))
+    v_min_p = np.where(flat, -np.inf, mu - np.divide(q_max_p - q_p, m_p))
+    return v_min_p[()], v_max_p[()]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ randomness flows from the scenario seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib.resources import files
 from typing import Callable
 
@@ -47,7 +47,6 @@ def load_builtin_feeder(name: str) -> FeederModel:
 
 # outer-loop constants used by the 4-bus adaptive presets
 _ADAPTIVE_4BUS = AdaptiveConfig(
-    T=10,
     k_d=4.0,
     eps_sse=0.005,
     eps_vf=0.2,
@@ -62,7 +61,6 @@ _ADAPTIVE_4BUS = AdaptiveConfig(
 # outer-loop constants tuned for the medium feeder (stronger coupling,
 # smaller critical slopes)
 _ADAPTIVE_30 = AdaptiveConfig(
-    T=10,
     k_d=2.0,
     eps_sse=0.005,
     eps_vf=0.4,
@@ -289,21 +287,8 @@ def override_scenario(scenario: Scenario, key: str, value: str) -> Scenario:
         if key == "deadband":
             return replace(scenario, droop_deadband=float(value))
         if key == "T":
-            t = int(value)
-            return replace(
-                scenario, t_outer=t, adaptive=replace(scenario.adaptive, T=t)
-            )
-        if key in (
-            "k_d",
-            "eps_sse",
-            "eps_vf",
-            "vf_lim",
-            "vf_lim_bar",
-            "delta_vf",
-            "delta_vf_bar",
-            "m_init",
-            "m_floor",
-        ):
+            return replace(scenario, t_outer=int(value))
+        if key in [f.name for f in fields(AdaptiveConfig) if f.type == "float"]:
             cfg = replace(scenario.adaptive, **{key: float(value)})
             return replace(scenario, adaptive=cfg)
         if key == "horizon":

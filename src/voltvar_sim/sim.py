@@ -18,13 +18,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .adaptation import AdaptiveConfig, outer_loop_step
+from . import adaptation
+from .adaptation import AdaptiveConfig, WindowStats, capacity_limits, window_stats
+from .adaptation import outer_loop_step  # noqa: F401 (see _outer_boundary)
 from .control import (
     AdaptiveParams,
     ControllerKind,
@@ -32,6 +34,9 @@ from .control import (
     adaptive_dispatch,
     delayed_dispatch,
     droop_dispatch,
+    put_units,
+    split_units,
+    take_units,
 )
 from .feeder import (
     BusInjections,
@@ -131,13 +136,9 @@ class TelegraphSpec:
 def telegraph_series(
     length: int, spec: TelegraphSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    out = np.empty(length)
-    state = True
-    for t in range(length):
-        if rng.random() < 1.0 / spec.dwell:
-            state = not state
-        out[t] = spec.high if state else spec.low
-    return out
+    """Starts high; each tick flips the state with probability 1/dwell."""
+    flips = np.cumsum(rng.random(length) < 1.0 / spec.dwell)
+    return np.where(flips % 2 == 0, float(spec.high), float(spec.low))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +192,6 @@ class Scenario:
             raise SimulationError("events must be sorted by tick")
         if any(t < 0 or t >= self.horizon for t in ticks):
             raise SimulationError("event tick outside horizon")
-        if self.adaptive.T != self.t_outer:
-            object.__setattr__(self, "adaptive", replace(self.adaptive, T=self.t_outer))
 
 
 # ---------------------------------------------------------------------------
@@ -218,51 +217,29 @@ def _event_from_dict(d: dict) -> tuple[int, EventKind]:
         raise SimulationError(f"event needs 'tick' and 'kind': {d}") from exc
     if kind not in _EVENT_KINDS:
         raise SimulationError(f"unknown event kind {kind!r}")
-    try:
-        if kind == "substation_voltage":
-            ev: EventKind = SubstationVoltage(float(d.pop("v_pu")))
-        elif kind == "setpoint":
+    args: dict = {}
+    for f in fields(_EVENT_KINDS[kind]):
+        if f.name == "buses":
             buses = d.pop("buses", None)
-            ev = SetpointChange(float(d.pop("mu")), tuple(buses) if buses else None)
-        elif kind == "cloud_cover":
-            buses = d.pop("buses", None)
-            ev = CloudCover(float(d.pop("scale")), tuple(buses) if buses else None)
-        elif kind == "intermittency":
-            buses = d.pop("buses", None)
-            ev = Intermittency(str(d.pop("series_id")), tuple(buses) if buses else None)
-        elif kind == "switch":
-            ev = SwitchEvent(str(d.pop("switch_id")), str(d.pop("state")))
+            args["buses"] = tuple(buses) if buses else None
+        elif f.name in d:
+            args[f.name] = (float if f.type == "float" else str)(d.pop(f.name))
         else:
-            ev = LoadScale(float(d.pop("factor")))
-    except KeyError as exc:
-        raise SimulationError(f"event {kind} missing field {exc}") from exc
+            raise SimulationError(f"event {kind} missing field {f.name!r}")
     if d:
         raise SimulationError(f"event {kind} has unknown fields: {sorted(d)}")
-    return tick, ev
+    return tick, _EVENT_KINDS[kind](**args)
 
 
 def _event_to_dict(tick: int, ev: EventKind) -> dict:
     name = next(k for k, cls in _EVENT_KINDS.items() if isinstance(ev, cls))
     out: dict = {"tick": tick, "kind": name}
-    if isinstance(ev, SubstationVoltage):
-        out["v_pu"] = ev.v_pu
-    elif isinstance(ev, SetpointChange):
-        out["mu"] = ev.mu
-        if ev.buses:
-            out["buses"] = list(ev.buses)
-    elif isinstance(ev, CloudCover):
-        out["scale"] = ev.scale
-        if ev.buses:
-            out["buses"] = list(ev.buses)
-    elif isinstance(ev, Intermittency):
-        out["series_id"] = ev.series_id
-        if ev.buses:
-            out["buses"] = list(ev.buses)
-    elif isinstance(ev, SwitchEvent):
-        out["switch_id"] = ev.switch_id
-        out["state"] = ev.state
-    else:
-        out["factor"] = ev.factor
+    for f in fields(ev):
+        value = getattr(ev, f.name)
+        if f.name != "buses":
+            out[f.name] = value
+        elif value:
+            out["buses"] = list(value)
     return out
 
 
@@ -277,7 +254,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
         t_outer = int(data["t_outer"])
         acfg_fields = dict(data.get("adaptive", {}))
-        acfg_fields.setdefault("T", t_outer)
+        if acfg_fields.pop("T", t_outer) != t_outer:
+            raise SimulationError("adaptive.T must equal t_outer (or be left out)")
         adaptive = AdaptiveConfig(**acfg_fields)
         series: dict[str, TelegraphSpec | tuple[float, ...]] = {}
         for name, spec in data.get("series", {}).items():
@@ -347,19 +325,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "slope": sc.droop_slope,
             "deadband": sc.droop_deadband,
         },
-        "adaptive": {
-            "T": sc.adaptive.T,
-            "k_d": sc.adaptive.k_d,
-            "eps_sse": sc.adaptive.eps_sse,
-            "eps_vf": sc.adaptive.eps_vf,
-            "vf_lim": sc.adaptive.vf_lim,
-            "vf_lim_bar": sc.adaptive.vf_lim_bar,
-            "delta_vf": sc.adaptive.delta_vf,
-            "delta_vf_bar": sc.adaptive.delta_vf_bar,
-            "m_init": sc.adaptive.m_init,
-            "m_floor": sc.adaptive.m_floor,
-            "signed_flicker": sc.adaptive.signed_flicker,
-        },
+        "adaptive": asdict(sc.adaptive),
         "pv_profile": profile_out,
         "series": series_out,
         "events": [_event_to_dict(t, e) for t, e in sc.events],
@@ -384,8 +350,8 @@ class LinearizedFeeder:
     """First-order feeder model around a solved operating point.
 
     Load-bus voltages respond linearly to PV real/reactive injections and
-    to the substation voltage.  Supports the same engine interface as the
-    full model for scenarios without switch or load-scale events; used for
+    to the substation voltage `v_slack`.  Runs in the engine like the full
+    model, except that it has no switch or load-scale events; used for
     convergence studies where the exact geometric behavior matters.
     """
 
@@ -395,6 +361,7 @@ class LinearizedFeeder:
     pv_ratings: tuple[float, ...]
     v_base: np.ndarray
     v_slack_base: float
+    v_slack: float
     dv_dq: np.ndarray  # (n_load, n_pv)
     dv_dp: np.ndarray  # (n_load, n_pv)
     dv_dslack: np.ndarray  # (n_load,)
@@ -410,14 +377,16 @@ class LinearizedFeeder:
         rows = [self.load_bus_ids.index(b) for b in self.pv_buses]
         return self.dv_dq[rows, :]
 
-    def voltages(
-        self, p: np.ndarray, q: np.ndarray, v_slack: float
-    ) -> np.ndarray:
+    def with_slack_voltage(self, v_pu: float) -> "LinearizedFeeder":
+        return replace(self, v_slack=v_pu)
+
+    def voltages(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Load-bus voltages at PV outputs `p` and var dispatches `q`."""
         return (
             self.v_base
             + self.dv_dq @ (q - self.q_base)
             + self.dv_dp @ (p - self.p_base)
-            + self.dv_dslack * (v_slack - self.v_slack_base)
+            + self.dv_dslack * (self.v_slack - self.v_slack_base)
         )
 
 
@@ -469,6 +438,7 @@ def linearize(
         pv_ratings=tuple(model.pv_at(b).rating_s for b in pv_buses),
         v_base=sol.v_mag[pq],
         v_slack_base=model.slack.v_set,
+        v_slack=model.slack.v_set,
         dv_dq=a_full_q[:, pv_cols],
         dv_dp=dv_dp,
         dv_dslack=dv_dslack,
@@ -510,6 +480,26 @@ class SimulationTrace:
     def bus_voltage(self, bus: str) -> np.ndarray:
         return self.voltages[:, self.bus_ids.index(bus)]
 
+    def window_stats(self, width: int, mu: np.ndarray | None = None) -> WindowStats:
+        """Statistics of the complete windows of `width` ticks that the
+        outer loop sees (ticks 1..width, width+1..2*width, ...) per unit,
+        as arrays of shape (n_windows, n_units); window k closes at tick
+        (k + 1) * width.  `mu` overrides the trace's set-point series."""
+        k = (self.horizon - 1) // width
+        mu = self.mu if mu is None else mu
+
+        def windows(x: np.ndarray) -> np.ndarray:  # (horizon,) -> (width, k)
+            return x[1 : 1 + k * width].reshape(k, width).T
+
+        units = [
+            window_stats(windows(self.bus_voltage(b)), windows(mu[:, j]), windows(self.p_out[:, j]))
+            for j, b in enumerate(self.unit_buses)
+        ]
+        return WindowStats(*(
+            np.array([getattr(u, f) for u in units]).reshape(len(units), k).T
+            for f in ("sse_avg", "vf", "p_pv_avg")
+        ))
+
 
 def _materialize_profile(
     spec: ProfileSpec | Mapping[str, ProfileSpec],
@@ -519,16 +509,10 @@ def _materialize_profile(
     def expand(one: ProfileSpec) -> np.ndarray:
         if isinstance(one, (int, float)):
             return np.full(horizon, float(one))
-        out = np.zeros(horizon)
-        level = 0.0
         pts = sorted((int(t), float(v)) for t, v in one)
-        idx = 0
-        for t in range(horizon):
-            while idx < len(pts) and pts[idx][0] <= t:
-                level = pts[idx][1]
-                idx += 1
-            out[t] = level
-        return out
+        # level of the last breakpoint at or before each tick, 0 before any
+        last = np.searchsorted([t for t, _ in pts], np.arange(horizon), side="right")
+        return np.array([0.0] + [v for _, v in pts])[last]
 
     prof = np.zeros((horizon, len(unit_buses)))
     if isinstance(spec, Mapping):
@@ -536,9 +520,7 @@ def _materialize_profile(
             if b in spec:
                 prof[:, j] = expand(spec[b])
     else:
-        col = expand(spec)
-        for j in range(len(unit_buses)):
-            prof[:, j] = col
+        prof[:] = expand(spec)[:, None]
     return prof
 
 
@@ -546,89 +528,87 @@ class SimulationEngine:
     """Stateful runner for one scenario over one feeder model.
 
     Use `run()` for the whole horizon or `step_inner()` tick by tick.
-    The engine is single-writer; per-inverter dispatch within a tick only
-    reads that inverter's own bus voltage (locality contract).
+    Controller state is one array per parameter with an entry per unit
+    (in `unit_buses` order), and each tick dispatches every unit with one
+    elementwise call of its law, which reads only that unit's own bus
+    voltage (locality contract).  Only the constructor tells a full
+    `FeederModel` from a `LinearizedFeeder`: it binds the per-tick solve
+    and rejects the events the linear model cannot take.
     """
 
     def __init__(self, scenario: Scenario, model: FeederModel | LinearizedFeeder):
         self.scenario = scenario
-        self.linear = isinstance(model, LinearizedFeeder)
-        if self.linear:
-            self.model = model
-            self.bus_ids = model.bus_ids
-            self.unit_buses = model.pv_buses
-            self.ratings = dict(zip(model.pv_buses, model.pv_ratings))
-            self._lin_vslack = model.v_slack_base
+        if isinstance(model, LinearizedFeeder):
+            for _, ev in scenario.events:
+                if isinstance(ev, (SwitchEvent, LoadScale)):
+                    raise SimulationError(
+                        f"{type(ev).__name__} not supported on the linearized model"
+                    )
+            self.ratings = np.array(model.pv_ratings, dtype=float)
+            self._solve = _solve_linear
         else:
             # the profile drives PV output; any stored p_out/q_inj on the
             # model is an analysis operating point, not simulation state
-            self.model = replace(
+            model = replace(
                 model,
                 pv_units=tuple(
                     replace(u, p_out=0.0, q_inj=0.0) for u in model.pv_units
                 ),
             )
-            self.bus_ids = model.bus_ids
-            self.unit_buses = model.pv_buses
-            self.ratings = {u.bus: u.rating_s for u in model.pv_units}
-        if not self.unit_buses and scenario.controller_kind.name != "none":
+            self.ratings = np.array([u.rating_s for u in model.pv_units], dtype=float)
+            self._solve = _solve_full
+        self.model = model
+        self.bus_ids = model.bus_ids
+        self.unit_buses = model.pv_buses
+        n = len(self.unit_buses)
+        if not n and scenario.controller_kind.name != "none":
             raise SimulationError("model has no PV units to control")
 
         rng = np.random.default_rng(scenario.seed)
         h = scenario.horizon
         self.p_profile = _materialize_profile(scenario.pv_profile, self.unit_buses, h)
-        self.mu_arr = np.full((h, len(self.unit_buses)), scenario.mu)
+        self.mu_arr = np.full((h, n), scenario.mu)
         self._apply_profile_events(rng)
+        if not np.all(np.isfinite(self.p_profile)):
+            raise SimulationError("PV profile and series values must be finite")
 
         self.live_events: dict[int, list[EventKind]] = {}
         for tick, ev in scenario.events:
             if isinstance(ev, (SubstationVoltage, SwitchEvent, LoadScale, SetpointChange)):
                 self.live_events.setdefault(tick, []).append(ev)
 
-        kind = scenario.controller_kind
-        self.droop: dict[str, DroopParams] = {}
-        self.adaptive: dict[str, AdaptiveParams] = {}
-        for b in self.unit_buses:
-            s = self.ratings[b]
-            if kind.name in ("conventional", "delayed"):
-                self.droop[b] = self._build_droop(b, scenario.mu, self._q_cap(b))
-            elif kind.name == "adaptive":
-                self.adaptive[b] = AdaptiveParams.from_slope(
-                    scenario.adaptive.m_init, 0.0, -s, s, scenario.mu
-                )
-        self.q_prev = {b: 0.0 for b in self.unit_buses}
+        kind = scenario.controller_kind.name
+        mu = np.full(n, scenario.mu)
+        self.params: DroopParams | AdaptiveParams | None = None
+        if kind in ("conventional", "delayed"):
+            p_peak = np.max(self.p_profile, axis=0, initial=0.0)
+            q_cap = np.maximum(capacity_limits(self.ratings, p_peak)[1], 1e-12)
+            self.params = DroopParams.from_slope(
+                mu, np.full(n, scenario.droop_deadband),
+                np.full(n, scenario.droop_slope), -q_cap, q_cap,
+            )
+        elif kind == "adaptive":
+            self.params = AdaptiveParams.from_slope(
+                np.full(n, scenario.adaptive.m_init), np.zeros(n),
+                -self.ratings, self.ratings, mu,
+            )
         # column of each unit's bus in `bus_ids` / the voltage rows
         self._unit_cols = np.array(
             [self.bus_ids.index(b) for b in self.unit_buses], dtype=int
         )
 
         self.voltages = np.full((h, len(self.bus_ids)), np.nan)
-        self.q_rec = np.zeros((h, len(self.unit_buses)))
-        self.p_rec = np.zeros((h, len(self.unit_buses)))
+        self.q_rec = np.zeros((h, n))
         self.flags: list[str] = [""] * h
-        self.dispatches: list[ParamDispatch] = []
+        self._outer_log: list[tuple[int, np.ndarray, AdaptiveParams]] = []
         self.tick = 0
         self._last_solution: PowerFlowSolution | None = None
-        self._net = None if self.linear else compile_network(self.model)
         for ev in self.live_events.get(0, []):
             self._apply_live_event(ev)
         self._solve_and_record(0)
         self.tick = 1
 
     # -- setup helpers
-
-    def _q_cap(self, bus: str) -> float:
-        j = self.unit_buses.index(bus)
-        s = self.ratings[bus]
-        p_peak = float(np.max(self.p_profile[:, j], initial=0.0))
-        p_peak = min(p_peak, s)
-        return math.sqrt(max(s * s - p_peak * p_peak, 0.0))
-
-    def _build_droop(self, bus: str, mu: float, q_cap: float) -> DroopParams:
-        q_cap = max(q_cap, 1e-12)
-        return DroopParams.from_slope(
-            mu, self.scenario.droop_deadband, self.scenario.droop_slope, -q_cap, q_cap
-        )
 
     def _apply_profile_events(self, rng: np.random.Generator) -> None:
         h = self.scenario.horizon
@@ -655,6 +635,8 @@ class SimulationEngine:
         if isinstance(spec, TelegraphSpec):
             return telegraph_series(length, spec, rng)
         arr = np.asarray(spec, dtype=float)
+        if not len(arr):
+            raise SimulationError(f"intermittency series {series_id!r} is empty")
         if len(arr) >= length:
             return arr[:length]
         return np.concatenate([arr, np.full(length - len(arr), arr[-1])])
@@ -671,106 +653,74 @@ class SimulationEngine:
 
     def _apply_live_event(self, ev: EventKind) -> None:
         if isinstance(ev, SetpointChange):
-            for j in self._unit_indices(ev.buses):
-                b = self.unit_buses[j]
-                if b in self.droop:
-                    d = self.droop[b]
-                    self.droop[b] = DroopParams.from_slope(
-                        ev.mu, d.deadband_d, d.slope_m, d.q_min, d.q_max
-                    )
-                if b in self.adaptive:
-                    a = self.adaptive[b]
-                    self.adaptive[b] = AdaptiveParams.from_slope(
-                        a.m_p, a.q_p, a.q_min_p, a.q_max_p, ev.mu
-                    )
-            return
-        if isinstance(ev, SubstationVoltage):
-            if self.linear:
-                self._lin_vslack = ev.v_pu
-            else:
-                self.model = self.model.with_slack_voltage(ev.v_pu)
-            return
-        if self.linear:
-            raise SimulationError(
-                f"{type(ev).__name__} not supported on the linearized model"
-            )
-        if isinstance(ev, SwitchEvent):
+            if self.params is not None:
+                idx = self._unit_indices(ev.buses)
+                moved = take_units(self.params, idx).with_setpoint(ev.mu)
+                self.params = put_units(self.params, idx, moved)
+        elif isinstance(ev, SubstationVoltage):
+            self.model = self.model.with_slack_voltage(ev.v_pu)
+        elif isinstance(ev, SwitchEvent):
             self.model = apply_topology_event(self.model, ev.switch_id, ev.state)
-            self._net = compile_network(self.model)
             self._last_solution = None  # island changed; cold start
         elif isinstance(ev, LoadScale):
             self.model = self.model.with_scaled_loads(ev.factor)
 
     def _dispatch(self, t: int) -> np.ndarray:
+        """Every unit's var dispatch for tick `t` from the voltages of tick
+        t-1; units without real output or on a dark bus dispatch nothing."""
         kind = self.scenario.controller_kind
-        q = np.zeros(len(self.unit_buses))
-        v_units = self.voltages[t - 1, self._unit_cols] if t > 0 else None
-        for j, b in enumerate(self.unit_buses):
-            p_t = self.p_profile[t, j]
-            v = v_units[j] if v_units is not None else math.nan
-            if p_t <= 0 or math.isnan(v) or kind.name == "none":
-                self.q_prev[b] = 0.0
-                continue
-            if kind.name in ("conventional", "delayed"):
-                params = self.droop[b]
-                if self.scenario.recompute_droop_capacity:
-                    s = self.ratings[b]
-                    cap = math.sqrt(max(s * s - min(p_t, s) ** 2, 0.0))
-                    params = DroopParams.from_setpoints(
-                        params.mu,
-                        params.deadband_d,
-                        params.v_min,
-                        params.v_max,
-                        -cap,
-                        cap,
-                    )
-                    self.droop[b] = params
-                if kind.name == "conventional":
-                    q[j] = droop_dispatch(params, v)
-                else:
-                    q[j] = delayed_dispatch(params, kind.tau, v, self.q_prev[b])
-            elif kind.name == "adaptive":
-                q[j] = adaptive_dispatch(self.adaptive[b], v)
-            self.q_prev[b] = q[j]
-        return q
+        if kind.name == "none":
+            return np.zeros(len(self.unit_buses))
+        v = self.voltages[t - 1, self._unit_cols]
+        p = self.p_profile[t]
+        active = (p > 0) & ~np.isnan(v)
+        if kind.name == "adaptive":
+            return np.where(active, adaptive_dispatch(self.params, v), 0.0)
+        if self.scenario.recompute_droop_capacity:
+            # var limits follow the leftover capacity, cut-offs stay pinned
+            idx = np.flatnonzero(active)
+            d = take_units(self.params, idx)
+            q_min, q_max = capacity_limits(self.ratings[idx], p[idx])
+            self.params = put_units(self.params, idx, DroopParams.from_setpoints(
+                d.mu, d.deadband_d, d.v_min, d.v_max, q_min, q_max
+            ))
+        if kind.name == "conventional":
+            return np.where(active, droop_dispatch(self.params, v), 0.0)
+        q_prev = self.q_rec[t - 1]
+        return np.where(active, delayed_dispatch(self.params, kind.tau, v, q_prev), 0.0)
 
     def _solve_and_record(self, t: int, q: np.ndarray | None = None) -> None:
         if q is None:
             q = np.zeros(len(self.unit_buses))
-        p = self.p_profile[t].copy()
-        if self.linear:
-            v_load = self.model.voltages(p, q, self._lin_vslack)
-            row = np.empty(len(self.bus_ids))
-            row[0] = self._lin_vslack
-            row[1:] = v_load
+        p = self.p_profile[t]
+        inj = BusInjections(self.bus_ids, self._unit_cols, p, q)
+        row, converged, self._last_solution = self._solve(
+            self.model, inj, self._last_solution
+        )
+        if converged or t == 0:
             self.voltages[t] = row
-        else:
-            inj = BusInjections(self.bus_ids, self._unit_cols, p, q)
-            sol = solve_power_flow(self.model, injections=inj, v_init=self._last_solution)
-            if sol.converged or t == 0:
-                self.voltages[t, self._net.cols] = sol.v_mag  # dark buses stay NaN
-            if sol.converged:
-                self._last_solution = sol
-            else:
-                self.flags[t] = "pf_diverged"
-                if t > 0:
-                    self.voltages[t] = self.voltages[t - 1]
+        if not converged:
+            self.flags[t] = "pf_diverged"
+            if t > 0:
+                self.voltages[t] = self.voltages[t - 1]
         self.q_rec[t] = q
-        self.p_rec[t] = p
 
     def _outer_boundary(self, t: int) -> None:
-        cfg = self.scenario.adaptive
+        """Outer-loop step for every unit that was energized and generating
+        through the whole window closing at tick `t`."""
         T = self.scenario.t_outer
-        for j, b in enumerate(self.unit_buses):
-            window_v = self.voltages[t - T + 1 : t + 1, self._unit_cols[j]]
-            window_p = self.p_rec[t - T + 1 : t + 1, j]
-            if np.any(np.isnan(window_v)) or np.min(window_p) <= 0:
-                continue  # unit idle or dark during the window
-            new = outer_loop_step(
-                self.adaptive[b], list(window_v), list(window_p), self.ratings[b], cfg
+        v = self.voltages[t - T + 1 : t + 1, self._unit_cols]
+        p = self.p_profile[t - T + 1 : t + 1]
+        idx = np.flatnonzero(~np.any(np.isnan(v), axis=0) & (np.min(p, axis=0) > 0))
+        if len(idx):
+            # perfbench's tracer wraps `sim.outer_loop_step` with a hook for
+            # one unit per call, so the fleet-wide call goes through `adaptation`
+            new = adaptation.outer_loop_step(
+                take_units(self.params, idx), v[:, idx], p[:, idx],
+                self.ratings[idx], self.scenario.adaptive,
             )
-            self.adaptive[b] = new
-            self.dispatches.append(ParamDispatch(tick=t, bus=b, params=new))
+            self.params = put_units(self.params, idx, new)
+            self._outer_log.append((t, idx, new))
 
     def step_inner(self) -> int:
         """Advance one tick: apply this tick's events, dispatch every
@@ -795,20 +745,45 @@ class SimulationEngine:
     def run(self) -> SimulationTrace:
         while self.tick < self.scenario.horizon:
             self.step_inner()
+        # one record, and one validated parameter block, per updated unit
+        dispatches = tuple(
+            ParamDispatch(tick=t, bus=self.unit_buses[j], params=unit)
+            for t, idx, new in self._outer_log
+            for j, unit in zip(idx, split_units(new))
+        )
         return SimulationTrace(
             bus_ids=self.bus_ids,
             unit_buses=self.unit_buses,
             voltages=self.voltages,
             q_inj=self.q_rec,
-            p_out=self.p_rec,
+            p_out=self.p_profile,
             mu=self.mu_arr,
             flags=tuple(self.flags),
-            param_dispatches=tuple(self.dispatches),
+            param_dispatches=dispatches,
             dt_inner=self.scenario.dt_inner,
             t_outer=self.scenario.t_outer,
             name=self.scenario.name,
             seed=self.scenario.seed,
         )
+
+
+# Per-tick solves: (model, PV injections, warm start) -> (voltage row over
+# the injections' bus order, converged, warm start for the next tick).
+
+
+def _solve_full(
+    model: FeederModel, inj: BusInjections, warm: PowerFlowSolution | None
+) -> tuple[np.ndarray, bool, PowerFlowSolution | None]:
+    sol = solve_power_flow(model, injections=inj, v_init=warm)
+    row = np.full(len(inj.bus_ids), np.nan)  # dark buses stay NaN
+    row[compile_network(model).cols] = sol.v_mag
+    return row, sol.converged, sol if sol.converged else warm
+
+
+def _solve_linear(
+    model: LinearizedFeeder, inj: BusInjections, warm: None
+) -> tuple[np.ndarray, bool, None]:
+    return np.concatenate(([model.v_slack], model.voltages(inj.p, inj.q))), True, None
 
 
 def run(scenario: Scenario, model: FeederModel | LinearizedFeeder) -> SimulationTrace:
@@ -867,19 +842,9 @@ def metrics(
         msse_per[b] = float(np.mean(dev) * 100.0) if len(dev) else 0.0
     msse = float(np.mean(list(msse_per.values()))) if msse_per else 0.0
 
-    w = limits.window
-    fc_per: dict[str, int] = {b: 0 for b in trace.unit_buses}
-    start = 1
-    while start + w <= h:
-        for b in trace.unit_buses:
-            v = trace.voltages[start : start + w, trace.bus_ids.index(b)]
-            if np.any(np.isnan(v)):
-                continue
-            diffs = np.abs(np.diff(v) / v[1:])
-            vf = 100.0 * float(np.sum(diffs)) / w
-            if vf > limits.vf_lim:
-                fc_per[b] += 1
-        start += w
+    # windows with a dark tick have NaN flicker, which never counts
+    over = trace.window_stats(limits.window, mu_arr).vf > limits.vf_lim
+    fc_per = {b: int(n) for b, n in zip(trace.unit_buses, np.sum(over, axis=0))}
     fc = sum(fc_per.values())
 
     lo_a, hi_a = limits.ansi_a
@@ -924,22 +889,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_TRACE_HEADER = ["tick", "bus", "V_pu", "q_inj_pu", "p_out_pu", "mu_pu", "flags"]
+
+
 def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Long-format trace: one row per (tick, bus); PV columns empty on
-    buses without a unit.  Floats keep full round-trip precision."""
+    """Long-format trace: one row per (tick, bus); the PV columns (var
+    dispatch, real output, set-point) are empty on buses without a unit.
+    Floats keep full round-trip precision."""
+    unit_of = {b: j for j, b in enumerate(trace.unit_buses)}
+    cols = [unit_of.get(b) for b in trace.bus_ids]
+    no_unit = ("", "", "")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["tick", "bus", "V_pu", "q_inj_pu", "p_out_pu", "flags"])
+        writer.writerow(_TRACE_HEADER)
         for t in range(trace.horizon):
-            for i, b in enumerate(trace.bus_ids):
-                if b in trace.unit_buses:
-                    j = trace.unit_buses.index(b)
-                    qs, ps = _fmt(trace.q_inj[t, j]), _fmt(trace.p_out[t, j])
-                else:
-                    qs, ps = "", ""
-                writer.writerow(
-                    [t, b, _fmt(trace.voltages[t, i]), qs, ps, trace.flags[t]]
-                )
+            units = [
+                tuple(map(repr, x))
+                for x in zip(trace.q_inj[t].tolist(), trace.p_out[t].tolist(),
+                             trace.mu[t].tolist())
+            ]
+            writer.writerows(
+                [t, b, repr(v), *(no_unit if j is None else units[j]), trace.flags[t]]
+                for b, v, j in zip(trace.bus_ids, trace.voltages[t].tolist(), cols)
+            )
 
 
 def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:
@@ -959,17 +931,21 @@ def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:
 def read_trace_csv(
     path: str | Path, dt_inner: float = 1.0, t_outer: int = 10
 ) -> SimulationTrace:
-    """Rebuild a trace from its CSV (voltages, dispatches, flags).  The
-    set-point series is not part of the CSV; pass `mu` explicitly to
-    `metrics` on a re-read trace."""
-    rows: list[tuple[int, str, float, str, str, str]] = []
+    """Rebuild a trace from its CSV (voltages, var dispatches, real
+    outputs, set-points, flags); metrics on it equal those of the trace
+    that was written.  Parameter dispatches are not part of the CSV."""
+    rows: list[tuple[int, str, float, str, str, str, str]] = []
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header[:3] != ["tick", "bus", "V_pu"]:
+        header = next(reader, [])
+        if header[:3] != _TRACE_HEADER[:3]:
             raise SimulationError(f"not a trace CSV: {path}")
+        if header != _TRACE_HEADER:
+            raise SimulationError(
+                f"trace CSV {path} needs the columns {','.join(_TRACE_HEADER)}"
+            )
         for rec in reader:
-            rows.append((int(rec[0]), rec[1], float(rec[2]), rec[3], rec[4], rec[5]))
+            rows.append((int(rec[0]), rec[1], float(rec[2]), *rec[3:7]))
     if not rows:
         raise SimulationError(f"empty trace CSV: {path}")
     bus_ids = tuple(dict.fromkeys(r[1] for r in rows))
@@ -978,14 +954,15 @@ def read_trace_csv(
     voltages = np.full((horizon, len(bus_ids)), np.nan)
     q_inj = np.zeros((horizon, len(unit_buses)))
     p_out = np.zeros((horizon, len(unit_buses)))
+    mu = np.zeros((horizon, len(unit_buses)))
     flags = [""] * horizon
     bus_index = {b: i for i, b in enumerate(bus_ids)}
     unit_index = {b: i for i, b in enumerate(unit_buses)}
-    for t, b, v, qs, ps, fl in rows:
+    for t, b, v, qs, ps, ms, fl in rows:
         voltages[t, bus_index[b]] = v
         if qs != "":
-            q_inj[t, unit_index[b]] = float(qs)
-            p_out[t, unit_index[b]] = float(ps)
+            j = unit_index[b]
+            q_inj[t, j], p_out[t, j], mu[t, j] = float(qs), float(ps), float(ms)
         if fl:
             flags[t] = fl
     return SimulationTrace(
@@ -994,7 +971,7 @@ def read_trace_csv(
         voltages=voltages,
         q_inj=q_inj,
         p_out=p_out,
-        mu=np.zeros((horizon, len(unit_buses))),
+        mu=mu,
         flags=tuple(flags),
         param_dispatches=(),
         dt_inner=dt_inner,

@@ -39,7 +39,7 @@ def _steady_scenario(kind, slope, horizon=100, events=(), adaptive=None):
         controller_kind=kind,
         mu=1.0,
         droop_slope=slope,
-        adaptive=adaptive or AdaptiveConfig(T=10, eps_vf=0.2, vf_lim=1.0, vf_lim_bar=3.0),
+        adaptive=adaptive or AdaptiveConfig(eps_vf=0.2, vf_lim=1.0, vf_lim_bar=3.0),
         pv_profile={"bus3": 0.9},
         events=events,
     )
@@ -90,7 +90,7 @@ def test_criterion_3_outer_loop_gain_regimes(ieee4):
     # SSE, the regime the gain map describes.
     lin = linearize(ieee4)
     quiet = AdaptiveConfig(
-        T=100, k_d=2.0, eps_sse=1e-9, eps_vf=1e5, vf_lim=1e6, vf_lim_bar=2e6,
+        k_d=2.0, eps_sse=1e-9, eps_vf=1e5, vf_lim=1e6, vf_lim_bar=2e6,
         delta_vf=1e-12, delta_vf_bar=2e-12, m_init=1.0, m_floor=0.0,
     )
     base = Scenario(

@@ -21,7 +21,6 @@ from voltvar_sim.control import AdaptiveParams
 VF_ALTERNATING = 0.745049504950495
 
 CFG = AdaptiveConfig(
-    T=4,
     k_d=4.0,
     eps_sse=0.005,
     eps_vf=0.01,
@@ -53,6 +52,25 @@ class TestWindowStats:
     def test_signed_variant_cancels_oscillation(self):
         s = window_stats([1.00, 1.01, 1.00, 1.01], 1.0, [0.5] * 4, signed_flicker=True)
         assert abs(s.vf) < VF_ALTERNATING / 2
+
+    @pytest.mark.parametrize("n_units", [1, 3])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_block_matches_python_sums_per_column(self, n_units, signed):
+        # the loop form: Python `sum` over each column, bit for bit
+        def reference(v, mu, p):
+            t = len(v)
+            diffs = [(v[i] - v[i - 1]) / v[i] for i in range(1, t)]
+            vf = sum(diffs) if signed else sum(abs(d) for d in diffs)
+            return sum(x - mu for x in v) / t, 100.0 * vf / t, sum(p) / t
+
+        rng = np.random.default_rng(11)
+        v = 1.0 + rng.normal(0.0, 0.02, (10, n_units))
+        p = rng.uniform(0.1, 0.9, (10, n_units))
+        mu = rng.uniform(0.95, 1.05, n_units)
+        s = window_stats(v, mu, p, signed_flicker=signed)
+        for j in range(n_units):
+            want = reference(v[:, j].tolist(), float(mu[j]), p[:, j].tolist())
+            assert (s.sse_avg[j], s.vf[j], s.p_pv_avg[j]) == want
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(AdaptationError):
@@ -195,7 +213,7 @@ class TestAdaptationProperties:
         # |1 - k/(1/a + m)| < 1 drives the measured window SSE to zero
         a, m, k = 0.2857, 1.0, 4.0
         b = 1 - k / (1 / a + m)
-        cfg = AdaptiveConfig(T=4, k_d=k, eps_sse=1e-12, vf_lim=50.0, vf_lim_bar=99.0,
+        cfg = AdaptiveConfig(k_d=k, eps_sse=1e-12, vf_lim=50.0, vf_lim_bar=99.0,
                              eps_vf=1.0, delta_vf=0.5, delta_vf_bar=1.0,
                              m_init=m, m_floor=0.0)
         v_nc = 1.05
@@ -217,7 +235,5 @@ class TestConfigValidation:
             AdaptiveConfig(vf_lim=0.09, vf_lim_bar=0.03)
         with pytest.raises(AdaptationError):
             AdaptiveConfig(delta_vf=1.0, delta_vf_bar=0.5)
-        with pytest.raises(AdaptationError):
-            AdaptiveConfig(T=1)
         with pytest.raises(AdaptationError):
             AdaptiveConfig(k_d=0.0)

@@ -23,6 +23,7 @@ from voltvar_sim.sim import (
     SubstationVoltage,
     SwitchEvent,
     TelegraphSpec,
+    _materialize_profile,
     linearize,
     metrics,
     read_trace_csv,
@@ -42,7 +43,7 @@ def _scenario(kind, horizon=100, slope=1.0, events=(), profile=0.9, **kw):
         controller_kind=kind,
         mu=1.0,
         droop_slope=slope,
-        adaptive=AdaptiveConfig(T=10, k_d=4.0, eps_vf=0.2, vf_lim=1.0, vf_lim_bar=3.0),
+        adaptive=AdaptiveConfig(k_d=4.0, eps_vf=0.2, vf_lim=1.0, vf_lim_bar=3.0),
         pv_profile=profile,
         events=events,
         **kw,
@@ -88,6 +89,24 @@ class TestEngineBasics:
         )
         assert np.all(trace.q_inj[:20, 0] == 0.0)
         assert np.any(trace.q_inj[25:, 0] != 0.0)
+
+    @pytest.mark.parametrize(
+        "points",
+        [(), ((20, 0.9),), ((-3, 0.2), (5, 0.7), (5, 0.4), (99, 1.0)), ((8, 0.5), (2, 0.3))],
+    )
+    def test_step_profile_matches_loop_reference(self, points):
+        # the loop form: walk the sorted breakpoints tick by tick
+        def reference(points, horizon):
+            out, level, pts, k = np.zeros(horizon), 0.0, sorted(points), 0
+            for t in range(horizon):
+                while k < len(pts) and pts[k][0] <= t:
+                    level, k = pts[k][1], k + 1
+                out[t] = level
+            return out
+
+        prof = _materialize_profile(points, ("a", "b"), 30)
+        assert prof[:, 0].tobytes() == reference(points, 30).tobytes()
+        assert prof[:, 1].tobytes() == prof[:, 0].tobytes()
 
     def test_horizon_exhaustion_raises(self, ieee4):
         eng = SimulationEngine(_scenario(ControllerKind.none(), horizon=12), ieee4)
@@ -241,6 +260,32 @@ class TestScenarioValidation:
         with pytest.raises(SimulationError):
             _scenario(ControllerKind.none(), horizon=5)
 
+    def test_t_outer_at_least_two(self):
+        with pytest.raises(SimulationError, match="t_outer"):
+            Scenario(horizon=20, t_outer=1, controller_kind=ControllerKind.adaptive())
+
+    def test_adaptive_T_must_equal_t_outer(self):
+        doc = {"horizon": 20, "t_outer": 10, "controller": {"kind": "adaptive"},
+               "adaptive": {"T": 10}}
+        assert scenario_from_dict(doc).t_outer == 10
+        doc["adaptive"]["T"] = 5
+        with pytest.raises(SimulationError, match="t_outer"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            pytest.param({"profile": math.nan}, id="pv_profile"),
+            pytest.param({"series": {"s": ()},
+                          "events": ((5, Intermittency("s")),)}, id="empty_series"),
+            pytest.param({"series": {"s": (0.5, math.inf)},
+                          "events": ((5, Intermittency("s")),)}, id="series_value"),
+        ],
+    )
+    def test_profile_inputs_checked(self, ieee4, kw):
+        with pytest.raises(SimulationError, match="series|finite"):
+            run(_scenario(ControllerKind.conventional(), horizon=20, **kw), ieee4)
+
     def test_event_parameter_ranges(self):
         with pytest.raises(SimulationError):
             SubstationVoltage(1.6)
@@ -368,6 +413,24 @@ class TestDeterminism:
         t2 = run(replace(sc, seed=8), feeder)
         assert t1.p_out.tobytes() != t2.p_out.tobytes()
 
+    @pytest.mark.parametrize("dwell", [1.0, 2.5, 30.0])
+    def test_telegraph_series_matches_loop_reference(self, dwell):
+        # the loop form: one draw per tick, flip on a draw below 1/dwell
+        def reference(length, spec, rng):
+            out, state = [], True
+            for _ in range(length):
+                if rng.random() < 1.0 / spec.dwell:
+                    state = not state
+                out.append(spec.high if state else spec.low)
+            return np.array(out, dtype=float)
+
+        spec = TelegraphSpec(dwell=dwell, low=0.2, high=1.0)
+        r1, r2 = np.random.default_rng(4), np.random.default_rng(4)
+        for length in (0, 1, 257):
+            assert telegraph_series(length, spec, r1).tobytes() == \
+                reference(length, spec, r2).tobytes()
+        assert r1.random() == r2.random()  # same draws consumed
+
     def test_telegraph_series_levels_and_determinism(self):
         spec = TelegraphSpec(dwell=5.0, low=0.2, high=1.0)
         s1 = telegraph_series(200, spec, np.random.default_rng(3))
@@ -465,6 +528,24 @@ class TestCsvRoundTrip:
         assert a.fc == b.fc and a.vvi == b.vvi
         assert a.msse_per_inverter == b.msse_per_inverter
 
+    def test_reread_trace_metrics_equal_in_memory(self, tmp_path):
+        # the set-point series travels in the CSV: no mu argument needed
+        feeder, sc = get_preset("setpoint_step")
+        trace = run(sc, feeder)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        again = read_trace_csv(tmp_path / "trace.csv", dt_inner=sc.dt_inner,
+                               t_outer=sc.t_outer)
+        assert again.mu.tobytes() == trace.mu.tobytes()
+        a, b = metrics(trace), metrics(again)
+        assert (a.msse, a.fc, a.vvi) == (b.msse, b.fc, b.vvi)
+        assert a.msse_per_inverter == b.msse_per_inverter
+
+    def test_csv_without_mu_column_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("tick,bus,V_pu,q_inj_pu,p_out_pu,flags\n0,bus1,1.03,,,\n")
+        with pytest.raises(SimulationError, match="mu_pu"):
+            read_trace_csv(path)
+
     def test_params_csv_written(self, tmp_path, ieee4):
         sc = _scenario(ControllerKind.adaptive(), profile=0.9, horizon=40)
         trace = run(sc, ieee4)
@@ -499,3 +580,10 @@ class TestLinearizedEngine:
                        events=((10, SwitchEvent("switch1", "closed")),))
         with pytest.raises(SimulationError, match="not supported"):
             run(sc, lin)
+
+    def test_load_scale_rejected_when_engine_is_built(self, ieee4):
+        lin = linearize(ieee4)
+        sc = _scenario(ControllerKind.none(), profile=0.9, horizon=30,
+                       events=((25, LoadScale(1.2)),))
+        with pytest.raises(SimulationError, match="not supported"):
+            SimulationEngine(sc, lin)
