@@ -269,9 +269,8 @@ def cmd_presets(args) -> int:
         key = args.show.removeprefix("presets/")
         if key not in PRESETS:
             raise _CliError(f"unknown preset {args.show!r}", EXIT_USAGE)
-        feeder_name = PRESETS[key].feeder
-        doc = scenario_to_dict(PRESETS[key].build())
-        doc["feeder"] = feeder_name
+        doc = scenario_to_dict(get_preset(key)[1])
+        doc["feeder"] = PRESETS[key].feeder
         print(json.dumps(doc, indent=2))
         return EXIT_OK
     width = max(len(n) for n, _ in list_presets())

@@ -210,13 +210,14 @@ def slope_to_cutoffs(
 
 @dataclass(frozen=True)
 class ControllerKind:
-    """Which inner law an inverter runs: none, conventional, delayed(tau),
-    or adaptive."""
+    """Which inner law an inverter runs: none (the default), conventional,
+    delayed(tau), or adaptive."""
 
-    name: str
+    name: str = "none"
     tau: float = 0.0
 
     _NAMES = ("none", "conventional", "delayed", "adaptive")
+    _json_keys = {"name": "kind"}
 
     def __post_init__(self) -> None:
         if self.name not in self._NAMES:

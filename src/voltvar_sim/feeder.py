@@ -35,6 +35,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .codec import SchemaError, decode, encode
+
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
 # the fixed point stops once no voltage moves more than this (pu); a
@@ -53,14 +55,15 @@ class PowerFlowError(FeederError):
 
 @dataclass(frozen=True)
 class Bus:
-    """Network node. `kind` is "slack" (substation) or "load" (PQ).
+    """Network node. `kind` is "slack" (substation) or "load" (PQ, the
+    default).
 
     `v_set` is the substation voltage in pu and is only meaningful on the
     slack bus. `base_voltage` is in volts; every other quantity is pu.
     """
 
     id: str
-    kind: str
+    kind: str = "load"
     base_voltage: float = 4160.0
     load_p: float = 0.0
     load_q: float = 0.0
@@ -87,6 +90,7 @@ class Line:
     reactance: float
     switch_state: str = "none"
     id: str | None = None
+    _json_keys = {"from_bus": "from", "to_bus": "to"}
 
     def __post_init__(self) -> None:
         if self.switch_state not in ("closed", "open", "none"):
@@ -134,9 +138,9 @@ class FeederModel:
     an error.  The set is computed on construction and carried through
     topology events unchanged.
 
-    The compiled network (`compile_network`) and the load injections are
-    computed on first solve and kept on the snapshot; neither is a field,
-    so equality and hashing ignore them.
+    The island walk, the compiled network (`compile_network`) and the load
+    injections are computed on first use and kept on the snapshot; none is
+    a field, so equality and hashing ignore them.
     """
 
     buses: tuple[Bus, ...]
@@ -144,6 +148,7 @@ class FeederModel:
     pv_units: tuple[PvUnit, ...] = ()
     name: str = ""
     detachable_buses: frozenset[str] | None = None
+    _json_skip = ("detachable_buses",)  # derived from the lines
 
     def __post_init__(self) -> None:
         ids = [b.id for b in self.buses]
@@ -172,19 +177,8 @@ class FeederModel:
             object.__setattr__(self, "detachable_buses", dark)
 
     def _reach(self, all_switches_closed: bool) -> set[str]:
-        adj: dict[str, list[str]] = {b.id: [] for b in self.buses}
-        for ln in self.lines:
-            if ln.in_service or all_switches_closed:
-                adj[ln.from_bus].append(ln.to_bus)
-                adj[ln.to_bus].append(ln.from_bus)
-        seen = {self.slack_id}
-        stack = [self.slack_id]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+        lines = [ln for ln in self.lines if ln.in_service or all_switches_closed]
+        return set(_walk(self.slack_id, self.bus_ids, lines))
 
     @property
     def slack_id(self) -> str:
@@ -202,19 +196,11 @@ class FeederModel:
     def pv_buses(self) -> tuple[str, ...]:
         return tuple(u.bus for u in self.pv_units)
 
-    @property
-    def switch_ids(self) -> tuple[str, ...]:
-        return tuple(ln.name for ln in self.lines if ln.switch_state != "none")
-
     def pv_at(self, bus_id: str) -> PvUnit:
         for u in self.pv_units:
             if u.bus == bus_id:
                 return u
         raise FeederError(f"no pv unit at bus: {bus_id}")
-
-    def energized_buses(self) -> tuple[str, ...]:
-        reach = self._reach(all_switches_closed=False)
-        return tuple(b.id for b in self.buses if b.id in reach)
 
     def with_slack_voltage(self, v_pu: float) -> "FeederModel":
         buses = tuple(
@@ -232,12 +218,12 @@ class FeederModel:
         return self._same_lines(buses)
 
     def _same_lines(self, buses: tuple[Bus, ...]) -> "FeederModel":
-        """Copy with new bus data on the same lines, sharing the compiled
-        network if this snapshot has one."""
+        """Copy with new bus data on the same lines, sharing the island
+        walk and the compiled network if this snapshot has them."""
         out = replace(self, buses=buses)
-        net = self.__dict__.get("_network")
-        if net is not None:
-            object.__setattr__(out, "_network", net)
+        for kept in ("_island", "_network"):
+            if kept in self.__dict__:
+                object.__setattr__(out, kept, self.__dict__[kept])
         return out
 
 
@@ -296,16 +282,48 @@ class CompiledNetwork:
     w: np.ndarray | None
 
 
+def _walk(
+    slack_id: str, bus_ids: tuple[str, ...], lines: list[Line]
+) -> dict[str, tuple[str, int]]:
+    """Breadth-first walk from the slack over `lines`: each bus reached,
+    in walk order, with the bus and the index of the line it was reached
+    from (("", -1) for the slack)."""
+    adj: dict[str, list[int]] = {b: [] for b in bus_ids}
+    for k, ln in enumerate(lines):
+        adj[ln.from_bus].append(k)
+        adj[ln.to_bus].append(k)
+    order, via = [slack_id], {slack_id: ("", -1)}
+    for b in order:  # `order` grows while it is walked
+        for k in adj[b]:
+            nxt = lines[k].to_bus if lines[k].from_bus == b else lines[k].from_bus
+            if nxt not in via:
+                via[nxt] = (b, k)
+                order.append(nxt)
+    return via
+
+
+def _island(model: FeederModel) -> dict[str, tuple[str, int]]:
+    """`_walk` over the model's in-service lines: the one walk of its
+    topology, which gives the island and the spanning tree the Z-bus
+    build follows.  Done on first use and kept on the model."""
+    via = model.__dict__.get("_island")
+    if via is None:
+        lines = [ln for ln in model.lines if ln.in_service]
+        via = _walk(model.slack_id, model.bus_ids, lines)
+        object.__setattr__(model, "_island", via)
+    return via
+
+
 def _compile(model: FeederModel) -> CompiledNetwork:
     bus_ids = model.bus_ids
-    island = model.energized_buses()
+    lines = [ln for ln in model.lines if ln.in_service]  # as `_island` walked them
+    via = _island(model)
+    island = tuple(b for b in bus_ids if b in via)
     index = {b: i for i, b in enumerate(island)}
     n = len(island)
     ybus = np.zeros((n, n), dtype=complex)
-    for ln in model.lines:
-        if not ln.in_service:
-            continue
-        if ln.from_bus not in index or ln.to_bus not in index:
+    for ln in lines:
+        if ln.from_bus not in index:
             continue
         y = 1.0 / complex(ln.resistance, ln.reactance)
         i, j = index[ln.from_bus], index[ln.to_bus]
@@ -316,7 +334,13 @@ def _compile(model: FeederModel) -> CompiledNetwork:
     pos = np.array([index.get(b, -1) for b in bus_ids], dtype=int)
     slack_idx = index[model.slack_id]
     pq = np.delete(np.arange(n), slack_idx)
-    z = _zbus(model, index)
+    tree = {k for _, k in via.values()}
+    z = _zbus(
+        n,
+        [(index[a], index[b], lines[k]) for b, (a, k) in via.items() if k >= 0],
+        [(index[ln.from_bus], index[ln.to_bus], ln) for k, ln in enumerate(lines)
+         if k not in tree and ln.from_bus in index],
+    )
     if z is not None:
         z = z[np.ix_(pq, pq)]
     w = None if z is None else -z @ ybus[pq, slack_idx]
@@ -334,42 +358,22 @@ def _compile(model: FeederModel) -> CompiledNetwork:
     )
 
 
-def _zbus(model: FeederModel, index: Mapping[str, int]) -> np.ndarray | None:
-    """Bus impedance matrix of the island with the slack as reference (its
-    row and column stay zero), so Z[pq, pq] = Y_LL^-1.  Built by the Z-bus
-    building algorithm: a line to a new bus copies the row of the bus it
-    hangs from, and a line that closes a loop is a rank-1 update.  That is
-    O(n) per tree line and O(n^2) per loop, with no factorization.  None
-    when a loop has zero impedance (Y_LL singular)."""
-    lines = [
-        ln for ln in model.lines
-        if ln.in_service and ln.from_bus in index and ln.to_bus in index
-    ]
-    adj: dict[str, list[int]] = {b: [] for b in index}
-    for k, ln in enumerate(lines):
-        adj[ln.from_bus].append(k)
-        adj[ln.to_bus].append(k)
-    zb = np.zeros((len(index), len(index)), dtype=complex)
-    tree: set[int] = set()
-    order = [model.slack_id]
-    seen = {model.slack_id}
-    for b in order:  # breadth first; `order` grows while it is walked
-        for k in adj[b]:
-            ln = lines[k]
-            nxt = ln.to_bus if ln.from_bus == b else ln.from_bus
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            order.append(nxt)
-            tree.add(k)
-            i, j = index[b], index[nxt]
-            zb[j] = zb[i]
-            zb[:, j] = zb[:, i]
-            zb[j, j] = zb[i, i] + complex(ln.resistance, ln.reactance)
-    for k, ln in enumerate(lines):
-        if k in tree:
-            continue
-        i, j = index[ln.from_bus], index[ln.to_bus]
+def _zbus(
+    n: int, tree: list[tuple[int, int, Line]], loops: list[tuple[int, int, Line]]
+) -> np.ndarray | None:
+    """Bus impedance matrix of an island of `n` buses with the slack as
+    reference (its row and column stay zero), so Z[pq, pq] = Y_LL^-1.
+    Built by the Z-bus building algorithm: a `tree` line (parent, child),
+    in breadth-first order, copies the row of the bus it hangs from, and a
+    line that closes a loop is a rank-1 update.  That is O(n) per tree line
+    and O(n^2) per loop, with no factorization.  None when a loop has zero
+    impedance (Y_LL singular)."""
+    zb = np.zeros((n, n), dtype=complex)
+    for i, j, ln in tree:
+        zb[j] = zb[i]
+        zb[:, j] = zb[:, i]
+        zb[j, j] = zb[i, i] + complex(ln.resistance, ln.reactance)
+    for i, j, ln in loops:
         d = zb[:, i] - zb[:, j]
         den = d[i] - d[j] + complex(ln.resistance, ln.reactance)
         if den == 0:
@@ -665,9 +669,7 @@ def apply_topology_event(
         for ln in model.lines
     )
     updated = replace(model, lines=lines)
-    before = set(model.energized_buses())
-    after = set(updated.energized_buses())
-    newly_dark = before - after
+    newly_dark = set(_island(model)) - set(_island(updated))
     illegal = sorted(newly_dark - set(model.detachable_buses or frozenset()))
     if illegal:
         raise FeederError(
@@ -701,80 +703,15 @@ def total_losses(model: FeederModel, solution: PowerFlowSolution) -> complex:
 
 
 def feeder_from_dict(data: dict) -> FeederModel:
+    """Build a feeder from its JSON form (see the README for the schema)."""
     try:
-        buses = tuple(
-            Bus(
-                id=str(b["id"]),
-                kind=str(b.get("kind", "load")),
-                base_voltage=float(b.get("base_voltage", 4160.0)),
-                load_p=float(b.get("load_p", 0.0)),
-                load_q=float(b.get("load_q", 0.0)),
-                v_set=float(b.get("v_set", 1.0)),
-            )
-            for b in data["buses"]
-        )
-        lines = tuple(
-            Line(
-                from_bus=str(ln["from"]),
-                to_bus=str(ln["to"]),
-                resistance=float(ln["resistance"]),
-                reactance=float(ln["reactance"]),
-                switch_state=str(ln.get("switch_state", "none")),
-                id=ln.get("id"),
-            )
-            for ln in data["lines"]
-        )
-        pv_units = tuple(
-            PvUnit(
-                bus=str(u["bus"]),
-                rating_s=float(u["rating_s"]),
-                p_out=float(u.get("p_out", 0.0)),
-                q_inj=float(u.get("q_inj", 0.0)),
-            )
-            for u in data.get("pv_units", ())
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return decode(FeederModel, data)
+    except SchemaError as exc:
         raise FeederError(f"malformed feeder description: {exc}") from exc
-    return FeederModel(
-        buses=buses, lines=lines, pv_units=pv_units, name=str(data.get("name", ""))
-    )
 
 
 def feeder_to_dict(model: FeederModel) -> dict:
-    return {
-        "name": model.name,
-        "buses": [
-            {
-                "id": b.id,
-                "kind": b.kind,
-                "base_voltage": b.base_voltage,
-                "load_p": b.load_p,
-                "load_q": b.load_q,
-                "v_set": b.v_set,
-            }
-            for b in model.buses
-        ],
-        "lines": [
-            {
-                "id": ln.id,
-                "from": ln.from_bus,
-                "to": ln.to_bus,
-                "resistance": ln.resistance,
-                "reactance": ln.reactance,
-                "switch_state": ln.switch_state,
-            }
-            for ln in model.lines
-        ],
-        "pv_units": [
-            {
-                "bus": u.bus,
-                "rating_s": u.rating_s,
-                "p_out": u.p_out,
-                "q_inj": u.q_inj,
-            }
-            for u in model.pv_units
-        ],
-    }
+    return encode(model)
 
 
 def load_feeder(path: str | Path) -> FeederModel:

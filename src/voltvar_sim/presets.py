@@ -15,11 +15,12 @@ randomness flows from the scenario seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from importlib.resources import files
 from typing import Callable
 
 from .adaptation import AdaptiveConfig
+from .codec import field_type, replace_path
 from .control import ControllerKind
 from .feeder import FeederModel, feeder_from_dict
 from .sim import (
@@ -72,113 +73,49 @@ _ADAPTIVE_30 = AdaptiveConfig(
     m_floor=0.1,
 )
 
-_SOLAR_AT_20 = {"bus3": ((20, 0.9),), "bus4": ((20, 0.9),)}
+# 4-bus base: solar up at t=20 on both PV buses, adaptive control
+_BASE_4BUS = Scenario(
+    horizon=200,
+    t_outer=10,
+    controller_kind=ControllerKind.adaptive(),
+    droop_slope=6.0,
+    adaptive=_ADAPTIVE_4BUS,
+    pv_profile={"bus3": ((20, 0.9),), "bus4": ((20, 0.9),)},
+)
+_FIG3A = replace(
+    _BASE_4BUS, horizon=130, controller_kind=ControllerKind.conventional(), droop_slope=1.0,
+    events=((80, SubstationVoltage(1.05)),), name="fig3a",
+)
+_FIG3B = replace(
+    _BASE_4BUS, controller_kind=ControllerKind.delayed(0.9), recompute_droop_capacity=True,
+    events=((80, CloudCover(0.2, ("bus3",))),), name="fig3b",
+)
+_FIG3C = replace(
+    _BASE_4BUS, controller_kind=ControllerKind.delayed(0.9),
+    events=((80, SwitchEvent("switch1", "closed")),), name="fig3c",
+)
+
+# 30-bus base: every unit at 0.15 pu, adaptive control
+_BASE_30 = Scenario(
+    horizon=400,
+    t_outer=10,
+    controller_kind=ControllerKind.adaptive(),
+    droop_slope=3.0,
+    adaptive=_ADAPTIVE_30,
+    pv_profile=0.15,
+)
 
 
-def _fig3a(kind: ControllerKind, name: str = "fig3a") -> Scenario:
-    return Scenario(
-        horizon=130,
-        t_outer=10,
-        controller_kind=kind,
-        mu=1.0,
-        droop_slope=1.0,
-        adaptive=_ADAPTIVE_4BUS,
-        pv_profile=_SOLAR_AT_20,
-        events=((80, SubstationVoltage(1.05)),),
-        name=name,
-    )
-
-
-def _fig3b(kind: ControllerKind, name: str = "fig3b") -> Scenario:
-    return Scenario(
-        horizon=200,
-        t_outer=10,
-        controller_kind=kind,
-        mu=1.0,
-        droop_slope=6.0,
-        adaptive=_ADAPTIVE_4BUS,
-        pv_profile=_SOLAR_AT_20,
-        events=((80, CloudCover(0.2, ("bus3",))),),
-        recompute_droop_capacity=True,
-        name=name,
-    )
-
-
-def _fig3c(kind: ControllerKind, name: str = "fig3c") -> Scenario:
-    return Scenario(
-        horizon=200,
-        t_outer=10,
-        controller_kind=kind,
-        mu=1.0,
-        droop_slope=6.0,
-        adaptive=_ADAPTIVE_4BUS,
-        pv_profile=_SOLAR_AT_20,
-        events=((80, SwitchEvent("switch1", "closed")),),
-        name=name,
-    )
-
-
-def _setpoint_step(kind: ControllerKind) -> Scenario:
-    return Scenario(
-        horizon=300,
-        t_outer=10,
-        controller_kind=kind,
-        mu=1.0,
-        droop_slope=3.0,
-        adaptive=_ADAPTIVE_30,
-        pv_profile=0.15,
-        events=((150, SetpointChange(0.96)),),
-        name="setpoint_step",
-    )
-
-
-def _intermittency(kind: ControllerKind) -> Scenario:
-    feeder = load_builtin_feeder("feeder30")
-    series = {f"tel{i}": TelegraphSpec(dwell=30.0, low=0.2, high=1.0) for i in range(10)}
-    events = tuple(
-        (30, Intermittency(f"tel{i}", (feeder.pv_buses[i],))) for i in range(10)
-    )
-    return Scenario(
+def _intermittency(feeder: FeederModel) -> Scenario:
+    """One seeded telegraph cloud series per PV unit of `feeder`."""
+    return replace(
+        _BASE_30,
         horizon=700,
-        t_outer=10,
-        controller_kind=kind,
-        mu=1.0,
-        droop_slope=3.0,
-        adaptive=_ADAPTIVE_30,
-        pv_profile=0.15,
-        series=series,
-        events=events,
         seed=7,
+        series={f"tel{i}": TelegraphSpec(dwell=30.0, low=0.2, high=1.0)
+                for i in range(len(feeder.pv_buses))},
+        events=tuple((30, Intermittency(f"tel{i}", (b,))) for i, b in enumerate(feeder.pv_buses)),
         name="intermittency",
-    )
-
-
-def _cloud_cover(kind: ControllerKind) -> Scenario:
-    return Scenario(
-        horizon=400,
-        t_outer=10,
-        controller_kind=kind,
-        mu=1.0,
-        droop_slope=3.0,
-        adaptive=_ADAPTIVE_30,
-        pv_profile=0.15,
-        events=((150, CloudCover(0.15)),),
-        recompute_droop_capacity=True,
-        name="cloud_cover",
-    )
-
-
-def _substation_surge(kind: ControllerKind) -> Scenario:
-    return Scenario(
-        horizon=400,
-        t_outer=10,
-        controller_kind=kind,
-        mu=1.0,
-        droop_slope=3.0,
-        adaptive=_ADAPTIVE_30,
-        pv_profile=0.15,
-        events=((150, SubstationVoltage(1.07)),),
-        name="substation_surge",
     )
 
 
@@ -186,59 +123,70 @@ def _substation_surge(kind: ControllerKind) -> Scenario:
 class PresetDef:
     description: str
     feeder: str
-    build: Callable[[], Scenario]
+    build: Callable[[FeederModel], Scenario]  # from the loaded `feeder`
+
+
+def _fixed(scenario: Scenario) -> Callable[[FeederModel], Scenario]:
+    return lambda _feeder: scenario
+
+
+def _adaptive(scenario: Scenario, name: str) -> Callable[[FeederModel], Scenario]:
+    return _fixed(replace(scenario, controller_kind=ControllerKind.adaptive(), name=name))
 
 
 PRESETS: dict[str, PresetDef] = {
     "fig3a": PresetDef(
         "4-bus, conventional droop m=1, substation 1.03->1.05 at t=80",
         "ieee4_mod",
-        lambda: _fig3a(ControllerKind.conventional()),
+        _fixed(_FIG3A),
     ),
     "fig3b": PresetDef(
         "4-bus, delayed droop m=6 tau=0.9, sudden cloud cover at t=80",
         "ieee4_mod",
-        lambda: _fig3b(ControllerKind.delayed(0.9)),
+        _fixed(_FIG3B),
     ),
     "fig3c": PresetDef(
         "4-bus, delayed droop m=6 tau=0.9, switch closes at t=80",
         "ieee4_mod",
-        lambda: _fig3c(ControllerKind.delayed(0.9)),
+        _fixed(_FIG3C),
     ),
     "fig10a": PresetDef(
         "4-bus, adaptive control, substation 1.03->1.05 at t=80",
         "ieee4_mod",
-        lambda: _fig3a(ControllerKind.adaptive(), name="fig10a"),
+        _adaptive(_FIG3A, "fig10a"),
     ),
     "fig10b": PresetDef(
         "4-bus, adaptive control, sudden cloud cover at t=80",
         "ieee4_mod",
-        lambda: _fig3b(ControllerKind.adaptive(), name="fig10b"),
+        _adaptive(_FIG3B, "fig10b"),
     ),
     "fig10c": PresetDef(
         "4-bus, adaptive control, switch closes at t=80",
         "ieee4_mod",
-        lambda: _fig3c(ControllerKind.adaptive(), name="fig10c"),
+        _adaptive(_FIG3C, "fig10c"),
     ),
     "setpoint_step": PresetDef(
         "30-bus, adaptive control, set-point 1.0->0.96 at t=150",
         "feeder30",
-        lambda: _setpoint_step(ControllerKind.adaptive()),
+        _fixed(replace(_BASE_30, horizon=300, events=((150, SetpointChange(0.96)),),
+                       name="setpoint_step")),
     ),
     "intermittency": PresetDef(
         "30-bus, adaptive control, per-unit telegraph cloud intermittency",
         "feeder30",
-        lambda: _intermittency(ControllerKind.adaptive()),
+        _intermittency,
     ),
     "cloud_cover": PresetDef(
         "30-bus, adaptive control, fleet-wide cloud cover at t=150",
         "feeder30",
-        lambda: _cloud_cover(ControllerKind.adaptive()),
+        _fixed(replace(_BASE_30, events=((150, CloudCover(0.15)),), recompute_droop_capacity=True,
+                       name="cloud_cover")),
     ),
     "substation_surge": PresetDef(
         "30-bus, adaptive control, substation 1.02->1.07 at t=150",
         "feeder30",
-        lambda: _substation_surge(ControllerKind.adaptive()),
+        _fixed(replace(_BASE_30, events=((150, SubstationVoltage(1.07)),),
+                       name="substation_surge")),
     ),
 }
 
@@ -254,59 +202,49 @@ def get_preset(name: str) -> tuple[FeederModel, Scenario]:
             f"unknown preset {name!r}; run the presets command for the catalog"
         )
     p = PRESETS[key]
-    return load_builtin_feeder(p.feeder), p.build()
+    feeder = load_builtin_feeder(p.feeder)
+    return feeder, p.build(feeder)
 
 
-_CONTROLLER_NAMES = ("none", "conventional", "delayed", "adaptive")
+# `--set` key -> the scenario fields it sets (dotted below nested blocks)
+_OVERRIDES: dict[str, tuple[str, ...]] = {
+    "controller": ("controller_kind.name",),
+    "m": ("droop_slope", "adaptive.m_init"),
+    "tau": ("controller_kind.tau",),
+    "deadband": ("droop_deadband",),
+    "T": ("t_outer",),
+    **{key: (f"adaptive.{key}",) for key in (
+        "k_d", "eps_sse", "eps_vf", "vf_lim", "vf_lim_bar", "delta_vf", "delta_vf_bar",
+        "m_init", "m_floor",
+    )},
+    **{key: (key,) for key in ("horizon", "seed", "mu", "dt_inner", "recompute_droop_capacity")},
+}
+
+
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false", "0", "1"):
+        raise ValueError("expected a boolean")
+    return value.lower() in ("true", "1")
+
+
+_PARSE = {float: float, int: int, bool: _parse_bool, str: str}
 
 
 def override_scenario(scenario: Scenario, key: str, value: str) -> Scenario:
-    """Apply one documented `key=value` override to a scenario.
-
-    Keys: controller, m, tau, deadband, k_d, T, eps_sse, eps_vf, vf_lim,
-    vf_lim_bar, delta_vf, delta_vf_bar, m_init, m_floor, horizon, seed,
-    mu, dt_inner, recompute_droop_capacity.
-    """
+    """Apply one documented `key=value` override (a key of `_OVERRIDES`,
+    as the README lists them) to a scenario; the value is parsed as the
+    type of the field it sets."""
+    if key not in _OVERRIDES:
+        raise SimulationError(f"unknown override key {key!r}")
     try:
-        if key == "controller":
-            if value not in _CONTROLLER_NAMES:
-                raise SimulationError(f"unknown controller {value!r}")
-            tau = scenario.controller_kind.tau if value == "delayed" else 0.0
-            if value == "delayed" and tau == 0.0:
-                tau = 0.5
-            return replace(scenario, controller_kind=ControllerKind(value, tau=tau))
-        if key == "m":
-            v = float(value)
-            cfg = replace(scenario.adaptive, m_init=v)
-            return replace(scenario, droop_slope=v, adaptive=cfg)
-        if key == "tau":
-            kind = scenario.controller_kind
-            return replace(
-                scenario, controller_kind=ControllerKind(kind.name, tau=float(value))
-            )
-        if key == "deadband":
-            return replace(scenario, droop_deadband=float(value))
-        if key == "T":
-            return replace(scenario, t_outer=int(value))
-        if key in [f.name for f in fields(AdaptiveConfig) if f.type == "float"]:
-            cfg = replace(scenario.adaptive, **{key: float(value)})
-            return replace(scenario, adaptive=cfg)
-        if key == "horizon":
-            return replace(scenario, horizon=int(value))
-        if key == "seed":
-            return replace(scenario, seed=int(value))
-        if key == "mu":
-            return replace(scenario, mu=float(value))
-        if key == "dt_inner":
-            return replace(scenario, dt_inner=float(value))
-        if key == "recompute_droop_capacity":
-            if value.lower() not in ("true", "false", "0", "1"):
-                raise SimulationError("expected a boolean")
-            return replace(
-                scenario, recompute_droop_capacity=value.lower() in ("true", "1")
-            )
+        if key == "controller":  # a delayed controller keeps its tau, or takes 0.5
+            tau = (scenario.controller_kind.tau or 0.5) if value == "delayed" else 0.0
+            scenario = replace_path(scenario, "controller_kind.tau", tau)
+        for path in _OVERRIDES[key]:
+            parsed = _PARSE[field_type(Scenario, path)](value)
+            scenario = replace_path(scenario, path, parsed)
+        return scenario
     except SimulationError:
         raise
     except ValueError as exc:
         raise SimulationError(f"bad value for override {key}: {value!r}") from exc
-    raise SimulationError(f"unknown override key {key!r}")

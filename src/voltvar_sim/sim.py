@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,8 +27,10 @@ import numpy as np
 from . import adaptation
 from .adaptation import AdaptiveConfig, WindowStats, capacity_limits, window_stats
 from .adaptation import outer_loop_step  # noqa: F401 (see _outer_boundary)
+from .codec import SchemaError, decode, encode, within
 from .control import (
     AdaptiveParams,
+    ControlError,
     ControllerKind,
     DroopParams,
     adaptive_dispatch,
@@ -116,6 +118,40 @@ EventKind = (
 )
 
 
+_EVENT_KINDS = {
+    "substation_voltage": SubstationVoltage,
+    "setpoint": SetpointChange,
+    "cloud_cover": CloudCover,
+    "intermittency": Intermittency,
+    "switch": SwitchEvent,
+    "load_scale": LoadScale,
+}
+
+
+def _decode_event(doc: object) -> tuple[int, EventKind]:
+    """An event object: its tick, its kind and the fields of that kind."""
+    if not isinstance(doc, dict) or doc.get("kind") not in _EVENT_KINDS:
+        raise SchemaError(f"needs a kind, one of {', '.join(_EVENT_KINDS)}")
+    rest = {k: v for k, v in doc.items() if k not in ("tick", "kind")}
+    tick = within("tick", decode, int, doc.get("tick"))
+    return tick, decode(_EVENT_KINDS[doc["kind"]], rest)
+
+
+def _decode_events(docs: object) -> tuple[tuple[int, EventKind], ...]:
+    if not isinstance(docs, list):
+        raise SchemaError(f"must be a list, not {docs!r}")
+    return tuple(within(i, _decode_event, doc) for i, doc in enumerate(docs))
+
+
+def _encode_events(events: tuple[tuple[int, EventKind], ...]) -> list[dict]:
+    return [
+        # an unset bus list (every unit) is left out
+        {"tick": tick, "kind": next(k for k, cls in _EVENT_KINDS.items() if isinstance(ev, cls)),
+         **{k: v for k, v in encode(ev).items() if v is not None}}
+        for tick, ev in events
+    ]
+
+
 @dataclass(frozen=True)
 class TelegraphSpec:
     """Synthetic cloud-intermittency series: a seeded random telegraph
@@ -125,6 +161,7 @@ class TelegraphSpec:
     dwell: float = 30.0
     low: float = 0.2
     high: float = 1.0
+    _json_keys = {f: f"telegraph.{f}" for f in ("dwell", "low", "high")}
 
     def __post_init__(self) -> None:
         if not self.dwell >= 1:
@@ -147,7 +184,7 @@ def telegraph_series(
 ProfileSpec = float | Sequence[tuple[int, float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Timeline of one simulation run.
 
@@ -157,23 +194,30 @@ class Scenario:
     inputs (explicit samples or a TelegraphSpec).  `recompute_droop_capacity`
     re-derives conventional/delayed var limits from leftover capacity each
     tick with the voltage cut-offs pinned, reproducing the uncontrolled
-    slope growth non-adaptive droop suffers when generation drops.
+    slope growth non-adaptive droop suffers when generation drops.  The
+    fields are in the order of the JSON document.
     """
 
+    name: str = ""
     horizon: int
     t_outer: int
-    controller_kind: ControllerKind
     dt_inner: float = 1.0
+    seed: int = 0
     mu: float = 1.0
+    controller_kind: ControllerKind
     droop_slope: float = 1.0
     droop_deadband: float = 0.0
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     pv_profile: ProfileSpec | Mapping[str, ProfileSpec] = 0.0
     series: Mapping[str, TelegraphSpec | Sequence[float]] = field(default_factory=dict)
     events: tuple[tuple[int, EventKind], ...] = ()
-    seed: int = 0
     recompute_droop_capacity: bool = False
-    name: str = ""
+    _json_keys = {
+        "controller_kind": "controller",
+        "droop_slope": "controller.slope",
+        "droop_deadband": "controller.deadband",
+    }
+    _json_coders = {"events": (_decode_events, _encode_events)}
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -198,139 +242,29 @@ class Scenario:
 # scenario JSON schema
 
 
-_EVENT_KINDS = {
-    "substation_voltage": SubstationVoltage,
-    "setpoint": SetpointChange,
-    "cloud_cover": CloudCover,
-    "intermittency": Intermittency,
-    "switch": SwitchEvent,
-    "load_scale": LoadScale,
-}
-
-
-def _event_from_dict(d: dict) -> tuple[int, EventKind]:
-    d = dict(d)
-    try:
-        tick = int(d.pop("tick"))
-        kind = d.pop("kind")
-    except KeyError as exc:
-        raise SimulationError(f"event needs 'tick' and 'kind': {d}") from exc
-    if kind not in _EVENT_KINDS:
-        raise SimulationError(f"unknown event kind {kind!r}")
-    args: dict = {}
-    for f in fields(_EVENT_KINDS[kind]):
-        if f.name == "buses":
-            buses = d.pop("buses", None)
-            args["buses"] = tuple(buses) if buses else None
-        elif f.name in d:
-            args[f.name] = (float if f.type == "float" else str)(d.pop(f.name))
-        else:
-            raise SimulationError(f"event {kind} missing field {f.name!r}")
-    if d:
-        raise SimulationError(f"event {kind} has unknown fields: {sorted(d)}")
-    return tick, _EVENT_KINDS[kind](**args)
-
-
-def _event_to_dict(tick: int, ev: EventKind) -> dict:
-    name = next(k for k, cls in _EVENT_KINDS.items() if isinstance(ev, cls))
-    out: dict = {"tick": tick, "kind": name}
-    for f in fields(ev):
-        value = getattr(ev, f.name)
-        if f.name != "buses":
-            out[f.name] = value
-        elif value:
-            out["buses"] = list(value)
-    return out
-
-
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a scenario from its JSON form (see the README for the schema)."""
-    from .control import ControllerKind  # local to avoid re-import cycles in docs
-
+    """Build a scenario from its JSON form (see the README for the schema).
+    A `feeder` key, which `presets --show` writes, is accepted and not
+    read; an `adaptive.T` must equal `t_outer`."""
     try:
-        ctl = data.get("controller", {})
-        kind = ControllerKind(
-            str(ctl.get("kind", "none")), tau=float(ctl.get("tau", 0.0))
-        )
-        t_outer = int(data["t_outer"])
-        acfg_fields = dict(data.get("adaptive", {}))
-        if acfg_fields.pop("T", t_outer) != t_outer:
-            raise SimulationError("adaptive.T must equal t_outer (or be left out)")
-        adaptive = AdaptiveConfig(**acfg_fields)
-        series: dict[str, TelegraphSpec | tuple[float, ...]] = {}
-        for name, spec in data.get("series", {}).items():
-            if isinstance(spec, dict) and "telegraph" in spec:
-                series[name] = TelegraphSpec(**spec["telegraph"])
-            else:
-                series[name] = tuple(float(x) for x in spec)
-        profile = data.get("pv_profile", 0.0)
-        if isinstance(profile, dict):
-            profile = {
-                b: (p if isinstance(p, (int, float)) else tuple((int(t), float(v)) for t, v in p))
-                for b, p in profile.items()
-            }
-        elif not isinstance(profile, (int, float)):
-            profile = tuple((int(t), float(v)) for t, v in profile)
-        return Scenario(
-            horizon=int(data["horizon"]),
-            t_outer=t_outer,
-            controller_kind=kind,
-            dt_inner=float(data.get("dt_inner", 1.0)),
-            mu=float(data.get("mu", 1.0)),
-            droop_slope=float(ctl.get("slope", data.get("droop_slope", 1.0))),
-            droop_deadband=float(ctl.get("deadband", data.get("droop_deadband", 0.0))),
-            adaptive=adaptive,
-            pv_profile=profile,
-            series=series,
-            events=tuple(_event_from_dict(e) for e in data.get("events", ())),
-            seed=int(data.get("seed", 0)),
-            recompute_droop_capacity=bool(data.get("recompute_droop_capacity", False)),
-            name=str(data.get("name", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(data, dict):
+            raise SchemaError(f"must be an object, not {data!r}")
+        doc = {k: v for k, v in data.items() if k != "feeder"}
+        adaptive = doc.get("adaptive")
+        if isinstance(adaptive, dict) and "T" in adaptive:
+            doc["adaptive"] = {k: v for k, v in adaptive.items() if k != "T"}
+        sc = decode(Scenario, doc)
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, SimulationError):
             raise
         raise SimulationError(f"malformed scenario: {exc}") from exc
+    if isinstance(adaptive, dict) and adaptive.get("T", sc.t_outer) != sc.t_outer:
+        raise SimulationError("adaptive.T must equal t_outer (or be left out)")
+    return sc
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    profile = sc.pv_profile
-    if isinstance(profile, Mapping):
-        profile_out: object = {
-            b: (p if isinstance(p, (int, float)) else [list(x) for x in p])
-            for b, p in profile.items()
-        }
-    elif isinstance(profile, (int, float)):
-        profile_out = profile
-    else:
-        profile_out = [list(x) for x in profile]
-    series_out = {}
-    for name, spec in sc.series.items():
-        if isinstance(spec, TelegraphSpec):
-            series_out[name] = {
-                "telegraph": {"dwell": spec.dwell, "low": spec.low, "high": spec.high}
-            }
-        else:
-            series_out[name] = list(spec)
-    return {
-        "name": sc.name,
-        "horizon": sc.horizon,
-        "t_outer": sc.t_outer,
-        "dt_inner": sc.dt_inner,
-        "seed": sc.seed,
-        "mu": sc.mu,
-        "controller": {
-            "kind": sc.controller_kind.name,
-            "tau": sc.controller_kind.tau,
-            "slope": sc.droop_slope,
-            "deadband": sc.droop_deadband,
-        },
-        "adaptive": asdict(sc.adaptive),
-        "pv_profile": profile_out,
-        "series": series_out,
-        "events": [_event_to_dict(t, e) for t, e in sc.events],
-        "recompute_droop_capacity": sc.recompute_droop_capacity,
-    }
+    return encode(sc)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -582,7 +516,14 @@ class SimulationEngine:
         self.params: DroopParams | AdaptiveParams | None = None
         if kind in ("conventional", "delayed"):
             p_peak = np.max(self.p_profile, axis=0, initial=0.0)
-            q_cap = np.maximum(capacity_limits(self.ratings, p_peak)[1], 1e-12)
+            q_cap = capacity_limits(self.ratings, p_peak)[1]
+            if scenario.recompute_droop_capacity and not np.all(q_cap > 0):
+                # the var limits would be re-derived from cut-offs pinned at the deadband
+                full = [b for b, q in zip(self.unit_buses, q_cap) if not q > 0]
+                raise SimulationError(
+                    f"PV profile peak leaves no var capacity for droop at {', '.join(full)}"
+                )
+            q_cap = np.maximum(q_cap, 1e-12)
             self.params = DroopParams.from_slope(
                 mu, np.full(n, scenario.droop_deadband),
                 np.full(n, scenario.droop_slope), -q_cap, q_cap,
@@ -681,9 +622,14 @@ class SimulationEngine:
             idx = np.flatnonzero(active)
             d = take_units(self.params, idx)
             q_min, q_max = capacity_limits(self.ratings[idx], p[idx])
-            self.params = put_units(self.params, idx, DroopParams.from_setpoints(
-                d.mu, d.deadband_d, d.v_min, d.v_max, q_min, q_max
-            ))
+            try:
+                new = DroopParams.from_setpoints(
+                    d.mu, d.deadband_d, d.v_min, d.v_max, q_min, q_max
+                )
+            except ControlError as exc:  # cut-offs pinned too close to the deadband
+                buses = ", ".join(self.unit_buses[j] for j in idx)
+                raise SimulationError(f"droop limits at tick {t} for {buses}: {exc}") from exc
+            self.params = put_units(self.params, idx, new)
         if kind.name == "conventional":
             return np.where(active, droop_dispatch(self.params, v), 0.0)
         q_prev = self.q_rec[t - 1]

@@ -200,6 +200,19 @@ class TestPresets:
         assert doc["feeder"] == "feeder30"
         assert doc["controller"]["kind"] == "adaptive"
 
+    def test_shown_preset_runs_as_the_preset(self, tmp_path, capsys):
+        for name in ALL_PRESETS:
+            assert main(["presets", "--show", name]) == 0
+            doc = capsys.readouterr().out
+            (tmp_path / f"{name}.json").write_text(doc)
+            out_file, out_preset = tmp_path / f"{name}-file", tmp_path / f"{name}-preset"
+            assert main(["run", "--scenario", str(tmp_path / f"{name}.json"),
+                         "--feeder", json.loads(doc)["feeder"], "--out", str(out_file)]) == 0
+            assert main(["run", "--scenario", f"presets/{name}", "--out", str(out_preset)]) == 0
+            capsys.readouterr()
+            assert (out_file / "metrics.json").read_text() == (
+                out_preset / "metrics.json").read_text(), name
+
     def test_show_unknown_exits_2(self):
         assert main(["presets", "--show", "fig99"]) == 2
 

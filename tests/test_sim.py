@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,17 @@ import pytest
 from voltvar_sim import feeder as feeder_module
 from voltvar_sim.adaptation import AdaptiveConfig
 from voltvar_sim.control import ControllerKind, DroopParams, droop_dispatch, delayed_dispatch
-from voltvar_sim.feeder import Bus, FeederModel, Line, PvUnit, solve_power_flow
-from voltvar_sim.presets import get_preset
+from voltvar_sim.feeder import (
+    Bus,
+    FeederError,
+    FeederModel,
+    Line,
+    PvUnit,
+    feeder_from_dict,
+    feeder_to_dict,
+    solve_power_flow,
+)
+from voltvar_sim.presets import PRESETS, get_preset
 from voltvar_sim.sim import (
     CloudCover,
     Intermittency,
@@ -320,14 +332,74 @@ class TestScenarioValidation:
             build()
 
     def test_json_round_trip(self, ieee4):
+        for name in PRESETS:
+            feeder, sc = get_preset(name)
+            assert scenario_from_dict(scenario_to_dict(sc)) == sc, name
+            assert feeder_from_dict(feeder_to_dict(feeder)) == feeder, name
         feeder, sc = get_preset("intermittency")
-        doc = scenario_to_dict(sc)
-        again = scenario_from_dict(doc)
-        assert scenario_to_dict(again) == doc
+        again = scenario_from_dict(scenario_to_dict(sc))
         # round-tripped scenario drives an identical simulation
         t1 = run(sc, feeder)
         t2 = run(again, feeder)
         assert t1.voltages.tobytes() == t2.voltages.tobytes()
+
+    @pytest.mark.parametrize(
+        "which, edit",
+        [
+            pytest.param("scenario", lambda d: d.update(recompute_droop_capacity="false"),
+                         id="bool-as-string"),
+            pytest.param("scenario", lambda d: d["adaptive"].update(signed_flicker="false"),
+                         id="nested-bool-as-string"),
+            pytest.param("scenario", lambda d: d.update(horizon=40.7), id="fractional-horizon"),
+            pytest.param("scenario", lambda d: d.update(seed=3.9), id="fractional-seed"),
+            pytest.param("scenario", lambda d: d["events"][0].update(tick=5.9),
+                         id="fractional-tick"),
+            pytest.param("scenario", lambda d: d["events"][0].update(buses=[]),
+                         id="empty-buses"),
+            pytest.param("scenario", lambda d: d.update(droop_slope=2.0), id="unknown-key"),
+            pytest.param("scenario", lambda d: d.update(mu="1.0"), id="string-as-float"),
+            pytest.param("scenario", lambda d: d.update(series={"s": {}}),
+                         id="series-without-telegraph"),
+            pytest.param("feeder", lambda d: d["lines"][2].update(
+                             swtich_state=d["lines"][2].pop("switch_state")),
+                         id="misspelled-line-key"),
+        ],
+    )
+    def test_document_value_not_rewritten(self, ieee4, which, edit):
+        load, doc = {
+            "scenario": (scenario_from_dict, {
+                "horizon": 40, "t_outer": 10, "seed": 3, "controller": {"kind": "adaptive"},
+                "adaptive": {"k_d": 4.0}, "pv_profile": 0.5,
+                "events": [{"tick": 5, "kind": "cloud_cover", "scale": 0.5, "buses": ["bus3"]}],
+            }),
+            "feeder": (feeder_from_dict, feeder_to_dict(ieee4)),
+        }[which]
+        load(doc)
+        edit(doc)
+        with pytest.raises((SimulationError, FeederError), match="malformed"):
+            load(doc)
+
+    def test_readme_examples_load(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        docs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        assert [type(feeder_from_dict(d) if "buses" in d else scenario_from_dict(d)).__name__
+                for d in docs] == ["FeederModel", "Scenario"]
+
+    @pytest.mark.parametrize("peak, slope, match", [
+        # bus3 starts at its 0.99 rating, which leaves no var capacity
+        (0.99, 1.0, "no var capacity .*bus3"),
+        (0.99, 3.0, "no var capacity .*bus3"),
+        # one ulp of headroom pins the cut-offs within rounding of the deadband
+        (np.nextafter(0.99, 0), 3.0, "droop limits at tick 1 for bus3"),
+    ])
+    def test_droop_needs_var_headroom_at_profile_peak(self, ieee4, peak, slope, match):
+        sc = _scenario(ControllerKind.conventional(), slope=slope,
+                       profile={"bus3": ((0, peak), (40, 0.5))},
+                       recompute_droop_capacity=True)
+        with pytest.raises(SimulationError, match=match):
+            run(sc, ieee4)
+        # plain droop keeps its near-zero var limits and runs
+        run(replace(sc, recompute_droop_capacity=False), ieee4)
 
 
 class TestAdaptiveLoop:
