@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -161,6 +162,13 @@ class FeederModel:
         for ln in self.lines:
             if ln.from_bus not in known or ln.to_bus not in known:
                 raise FeederError(f"line {ln.name}: references unknown bus")
+        # a switch event operates the one line of its name
+        names = [ln.name for ln in self.lines]
+        if len(set(names)) < len(names):
+            count = Counter(names)
+            for ln, name in zip(self.lines, names):
+                if ln.switch_state != "none" and count[name] > 1:
+                    raise FeederError(f"switch {name}: name shared with another line")
         pv_buses = [u.bus for u in self.pv_units]
         if len(set(pv_buses)) != len(pv_buses):
             raise FeederError("multiple PV units on one bus are not supported")
@@ -658,15 +666,13 @@ def apply_topology_event(
     """
     if new_state not in ("open", "closed"):
         raise FeederError(f"bad switch state {new_state!r}")
-    hits = [ln for ln in model.lines if ln.name == switch_id]
-    if not hits:
+    target = next((ln for ln in model.lines if ln.name == switch_id), None)
+    if target is None:
         raise FeederError(f"no such switch: {switch_id}")
-    target = hits[0]
     if target.switch_state == "none":
         raise FeederError(f"line {switch_id} is not a switch")
     lines = tuple(
-        replace(ln, switch_state=new_state) if ln.name == switch_id else ln
-        for ln in model.lines
+        replace(ln, switch_state=new_state) if ln is target else ln for ln in model.lines
     )
     updated = replace(model, lines=lines)
     newly_dark = set(_island(model)) - set(_island(updated))

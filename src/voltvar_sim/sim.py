@@ -16,9 +16,11 @@ the engine never aborts mid-run.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -287,6 +289,8 @@ class LinearizedFeeder:
     to the substation voltage `v_slack`.  Runs in the engine like the full
     model, except that it has no switch or load-scale events; used for
     convergence studies where the exact geometric behavior matters.
+    `dark_pv_buses` are the source feeder's PV buses off the solved
+    island, which the model leaves out.
     """
 
     slack_id: str
@@ -301,6 +305,7 @@ class LinearizedFeeder:
     dv_dslack: np.ndarray  # (n_load,)
     p_base: np.ndarray  # (n_pv,)
     q_base: np.ndarray  # (n_pv,)
+    dark_pv_buses: tuple[str, ...] = ()
 
     @property
     def bus_ids(self) -> tuple[str, ...]:
@@ -378,6 +383,7 @@ def linearize(
         dv_dslack=dv_dslack,
         p_base=p_base,
         q_base=q_base,
+        dark_pv_buses=tuple(b for b in model.pv_buses if b not in pv_buses),
     )
 
 
@@ -439,17 +445,30 @@ def _materialize_profile(
     spec: ProfileSpec | Mapping[str, ProfileSpec],
     unit_buses: tuple[str, ...],
     horizon: int,
+    dark_buses: tuple[str, ...] = (),
 ) -> np.ndarray:
+    """Available PV output per tick and unit.  A per-bus mapping may name
+    only units, or `dark_buses` (units the model leaves out)."""
     def expand(one: ProfileSpec) -> np.ndarray:
         if isinstance(one, (int, float)):
             return np.full(horizon, float(one))
         pts = sorted((int(t), float(v)) for t, v in one)
+        ticks = [t for t, _ in pts]
+        if any(not 0 <= t < horizon for t in ticks):
+            raise SimulationError(f"PV profile breakpoint tick outside 0..{horizon - 1}")
+        if len(set(ticks)) != len(ticks):
+            raise SimulationError("PV profile breakpoint ticks must be distinct")
         # level of the last breakpoint at or before each tick, 0 before any
-        last = np.searchsorted([t for t, _ in pts], np.arange(horizon), side="right")
+        last = np.searchsorted(ticks, np.arange(horizon), side="right")
         return np.array([0.0] + [v for _, v in pts])[last]
 
     prof = np.zeros((horizon, len(unit_buses)))
     if isinstance(spec, Mapping):
+        stray = sorted(set(spec) - set(unit_buses) - set(dark_buses))
+        if stray:
+            raise SimulationError(
+                f"PV profile names bus(es) without a PV unit: {', '.join(stray)}"
+            )
         for j, b in enumerate(unit_buses):
             if b in spec:
                 prof[:, j] = expand(spec[b])
@@ -480,6 +499,7 @@ class SimulationEngine:
                     )
             self.ratings = np.array(model.pv_ratings, dtype=float)
             self._solve = _solve_linear
+            dark_units = model.dark_pv_buses
         else:
             # the profile drives PV output; any stored p_out/q_inj on the
             # model is an analysis operating point, not simulation state
@@ -491,6 +511,7 @@ class SimulationEngine:
             )
             self.ratings = np.array([u.rating_s for u in model.pv_units], dtype=float)
             self._solve = _solve_full
+            dark_units = ()
         self.model = model
         self.bus_ids = model.bus_ids
         self.unit_buses = model.pv_buses
@@ -500,7 +521,7 @@ class SimulationEngine:
 
         rng = np.random.default_rng(scenario.seed)
         h = scenario.horizon
-        self.p_profile = _materialize_profile(scenario.pv_profile, self.unit_buses, h)
+        self.p_profile = _materialize_profile(scenario.pv_profile, self.unit_buses, h, dark_units)
         self.mu_arr = np.full((h, n), scenario.mu)
         self._apply_profile_events(rng)
         if not np.all(np.isfinite(self.p_profile)):
@@ -797,23 +818,15 @@ def metrics(
     lo_b, hi_b = limits.ansi_b
     sustain_ticks = max(int(math.ceil(limits.sustain_seconds / trace.dt_inner)), 1)
     vvi_per: dict[str, int] = {}
-    for i, b in enumerate(trace.bus_ids):
-        v = trace.voltages[:, i]
-        viol_a = (v > hi_a) | (v < lo_a)
-        out_b = (v > hi_b) | (v < lo_b)
-        viol_b = np.zeros(h, dtype=bool)
-        t = 0
-        while t < h:
-            if out_b[t] and not np.isnan(v[t]):
-                run_start = t
-                while t < h and out_b[t]:
-                    t += 1
-                if t - run_start >= sustain_ticks:
-                    viol_b[run_start:t] = True
-            else:
-                t += 1
-        count = int(np.sum((viol_a | viol_b) & ~np.isnan(v)))
-        if count:
+    for b, v in zip(trace.bus_ids, trace.voltages.T):
+        viol = (v > hi_a) | (v < lo_a)  # NaN (dark) ticks are never out of band
+        # runs of out-of-band ticks: starts and ends alternate among the
+        # edges of the padded range-B mask
+        out_b = np.concatenate(([False], (v > hi_b) | (v < lo_b), [False]))
+        for t0, t1 in np.flatnonzero(np.diff(out_b)).reshape(-1, 2).tolist():
+            if t1 - t0 >= sustain_ticks:
+                viol[t0:t1] = True
+        if count := int(np.sum(viol)):
             vvi_per[b] = count
     vvi = sum(vvi_per.values())
 
@@ -831,47 +844,75 @@ def metrics(
 # trace CSV round-trip
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 _TRACE_HEADER = ["tick", "bus", "V_pu", "q_inj_pu", "p_out_pu", "mu_pu", "flags"]
+_PARAMS_HEADER = ["tick", "bus", "m_p", "q_p", "q_min_p", "q_max_p", "v_min_p", "v_max_p", "mu"]
+# rows per CSV block; writing linear150's trace (151 buses, 3000 ticks) peaks at ~180 KB
+_BLOCK_ROWS = 512
+
+
+def _csv_cell(s: str) -> str:
+    """`s` as a non-first field of a `csv.writer` row: comma, then the
+    field, quoted where csv quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", s])
+    return buf.getvalue().removesuffix("\r\n")
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """Comma plus `repr` of every float in `x`, flat, as an object array.
+    Each distinct bit pattern is formatted once; keying on the bits, not
+    the value, keeps -0.0 apart from 0.0."""
+    bits, inv = np.unique(np.ascontiguousarray(x, dtype=float).view(np.int64),
+                          return_inverse=True)
+    cells = np.array([f",{v!r}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return cells[inv.ravel()]
 
 
 def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
     """Long-format trace: one row per (tick, bus); the PV columns (var
     dispatch, real output, set-point) are empty on buses without a unit.
-    Floats keep full round-trip precision."""
+    Floats keep full round-trip precision.  Rows are built and written a
+    block of ticks at a time."""
     unit_of = {b: j for j, b in enumerate(trace.unit_buses)}
-    cols = [unit_of.get(b) for b in trace.bus_ids]
-    no_unit = ("", "", "")
+    has_unit = np.array([b in unit_of for b in trace.bus_ids], dtype=bool)
+    cols = [unit_of[b] for b in trace.bus_ids if b in unit_of]
+    step = max(1, _BLOCK_ROWS // len(trace.bus_ids))
+    ends = {fl: _csv_cell(fl) + "\r\n" for fl in set(trace.flags)}
+    # one cell per csv field, each but the tick with its leading comma
+    rows = np.empty((step, len(trace.bus_ids), len(_TRACE_HEADER)), dtype=object)
+    rows[:, :, 1] = [_csv_cell(b) for b in trace.bus_ids]
+    rows[:, ~has_unit, 3:6] = (",,,", "", "")
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(_TRACE_HEADER)
-        for t in range(trace.horizon):
-            units = [
-                tuple(map(repr, x))
-                for x in zip(trace.q_inj[t].tolist(), trace.p_out[t].tolist(),
-                             trace.mu[t].tolist())
-            ]
-            writer.writerows(
-                [t, b, repr(v), *(no_unit if j is None else units[j]), trace.flags[t]]
-                for b, v, j in zip(trace.bus_ids, trace.voltages[t].tolist(), cols)
-            )
+        csv.writer(f).writerow(_TRACE_HEADER)
+        for t0 in range(0, trace.horizon, step):
+            t1 = min(t0 + step, trace.horizon)
+            v = trace.voltages[t0:t1]
+            units = np.stack([a[t0:t1, cols] for a in (trace.q_inj, trace.p_out, trace.mu)],
+                             axis=-1)
+            cells = _float_cells(np.concatenate([v.ravel(), units.ravel()]))
+            block = rows[: t1 - t0]
+            block[:, :, 0] = np.array([str(t) for t in range(t0, t1)], dtype=object)[:, None]
+            block[:, :, 2] = cells[: v.size].reshape(v.shape)
+            block[:, has_unit, 3:6] = cells[v.size :].reshape(units.shape)
+            block[:, :, 6] = np.array([ends[fl] for fl in trace.flags[t0:t1]],
+                                      dtype=object)[:, None]
+            f.write("".join(block.ravel().tolist()))
 
 
 def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Per-outer-loop dispatched adaptive parameters."""
-    cols = ["tick", "bus", "m_p", "q_p", "q_min_p", "q_max_p", "v_min_p", "v_max_p", "mu"]
+    """Per-outer-loop dispatched adaptive parameters, a block of rows at a time."""
+    bus_cell = {d.bus: _csv_cell(d.bus) for d in trace.param_dispatches}
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(cols)
-        for d in trace.param_dispatches:
-            p = d.params
-            writer.writerow(
-                [d.tick, d.bus]
-                + [_fmt(x) for x in (p.m_p, p.q_p, p.q_min_p, p.q_max_p, p.v_min_p, p.v_max_p, p.mu)]
-            )
+        csv.writer(f).writerow(_PARAMS_HEADER)
+        for r0 in range(0, len(trace.param_dispatches), _BLOCK_ROWS):
+            part = trace.param_dispatches[r0 : r0 + _BLOCK_ROWS]
+            values = np.array([[getattr(d.params, k) for k in _PARAMS_HEADER[2:]] for d in part],
+                              dtype=float)
+            cells = np.empty((len(part), len(_PARAMS_HEADER) - 1), dtype=object)
+            cells[:, 0] = [f"{d.tick}{bus_cell[d.bus]}" for d in part]
+            cells[:, 1:] = _float_cells(values).reshape(values.shape)
+            cells[:, -1] += "\r\n"
+            f.write("".join(cells.ravel().tolist()))
 
 
 def read_trace_csv(
@@ -880,7 +921,6 @@ def read_trace_csv(
     """Rebuild a trace from its CSV (voltages, var dispatches, real
     outputs, set-points, flags); metrics on it equal those of the trace
     that was written.  Parameter dispatches are not part of the CSV."""
-    rows: list[tuple[int, str, float, str, str, str, str]] = []
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -890,27 +930,38 @@ def read_trace_csv(
             raise SimulationError(
                 f"trace CSV {path} needs the columns {','.join(_TRACE_HEADER)}"
             )
-        for rec in reader:
-            rows.append((int(rec[0]), rec[1], float(rec[2]), *rec[3:7]))
-    if not rows:
+        # fields in one flat list, read a block of rows at a time: the row
+        # lists die young, which spares the garbage collector walking them
+        flat: list[str] = []
+        for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            if set(map(len, rows)) != {len(header)}:
+                raise SimulationError(f"trace CSV {path}: every row needs {len(header)} fields")
+            flat.extend(chain.from_iterable(rows))
+    ticks_s, buses, vs, qs, ps, ms, fls = (flat[k :: len(header)] for k in range(len(header)))
+    if not ticks_s:
         raise SimulationError(f"empty trace CSV: {path}")
-    bus_ids = tuple(dict.fromkeys(r[1] for r in rows))
-    horizon = max(r[0] for r in rows) + 1
-    unit_buses = tuple(dict.fromkeys(r[1] for r in rows if r[3] != ""))
-    voltages = np.full((horizon, len(bus_ids)), np.nan)
-    q_inj = np.zeros((horizon, len(unit_buses)))
-    p_out = np.zeros((horizon, len(unit_buses)))
-    mu = np.zeros((horizon, len(unit_buses)))
-    flags = [""] * horizon
+    n = len(ticks_s)
+    ticks = np.fromiter(map(int, ticks_s), dtype=np.intp, count=n)
+    horizon = int(ticks.max()) + 1
+    bus_ids = tuple(dict.fromkeys(buses))
     bus_index = {b: i for i, b in enumerate(bus_ids)}
-    unit_index = {b: i for i, b in enumerate(unit_buses)}
-    for t, b, v, qs, ps, ms, fl in rows:
-        voltages[t, bus_index[b]] = v
-        if qs != "":
-            j = unit_index[b]
-            q_inj[t, j], p_out[t, j], mu[t, j] = float(qs), float(ps), float(ms)
-        if fl:
-            flags[t] = fl
+    cols = np.fromiter(map(bus_index.__getitem__, buses), dtype=np.intp, count=n)
+    voltages = np.full((horizon, len(bus_ids)), np.nan)
+    voltages[ticks, cols] = np.fromiter(map(float, vs), dtype=float, count=n)
+    # rows with a var dispatch are the unit rows
+    has_unit = list(map(bool, qs))
+    unit_buses = tuple(dict.fromkeys(compress(buses, has_unit)))
+    unit_of = np.zeros(len(bus_ids), dtype=np.intp)
+    unit_of[[bus_index[b] for b in unit_buses]] = range(len(unit_buses))
+    unit_rows = np.flatnonzero(has_unit)
+    at = ticks[unit_rows], unit_of[cols[unit_rows]]
+    q_inj, p_out, mu = (np.zeros((horizon, len(unit_buses))) for _ in range(3))
+    for arr, col in ((q_inj, qs), (p_out, ps), (mu, ms)):
+        arr[at] = np.fromiter(map(float, compress(col, has_unit)), dtype=float,
+                              count=len(unit_rows))
+    flags = [""] * horizon
+    for r in np.flatnonzero(list(map(bool, fls))):
+        flags[ticks[r]] = fls[r]
     return SimulationTrace(
         bus_ids=bus_ids,
         unit_buses=unit_buses,

@@ -3,16 +3,20 @@
 These deliberately avoid the package's Newton solver and Jacobian code:
 the nodal solver is a plain Gauss fixed-point iteration on the node
 equations built directly from the line list, and the control-loop
-iterators are straight transcriptions of the discrete maps.
+iterators are straight transcriptions of the discrete maps.  The trace
+I/O oracles are the row-at-a-time `csv` forms of the package's writers
+and reader, and the band-violation count is its tick-by-tick loop.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
 from voltvar_sim.feeder import FeederModel
+from voltvar_sim.sim import SimulationError, SimulationTrace
 
 
 def two_bus_voltage(v1: float, r: float, x: float, p_load: float, q_load: float) -> float:
@@ -176,3 +180,94 @@ def iterate_linear_adaptive_outer(
         sse_hist.append(sse.copy())
         q_p = q_p - k @ sse
     return sse_hist
+
+
+TRACE_HEADER = ["tick", "bus", "V_pu", "q_inj_pu", "p_out_pu", "mu_pu", "flags"]
+
+
+def write_trace_csv_rows(trace: SimulationTrace, path) -> None:
+    """The trace CSV written row by row through `csv.writer`."""
+    unit_of = {b: j for j, b in enumerate(trace.unit_buses)}
+    cols = [unit_of.get(b) for b in trace.bus_ids]
+    no_unit = ("", "", "")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(TRACE_HEADER)
+        for t in range(trace.horizon):
+            units = [
+                tuple(map(repr, x))
+                for x in zip(trace.q_inj[t].tolist(), trace.p_out[t].tolist(),
+                             trace.mu[t].tolist())
+            ]
+            writer.writerows(
+                [t, b, repr(v), *(no_unit if j is None else units[j]), trace.flags[t]]
+                for b, v, j in zip(trace.bus_ids, trace.voltages[t].tolist(), cols)
+            )
+
+
+def write_params_csv_rows(trace: SimulationTrace, path) -> None:
+    """The parameter CSV written row by row through `csv.writer`."""
+    cols = ["tick", "bus", "m_p", "q_p", "q_min_p", "q_max_p", "v_min_p", "v_max_p", "mu"]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(cols)
+        for d in trace.param_dispatches:
+            p = d.params
+            writer.writerow(
+                [d.tick, d.bus]
+                + [repr(float(x)) for x in (p.m_p, p.q_p, p.q_min_p, p.q_max_p,
+                                            p.v_min_p, p.v_max_p, p.mu)]
+            )
+
+
+def read_trace_csv_rows(path, dt_inner: float = 1.0, t_outer: int = 10) -> SimulationTrace:
+    """The trace CSV read row by row through `csv.reader`."""
+    rows = []
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        if next(reader, []) != TRACE_HEADER:
+            raise SimulationError(f"not a trace CSV: {path}")
+        for rec in reader:
+            rows.append((int(rec[0]), rec[1], float(rec[2]), *rec[3:7]))
+    bus_ids = tuple(dict.fromkeys(r[1] for r in rows))
+    horizon = max(r[0] for r in rows) + 1
+    unit_buses = tuple(dict.fromkeys(r[1] for r in rows if r[3] != ""))
+    voltages = np.full((horizon, len(bus_ids)), np.nan)
+    q_inj, p_out, mu = (np.zeros((horizon, len(unit_buses))) for _ in range(3))
+    flags = [""] * horizon
+    for t, b, v, qs, ps, ms, fl in rows:
+        voltages[t, bus_ids.index(b)] = v
+        if qs != "":
+            j = unit_buses.index(b)
+            q_inj[t, j], p_out[t, j], mu[t, j] = float(qs), float(ps), float(ms)
+        if fl:
+            flags[t] = fl
+    return SimulationTrace(
+        bus_ids=bus_ids, unit_buses=unit_buses, voltages=voltages, q_inj=q_inj,
+        p_out=p_out, mu=mu, flags=tuple(flags), param_dispatches=(),
+        dt_inner=dt_inner, t_outer=t_outer,
+    )
+
+
+def band_violation_counts(
+    v: np.ndarray, band_a: tuple[float, float], band_b: tuple[float, float],
+    sustain_ticks: int,
+) -> list[int]:
+    """Per column of `v` (ticks x buses): ticks outside band A, or inside a
+    run of at least `sustain_ticks` ticks outside band B, walked tick by tick."""
+    counts = []
+    for col in v.T:
+        h = len(col)
+        viol = [not math.isnan(x) and not band_a[0] <= x <= band_a[1] for x in col]
+        t = 0
+        while t < h:
+            if col[t] > band_b[1] or col[t] < band_b[0]:
+                start = t
+                while t < h and (col[t] > band_b[1] or col[t] < band_b[0]):
+                    t += 1
+                if t - start >= sustain_ticks:
+                    viol[start:t] = [True] * (t - start)
+            else:
+                t += 1
+        counts.append(sum(viol))
+    return counts

@@ -202,6 +202,23 @@ def test_topology_unknown_switch(ieee4):
         apply_topology_event(ieee4, "bus1-bus2", "open")
 
 
+def test_switch_name_shared_with_a_line_rejected():
+    # opening switch x used to open the plain line s-b named x with it
+    buses = (Bus("s", "slack"), Bus("a", "load"), Bus("b", "load"), Bus("c", "load"))
+    plain = (Line("s", "a", 0.01, 0.05), Line("a", "b", 0.01, 0.05), Line("c", "b", 0.01, 0.05))
+    with pytest.raises(FeederError, match="switch x: name shared"):
+        FeederModel(buses=buses, lines=plain + (
+            Line("s", "b", 0.01, 0.05, id="x"),
+            Line("a", "c", 0.01, 0.05, switch_state="closed", id="x"),
+        ))
+    with pytest.raises(FeederError, match="switch a-b: name shared"):
+        FeederModel(buses=buses, lines=plain + (Line("a", "b", 0.02, 0.05, switch_state="open"),))
+    # plain parallel lines may share a name; no switch event can reach them
+    model = FeederModel(buses=buses, lines=plain + (Line("a", "b", 0.02, 0.05),))
+    with pytest.raises(FeederError, match="not a switch"):
+        apply_topology_event(model, "a-b", "open")
+
+
 def test_feeder_json_round_trip(ieee4):
     doc = feeder_to_dict(ieee4)
     again = feeder_from_dict(doc)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voltvar_sim import feeder as feeder_module
 from voltvar_sim.adaptation import AdaptiveConfig
@@ -46,6 +47,8 @@ from voltvar_sim.sim import (
     write_params_csv,
     write_trace_csv,
 )
+
+from oracles import band_violation_counts
 
 
 def _scenario(kind, horizon=100, slope=1.0, events=(), profile=0.9, **kw):
@@ -104,7 +107,7 @@ class TestEngineBasics:
 
     @pytest.mark.parametrize(
         "points",
-        [(), ((20, 0.9),), ((-3, 0.2), (5, 0.7), (5, 0.4), (99, 1.0)), ((8, 0.5), (2, 0.3))],
+        [(), ((20, 0.9),), ((0, 0.2), (5, 0.7), (29, 1.0)), ((8, 0.5), (2, 0.3))],
     )
     def test_step_profile_matches_loop_reference(self, points):
         # the loop form: walk the sorted breakpoints tick by tick
@@ -297,6 +300,28 @@ class TestScenarioValidation:
     def test_profile_inputs_checked(self, ieee4, kw):
         with pytest.raises(SimulationError, match="series|finite"):
             run(_scenario(ControllerKind.conventional(), horizon=20, **kw), ieee4)
+
+    @pytest.mark.parametrize("points", [((-5, 0.9),), ((20, 0.9),), ((500, 0.9),)])
+    def test_profile_tick_outside_horizon_rejected(self, ieee4, points):
+        with pytest.raises(SimulationError, match="outside 0..19"):
+            run(_scenario(ControllerKind.none(), horizon=20, profile=points), ieee4)
+
+    def test_profile_repeated_tick_rejected(self, ieee4):
+        with pytest.raises(SimulationError, match="distinct"):
+            run(_scenario(ControllerKind.none(), horizon=20,
+                          profile={"bus3": ((10, 0.5), (10, 0.9))}), ieee4)
+
+    def test_profile_bus_without_unit_rejected(self, ieee4):
+        with pytest.raises(SimulationError, match="without a PV unit: bus2"):
+            run(_scenario(ControllerKind.none(), horizon=20,
+                          profile={"bus3": 0.9, "bus2": 0.5}), ieee4)
+
+    def test_profile_may_name_unit_the_linear_twin_leaves_out(self, ieee4):
+        # bus4 sits behind an open switch: a unit on the feeder, not on the twin
+        lin = linearize(ieee4)
+        assert lin.dark_pv_buses == ("bus4",)
+        sc = _scenario(ControllerKind.none(), horizon=20, profile={"bus3": 0.9, "bus4": 0.5})
+        assert run(sc, lin).p_out[0].tolist() == [0.9]
 
     def test_event_parameter_ranges(self):
         with pytest.raises(SimulationError):
@@ -583,6 +608,40 @@ class TestMetrics:
         volts = [float("nan")] * 12
         rep = metrics(self._trace(volts), mu=1.0)
         assert rep.msse == 0.0 and rep.vvi == 0 and rep.fc == 0
+
+    @staticmethod
+    def _loop_vvi(trace, lim):
+        sustain = max(math.ceil(lim.sustain_seconds / trace.dt_inner), 1)
+        counts = band_violation_counts(trace.voltages, lim.ansi_a, lim.ansi_b, sustain)
+        return {b: c for b, c in zip(trace.bus_ids, counts) if c}
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_band_violations_match_loop_oracle_on_presets(self, name):
+        feeder, sc = get_preset(name)
+        trace = run(sc, feeder)
+        for lim in (MetricsLimits(), MetricsLimits(ansi_b=(0.99, 1.01), sustain_seconds=5.0)):
+            assert metrics(trace, limits=lim).vvi_per_bus == self._loop_vvi(trace, lim)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        h=st.integers(1, 60),
+        n_bus=st.integers(1, 4),
+        sustain=st.floats(0.5, 12.0),
+        data=st.data(),
+    )
+    def test_band_violations_match_loop_oracle_on_random_masks(self, h, n_bus, sustain, data):
+        from voltvar_sim.sim import SimulationTrace
+
+        levels = st.sampled_from([0.85, 0.93, 0.97, 1.0, 1.055, 1.07, math.nan])
+        volts = data.draw(st.lists(levels, min_size=h * n_bus, max_size=h * n_bus))
+        trace = SimulationTrace(
+            bus_ids=tuple(f"b{i}" for i in range(n_bus)), unit_buses=(),
+            voltages=np.array(volts).reshape(h, n_bus), q_inj=np.zeros((h, 0)),
+            p_out=np.zeros((h, 0)), mu=np.zeros((h, 0)), flags=("",) * h,
+            param_dispatches=(), dt_inner=1.0, t_outer=4,
+        )
+        lim = MetricsLimits(window=4, sustain_seconds=sustain)
+        assert metrics(trace, limits=lim).vvi_per_bus == self._loop_vvi(trace, lim)
 
 
 class TestCsvRoundTrip:

@@ -1,0 +1,139 @@
+"""Trace and parameter CSV I/O against the row-at-a-time `csv` oracles:
+the block writers produce the same bytes, and the bulk reader rebuilds
+the same trace bit for bit."""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from voltvar_sim import sim
+from voltvar_sim.control import AdaptiveParams, ControlError
+from voltvar_sim.sim import (
+    ParamDispatch,
+    SimulationError,
+    SimulationTrace,
+    read_trace_csv,
+    write_params_csv,
+    write_trace_csv,
+)
+
+from oracles import (
+    read_trace_csv_rows,
+    write_params_csv_rows,
+    write_trace_csv_rows,
+)
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1.0, 1.03, 0.1 + 0.2,
+           1e-05, -123456.789, 1.7976931348623157e308]
+values = st.sampled_from(SPECIAL) | st.floats(width=64)
+bus_names = st.text(alphabet=st.sampled_from('ab ,"\'\r\n-é'), max_size=4)
+
+
+def _grid(draw, rows: int, cols: int, elements) -> np.ndarray:
+    return draw(hnp.arrays(float, (rows, cols), elements=elements))
+
+
+@st.composite
+def params(draw) -> AdaptiveParams:
+    q = sorted(draw(st.lists(values.filter(lambda x: not math.isnan(x)), min_size=3,
+                             max_size=3)))
+    m_p = draw(st.sampled_from([0.0, -0.0, 5e-324, 2.0]) | st.floats(0.0, 10.0))
+    v_min, v_max, mu = (draw(values) for _ in range(3))
+    try:
+        return AdaptiveParams(m_p, q[1], q[0], q[2], v_min, v_max, mu)
+    except ControlError:
+        assume(False)
+
+
+@st.composite
+def traces(draw) -> SimulationTrace:
+    bus_ids = tuple(draw(st.lists(bus_names, min_size=1, max_size=8, unique=True)))
+    unit_buses = tuple(draw(st.lists(st.sampled_from(bus_ids), max_size=len(bus_ids),
+                                     unique=True)))
+    h = draw(st.integers(1, 30))
+    voltages = _grid(draw, h, len(bus_ids), values | st.just(math.nan))
+    dark = draw(st.lists(st.booleans(), min_size=len(bus_ids), max_size=len(bus_ids)))
+    voltages[:, dark] = np.nan
+    n = len(unit_buses)
+    dispatches = draw(st.lists(
+        st.builds(ParamDispatch, st.integers(0, 10**6), bus_names, params()), max_size=30))
+    return SimulationTrace(
+        bus_ids=bus_ids,
+        unit_buses=unit_buses,
+        voltages=voltages,
+        q_inj=_grid(draw, h, n, values),
+        # two levels each, as a clouded PV output and a set-point step give
+        p_out=_grid(draw, h, n, st.sampled_from([0.0, 0.15])),
+        mu=_grid(draw, h, n, st.sampled_from([1.0, 0.99, -0.0])),
+        flags=tuple(draw(st.lists(st.sampled_from(["", "pf_diverged"]), min_size=h,
+                                  max_size=h))),
+        param_dispatches=tuple(dispatches),
+        dt_inner=1.0,
+        t_outer=10,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace=traces(), block_rows=st.sampled_from([1, 7, 50, sim._BLOCK_ROWS]))
+def test_writers_match_row_oracles(tmp_path_factory, trace, block_rows):
+    d = tmp_path_factory.mktemp("csv")
+    write_trace_csv_rows(trace, d / "want.csv")
+    write_params_csv_rows(trace, d / "want_params.csv")
+    with mock.patch.object(sim, "_BLOCK_ROWS", block_rows):
+        write_trace_csv(trace, d / "got.csv")
+        write_params_csv(trace, d / "got_params.csv")
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+    assert (d / "got_params.csv").read_bytes() == (d / "want_params.csv").read_bytes()
+
+
+def _same_trace(a: SimulationTrace, b: SimulationTrace) -> bool:
+    return (a.bus_ids, a.unit_buses, a.flags) == (b.bus_ids, b.unit_buses, b.flags) and all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        for f in ("voltages", "q_inj", "p_out", "mu")
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=traces())
+def test_reader_matches_row_oracle(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    write_trace_csv(trace, path)
+    assert _same_trace(read_trace_csv(path), read_trace_csv_rows(path))
+
+
+def test_signed_zeros_in_one_block_keep_their_sign(tmp_path):
+    trace = SimulationTrace(
+        bus_ids=("s", "b"), unit_buses=("b",),
+        voltages=np.array([[1.0, 0.0], [-0.0, 1.0]]),
+        q_inj=np.array([[-0.0], [0.0]]), p_out=np.zeros((2, 1)), mu=np.ones((2, 1)),
+        flags=("", ""), param_dispatches=(), dt_inner=1.0, t_outer=10,
+    )
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1:] == [
+        "0,s,1.0,,,,", "0,b,0.0,-0.0,0.0,1.0,", "1,s,-0.0,,,,", "1,b,1.0,0.0,0.0,1.0,",
+    ]
+    assert _same_trace(read_trace_csv(tmp_path / "trace.csv"), trace)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        pytest.param("", "not a trace CSV", id="empty_file"),
+        pytest.param("a,b,c\r\n", "not a trace CSV", id="other_csv"),
+        pytest.param("tick,bus,V_pu,q_inj_pu,p_out_pu,mu_pu,flags\r\n", "empty trace CSV",
+                     id="header_only"),
+        pytest.param("tick,bus,V_pu,q_inj_pu,p_out_pu,mu_pu,flags\r\n0,s,1.0,,,\r\n",
+                     "every row needs 7 fields", id="short_row"),
+    ],
+)
+def test_reader_rejects_malformed_files(tmp_path, text, match):
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SimulationError, match=match):
+        read_trace_csv(path)
