@@ -237,18 +237,14 @@ def cmd_sweep(args) -> int:
         raise _CliError(f"sweep parameter must be one of k_d, m, tau, T, not {args.param!r}", EXIT_USAGE)
     if not args.values:
         raise _CliError("sweep needs --values", EXIT_USAGE)
-    try:
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-        _ = [float(v) for v in values]
-    except ValueError:
-        raise _CliError(f"bad --values list: {args.values!r}", EXIT_USAGE)
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise _CliError("sweep needs at least one value", EXIT_USAGE)
+    # every value is checked before the first run
+    scenarios = [override_scenario(scenario, args.param, v) for v in values]
+    model = _build_model(feeder, args.engine)
     out = _out_dir(args)
-    results = [
-        (v, run_sim(override_scenario(scenario, args.param, v), _build_model(feeder, args.engine)))
-        for v in values
-    ]
+    results = [(v, run_sim(s, model)) for v, s in zip(values, scenarios)]
 
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", encoding="utf-8") as f:

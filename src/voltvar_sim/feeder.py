@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -274,11 +274,11 @@ class CompiledNetwork:
 
     `island` lists the energized buses in model order and `index` maps
     each to its island position; `pos[k]` is the island position of model
-    bus k (-1 when dark) and `cols[i]` the model index of island bus i.  `z` is None when Y_LL is singular, which only
-    the Newton path can then report.
+    bus k (-1 when dark) and `cols[i]` the model index of island bus i.
+    `z` is None when Y_LL is singular, which only the Newton path can then
+    report.
     """
 
-    bus_ids: tuple[str, ...]
     island: tuple[str, ...]
     index: dict[str, int]
     pos: np.ndarray
@@ -353,7 +353,6 @@ def _compile(model: FeederModel) -> CompiledNetwork:
         z = z[np.ix_(pq, pq)]
     w = None if z is None else -z @ ybus[pq, slack_idx]
     return CompiledNetwork(
-        bus_ids=bus_ids,
         island=island,
         index=index,
         pos=pos,
@@ -400,33 +399,6 @@ def compile_network(model: FeederModel) -> CompiledNetwork:
     return net
 
 
-class BusInjections(Mapping):
-    """Extra (P, Q) injections held as arrays: `p[k]`, `q[k]` go to bus
-    `bus_ids[cols[k]]`, where `bus_ids` is a model's bus order.  It is a
-    read-only mapping, so it fits wherever a dict of injections does, and
-    the solver adds it to a compiled network with index arrays."""
-
-    def __init__(
-        self, bus_ids: tuple[str, ...], cols: np.ndarray, p: np.ndarray, q: np.ndarray
-    ) -> None:
-        self.bus_ids = bus_ids
-        self.cols = cols
-        self.p = p
-        self.q = q
-
-    def __getitem__(self, bus_id: str) -> tuple[float, float]:
-        for k, c in enumerate(self.cols):
-            if self.bus_ids[c] == bus_id:
-                return float(self.p[k]), float(self.q[k])
-        raise KeyError(bus_id)
-
-    def __iter__(self) -> Iterator[str]:
-        return (self.bus_ids[c] for c in self.cols)
-
-    def __len__(self) -> int:
-        return len(self.cols)
-
-
 def _base_injections(model: FeederModel, net: CompiledNetwork) -> np.ndarray:
     """Complex injections of the model's loads and PV units over the
     island, computed once per snapshot."""
@@ -446,13 +418,13 @@ def _base_injections(model: FeederModel, net: CompiledNetwork) -> np.ndarray:
 def _spec_injections(
     model: FeederModel,
     net: CompiledNetwork,
-    injections: Mapping[str, tuple[float, float]] | None,
+    injections: Mapping[str, tuple[float, float]] | np.ndarray | None,
 ) -> np.ndarray:
     s = _base_injections(model, net).copy()
-    if isinstance(injections, BusInjections) and injections.bus_ids == net.bus_ids:
-        at = net.pos[injections.cols]
-        live = at >= 0  # injections at dark buses are inert
-        np.add.at(s, at[live], (injections.p + 1j * injections.q)[live])
+    if isinstance(injections, np.ndarray):
+        if injections.shape != net.pos.shape:
+            raise PowerFlowError("injection array needs one entry per model bus")
+        s += injections[net.cols]  # entries at dark buses are inert
     elif injections:
         for bus_id, (pi, qi) in injections.items():
             if bus_id in net.index:
@@ -479,17 +451,17 @@ def _jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
 
 
 def _newton(
-    ybus: np.ndarray,
-    p_spec: np.ndarray,
-    q_spec: np.ndarray,
-    slack_idx: int,
+    net: CompiledNetwork,
+    s_spec: np.ndarray,
     v_slack: float,
     v0: np.ndarray | None,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, bool, int, float]:
-    n = ybus.shape[0]
-    pq = np.array([i for i in range(n) if i != slack_idx], dtype=int)
+    """Newton-Raphson in polar form from `v0` or a flat start; returns the
+    voltage magnitudes and angles with the fixed point's other outputs."""
+    ybus, slack_idx, pq = net.ybus, net.slack_idx, net.pq
+    n = len(net.island)
     v_mag = np.ones(n) if v0 is None else np.abs(v0).copy()
     v_ang = np.zeros(n) if v0 is None else np.angle(v0).copy()
     v_mag[slack_idx] = v_slack
@@ -500,8 +472,8 @@ def _newton(
     for _ in range(max_iter + 1):
         v = v_mag * np.exp(1j * v_ang)
         s_calc = v * np.conj(ybus @ v)
-        dp = p_spec[pq] - s_calc.real[pq]
-        dq = q_spec[pq] - s_calc.imag[pq]
+        dp = s_spec.real[pq] - s_calc.real[pq]
+        dq = s_spec.imag[pq] - s_calc.imag[pq]
         mismatch = float(max(np.max(np.abs(dp), initial=0.0),
                              np.max(np.abs(dq), initial=0.0)))
         if mismatch <= tol:
@@ -564,21 +536,23 @@ def _fixed_point(
 
 def solve_power_flow(
     model: FeederModel,
-    injections: Mapping[str, tuple[float, float]] | None = None,
+    injections: Mapping[str, tuple[float, float]] | np.ndarray | None = None,
     v_init: PowerFlowSolution | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PowerFlowSolution:
     """Solve the feeder power flow over the energized island.
 
-    `injections` are extra per-bus (P, Q) pu injections added on top of
-    the model's loads and PV unit outputs (the simulation engine feeds
-    inverter dispatches through here as a `BusInjections`).  `v_init`
-    warm-starts the solve from a previous solution on the same island.
-    The Z-bus fixed point runs first; if it does not converge within
-    `max_iter` iterations, Newton-Raphson takes over from the warm start
-    and then once more from a flat start.  Non-convergence is reported
-    via `converged=False`, not raised.
+    `injections` are extra pu injections added on top of the model's loads
+    and PV unit outputs: a dict {bus: (P, Q)}, or a complex array of
+    P + jQ with one entry per bus of `model.bus_ids` (the form the
+    simulation engine feeds its inverter dispatches in).  Injections at
+    buses off the island are ignored.  `v_init` warm-starts the solve
+    from a previous solution on the same island.  The Z-bus fixed point
+    runs first; if it does not converge within `max_iter` iterations,
+    Newton-Raphson takes over from the warm start and then once more from
+    a flat start.  Non-convergence is reported via `converged=False`, not
+    raised.
     """
     net = compile_network(model)
     s_spec = _spec_injections(model, net, injections)
@@ -593,13 +567,12 @@ def solve_power_flow(
     if converged:
         v_mag, v_ang = np.abs(v), np.angle(v)
     else:
-        p_spec, q_spec = s_spec.real, s_spec.imag
         v_mag, v_ang, converged, iterations, mismatch = _newton(
-            net.ybus, p_spec, q_spec, net.slack_idx, v_slack, v0, tol, max_iter
+            net, s_spec, v_slack, v0, tol, max_iter
         )
         if not converged and v0 is not None:
             v_mag, v_ang, converged, iterations, mismatch = _newton(
-                net.ybus, p_spec, q_spec, net.slack_idx, v_slack, None, tol, max_iter
+                net, s_spec, v_slack, None, tol, max_iter
             )
     return PowerFlowSolution(
         bus_ids=net.island,
@@ -682,30 +655,6 @@ def apply_topology_event(
             f"opening {switch_id} would island bus(es): {', '.join(illegal)}"
         )
     return updated
-
-
-def bus_injections(model: FeederModel, solution: PowerFlowSolution) -> np.ndarray:
-    """Complex net power injection at each island bus, from the solution."""
-    net = compile_network(model)
-    if net.island != solution.bus_ids:
-        raise PowerFlowError("solution does not match the model topology")
-    v = solution.v_mag * np.exp(1j * solution.v_ang)
-    return v * np.conj(net.ybus @ v)
-
-
-def total_losses(model: FeederModel, solution: PowerFlowSolution) -> complex:
-    """Sum of series losses over in-service lines of the energized island."""
-    island = solution.bus_ids
-    index = {b: i for i, b in enumerate(island)}
-    v = solution.v_mag * np.exp(1j * solution.v_ang)
-    loss = 0.0 + 0.0j
-    for ln in model.lines:
-        if not ln.in_service or ln.from_bus not in index or ln.to_bus not in index:
-            continue
-        z = complex(ln.resistance, ln.reactance)
-        i_line = (v[index[ln.from_bus]] - v[index[ln.to_bus]]) / z
-        loss += z * abs(i_line) ** 2
-    return loss
 
 
 def feeder_from_dict(data: dict) -> FeederModel:

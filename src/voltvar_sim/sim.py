@@ -43,7 +43,6 @@ from .control import (
     take_units,
 )
 from .feeder import (
-    BusInjections,
     FeederModel,
     PowerFlowSolution,
     apply_topology_event,
@@ -498,8 +497,8 @@ class SimulationEngine:
                         f"{type(ev).__name__} not supported on the linearized model"
                     )
             self.ratings = np.array(model.pv_ratings, dtype=float)
-            self._solve = _solve_linear
-            dark_units = model.dark_pv_buses
+            self._solve = SimulationEngine._solve_linear
+            self._dark_units = model.dark_pv_buses
         else:
             # the profile drives PV output; any stored p_out/q_inj on the
             # model is an analysis operating point, not simulation state
@@ -510,8 +509,8 @@ class SimulationEngine:
                 ),
             )
             self.ratings = np.array([u.rating_s for u in model.pv_units], dtype=float)
-            self._solve = _solve_full
-            dark_units = ()
+            self._solve = SimulationEngine._solve_full
+            self._dark_units = ()
         self.model = model
         self.bus_ids = model.bus_ids
         self.unit_buses = model.pv_buses
@@ -521,7 +520,9 @@ class SimulationEngine:
 
         rng = np.random.default_rng(scenario.seed)
         h = scenario.horizon
-        self.p_profile = _materialize_profile(scenario.pv_profile, self.unit_buses, h, dark_units)
+        self.p_profile = _materialize_profile(
+            scenario.pv_profile, self.unit_buses, h, self._dark_units
+        )
         self.mu_arr = np.full((h, n), scenario.mu)
         self._apply_profile_events(rng)
         if not np.all(np.isfinite(self.p_profile)):
@@ -604,12 +605,13 @@ class SimulationEngine:
         return np.concatenate([arr, np.full(length - len(arr), arr[-1])])
 
     def _unit_indices(self, buses: tuple[str, ...] | None) -> list[int]:
+        """Units an event names; a unit the model leaves out is skipped."""
         if buses is None:
             return list(range(len(self.unit_buses)))
         for b in buses:
-            if b not in self.unit_buses:
+            if b not in self.unit_buses and b not in self._dark_units:
                 raise SimulationError(f"event references unknown PV bus {b}")
-        return [self.unit_buses.index(b) for b in buses]
+        return [self.unit_buses.index(b) for b in buses if b in self.unit_buses]
 
     # -- per-tick machinery
 
@@ -659,11 +661,9 @@ class SimulationEngine:
     def _solve_and_record(self, t: int, q: np.ndarray | None = None) -> None:
         if q is None:
             q = np.zeros(len(self.unit_buses))
-        p = self.p_profile[t]
-        inj = BusInjections(self.bus_ids, self._unit_cols, p, q)
-        row, converged, self._last_solution = self._solve(
-            self.model, inj, self._last_solution
-        )
+        # `_solve` is kept unbound: a bound method on the engine would be a
+        # reference cycle, keeping a finished engine until a full collection
+        row, converged = self._solve(self, self.p_profile[t], q)
         if converged or t == 0:
             self.voltages[t] = row
         if not converged:
@@ -671,6 +671,23 @@ class SimulationEngine:
             if t > 0:
                 self.voltages[t] = self.voltages[t - 1]
         self.q_rec[t] = q
+
+    # Per-tick solves: (PV outputs, var dispatches) -> (voltage row in
+    # `bus_ids` order, converged).
+
+    def _solve_full(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
+        inj = np.zeros(len(self.bus_ids), dtype=complex)
+        inj[self._unit_cols] = p + 1j * q
+        # through the `sim` namespace: perfbench's tracer patches it here
+        sol = solve_power_flow(self.model, injections=inj, v_init=self._last_solution)
+        if sol.converged:
+            self._last_solution = sol
+        row = np.full(len(self.bus_ids), np.nan)  # dark buses stay NaN
+        row[compile_network(self.model).cols] = sol.v_mag
+        return row, sol.converged
+
+    def _solve_linear(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
+        return np.concatenate(([self.model.v_slack], self.model.voltages(p, q))), True
 
     def _outer_boundary(self, t: int) -> None:
         """Outer-loop step for every unit that was energized and generating
@@ -732,25 +749,6 @@ class SimulationEngine:
             name=self.scenario.name,
             seed=self.scenario.seed,
         )
-
-
-# Per-tick solves: (model, PV injections, warm start) -> (voltage row over
-# the injections' bus order, converged, warm start for the next tick).
-
-
-def _solve_full(
-    model: FeederModel, inj: BusInjections, warm: PowerFlowSolution | None
-) -> tuple[np.ndarray, bool, PowerFlowSolution | None]:
-    sol = solve_power_flow(model, injections=inj, v_init=warm)
-    row = np.full(len(inj.bus_ids), np.nan)  # dark buses stay NaN
-    row[compile_network(model).cols] = sol.v_mag
-    return row, sol.converged, sol if sol.converged else warm
-
-
-def _solve_linear(
-    model: LinearizedFeeder, inj: BusInjections, warm: None
-) -> tuple[np.ndarray, bool, None]:
-    return np.concatenate(([model.v_slack], model.voltages(inj.p, inj.q))), True, None
 
 
 def run(scenario: Scenario, model: FeederModel | LinearizedFeeder) -> SimulationTrace:

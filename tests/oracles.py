@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's Newton solver and Jacobian code:
 the nodal solver is a plain Gauss fixed-point iteration on the node
-equations built directly from the line list, and the control-loop
+equations built directly from the line list, bus injections and losses
+come from the line currents of a solution, and the control-loop
 iterators are straight transcriptions of the discrete maps.  The trace
 I/O oracles are the row-at-a-time `csv` forms of the package's writers
 and reader, and the band-violation count is its tick-by-tick loop.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from voltvar_sim.feeder import FeederModel
+from voltvar_sim.feeder import FeederModel, PowerFlowSolution
 from voltvar_sim.sim import SimulationError, SimulationTrace
 
 
@@ -106,6 +107,35 @@ def gauss_nodal_solve(
     for pos, i in enumerate(load_idx):
         out[island[i]] = v_l[pos]
     return out
+
+
+def _solved_lines(model: FeederModel, solution: PowerFlowSolution):
+    """Complex voltage of each solved bus, and each in-service line between
+    two solved buses with its series current from `from_bus` to `to_bus`."""
+    v = dict(zip(solution.bus_ids, solution.v_mag * np.exp(1j * solution.v_ang)))
+    lines = [
+        (ln, (v[ln.from_bus] - v[ln.to_bus]) / complex(ln.resistance, ln.reactance))
+        for ln in model.lines
+        if ln.switch_state != "open" and ln.from_bus in v and ln.to_bus in v
+    ]
+    return v, lines
+
+
+def bus_injections(model: FeederModel, solution: PowerFlowSolution) -> np.ndarray:
+    """Complex net power injection at each solved bus (solution order): the
+    power it sends into its lines."""
+    v, lines = _solved_lines(model, solution)
+    out = dict.fromkeys(solution.bus_ids, 0j)
+    for ln, i in lines:
+        out[ln.from_bus] += v[ln.from_bus] * np.conj(i)
+        out[ln.to_bus] -= v[ln.to_bus] * np.conj(i)
+    return np.array(list(out.values()))
+
+
+def total_losses(model: FeederModel, solution: PowerFlowSolution) -> complex:
+    """Sum of series losses z |I|^2 over the solved in-service lines."""
+    _, lines = _solved_lines(model, solution)
+    return sum((complex(ln.resistance, ln.reactance) * abs(i) ** 2 for ln, i in lines), 0j)
 
 
 def iterate_delayed_fixed_point(

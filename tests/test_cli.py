@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from voltvar_sim import cli
 from voltvar_sim.cli import main
 from voltvar_sim.sim import MetricsLimits, metrics, read_trace_csv
 
@@ -180,11 +181,18 @@ class TestSweep:
         assert main(["sweep", "--scenario", "fig3a", "--param", "zeta",
                      "--values", "1", "--out", str(tmp_path)]) == 2
 
-    def test_bad_values_exit_2(self, tmp_path):
+    def test_bad_values_exit_2(self, tmp_path, monkeypatch):
         assert main(["sweep", "--scenario", "fig3a", "--param", "m",
                      "--values", "a,b", "--out", str(tmp_path)]) == 2
         assert main(["sweep", "--scenario", "fig3a", "--param", "m",
                      "--values", ",", "--out", str(tmp_path)]) == 2
+        # a bad value after good ones stops the sweep before its first run
+        runs = []
+        monkeypatch.setattr(cli, "run_sim", lambda *a: runs.append(a))
+        assert main(["sweep", "--scenario", "presets/intermittency", "--param", "T",
+                     "--values", "10,20,10.5", "--out", str(tmp_path)]) == 2
+        assert runs == []
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestPresets:

@@ -9,23 +9,20 @@ from voltvar_sim.feeder import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Bus,
-    BusInjections,
     FeederModel,
     FeederError,
     Line,
     PowerFlowError,
     PvUnit,
     apply_topology_event,
-    bus_injections,
     compile_network,
     feeder_from_dict,
     feeder_to_dict,
     sensitivity_matrix,
     solve_power_flow,
-    total_losses,
 )
 
-from oracles import gauss_nodal_solve, two_bus_voltage
+from oracles import bus_injections, gauss_nodal_solve, total_losses, two_bus_voltage
 
 # frozen from the closed-form two-bus oracle (v1=1, z=0.01+j0.05, S=0.5+j0.2)
 TWO_BUS_V2 = 0.9844907599865401
@@ -91,6 +88,18 @@ def test_power_balance(ieee4_closed):
     loss = total_losses(ieee4_closed, sol)
     assert abs(np.sum(inj).real - loss.real) < 10 * tol
     assert abs(np.sum(inj).imag - loss.imag) < 10 * tol
+    # every load bus takes what the model specifies
+    spec = {b.id: -complex(b.load_p, b.load_q) for b in ieee4_closed.buses}
+    for u in ieee4_closed.pv_units:
+        spec[u.bus] += complex(u.p_out, u.q_inj)
+    for b, s in zip(sol.bus_ids, inj):
+        if b != sol.slack_id:
+            assert abs(s - spec[b]) < 10 * tol
+
+
+def test_injection_array_needs_one_entry_per_bus(ieee4):
+    with pytest.raises(PowerFlowError, match="one entry per model bus"):
+        solve_power_flow(ieee4, injections=np.zeros(len(ieee4.bus_ids) - 1, dtype=complex))
 
 
 def test_nonconvergence_flagged_not_fatal():
@@ -282,19 +291,17 @@ def test_fixed_point_agrees_with_oracle_and_newton(case):
     assert np.max(np.abs(net.z @ y_ll - np.eye(len(net.pq)))) < 1e-9
     s = feeder._spec_injections(model, net, injections)
     v_mag, v_ang, converged, _, _ = feeder._newton(
-        net.ybus, s.real, s.imag, net.slack_idx, model.slack.v_set, None,
-        1e-12, DEFAULT_MAX_ITER,
+        net, s, model.slack.v_set, None, 1e-12, DEFAULT_MAX_ITER
     )
     assert converged
     assert np.max(np.abs(v - v_mag * np.exp(1j * v_ang))) < 1e-10
 
-    # the same injections as index arrays give the same bits
+    # the same injections as a complex array over the bus order give the same bits
     ids = model.bus_ids
-    cols = np.array([ids.index(b) for b in injections], dtype=int)
-    pq = np.array(list(injections.values())).reshape(-1, 2)
-    arrays = BusInjections(ids, cols, pq[:, 0], pq[:, 1])
-    assert dict(arrays) == injections
-    again = solve_power_flow(model, injections=arrays)
+    array = np.zeros(len(ids), dtype=complex)
+    for b, (p, q) in injections.items():
+        array[ids.index(b)] = complex(p, q)
+    again = solve_power_flow(model, injections=array)
     assert again.v_mag.tobytes() == sol.v_mag.tobytes()
     assert again.v_ang.tobytes() == sol.v_ang.tobytes()
 

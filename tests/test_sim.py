@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voltvar_sim import feeder as feeder_module
+from voltvar_sim import sim as sim_module
 from voltvar_sim.adaptation import AdaptiveConfig
 from voltvar_sim.control import ControllerKind, DroopParams, droop_dispatch, delayed_dispatch
 from voltvar_sim.feeder import (
@@ -193,6 +194,21 @@ class TestEvents:
         assert len(builds) == 3
         assert np.all(np.isnan(trace.bus_voltage("bus4")[25:]))
 
+    def test_one_solve_per_tick_through_sim_namespace(self, ieee4, monkeypatch):
+        # perfbench's tracer wraps `sim.solve_power_flow` by name and reads
+        # `v_init` from its keywords to count cold starts
+        calls = []
+        solve = sim_module.solve_power_flow
+        monkeypatch.setattr(
+            sim_module, "solve_power_flow",
+            lambda *a, **kw: calls.append(kw) or solve(*a, **kw),
+        )
+        events = ((10, SwitchEvent("switch1", "closed")),)
+        trace = run(_scenario(ControllerKind.conventional(), horizon=20, events=events), ieee4)
+        assert len(calls) == trace.horizon
+        assert all("v_init" in kw for kw in calls)
+        assert [t for t, kw in enumerate(calls) if kw["v_init"] is None] == [0, 10]
+
     def test_load_scale_drops_voltage(self, ieee4):
         trace = run(
             _scenario(ControllerKind.none(), events=((40, LoadScale(2.0)),)), ieee4
@@ -322,6 +338,24 @@ class TestScenarioValidation:
         assert lin.dark_pv_buses == ("bus4",)
         sc = _scenario(ControllerKind.none(), horizon=20, profile={"bus3": 0.9, "bus4": 0.5})
         assert run(sc, lin).p_out[0].tolist() == [0.9]
+
+    @pytest.mark.parametrize(
+        "event", [CloudCover(0.5, ("bus4",)), SetpointChange(0.98, ("bus4",))],
+        ids=["cloud", "setpoint"],
+    )
+    def test_event_may_name_unit_the_linear_twin_leaves_out(self, ieee4, event):
+        plain = _scenario(ControllerKind.conventional(), horizon=20)
+        moved = replace(plain, events=((5, event),))
+        # the feeder keeps its bus4 unit, so the event reaches it there
+        full, full_moved = run(plain, ieee4), run(moved, ieee4)
+        assert not (np.array_equal(full.p_out, full_moved.p_out)
+                    and np.array_equal(full.mu, full_moved.mu))
+        # the twin has no bus4 unit: the event changes nothing there
+        lin = linearize(ieee4)
+        base, got = run(plain, lin), run(moved, lin)
+        for name in ("voltages", "q_inj", "p_out", "mu"):
+            assert getattr(got, name).tobytes() == getattr(base, name).tobytes()
+        assert (got.flags, got.param_dispatches) == (base.flags, base.param_dispatches)
 
     def test_event_parameter_ranges(self):
         with pytest.raises(SimulationError):
