@@ -98,16 +98,19 @@ def window_stats(
     if t < 2:
         raise AdaptationError("window needs at least 2 samples")
     mu = np.broadcast_to(mu, v.shape)
-    sse, vf, p_sum = (np.zeros(v.shape[1:]) for _ in range(3))
-    # row by row from zero, the order of Python's `sum`; np.sum would
-    # switch to pairwise summation for a single column
-    for i in range(t):
-        sse += v[i] - mu[i]
-        p_sum += p[i]
-        if i:
-            d = (v[i] - v[i - 1]) / v[i]
-            vf += d if signed_flicker else np.abs(d)
+    d = (v[1:] - v[:-1]) / v[1:]
+    sse, vf, p_sum = (
+        _window_sum(x) for x in (v - mu, d if signed_flicker else np.abs(d), p)
+    )
     return WindowStats(sse_avg=sse / t, vf=100.0 * vf / t, p_pv_avg=p_sum / t)
+
+
+def _window_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the first axis in window order, the order of Python's
+    `sum` (np.sum would sum a single column pairwise).  `accumulate` starts
+    from the first row, so `+ 0.0` turns an all -0.0 sum into the +0.0
+    that a sum from zero gives."""
+    return np.add.accumulate(x, axis=0)[-1] + 0.0
 
 
 def strategy1_update_qp(

@@ -472,10 +472,9 @@ def _newton(
     for _ in range(max_iter + 1):
         v = v_mag * np.exp(1j * v_ang)
         s_calc = v * np.conj(ybus @ v)
-        dp = s_spec.real[pq] - s_calc.real[pq]
-        dq = s_spec.imag[pq] - s_calc.imag[pq]
-        mismatch = float(max(np.max(np.abs(dp), initial=0.0),
-                             np.max(np.abs(dq), initial=0.0)))
+        dpq = np.concatenate([s_spec.real[pq] - s_calc.real[pq],
+                              s_spec.imag[pq] - s_calc.imag[pq]])
+        mismatch = float(np.maximum.reduce(np.abs(dpq), initial=0.0))
         if mismatch <= tol:
             converged = True
             break
@@ -483,7 +482,7 @@ def _newton(
             break
         jac = _jacobian(ybus, v, pq)
         try:
-            dx = np.linalg.solve(jac, np.concatenate([dp, dq]))
+            dx = np.linalg.solve(jac, dpq)
         except np.linalg.LinAlgError:
             break
         npq = len(pq)
@@ -512,25 +511,28 @@ def _fixed_point(
     v = np.full(len(net.island), v_slack, dtype=complex)
     if net.z is None:
         return v, False, 0, np.inf
-    pq = net.pq
+    pq, z = net.pq, net.z
     s_l = s_spec[pq]
     v_src = net.w * v_slack
     v_l = v_src if v0 is None else v0[pq]
     step = np.inf if len(pq) else 0.0
     iterations = 0
+    # on feeder-sized arrays call overhead, not arithmetic, is the cost of
+    # an iteration, so the step is one direct ufunc reduction (the loop is
+    # never entered with an empty `pq`)
     with np.errstate(all="ignore"):
         while iterations < max_iter and step > FIXED_POINT_STEP:
-            v_new = v_src + net.z @ np.conj(s_l / v_l)
-            step = float(np.max(np.abs(v_new - v_l), initial=0.0))
+            v_new = v_src + z @ np.conj(s_l / v_l)
+            step = np.maximum.reduce(np.abs(v_new - v_l))
             v_l = v_new
             iterations += 1
             if not math.isfinite(step):
                 break
         v[pq] = v_l
         ds = s_l - v_l * np.conj((net.ybus @ v)[pq])
-        mismatch = float(max(np.max(np.abs(ds.real), initial=0.0),
-                             np.max(np.abs(ds.imag), initial=0.0)))
-    converged = step <= FIXED_POINT_STEP and mismatch <= tol
+        # max(max|Re|, max|Im|) over the interleaved parts
+        mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
+    converged = bool(step <= FIXED_POINT_STEP and mismatch <= tol)
     return v, converged, iterations, mismatch
 
 
@@ -603,13 +605,13 @@ def sensitivity_matrix(
     island = net.island
     if island != solution.bus_ids:
         raise PowerFlowError("solution does not match the model topology")
-    if buses is None:
-        buses = tuple(b for b in island if b in set(model.pv_buses))
-        if not buses:
-            buses = tuple(b for b in island if b != model.slack_id)
     load_ids = [b for b in island if b != model.slack_id]
+    if buses is None:
+        pv_buses = set(model.pv_buses)
+        buses = tuple(b for b in island if b in pv_buses) or tuple(load_ids)
+    col = {b: i for i, b in enumerate(load_ids)}
     for b in buses:
-        if b not in load_ids:
+        if b not in col:
             raise FeederError(f"bus {b} is not an energized load bus")
 
     pq = net.pq
@@ -624,7 +626,7 @@ def sensitivity_matrix(
             "singular Jacobian at operating point (near voltage collapse)"
         ) from exc
     a_full = x[npq:, :]
-    sel = [load_ids.index(b) for b in buses]
+    sel = [col[b] for b in buses]
     return a_full[np.ix_(sel, sel)]
 
 

@@ -280,6 +280,14 @@ def load_scenario(path: str | Path) -> Scenario:
 # ---------------------------------------------------------------------------
 # linearized feeder
 
+
+def _positions(keys: tuple[str, ...], order: tuple[str, ...]) -> list[int]:
+    """Index of each of `keys` in `order`, through one dict rather than a
+    scan per key."""
+    at = {b: i for i, b in enumerate(order)}
+    return [at[b] for b in keys]
+
+
 @dataclass(frozen=True, eq=False)
 class LinearizedFeeder:
     """First-order feeder model around a solved operating point.
@@ -312,8 +320,7 @@ class LinearizedFeeder:
 
     def a_matrix(self) -> np.ndarray:
         """Square dV/dQ over the PV buses (the analysis sensitivity)."""
-        rows = [self.load_bus_ids.index(b) for b in self.pv_buses]
-        return self.dv_dq[rows, :]
+        return self.dv_dq[_positions(self.pv_buses, self.load_bus_ids), :]
 
     def with_slack_voltage(self, v_pu: float) -> "LinearizedFeeder":
         return replace(self, v_slack=v_pu)
@@ -340,7 +347,8 @@ def linearize(
         raise SimulationError("cannot linearize: power flow did not converge")
     load_ids = sol.load_bus_ids
     pq = compile_network(model).pq  # island positions of `load_ids`
-    pv_buses = tuple(b for b in load_ids if b in set(model.pv_buses))
+    units = {u.bus: u for u in model.pv_units}
+    pv_buses = tuple(b for b in load_ids if b in units)
     n = len(load_ids)
     a_full_q = sensitivity_matrix(model, sol, buses=load_ids)
 
@@ -361,33 +369,37 @@ def linearize(
     s_up = solve_power_flow(stepped, injections=injections, v_init=sol)
     dv_dslack = (s_up.v_mag[pq] - sol.v_mag[pq]) / slack_step
 
-    pv_cols = [load_ids.index(b) for b in pv_buses]
     p_base = np.zeros(len(pv_buses))
     q_base = np.zeros(len(pv_buses))
     for j, b in enumerate(pv_buses):
-        unit = model.pv_at(b)
+        unit = units[b]
         extra = (injections or {}).get(b, (0.0, 0.0))
         p_base[j] = unit.p_out + extra[0]
         q_base[j] = unit.q_inj + extra[1]
+    on_island = set(pv_buses)
     return LinearizedFeeder(
         slack_id=model.slack_id,
         load_bus_ids=load_ids,
         pv_buses=pv_buses,
-        pv_ratings=tuple(model.pv_at(b).rating_s for b in pv_buses),
+        pv_ratings=tuple(units[b].rating_s for b in pv_buses),
         v_base=sol.v_mag[pq],
         v_slack_base=model.slack.v_set,
         v_slack=model.slack.v_set,
-        dv_dq=a_full_q[:, pv_cols],
+        dv_dq=a_full_q[:, _positions(pv_buses, load_ids)],
         dv_dp=dv_dp,
         dv_dslack=dv_dslack,
         p_base=p_base,
         q_base=q_base,
-        dark_pv_buses=tuple(b for b in model.pv_buses if b not in pv_buses),
+        dark_pv_buses=tuple(b for b in units if b not in on_island),
     )
 
 
 # ---------------------------------------------------------------------------
 # trace and engine
+
+# the trace's windows and band runs are worked out for a block of units or
+# buses at a time, sized so that no temporary array of a block exceeds this
+_BLOCK_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -427,15 +439,20 @@ class SimulationTrace:
         k = (self.horizon - 1) // width
         mu = self.mu if mu is None else mu
 
-        def windows(x: np.ndarray) -> np.ndarray:  # (horizon,) -> (width, k)
-            return x[1 : 1 + k * width].reshape(k, width).T
+        cols = _positions(self.unit_buses, self.bus_ids)
 
-        units = [
-            window_stats(windows(self.bus_voltage(b)), windows(mu[:, j]), windows(self.p_out[:, j]))
-            for j, b in enumerate(self.unit_buses)
+        def windows(x: np.ndarray) -> np.ndarray:  # (horizon, n) -> (width, k, n)
+            return x[1 : 1 + k * width].reshape(k, width, x.shape[1]).swapaxes(0, 1)
+
+        per = max(_BLOCK_BYTES // (8 * self.horizon), 1)  # units per call
+        blocks = [
+            window_stats(windows(self.voltages[:, cols[i : i + per]]),
+                         windows(mu[:, i : i + per]), windows(self.p_out[:, i : i + per]))
+            for i in range(0, len(cols), per)
         ]
         return WindowStats(*(
-            np.array([getattr(u, f) for u in units]).reshape(len(units), k).T
+            np.concatenate([getattr(s, f) for s in blocks], axis=1) if blocks
+            else np.zeros((k, 0))
             for f in ("sse_avg", "vf", "p_pv_avg")
         ))
 
@@ -556,9 +573,7 @@ class SimulationEngine:
                 -self.ratings, self.ratings, mu,
             )
         # column of each unit's bus in `bus_ids` / the voltage rows
-        self._unit_cols = np.array(
-            [self.bus_ids.index(b) for b in self.unit_buses], dtype=int
-        )
+        self._unit_cols = np.array(_positions(self.unit_buses, self.bus_ids), dtype=int)
 
         self.voltages = np.full((h, len(self.bus_ids)), np.nan)
         self.q_rec = np.zeros((h, n))
@@ -800,9 +815,10 @@ def metrics(
         mu_arr = np.full((h, n_units), 0.0) + np.asarray(mu, dtype=float)
 
     msse_per: dict[str, float] = {}
-    for j, b in enumerate(trace.unit_buses):
-        v = trace.voltages[:, trace.bus_ids.index(b)]
-        dev = np.abs(v - mu_arr[:, j])
+    # unit by unit: np.mean's pairwise order depends on which dark ticks drop out
+    cols = _positions(trace.unit_buses, trace.bus_ids)
+    for j, (b, c) in enumerate(zip(trace.unit_buses, cols)):
+        dev = np.abs(trace.voltages[:, c] - mu_arr[:, j])
         dev = dev[~np.isnan(dev)]
         msse_per[b] = float(np.mean(dev) * 100.0) if len(dev) else 0.0
     msse = float(np.mean(list(msse_per.values()))) if msse_per else 0.0
@@ -812,20 +828,13 @@ def metrics(
     fc_per = {b: int(n) for b, n in zip(trace.unit_buses, np.sum(over, axis=0))}
     fc = sum(fc_per.values())
 
-    lo_a, hi_a = limits.ansi_a
-    lo_b, hi_b = limits.ansi_b
     sustain_ticks = max(int(math.ceil(limits.sustain_seconds / trace.dt_inner)), 1)
     vvi_per: dict[str, int] = {}
-    for b, v in zip(trace.bus_ids, trace.voltages.T):
-        viol = (v > hi_a) | (v < lo_a)  # NaN (dark) ticks are never out of band
-        # runs of out-of-band ticks: starts and ends alternate among the
-        # edges of the padded range-B mask
-        out_b = np.concatenate(([False], (v > hi_b) | (v < lo_b), [False]))
-        for t0, t1 in np.flatnonzero(np.diff(out_b)).reshape(-1, 2).tolist():
-            if t1 - t0 >= sustain_ticks:
-                viol[t0:t1] = True
-        if count := int(np.sum(viol)):
-            vvi_per[b] = count
+    per = max(_BLOCK_BYTES // (h + 2), 1)  # buses per block of bool masks
+    for i in range(0, len(trace.bus_ids), per):
+        counts = _band_violations(trace.voltages[:, i : i + per], limits.ansi_a,
+                                  limits.ansi_b, sustain_ticks)
+        vvi_per.update((b, n) for b, n in zip(trace.bus_ids[i:], counts.tolist()) if n)
     vvi = sum(vvi_per.values())
 
     return MetricsReport(
@@ -836,6 +845,28 @@ def metrics(
         fc_per_inverter=fc_per,
         vvi_per_bus=vvi_per,
     )
+
+
+def _band_violations(
+    v: np.ndarray, band_a: tuple[float, float], band_b: tuple[float, float],
+    sustain_ticks: int,
+) -> np.ndarray:
+    """Per column of `v` (ticks x buses): the ticks outside band A or inside
+    a run of at least `sustain_ticks` ticks outside band B.  NaN (dark)
+    ticks are never out of band."""
+    viol = (v > band_a[1]) | (v < band_a[0])
+    out_b = np.zeros((v.shape[0] + 2, v.shape[1]), dtype=bool)
+    out_b[1:-1] = (v > band_b[1]) | (v < band_b[0])
+    # run starts and ends alternate among each column's edges of the padded mask
+    cols, ticks = np.nonzero((out_b[1:] != out_b[:-1]).T)
+    cols, t0, t1 = cols[::2], ticks[::2], ticks[1::2]
+    long = t1 - t0 >= sustain_ticks
+    # +1 where a long run starts, -1 where it ends: the running sum marks it
+    mark = np.zeros((v.shape[0] + 1, v.shape[1]), dtype=np.int8)
+    mark[t0[long], cols[long]] = 1
+    mark[t1[long], cols[long]] = -1
+    viol |= np.cumsum(mark, axis=0, dtype=np.int8)[:-1] > 0
+    return np.count_nonzero(viol, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ come from the line currents of a solution, and the control-loop
 iterators are straight transcriptions of the discrete maps.  The trace
 I/O oracles are the row-at-a-time `csv` forms of the package's writers
 and reader, and the band-violation count is its tick-by-tick loop.
+
+The reference kernels at the end are the plain forms of the package's
+hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
+point with `np.max` reductions, the window sums walked row by row from
+zero, and the band-violation run search bus by bus.
 """
 
 from __future__ import annotations
@@ -16,8 +21,13 @@ import math
 
 import numpy as np
 
-from voltvar_sim.feeder import FeederModel, PowerFlowSolution
-from voltvar_sim.sim import SimulationError, SimulationTrace
+from voltvar_sim.feeder import (
+    FIXED_POINT_STEP,
+    CompiledNetwork,
+    FeederModel,
+    PowerFlowSolution,
+)
+from voltvar_sim.sim import MetricsLimits, SimulationError, SimulationTrace
 
 
 def two_bus_voltage(v1: float, r: float, x: float, p_load: float, q_load: float) -> float:
@@ -301,3 +311,80 @@ def band_violation_counts(
                 t += 1
         counts.append(sum(viol))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# reference kernels
+
+
+def fixed_point_reference(
+    net: CompiledNetwork,
+    s_spec: np.ndarray,
+    v_slack: float,
+    v0: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, bool, int, float]:
+    """The Z-bus fixed point V_L <- w V_S + Z conj(S_L / V_L), stepping
+    until no voltage moves more than FIXED_POINT_STEP, with the step and
+    the closing mismatch as `np.max` reductions from zero."""
+    v = np.full(len(net.island), v_slack, dtype=complex)
+    if net.z is None:
+        return v, False, 0, np.inf
+    pq = net.pq
+    s_l = s_spec[pq]
+    v_src = net.w * v_slack
+    v_l = v_src if v0 is None else v0[pq]
+    step = np.inf if len(pq) else 0.0
+    iterations = 0
+    with np.errstate(all="ignore"):
+        while iterations < max_iter and step > FIXED_POINT_STEP:
+            v_new = v_src + net.z @ np.conj(s_l / v_l)
+            step = float(np.max(np.abs(v_new - v_l), initial=0.0))
+            v_l = v_new
+            iterations += 1
+            if not math.isfinite(step):
+                break
+        v[pq] = v_l
+        ds = s_l - v_l * np.conj((net.ybus @ v)[pq])
+        mismatch = float(max(np.max(np.abs(ds.real), initial=0.0),
+                             np.max(np.abs(ds.imag), initial=0.0)))
+    converged = step <= FIXED_POINT_STEP and mismatch <= tol
+    return v, converged, iterations, mismatch
+
+
+def window_stats_rows(
+    voltages: np.ndarray, mu, p_pv: np.ndarray, signed_flicker: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sse_avg, vf, p_pv_avg) of a window block, summed row by row from
+    zero along the first axis."""
+    v = np.asarray(voltages, dtype=float)
+    p = np.asarray(p_pv, dtype=float)
+    t = len(v)
+    mu = np.broadcast_to(mu, v.shape)
+    sse, vf, p_sum = (np.zeros(v.shape[1:]) for _ in range(3))
+    for i in range(t):
+        sse += v[i] - mu[i]
+        p_sum += p[i]
+        if i:
+            d = (v[i] - v[i - 1]) / v[i]
+            vf += d if signed_flicker else np.abs(d)
+    return sse / t, 100.0 * vf / t, p_sum / t
+
+
+def band_violation_runs(trace: SimulationTrace, limits: MetricsLimits) -> dict[str, int]:
+    """Per-bus band-violation counts (zero counts left out), found bus by
+    bus from the edges of each bus's padded range-B mask."""
+    lo_a, hi_a = limits.ansi_a
+    lo_b, hi_b = limits.ansi_b
+    sustain_ticks = max(int(math.ceil(limits.sustain_seconds / trace.dt_inner)), 1)
+    vvi_per: dict[str, int] = {}
+    for b, v in zip(trace.bus_ids, trace.voltages.T):
+        viol = (v > hi_a) | (v < lo_a)
+        out_b = np.concatenate(([False], (v > hi_b) | (v < lo_b), [False]))
+        for t0, t1 in np.flatnonzero(np.diff(out_b)).reshape(-1, 2).tolist():
+            if t1 - t0 >= sustain_ticks:
+                viol[t0:t1] = True
+        if count := int(np.sum(viol)):
+            vvi_per[b] = count
+    return vvi_per

@@ -17,6 +17,8 @@ from voltvar_sim.adaptation import (
 )
 from voltvar_sim.control import AdaptiveParams
 
+from oracles import window_stats_rows
+
 # frozen from hand evaluation: 100*(0.01/1.01 + 0.01/1.00 + 0.01/1.01)/4
 VF_ALTERNATING = 0.745049504950495
 
@@ -71,6 +73,27 @@ class TestWindowStats:
         for j in range(n_units):
             want = reference(v[:, j].tolist(), float(mu[j]), p[:, j].tolist())
             assert (s.sse_avg[j], s.vf[j], s.p_pv_avg[j]) == want
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 4), (7, 3, 5)])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_block_matches_row_loop_reference(self, shape, signed):
+        # bit for bit against the sums walked row by row from zero, with
+        # columns whose every term is -0.0 (the reference sums them to +0.0)
+        rng = np.random.default_rng(3)
+        v = 1.0 + rng.normal(0.0, 0.02, shape)
+        p = rng.uniform(0.1, 0.9, shape)
+        mu = rng.uniform(0.95, 1.05, shape[1:])
+        if len(shape) > 1:
+            v[:, 0] = -1.0  # every (signed) flicker term is -0.0
+            v[:, 1] = -0.0  # every v - mu term is -0.0 against mu = 0
+            mu[1] = 0.0
+            p[:, 0] = -0.0
+        with np.errstate(invalid="ignore"):  # 0/0 flicker of the -0.0 column
+            got = window_stats(v, mu, p, signed_flicker=signed)
+            want = window_stats_rows(v, mu, p, signed_flicker=signed)
+        for g, w in zip((got.sse_avg, got.vf, got.p_pv_avg), want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(AdaptationError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,13 @@ from voltvar_sim.feeder import (
     solve_power_flow,
 )
 
-from oracles import bus_injections, gauss_nodal_solve, total_losses, two_bus_voltage
+from oracles import (
+    bus_injections,
+    fixed_point_reference,
+    gauss_nodal_solve,
+    total_losses,
+    two_bus_voltage,
+)
 
 # frozen from the closed-form two-bus oracle (v1=1, z=0.01+j0.05, S=0.5+j0.2)
 TWO_BUS_V2 = 0.9844907599865401
@@ -329,6 +337,69 @@ def test_near_loadability_converges_through_newton_fallback(monkeypatch):
     )
     assert solve_power_flow(_two_bus()).converged
     assert len(calls) == 1  # the test load needs no fallback
+
+
+def _fixed_point_case(name, request):
+    """(compiled network, S_spec, slack voltage, v0) of a named case."""
+    feeder30 = request.getfixturevalue("feeder30")
+    model, injections, v0 = feeder30, None, None
+    if name == "feeder30_warm":
+        base = solve_power_flow(feeder30)
+        v0 = base.v_mag * np.exp(1j * base.v_ang)
+        injections = {b: (-0.02, 0.03) for b in feeder30.pv_buses}
+    elif name == "ieee4_closed":
+        model = request.getfixturevalue("ieee4_closed")
+    elif name == "feeder30_meshed":
+        model = replace(feeder30, lines=feeder30.lines + (Line("t16", "l14", 0.01, 0.02),))
+    elif name == "two_bus_9x_load":
+        model = _two_bus(load_p=4.5, load_q=1.8)
+    elif name == "slack_only":
+        model = FeederModel(buses=(Bus("s", "slack", v_set=1.02),), lines=())
+    elif name == "zero_in_v0":
+        base = solve_power_flow(feeder30)
+        v0 = base.v_mag * np.exp(1j * base.v_ang)
+        v0[5] = 0.0
+    net = compile_network(model)
+    return net, feeder._spec_injections(model, net, injections), model.slack.v_set, v0
+
+
+@pytest.mark.parametrize("name", [
+    "feeder30_cold", "feeder30_warm", "ieee4_closed", "feeder30_meshed",
+    "two_bus_9x_load", "slack_only", "zero_in_v0",
+])
+def test_fixed_point_matches_reference_bit_for_bit(name, request, monkeypatch):
+    # the reference keeps the `np.max` reductions the kernel replaced
+    net, s, v_slack, v0 = _fixed_point_case(name, request)
+    got = feeder._fixed_point(net, s, v_slack, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    want = fixed_point_reference(net, s, v_slack, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:3] == want[1:3]
+    assert type(got[1]) is bool
+    assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+    converged, iterations, mismatch = got[1:]
+    if name == "two_bus_9x_load":
+        assert (converged, iterations) == (False, DEFAULT_MAX_ITER)
+    elif name == "slack_only":
+        assert (converged, iterations, mismatch) == (True, 0, 0.0)
+    elif name == "zero_in_v0":
+        # the first step is not finite, so the loop stops and Newton runs:
+        # from the warm start (which fails on the zero) and then flat
+        assert not converged and iterations == 1
+        model = request.getfixturevalue("feeder30")
+        warm = solve_power_flow(model)
+        v_mag = warm.v_mag.copy()
+        v_mag[5] = 0.0
+        calls = []
+        newton = feeder._newton
+        monkeypatch.setattr(
+            feeder, "_newton", lambda *args: calls.append(args) or newton(*args)
+        )
+        with np.errstate(invalid="ignore"):  # the Jacobian at the zero voltage
+            sol = solve_power_flow(model, v_init=replace(warm, v_mag=v_mag))
+        assert sol.converged and len(calls) == 2
+        assert np.max(np.abs(sol.v_mag - warm.v_mag)) < 1e-9
+    else:
+        assert converged and 0 < iterations < DEFAULT_MAX_ITER
 
 
 def test_compiled_network_follows_topology(ieee4):

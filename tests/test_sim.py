@@ -22,6 +22,7 @@ from voltvar_sim.feeder import (
     PvUnit,
     feeder_from_dict,
     feeder_to_dict,
+    sensitivity_matrix,
     solve_power_flow,
 )
 from voltvar_sim.presets import PRESETS, get_preset
@@ -49,7 +50,7 @@ from voltvar_sim.sim import (
     write_trace_csv,
 )
 
-from oracles import band_violation_counts
+from oracles import band_violation_counts, band_violation_runs
 
 
 def _scenario(kind, horizon=100, slope=1.0, events=(), profile=0.9, **kw):
@@ -655,6 +656,27 @@ class TestMetrics:
         trace = run(sc, feeder)
         for lim in (MetricsLimits(), MetricsLimits(ansi_b=(0.99, 1.01), sustain_seconds=5.0)):
             assert metrics(trace, limits=lim).vvi_per_bus == self._loop_vvi(trace, lim)
+        # and the bus-by-bus run search, over sustain lengths and a narrow band B
+        for sustain in (1.0, 5.0, 300.0):
+            for band_b in ((0.95, 1.05), (0.995, 1.005)):
+                lim = MetricsLimits(ansi_b=band_b, sustain_seconds=sustain)
+                assert metrics(trace, limits=lim).vvi_per_bus == band_violation_runs(trace, lim)
+
+    def test_blocked_metrics_match_one_block(self, monkeypatch):
+        # a block of one bus (band runs) and one unit (windows) at a time
+        feeder, sc = get_preset("intermittency")
+        trace = run(sc, feeder)
+        lim = MetricsLimits(ansi_b=(0.995, 1.005), sustain_seconds=5.0)
+        mu = np.linspace(0.99, 1.01, len(trace.unit_buses))  # one set point per unit
+        mu_series = np.broadcast_to(mu, trace.mu.shape)
+        whole = metrics(trace, mu, lim), trace.window_stats(10, mu_series)
+        monkeypatch.setattr(sim_module, "_BLOCK_BYTES", 1)
+        blocked = metrics(trace, mu, lim), trace.window_stats(10, mu_series)
+        assert repr(vars(blocked[0])) == repr(vars(whole[0]))
+        for got, want in zip(vars(blocked[1]).values(), vars(whole[1]).values()):
+            assert got.tobytes() == want.tobytes()
+        assert whole[0].vvi > 0 and whole[0].fc > 0
+        assert whole[1].vf.shape == ((trace.horizon - 1) // 10, len(trace.unit_buses))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -722,6 +744,23 @@ class TestCsvRoundTrip:
 
 
 class TestLinearizedEngine:
+    @pytest.mark.parametrize("fixture", ["ieee4", "feeder30"])
+    def test_unit_order_and_sensitivity_columns(self, fixture, request):
+        # PV buses in island order, dark units in model order, and dV/dQ the
+        # sensitivity matrix's PV columns, bit for bit
+        model = request.getfixturevalue(fixture)
+        lin = linearize(model)
+        sol = solve_power_flow(model)
+        energized = [b for b in sol.load_bus_ids if b in model.pv_buses]
+        assert lin.pv_buses == tuple(energized)
+        assert lin.dark_pv_buses == tuple(b for b in model.pv_buses if b not in energized)
+        assert lin.pv_ratings == tuple(model.pv_at(b).rating_s for b in energized)
+        full = sensitivity_matrix(model, sol, buses=sol.load_bus_ids)
+        cols = [sol.load_bus_ids.index(b) for b in energized]
+        assert lin.dv_dq.tobytes() == full[:, cols].tobytes()
+        assert lin.a_matrix().tobytes() == full[np.ix_(cols, cols)].tobytes()
+        assert sensitivity_matrix(model, sol).tobytes() == lin.a_matrix().tobytes()
+
     def test_matches_full_engine_near_linearization_point(self, ieee4):
         lin = linearize(ieee4)
         sc = _scenario(ControllerKind.conventional(), slope=1.0, profile=0.9, horizon=60)
