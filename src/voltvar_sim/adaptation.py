@@ -107,10 +107,13 @@ def window_stats(
 
 def _window_sum(x: np.ndarray) -> np.ndarray:
     """Sum along the first axis in window order, the order of Python's
-    `sum` (np.sum would sum a single column pairwise).  `accumulate` starts
-    from the first row, so `+ 0.0` turns an all -0.0 sum into the +0.0
-    that a sum from zero gives."""
-    return np.add.accumulate(x, axis=0)[-1] + 0.0
+    `sum`.  `reduce` adds whole rows in turn on a C-ordered block of two or
+    more columns but sums one column pairwise, where `accumulate` (a slow
+    loop per column on wide blocks) keeps the order.  Both start from the
+    first row, so `+ 0.0` turns an all -0.0 sum into the +0.0 of Python's."""
+    rows = np.ascontiguousarray(x).reshape(len(x), -1)
+    s = np.add.reduce(rows, axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
+    return s.reshape(x.shape[1:]) + 0.0
 
 
 def strategy1_update_qp(

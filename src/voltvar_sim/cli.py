@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 usage or schema error, 3 analysis-declared unstable,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .sim import (
     Scenario,
     SimulationError,
     SimulationTrace,
+    _csv_cell,
     linearize,
     load_scenario,
     metrics,
@@ -118,25 +120,15 @@ def _metrics_table(rep) -> str:
     return "\n".join(lines)
 
 
-def _build_model(feeder: FeederModel, engine: str):
-    if engine == "linear":
-        return linearize(feeder)
-    return feeder
-
-
 def cmd_run(args) -> int:
     feeder, scenario = _resolve_run_inputs(args)
     out = _out_dir(args)
-    trace = run_sim(scenario, _build_model(feeder, args.engine))
+    trace = run_sim(scenario, linearize(feeder) if args.engine == "linear" else feeder)
     # flicker violations are counted against the scenario's maximum
     # flicker limit; strategy II intentionally works the slope up to the
     # borderline zone, so the borderline itself is not a violation
-    rep = metrics(
-        trace,
-        limits=MetricsLimits(
-            vf_lim=scenario.adaptive.vf_lim_bar, window=scenario.t_outer
-        ),
-    )
+    limits = MetricsLimits(vf_lim=scenario.adaptive.vf_lim_bar, window=scenario.t_outer)
+    rep = metrics(trace, limits=limits)
     write_trace_csv(trace, out / "trace.csv")
     write_params_csv(trace, out / "params.csv")
     payload = {
@@ -242,20 +234,19 @@ def cmd_sweep(args) -> int:
         raise _CliError("sweep needs at least one value", EXIT_USAGE)
     # every value is checked before the first run
     scenarios = [override_scenario(scenario, args.param, v) for v in values]
-    model = _build_model(feeder, args.engine)
+    model = linearize(feeder) if args.engine == "linear" else feeder
     out = _out_dir(args)
-    results = [(v, run_sim(s, model)) for v, s in zip(values, scenarios)]
+    results = [(v, _sse_series(run_sim(s, model))) for v, s in zip(values, scenarios)]
 
     sweep_path = out / "sweep.csv"
+    bus_cell = functools.cache(_csv_cell)
     with open(sweep_path, "w", encoding="utf-8") as f:
         f.write("param,value,outer_tick,bus,sse_avg\n")
-        for value, trace in results:
-            for t, b, sse in _sse_series(trace):
-                f.write(f"{args.param},{value},{t},{b},{sse!r}\n")
-    for value, trace in results:
-        series = [s for _, _, s in _sse_series(trace)]
-        final = series[-1] if series else float("nan")
-        print(f"{args.param}={value}: {len(series)} samples, final sse_avg {final:+.6f}")
+        for value, series in results:
+            for t, b, sse in series:
+                f.write(f"{args.param},{value},{t}{bus_cell(b)},{sse!r}\n")
+            final = series[-1][2] if series else float("nan")
+            print(f"{args.param}={value}: {len(series)} samples, final sse_avg {final:+.6f}")
     print(f"wrote {sweep_path}")
     return EXIT_OK
 

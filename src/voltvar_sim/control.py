@@ -8,8 +8,8 @@ functions of the local bus voltage; the simulation engine owns any state
 
 Every law and parameter block works elementwise: a field or voltage may
 be a float or an array with one entry per inverter, and an array-valued
-block is checked unit by unit.  `take_units`, `put_units` and
-`split_units` select, replace and separate the units of such a block.
+block is checked unit by unit.  `take_units` and `put_units` select and
+replace the units of such a block.
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ def clamp(x, lo, hi):
 def take_units(params, index):
     """The units at `index` of an array-valued parameter block."""
     return type(params)(*(getattr(params, f.name)[index] for f in fields(params)))
-
-
-def split_units(params) -> list:
-    """One block of plain floats per unit of an array-valued block."""
-    columns = (getattr(params, f.name).tolist() for f in fields(params))
-    return [type(params)(*row) for row in zip(*columns)]
 
 
 def put_units(params, index, block):

@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -76,7 +76,7 @@ class Bus:
         if not self.base_voltage > 0:
             raise FeederError(f"bus {self.id}: base_voltage must be > 0")
         for name in ("load_p", "load_q", "v_set"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise FeederError(f"bus {self.id}: {name} must be finite")
 
 
@@ -176,17 +176,13 @@ class FeederModel:
             if u.bus not in known:
                 raise FeederError(f"pv unit references unknown bus {u.bus}")
         # every bus must be reachable from the slack with all switches closed
-        full = self._reach(all_switches_closed=True)
+        full = _walk(self.slack_id, self.bus_ids, list(self.lines))
         for bus_id in ids:
             if bus_id not in full:
                 raise PowerFlowError(f"disconnected bus: {bus_id}")
         if self.detachable_buses is None:
-            dark = frozenset(ids) - self._reach(all_switches_closed=False)
+            dark = frozenset(ids).difference(_island(self))
             object.__setattr__(self, "detachable_buses", dark)
-
-    def _reach(self, all_switches_closed: bool) -> set[str]:
-        lines = [ln for ln in self.lines if ln.in_service or all_switches_closed]
-        return set(_walk(self.slack_id, self.bus_ids, lines))
 
     @property
     def slack_id(self) -> str:
@@ -214,7 +210,7 @@ class FeederModel:
         buses = tuple(
             replace(b, v_set=v_pu) if b.kind == "slack" else b for b in self.buses
         )
-        return self._same_lines(buses)
+        return self._copy(("_island", "_network"), buses=buses)
 
     def with_scaled_loads(self, factor: float) -> "FeederModel":
         if not (math.isfinite(factor) and factor >= 0):
@@ -223,15 +219,17 @@ class FeederModel:
             replace(b, load_p=b.load_p * factor, load_q=b.load_q * factor)
             for b in self.buses
         )
-        return self._same_lines(buses)
+        return self._copy(("_island", "_network"), buses=buses)
 
-    def _same_lines(self, buses: tuple[Bus, ...]) -> "FeederModel":
-        """Copy with new bus data on the same lines, sharing the island
-        walk and the compiled network if this snapshot has them."""
-        out = replace(self, buses=buses)
-        for kept in ("_island", "_network"):
-            if kept in self.__dict__:
-                object.__setattr__(out, kept, self.__dict__[kept])
+    def _copy(self, kept: tuple[str, ...], **changes) -> "FeederModel":
+        """Copy with `changes` to its fields and this snapshot's cached
+        `kept`, unchecked: the model checks read bus ids and kinds, line ends
+        and names, which lines are switches, PV buses and reachability with
+        all switches closed, which no caller changes.  Callers swap bus or PV
+        data (each new `Bus` or `PvUnit` checks its values) or operate one switch."""
+        out = object.__new__(FeederModel)
+        out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
+        out.__dict__.update((k, self.__dict__[k]) for k in kept if k in self.__dict__)
         return out
 
 
@@ -649,7 +647,7 @@ def apply_topology_event(
     lines = tuple(
         replace(ln, switch_state=new_state) if ln is target else ln for ln in model.lines
     )
-    updated = replace(model, lines=lines)
+    updated = model._copy((), lines=lines)
     newly_dark = set(_island(model)) - set(_island(updated))
     illegal = sorted(newly_dark - set(model.detachable_buses or frozenset()))
     if illegal:

@@ -19,10 +19,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, compress, islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .control import (
     delayed_dispatch,
     droop_dispatch,
     put_units,
-    split_units,
     take_units,
 )
 from .feeder import (
@@ -409,6 +408,16 @@ class ParamDispatch:
     params: AdaptiveParams
 
 
+class ParamLog(NamedTuple):
+    """Outer-loop updates, one per updated unit in tick, then unit order:
+    closing tick, index into `unit_buses`, and the `AdaptiveParams` fields
+    in order (the `params.csv` columns).  `ParamLog()` is the empty log."""
+
+    ticks: np.ndarray = np.zeros(0, dtype=np.intp)
+    units: np.ndarray = np.zeros(0, dtype=np.intp)
+    values: np.ndarray = np.zeros((0, 7))
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
     bus_ids: tuple[str, ...]
@@ -418,7 +427,7 @@ class SimulationTrace:
     p_out: np.ndarray  # (horizon, n_units)
     mu: np.ndarray  # (horizon, n_units)
     flags: tuple[str, ...]  # "" or "pf_diverged" per tick
-    param_dispatches: tuple[ParamDispatch, ...]
+    param_log: ParamLog
     dt_inner: float
     t_outer: int
     name: str = ""
@@ -427,6 +436,16 @@ class SimulationTrace:
     @property
     def horizon(self) -> int:
         return self.voltages.shape[0]
+
+    @property
+    def param_dispatches(self) -> tuple[ParamDispatch, ...]:
+        """The parameter log as one record, and one validated block of
+        plain floats, per updated unit; built on each access."""
+        ticks, units, values = self.param_log
+        return tuple(
+            ParamDispatch(tick=t, bus=self.unit_buses[j], params=AdaptiveParams(*row))
+            for t, j, row in zip(ticks.tolist(), units.tolist(), values.tolist())
+        )
 
     def bus_voltage(self, bus: str) -> np.ndarray:
         return self.voltages[:, self.bus_ids.index(bus)]
@@ -519,12 +538,8 @@ class SimulationEngine:
         else:
             # the profile drives PV output; any stored p_out/q_inj on the
             # model is an analysis operating point, not simulation state
-            model = replace(
-                model,
-                pv_units=tuple(
-                    replace(u, p_out=0.0, q_inj=0.0) for u in model.pv_units
-                ),
-            )
+            model = model._copy((), pv_units=tuple(
+                replace(u, p_out=0.0, q_inj=0.0) for u in model.pv_units))
             self.ratings = np.array([u.rating_s for u in model.pv_units], dtype=float)
             self._solve = SimulationEngine._solve_full
             self._dark_units = ()
@@ -744,12 +759,12 @@ class SimulationEngine:
     def run(self) -> SimulationTrace:
         while self.tick < self.scenario.horizon:
             self.step_inner()
-        # one record, and one validated parameter block, per updated unit
-        dispatches = tuple(
-            ParamDispatch(tick=t, bus=self.unit_buses[j], params=unit)
-            for t, idx, new in self._outer_log
-            for j, unit in zip(idx, split_units(new))
-        )
+        log = ParamLog()
+        if self._outer_log:  # the blocks of all outer-loop steps as one array log
+            ticks, units, new = zip(*self._outer_log)
+            values = [np.concatenate([getattr(b, f.name) for b in new]) for f in fields(new[0])]
+            log = ParamLog(np.repeat(ticks, list(map(len, units))), np.concatenate(units),
+                           np.column_stack(values))
         return SimulationTrace(
             bus_ids=self.bus_ids,
             unit_buses=self.unit_buses,
@@ -758,7 +773,7 @@ class SimulationEngine:
             p_out=self.p_profile,
             mu=self.mu_arr,
             flags=tuple(self.flags),
-            param_dispatches=dispatches,
+            param_log=log,
             dt_inner=self.scenario.dt_inner,
             t_outer=self.scenario.t_outer,
             name=self.scenario.name,
@@ -929,17 +944,16 @@ def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
 
 
 def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Per-outer-loop dispatched adaptive parameters, a block of rows at a time."""
-    bus_cell = {d.bus: _csv_cell(d.bus) for d in trace.param_dispatches}
+    """The parameter log, one row per updated unit, a block of rows at a time."""
+    ticks, units, values = trace.param_log
+    bus_cells = np.array([_csv_cell(b) for b in trace.unit_buses], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(_PARAMS_HEADER)
-        for r0 in range(0, len(trace.param_dispatches), _BLOCK_ROWS):
-            part = trace.param_dispatches[r0 : r0 + _BLOCK_ROWS]
-            values = np.array([[getattr(d.params, k) for k in _PARAMS_HEADER[2:]] for d in part],
-                              dtype=float)
-            cells = np.empty((len(part), len(_PARAMS_HEADER) - 1), dtype=object)
-            cells[:, 0] = [f"{d.tick}{bus_cell[d.bus]}" for d in part]
-            cells[:, 1:] = _float_cells(values).reshape(values.shape)
+        for r0 in range(0, len(ticks), _BLOCK_ROWS):
+            part = slice(r0, r0 + _BLOCK_ROWS)
+            cells = np.empty((len(ticks[part]), len(_PARAMS_HEADER) - 1), dtype=object)
+            cells[:, 0] = ticks[part].astype(str).astype(object) + bus_cells[units[part]]
+            cells[:, 1:] = _float_cells(values[part]).reshape(len(cells), -1)
             cells[:, -1] += "\r\n"
             f.write("".join(cells.ravel().tolist()))
 
@@ -999,7 +1013,7 @@ def read_trace_csv(
         p_out=p_out,
         mu=mu,
         flags=tuple(flags),
-        param_dispatches=(),
+        param_log=ParamLog(),
         dt_inner=dt_inner,
         t_outer=t_outer,
     )

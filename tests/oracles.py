@@ -6,7 +6,9 @@ equations built directly from the line list, bus injections and losses
 come from the line currents of a solution, and the control-loop
 iterators are straight transcriptions of the discrete maps.  The trace
 I/O oracles are the row-at-a-time `csv` forms of the package's writers
-and reader, and the band-violation count is its tick-by-tick loop.
+and reader, the band-violation count is its tick-by-tick loop, and the
+outer-loop records are built one unit at a time from the blocks the
+engine stores, as the engine once built them.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
@@ -18,16 +20,27 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 
+from voltvar_sim import adaptation, sim
+from voltvar_sim.control import AdaptiveParams
 from voltvar_sim.feeder import (
     FIXED_POINT_STEP,
     CompiledNetwork,
     FeederModel,
     PowerFlowSolution,
 )
-from voltvar_sim.sim import MetricsLimits, SimulationError, SimulationTrace
+from voltvar_sim.sim import (
+    MetricsLimits,
+    ParamDispatch,
+    ParamLog,
+    SimulationEngine,
+    SimulationError,
+    SimulationTrace,
+)
 
 
 def two_bus_voltage(v1: float, r: float, x: float, p_load: float, q_load: float) -> float:
@@ -260,6 +273,33 @@ def write_params_csv_rows(trace: SimulationTrace, path) -> None:
             )
 
 
+def param_records_per_unit(scenario, model) -> tuple[list[ParamDispatch], SimulationTrace]:
+    """A run's outer-loop updates and its trace.  The updates are taken as
+    one record per unit, split with `tolist` from every block that
+    `outer_loop_step` returns and the engine then stores with `put_units`."""
+    engine = SimulationEngine(scenario, model)
+    stepped, records = [], []
+
+    def step(*args):
+        stepped.append(adaptation_step(*args))
+        return stepped[-1]
+
+    def put(params, index, block):
+        if stepped and block is stepped[-1]:
+            columns = [getattr(block, f.name).tolist() for f in fields(block)]
+            records.extend(
+                ParamDispatch(engine.tick, engine.unit_buses[j], AdaptiveParams(*row))
+                for j, row in zip(index, zip(*columns))
+            )
+        return put_units(params, index, block)
+
+    adaptation_step, put_units = adaptation.outer_loop_step, sim.put_units
+    with mock.patch.object(adaptation, "outer_loop_step", step), \
+            mock.patch.object(sim, "put_units", put):
+        trace = engine.run()
+    return records, trace
+
+
 def read_trace_csv_rows(path, dt_inner: float = 1.0, t_outer: int = 10) -> SimulationTrace:
     """The trace CSV read row by row through `csv.reader`."""
     rows = []
@@ -284,7 +324,7 @@ def read_trace_csv_rows(path, dt_inner: float = 1.0, t_outer: int = 10) -> Simul
             flags[t] = fl
     return SimulationTrace(
         bus_ids=bus_ids, unit_buses=unit_buses, voltages=voltages, q_inj=q_inj,
-        p_out=p_out, mu=mu, flags=tuple(flags), param_dispatches=(),
+        p_out=p_out, mu=mu, flags=tuple(flags), param_log=ParamLog(),
         dt_inner=dt_inner, t_outer=t_outer,
     )
 

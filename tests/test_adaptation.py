@@ -74,16 +74,18 @@ class TestWindowStats:
             want = reference(v[:, j].tolist(), float(mu[j]), p[:, j].tolist())
             assert (s.sse_avg[j], s.vf[j], s.p_pv_avg[j]) == want
 
-    @pytest.mark.parametrize("shape", [(10,), (10, 4), (7, 3, 5)])
+    @pytest.mark.parametrize("shape", [(10,), (10, 4), (7, 3, 5), (12, 1), (10, 6000)])
     @pytest.mark.parametrize("signed", [False, True])
     def test_block_matches_row_loop_reference(self, shape, signed):
         # bit for bit against the sums walked row by row from zero, with
-        # columns whose every term is -0.0 (the reference sums them to +0.0)
+        # columns whose every term is -0.0 (the reference sums them to +0.0);
+        # a single column of more than 8 rows is where a pairwise sum differs
+        # terms of many magnitudes, so that the order of summation shows
         rng = np.random.default_rng(3)
-        v = 1.0 + rng.normal(0.0, 0.02, shape)
-        p = rng.uniform(0.1, 0.9, shape)
+        v = 1.0 + rng.normal(0.0, 0.02, shape) * 10.0 ** rng.integers(-8, 1, shape)
+        p = rng.uniform(0.1, 0.9, shape) * 10.0 ** rng.integers(-8, 1, shape)
         mu = rng.uniform(0.95, 1.05, shape[1:])
-        if len(shape) > 1:
+        if len(shape) > 1 and shape[1] > 1:
             v[:, 0] = -1.0  # every (signed) flicker term is -0.0
             v[:, 1] = -0.0  # every v - mu term is -0.0 against mu = 0
             mu[1] = 0.0

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from voltvar_sim import cli
 from voltvar_sim.cli import main
-from voltvar_sim.sim import MetricsLimits, metrics, read_trace_csv
+from voltvar_sim.feeder import feeder_to_dict
+from voltvar_sim.presets import get_preset
+from voltvar_sim.sim import MetricsLimits, metrics, read_trace_csv, scenario_to_dict
 
 ALL_PRESETS = (
     "fig3a", "fig3b", "fig3c", "fig10a", "fig10b", "fig10c",
@@ -139,6 +142,21 @@ class TestSweep:
         values = sorted({r["value"] for r in rows})
         assert values == ["10", "2", "4.5", "7"]
         assert all(r["param"] == "k_d" for r in rows)
+
+    def test_bus_id_is_quoted_as_csv_quotes_it(self, tmp_path):
+        # fig10a with its PV bus renamed to an id that needs csv quoting
+        feeder, scenario = get_preset("fig10a")
+        name = 'bus3,"x"'
+        for path, doc in (("feeder.json", feeder_to_dict(feeder)),
+                          ("scenario.json", scenario_to_dict(scenario))):
+            (tmp_path / path).write_text(json.dumps(doc).replace('"bus3"', json.dumps(name)))
+        assert main(["sweep", "--scenario", str(tmp_path / "scenario.json"), "--feeder",
+                     str(tmp_path / "feeder.json"), "--param", "k_d", "--values", "1,2",
+                     "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and {r["bus"] for r in rows} == {name}
+        assert all(len(r) == 5 and math.isfinite(float(r["sse_avg"])) for r in rows)
 
     def test_single_value_equals_run_extraction(self, tmp_path):
         out_sweep = tmp_path / "sweep"

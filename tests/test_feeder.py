@@ -428,6 +428,26 @@ def test_nan_load_scale_rejected(ieee4):
         ieee4.with_scaled_loads(float("nan"))
 
 
+def test_overflowing_load_scale_rejected():
+    # a finite factor whose product with a load is not finite
+    model = FeederModel(buses=(Bus("s", "slack"), Bus("a", "load", load_p=10.0)),
+                        lines=(Line("s", "a", 0.01, 0.05),))
+    with pytest.raises(FeederError, match="bus a: load_p must be finite"):
+        model.with_scaled_loads(1e308)
+
+
+def test_unchecked_copies_equal_checked_builds(ieee4):
+    # load, slack-voltage and switch copies skip the model checks; they
+    # build the same snapshot a checked construction does
+    scaled = ieee4.with_scaled_loads(1.5)
+    assert scaled == replace(ieee4, buses=scaled.buses)
+    surged = ieee4.with_slack_voltage(1.03)
+    assert surged == replace(ieee4, buses=surged.buses)
+    closed = apply_topology_event(ieee4, "switch1", "closed")
+    assert closed == replace(ieee4, lines=closed.lines)
+    assert closed.detachable_buses == ieee4.detachable_buses == {"bus4"}
+
+
 def test_dsbus_dv_matches_diagonal_matrix_products(feeder30):
     net = compile_network(feeder30)
     rng = np.random.default_rng(7)

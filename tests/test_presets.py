@@ -1,14 +1,21 @@
 """Preset regression: every bundled preset on the full engine reproduces
 the metrics and outer-loop dispatches recorded before the engine moved to
 array controller state.  Compared at rel 1e-9, not bit for bit, so the
-check does not depend on the BLAS build."""
+check does not depend on the BLAS build.  The trace's parameter log, read
+back as records, equals the records split unit by unit from the blocks
+the engine stores, bit for bit, in the order of updates recorded before
+the log became arrays."""
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
 from voltvar_sim.presets import PRESETS, get_preset
 from voltvar_sim.sim import MetricsLimits, metrics, run
+
+from oracles import param_records_per_unit
 
 # preset: (MSSE %, FC, VVI, diverged ticks, param dispatches,
 #          last dispatch as (tick, bus, (m_p, q_p, q_min_p, q_max_p,
@@ -49,8 +56,39 @@ RECORDED = {
 }
 
 
+# preset: the first 16 hex digits of the SHA-256 of the repr of the list
+# of (tick, bus) of its outer-loop dispatches, recorded when the engine
+# still built one record per unit as it ran
+DISPATCH_ORDER = {
+    "cloud_cover": "a226138f53810b0b",
+    "fig10a": "60627c6779232e1f",
+    "fig10b": "0e853f2178732979",
+    "fig10c": "7d6c85cabf9f76a6",
+    "fig3a": "4f53cda18c2baa0c",
+    "fig3b": "4f53cda18c2baa0c",
+    "fig3c": "4f53cda18c2baa0c",
+    "intermittency": "b9294eac23eb33c3",
+    "setpoint_step": "07ba22f2cac1a0d7",
+    "substation_surge": "a226138f53810b0b",
+}
+
+
 def test_every_preset_recorded():
-    assert sorted(RECORDED) == sorted(PRESETS)
+    assert sorted(RECORDED) == sorted(PRESETS) == sorted(DISPATCH_ORDER)
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_ORDER))
+def test_param_dispatches_match_per_unit_records(name):
+    # the array log read back as records equals the records split unit by
+    # unit from the engine's blocks, to the bit (repr tells -0.0 from 0.0);
+    # the values depend on the BLAS build, the order of updates does not
+    feeder, scenario = get_preset(name)
+    want, trace = param_records_per_unit(scenario, feeder)
+    got = trace.param_dispatches
+    assert got == tuple(want)
+    assert repr(got) == repr(tuple(want))
+    order = repr([(d.tick, d.bus) for d in got]).encode()
+    assert hashlib.sha256(order).hexdigest()[:16] == DISPATCH_ORDER[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED))

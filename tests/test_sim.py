@@ -31,6 +31,7 @@ from voltvar_sim.sim import (
     Intermittency,
     LoadScale,
     MetricsLimits,
+    ParamLog,
     Scenario,
     SetpointChange,
     SimulationEngine,
@@ -607,7 +608,7 @@ class TestMetrics:
             p_out=np.full((h, 1), 0.5),
             mu=np.ones((h, 1)),
             flags=tuple([""] * h),
-            param_dispatches=(),
+            param_log=ParamLog(),
             dt_inner=1.0,
             t_outer=t_outer,
         )
@@ -694,7 +695,7 @@ class TestMetrics:
             bus_ids=tuple(f"b{i}" for i in range(n_bus)), unit_buses=(),
             voltages=np.array(volts).reshape(h, n_bus), q_inj=np.zeros((h, 0)),
             p_out=np.zeros((h, 0)), mu=np.zeros((h, 0)), flags=("",) * h,
-            param_dispatches=(), dt_inner=1.0, t_outer=4,
+            param_log=ParamLog(), dt_inner=1.0, t_outer=4,
         )
         lim = MetricsLimits(window=4, sustain_seconds=sustain)
         assert metrics(trace, limits=lim).vvi_per_bus == self._loop_vvi(trace, lim)

@@ -5,6 +5,7 @@ the same trace bit for bit."""
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from voltvar_sim import sim
 from voltvar_sim.control import AdaptiveParams, ControlError
 from voltvar_sim.sim import (
-    ParamDispatch,
+    ParamLog,
     SimulationError,
     SimulationTrace,
     read_trace_csv,
@@ -61,8 +62,14 @@ def traces(draw) -> SimulationTrace:
     dark = draw(st.lists(st.booleans(), min_size=len(bus_ids), max_size=len(bus_ids)))
     voltages[:, dark] = np.nan
     n = len(unit_buses)
-    dispatches = draw(st.lists(
-        st.builds(ParamDispatch, st.integers(0, 10**6), bus_names, params()), max_size=30))
+    # (tick, unit index, parameter block) per logged update
+    rows = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, n - 1), params()),
+                         max_size=30)) if n else []
+    log = ParamLog(
+        ticks=np.array([t for t, _, _ in rows], dtype=np.intp),
+        units=np.array([j for _, j, _ in rows], dtype=np.intp),
+        values=np.array([astuple(p) for _, _, p in rows], dtype=float).reshape(-1, 7),
+    )
     return SimulationTrace(
         bus_ids=bus_ids,
         unit_buses=unit_buses,
@@ -73,7 +80,7 @@ def traces(draw) -> SimulationTrace:
         mu=_grid(draw, h, n, st.sampled_from([1.0, 0.99, -0.0])),
         flags=tuple(draw(st.lists(st.sampled_from(["", "pf_diverged"]), min_size=h,
                                   max_size=h))),
-        param_dispatches=tuple(dispatches),
+        param_log=log,
         dt_inner=1.0,
         t_outer=10,
     )
@@ -112,7 +119,7 @@ def test_signed_zeros_in_one_block_keep_their_sign(tmp_path):
         bus_ids=("s", "b"), unit_buses=("b",),
         voltages=np.array([[1.0, 0.0], [-0.0, 1.0]]),
         q_inj=np.array([[-0.0], [0.0]]), p_out=np.zeros((2, 1)), mu=np.ones((2, 1)),
-        flags=("", ""), param_dispatches=(), dt_inner=1.0, t_outer=10,
+        flags=("", ""), param_log=ParamLog(), dt_inner=1.0, t_outer=10,
     )
     write_trace_csv(trace, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_text().splitlines()[1:] == [
