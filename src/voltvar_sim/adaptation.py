@@ -97,23 +97,27 @@ def window_stats(
         raise AdaptationError("voltage and p_pv series lengths differ")
     if t < 2:
         raise AdaptationError("window needs at least 2 samples")
-    mu = np.broadcast_to(mu, v.shape)
-    d = (v[1:] - v[:-1]) / v[1:]
-    sse, vf, p_sum = (
-        _window_sum(x) for x in (v - mu, d if signed_flicker else np.abs(d), p)
-    )
+    # the three summands as one (T, 3, ...) block; the flicker terms start
+    # at the second sample, after a zero row that leaves their sum's bits
+    terms = np.empty((t, 3) + v.shape[1:])
+    np.subtract(v, mu, out=terms[:, 0])
+    d = terms[1:, 1]
+    np.divide(v[1:] - v[:-1], v[1:], out=d)
+    if not signed_flicker:
+        np.abs(d, out=d)
+    terms[0, 1] = 0.0
+    terms[:, 2] = p
+    sse, vf, p_sum = _window_sum(terms)
     return WindowStats(sse_avg=sse / t, vf=100.0 * vf / t, p_pv_avg=p_sum / t)
 
 
 def _window_sum(x: np.ndarray) -> np.ndarray:
     """Sum along the first axis in window order, the order of Python's
-    `sum`.  `reduce` adds whole rows in turn on a C-ordered block of two or
-    more columns but sums one column pairwise, where `accumulate` (a slow
-    loop per column on wide blocks) keeps the order.  Both start from the
-    first row, so `+ 0.0` turns an all -0.0 sum into the +0.0 of Python's."""
-    rows = np.ascontiguousarray(x).reshape(len(x), -1)
-    s = np.add.reduce(rows, axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
-    return s.reshape(x.shape[1:]) + 0.0
+    `sum`: on a C-ordered block of two or more columns, `reduce` adds whole
+    rows in turn (it would sum a single column pairwise).  Some numpy
+    versions start from the first row rather than from +0.0, so `+ 0.0`
+    turns an all -0.0 sum into the +0.0 of Python's."""
+    return np.add.reduce(x.reshape(len(x), -1), axis=0).reshape(x.shape[1:]) + 0.0
 
 
 def strategy1_update_qp(
@@ -135,16 +139,11 @@ def strategy2_update_slope(
     still out of tolerance.  Never below m_floor.
     """
     vf = np.abs(stats.vf)
-    m_new = np.select(
-        [
-            vf > cfg.vf_lim_bar,
-            vf > cfg.vf_lim,
-            vf > cfg.vf_lim - cfg.eps_vf,
-            np.abs(stats.sse_avg) > cfg.eps_sse,
-        ],
-        [m_prev - cfg.delta_vf_bar, m_prev - cfg.delta_vf, m_prev, m_prev + cfg.delta_vf],
-        m_prev,
-    )
+    # NaN statistics fail every test and keep m_prev
+    relax = ~(vf > cfg.vf_lim - cfg.eps_vf) & (np.abs(stats.sse_avg) > cfg.eps_sse)
+    m_new = np.where(vf > cfg.vf_lim_bar, m_prev - cfg.delta_vf_bar,
+                     np.where(vf > cfg.vf_lim, m_prev - cfg.delta_vf,
+                              np.where(relax, m_prev + cfg.delta_vf, m_prev)))
     return np.maximum(cfg.m_floor, m_new)[()]
 
 

@@ -8,13 +8,12 @@ functions of the local bus voltage; the simulation engine owns any state
 
 Every law and parameter block works elementwise: a field or voltage may
 be a float or an array with one entry per inverter, and an array-valued
-block is checked unit by unit.  `take_units` and `put_units` select and
-replace the units of such a block.
+block is checked unit by unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +34,6 @@ def clamp(x, lo, hi):
     """min(max(x, lo), hi) elementwise; on ties it keeps the same operand
     (and so the same signed zero) as Python's `min` and `max`."""
     return np.minimum(hi, np.maximum(lo, x))
-
-
-def take_units(params, index):
-    """The units at `index` of an array-valued parameter block."""
-    return type(params)(*(getattr(params, f.name)[index] for f in fields(params)))
-
-
-def put_units(params, index, block):
-    """`params` with the units at `index` replaced by those of `block`."""
-    values = []
-    for f in fields(params):
-        a = np.array(getattr(params, f.name), dtype=float)
-        a[index] = getattr(block, f.name)
-        values.append(a)
-    return type(params)(*values)
 
 
 @dataclass(frozen=True)

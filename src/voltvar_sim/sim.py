@@ -19,7 +19,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -38,8 +39,6 @@ from .control import (
     adaptive_dispatch,
     delayed_dispatch,
     droop_dispatch,
-    put_units,
-    take_units,
 )
 from .feeder import (
     FeederModel,
@@ -330,8 +329,13 @@ class LinearizedFeeder:
             self.v_base
             + self.dv_dq @ (q - self.q_base)
             + self.dv_dp @ (p - self.p_base)
-            + self.dv_dslack * (self.v_slack - self.v_slack_base)
+            + self._slack_term
         )
+
+    @cached_property
+    def _slack_term(self) -> np.ndarray:
+        """The substation voltage's share, once per slack voltage."""
+        return self.dv_dslack * (self.v_slack - self.v_slack_base)
 
 
 def linearize(
@@ -348,16 +352,17 @@ def linearize(
     pq = compile_network(model).pq  # island positions of `load_ids`
     units = {u.bus: u for u in model.pv_units}
     pv_buses = tuple(b for b in load_ids if b in units)
-    n = len(load_ids)
     a_full_q = sensitivity_matrix(model, sol, buses=load_ids)
 
     # dV/dP from the same Jacobian, via one finite difference per PV bus
     # (cheap at desk scale and independent of Jacobian block bookkeeping)
-    dv_dp = np.zeros((n, len(pv_buses)))
+    dv_dp = np.zeros((len(load_ids), len(pv_buses)))
+    p_base, q_base = np.zeros((2, len(pv_buses)))
     h = 1e-6
     for j, b in enumerate(pv_buses):
         inj = dict(injections or {})
         p0, q0 = inj.get(b, (0.0, 0.0))
+        p_base[j], q_base[j] = units[b].p_out + p0, units[b].q_inj + q0
         inj[b] = (p0 + h, q0)
         s_p = solve_power_flow(model, injections=inj, v_init=sol)
         inj[b] = (p0 - h, q0)
@@ -368,13 +373,6 @@ def linearize(
     s_up = solve_power_flow(stepped, injections=injections, v_init=sol)
     dv_dslack = (s_up.v_mag[pq] - sol.v_mag[pq]) / slack_step
 
-    p_base = np.zeros(len(pv_buses))
-    q_base = np.zeros(len(pv_buses))
-    for j, b in enumerate(pv_buses):
-        unit = units[b]
-        extra = (injections or {}).get(b, (0.0, 0.0))
-        p_base[j] = unit.p_out + extra[0]
-        q_base[j] = unit.q_inj + extra[1]
     on_island = set(pv_buses)
     return LinearizedFeeder(
         slack_id=model.slack_id,
@@ -443,7 +441,7 @@ class SimulationTrace:
         plain floats, per updated unit; built on each access."""
         ticks, units, values = self.param_log
         return tuple(
-            ParamDispatch(tick=t, bus=self.unit_buses[j], params=AdaptiveParams(*row))
+            ParamDispatch(t, self.unit_buses[j], AdaptiveParams(*row))
             for t, j, row in zip(ticks.tolist(), units.tolist(), values.tolist())
         )
 
@@ -463,17 +461,13 @@ class SimulationTrace:
         def windows(x: np.ndarray) -> np.ndarray:  # (horizon, n) -> (width, k, n)
             return x[1 : 1 + k * width].reshape(k, width, x.shape[1]).swapaxes(0, 1)
 
-        per = max(_BLOCK_BYTES // (8 * self.horizon), 1)  # units per call
-        blocks = [
-            window_stats(windows(self.voltages[:, cols[i : i + per]]),
-                         windows(mu[:, i : i + per]), windows(self.p_out[:, i : i + per]))
-            for i in range(0, len(cols), per)
-        ]
-        return WindowStats(*(
-            np.concatenate([getattr(s, f) for s in blocks], axis=1) if blocks
-            else np.zeros((k, 0))
-            for f in ("sse_avg", "vf", "p_pv_avg")
-        ))
+        per = max(_BLOCK_BYTES // (24 * self.horizon), 1)  # units per call: 3 sums each
+        out = np.empty((3, k, len(cols)))
+        for i in range(0, len(cols), per):
+            s = window_stats(windows(self.voltages[:, cols[i : i + per]]),
+                             windows(mu[:, i : i + per]), windows(self.p_out[:, i : i + per]))
+            out[..., i : i + per] = (s.sse_avg, s.vf, s.p_pv_avg)
+        return WindowStats(*out)
 
 
 def _materialize_profile(
@@ -516,12 +510,12 @@ class SimulationEngine:
     """Stateful runner for one scenario over one feeder model.
 
     Use `run()` for the whole horizon or `step_inner()` tick by tick.
-    Controller state is one array per parameter with an entry per unit
-    (in `unit_buses` order), and each tick dispatches every unit with one
-    elementwise call of its law, which reads only that unit's own bus
-    voltage (locality contract).  Only the constructor tells a full
-    `FeederModel` from a `LinearizedFeeder`: it binds the per-tick solve
-    and rejects the events the linear model cannot take.
+    Controller state is one matrix with a row per parameter field and a
+    column per unit (in `unit_buses` order), and each tick dispatches every
+    unit with one elementwise call of its law on the rows, which reads only
+    that unit's own bus voltage (locality contract).  Only the constructor
+    tells a full `FeederModel` from a `LinearizedFeeder`: it binds the
+    per-tick solve and rejects the events the linear model cannot take.
     """
 
     def __init__(self, scenario: Scenario, model: FeederModel | LinearizedFeeder):
@@ -535,6 +529,7 @@ class SimulationEngine:
             self.ratings = np.array(model.pv_ratings, dtype=float)
             self._solve = SimulationEngine._solve_linear
             self._dark_units = model.dark_pv_buses
+            self._row = np.empty(len(model.bus_ids))
         else:
             # the profile drives PV output; any stored p_out/q_inj on the
             # model is an analysis operating point, not simulation state
@@ -559,6 +554,7 @@ class SimulationEngine:
         self._apply_profile_events(rng)
         if not np.all(np.isfinite(self.p_profile)):
             raise SimulationError("PV profile and series values must be finite")
+        self._generating = self.p_profile > 0
 
         self.live_events: dict[int, list[EventKind]] = {}
         for tick, ev in scenario.events:
@@ -567,10 +563,9 @@ class SimulationEngine:
 
         kind = scenario.controller_kind.name
         mu = np.full(n, scenario.mu)
-        self.params: DroopParams | AdaptiveParams | None = None
+        params = None
         if kind in ("conventional", "delayed"):
-            p_peak = np.max(self.p_profile, axis=0, initial=0.0)
-            q_cap = capacity_limits(self.ratings, p_peak)[1]
+            q_cap = capacity_limits(self.ratings, np.max(self.p_profile, axis=0, initial=0.0))[1]
             if scenario.recompute_droop_capacity and not np.all(q_cap > 0):
                 # the var limits would be re-derived from cut-offs pinned at the deadband
                 full = [b for b, q in zip(self.unit_buses, q_cap) if not q > 0]
@@ -578,27 +573,33 @@ class SimulationEngine:
                     f"PV profile peak leaves no var capacity for droop at {', '.join(full)}"
                 )
             q_cap = np.maximum(q_cap, 1e-12)
-            self.params = DroopParams.from_slope(
+            params = DroopParams.from_slope(
                 mu, np.full(n, scenario.droop_deadband),
                 np.full(n, scenario.droop_slope), -q_cap, q_cap,
             )
         elif kind == "adaptive":
-            self.params = AdaptiveParams.from_slope(
+            params = AdaptiveParams.from_slope(
                 np.full(n, scenario.adaptive.m_init), np.zeros(n),
                 -self.ratings, self.ratings, mu,
             )
+        # controller state: one row per field of the block and one column per
+        # unit; the laws read it through `_rows`, a block of views of the rows
+        self._params = self._rows = None
+        if params is not None:
+            self._params = np.array(list(vars(params).values()))
+            self._rows = type(params)(*self._params)
         # column of each unit's bus in `bus_ids` / the voltage rows
         self._unit_cols = np.array(_positions(self.unit_buses, self.bus_ids), dtype=int)
 
         self.voltages = np.full((h, len(self.bus_ids)), np.nan)
         self.q_rec = np.zeros((h, n))
         self.flags: list[str] = [""] * h
-        self._outer_log: list[tuple[int, np.ndarray, AdaptiveParams]] = []
+        self._outer_log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (7, k) blocks
         self.tick = 0
         self._last_solution: PowerFlowSolution | None = None
         for ev in self.live_events.get(0, []):
             self._apply_live_event(ev)
-        self._solve_and_record(0)
+        self._solve_and_record(0, self.q_rec[0])
         self.tick = 1
 
     # -- setup helpers
@@ -607,16 +608,13 @@ class SimulationEngine:
         h = self.scenario.horizon
         mult = np.ones((h, len(self.unit_buses)))
         for tick, ev in self.scenario.events:
-            if isinstance(ev, CloudCover):
+            if isinstance(ev, (CloudCover, Intermittency)):
+                scale = ev.scale if isinstance(ev, CloudCover) else (
+                    self._resolve_series(ev.series_id, h - tick, rng))
                 for j in self._unit_indices(ev.buses):
-                    mult[tick:, j] *= ev.scale
-            elif isinstance(ev, Intermittency):
-                series = self._resolve_series(ev.series_id, h - tick, rng)
-                for j in self._unit_indices(ev.buses):
-                    mult[tick:, j] *= series
+                    mult[tick:, j] *= scale
             elif isinstance(ev, SetpointChange):
-                for j in self._unit_indices(ev.buses):
-                    self.mu_arr[tick:, j] = ev.mu
+                self.mu_arr[tick:, self._unit_indices(ev.buses)] = ev.mu
         self.p_profile *= mult
 
     def _resolve_series(
@@ -643,14 +641,30 @@ class SimulationEngine:
                 raise SimulationError(f"event references unknown PV bus {b}")
         return [self.unit_buses.index(b) for b in buses if b in self.unit_buses]
 
+    # -- controller state
+
+    @property
+    def params(self) -> DroopParams | AdaptiveParams | None:
+        """Every unit's parameters as a checked block of copies, built from
+        the parameter matrix on each access; None without control."""
+        return None if self._params is None else self._take(range(len(self.unit_buses)))
+
+    def _take(self, idx):
+        """The checked block of (copies of) the units at `idx`."""
+        return type(self._rows)(*self._params[:, idx])
+
+    def _put(self, idx, block) -> None:
+        """Store `block` (scalar fields broadcast) as the units at `idx`."""
+        for row, value in zip(self._params, vars(block).values()):
+            row[idx] = value
+
     # -- per-tick machinery
 
     def _apply_live_event(self, ev: EventKind) -> None:
         if isinstance(ev, SetpointChange):
-            if self.params is not None:
+            if self._params is not None:
                 idx = self._unit_indices(ev.buses)
-                moved = take_units(self.params, idx).with_setpoint(ev.mu)
-                self.params = put_units(self.params, idx, moved)
+                self._put(idx, self._take(idx).with_setpoint(ev.mu))
         elif isinstance(ev, SubstationVoltage):
             self.model = self.model.with_slack_voltage(ev.v_pu)
         elif isinstance(ev, SwitchEvent):
@@ -663,43 +677,34 @@ class SimulationEngine:
         """Every unit's var dispatch for tick `t` from the voltages of tick
         t-1; units without real output or on a dark bus dispatch nothing."""
         kind = self.scenario.controller_kind
-        if kind.name == "none":
+        if self._params is None:
             return np.zeros(len(self.unit_buses))
         v = self.voltages[t - 1, self._unit_cols]
-        p = self.p_profile[t]
-        active = (p > 0) & ~np.isnan(v)
+        active = self._generating[t] & ~np.isnan(v)
         if kind.name == "adaptive":
-            return np.where(active, adaptive_dispatch(self.params, v), 0.0)
+            return np.where(active, adaptive_dispatch(self._rows, v), 0.0)
         if self.scenario.recompute_droop_capacity:
             # var limits follow the leftover capacity, cut-offs stay pinned
             idx = np.flatnonzero(active)
-            d = take_units(self.params, idx)
-            q_min, q_max = capacity_limits(self.ratings[idx], p[idx])
+            d = self._take(idx)
+            q_min, q_max = capacity_limits(self.ratings[idx], self.p_profile[t, idx])
             try:
-                new = DroopParams.from_setpoints(
-                    d.mu, d.deadband_d, d.v_min, d.v_max, q_min, q_max
-                )
+                self._put(idx, DroopParams.from_setpoints(
+                    d.mu, d.deadband_d, d.v_min, d.v_max, q_min, q_max))
             except ControlError as exc:  # cut-offs pinned too close to the deadband
                 buses = ", ".join(self.unit_buses[j] for j in idx)
                 raise SimulationError(f"droop limits at tick {t} for {buses}: {exc}") from exc
-            self.params = put_units(self.params, idx, new)
-        if kind.name == "conventional":
-            return np.where(active, droop_dispatch(self.params, v), 0.0)
-        q_prev = self.q_rec[t - 1]
-        return np.where(active, delayed_dispatch(self.params, kind.tau, v, q_prev), 0.0)
+        q = (droop_dispatch(self._rows, v) if kind.name == "conventional"
+             else delayed_dispatch(self._rows, kind.tau, v, self.q_rec[t - 1]))
+        return np.where(active, q, 0.0)
 
-    def _solve_and_record(self, t: int, q: np.ndarray | None = None) -> None:
-        if q is None:
-            q = np.zeros(len(self.unit_buses))
+    def _solve_and_record(self, t: int, q: np.ndarray) -> None:
         # `_solve` is kept unbound: a bound method on the engine would be a
         # reference cycle, keeping a finished engine until a full collection
         row, converged = self._solve(self, self.p_profile[t], q)
-        if converged or t == 0:
-            self.voltages[t] = row
+        self.voltages[t] = row if converged or t == 0 else self.voltages[t - 1]
         if not converged:
             self.flags[t] = "pf_diverged"
-            if t > 0:
-                self.voltages[t] = self.voltages[t - 1]
         self.q_rec[t] = q
 
     # Per-tick solves: (PV outputs, var dispatches) -> (voltage row in
@@ -717,24 +722,26 @@ class SimulationEngine:
         return row, sol.converged
 
     def _solve_linear(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
-        return np.concatenate(([self.model.v_slack], self.model.voltages(p, q))), True
+        self._row[0] = self.model.v_slack  # the caller copies the row out
+        self._row[1:] = self.model.voltages(p, q)
+        return self._row, True
 
     def _outer_boundary(self, t: int) -> None:
         """Outer-loop step for every unit that was energized and generating
         through the whole window closing at tick `t`."""
-        T = self.scenario.t_outer
-        v = self.voltages[t - T + 1 : t + 1, self._unit_cols]
-        p = self.p_profile[t - T + 1 : t + 1]
-        idx = np.flatnonzero(~np.any(np.isnan(v), axis=0) & (np.min(p, axis=0) > 0))
+        window = slice(t - self.scenario.t_outer + 1, t + 1)
+        v = self.voltages[window, self._unit_cols]
+        p = self.p_profile[window]
+        idx = np.flatnonzero(~np.isnan(v).any(axis=0) & (p.min(axis=0) > 0))
         if len(idx):
             # perfbench's tracer wraps `sim.outer_loop_step` with a hook for
             # one unit per call, so the fleet-wide call goes through `adaptation`
             new = adaptation.outer_loop_step(
-                take_units(self.params, idx), v[:, idx], p[:, idx],
-                self.ratings[idx], self.scenario.adaptive,
+                self._take(idx), v[:, idx], p[:, idx], self.ratings[idx], self.scenario.adaptive,
             )
-            self.params = put_units(self.params, idx, new)
-            self._outer_log.append((t, idx, new))
+            self._put(idx, new)
+            # the stored columns, a copy that holds no view of the step's arrays
+            self._outer_log.append((t, idx, self._params[:, idx]))
 
     def step_inner(self) -> int:
         """Advance one tick: apply this tick's events, dispatch every
@@ -745,14 +752,9 @@ class SimulationEngine:
             raise SimulationError("simulation horizon exhausted")
         for ev in self.live_events.get(t, []):
             self._apply_live_event(ev)
-        q = self._dispatch(t)
-        self._solve_and_record(t, q)
-        if (
-            self.scenario.controller_kind.name == "adaptive"
-            and t % self.scenario.t_outer == 0
-            and t >= self.scenario.t_outer
-        ):
-            self._outer_boundary(t)
+        self._solve_and_record(t, self._dispatch(t))
+        if self.scenario.controller_kind.name == "adaptive" and t % self.scenario.t_outer == 0:
+            self._outer_boundary(t)  # t >= 1, so a whole window has closed
         self.tick += 1
         return t
 
@@ -761,10 +763,9 @@ class SimulationEngine:
             self.step_inner()
         log = ParamLog()
         if self._outer_log:  # the blocks of all outer-loop steps as one array log
-            ticks, units, new = zip(*self._outer_log)
-            values = [np.concatenate([getattr(b, f.name) for b in new]) for f in fields(new[0])]
+            ticks, units, blocks = zip(*self._outer_log)
             log = ParamLog(np.repeat(ticks, list(map(len, units))), np.concatenate(units),
-                           np.column_stack(values))
+                           np.concatenate([b.T for b in blocks]))
         return SimulationTrace(
             bus_ids=self.bus_ids,
             unit_buses=self.unit_buses,
@@ -822,12 +823,9 @@ def metrics(
     non-overlapping windows, and the count of ANSI band violations
     (instantaneous range A or range B sustained past the limit)."""
     limits = limits or MetricsLimits(window=trace.t_outer)
-    n_units = len(trace.unit_buses)
     h = trace.horizon
-    if mu is None:
-        mu_arr = trace.mu
-    else:
-        mu_arr = np.full((h, n_units), 0.0) + np.asarray(mu, dtype=float)
+    mu_arr = trace.mu if mu is None else (
+        np.full((h, len(trace.unit_buses)), 0.0) + np.asarray(mu, dtype=float))
 
     msse_per: dict[str, float] = {}
     # unit by unit: np.mean's pairwise order depends on which dark ticks drop out
@@ -841,7 +839,6 @@ def metrics(
     # windows with a dark tick have NaN flicker, which never counts
     over = trace.window_stats(limits.window, mu_arr).vf > limits.vf_lim
     fc_per = {b: int(n) for b, n in zip(trace.unit_buses, np.sum(over, axis=0))}
-    fc = sum(fc_per.values())
 
     sustain_ticks = max(int(math.ceil(limits.sustain_seconds / trace.dt_inner)), 1)
     vvi_per: dict[str, int] = {}
@@ -850,12 +847,11 @@ def metrics(
         counts = _band_violations(trace.voltages[:, i : i + per], limits.ansi_a,
                                   limits.ansi_b, sustain_ticks)
         vvi_per.update((b, n) for b, n in zip(trace.bus_ids[i:], counts.tolist()) if n)
-    vvi = sum(vvi_per.values())
 
     return MetricsReport(
         msse=msse,
-        fc=fc,
-        vvi=vvi,
+        fc=sum(fc_per.values()),
+        vvi=sum(vvi_per.values()),
         msse_per_inverter=msse_per,
         fc_per_inverter=fc_per,
         vvi_per_bus=vvi_per,

@@ -1,0 +1,116 @@
+"""SHA-256 digests of engine outputs, to show that a change keeps them bit
+for bit.  Not a test module: pytest does not collect it.
+
+Run it from the repository root on two checkouts and compare:
+
+    PYTHONPATH=src python tests/digest.py > after.txt
+    diff before.txt after.txt
+
+Cases:
+- every preset on the full engine, and `fig3a`, `fig10a` and
+  `setpoint_step` on the linear twin: the trace arrays (voltages, var
+  dispatch, real output, set-points, flags), the parameter log and the
+  metrics, then the bytes of the `trace.csv`, `params.csv` and
+  `metrics.json` that `run` writes;
+- the benchmark plans (`perfbench/workloads.py`) at seeds 0 and 1: the
+  `intermittency` run under each controller and its `k_d` sweep, and the
+  generated `ladder300` and `linear150` runs, by the bytes of every file
+  they write (`sweep.csv` included).
+
+The bits depend on the BLAS kernel (the fixed point's complex mat-vec
+goes through it), so compare digests taken on one machine class only.
+numpy's runtime report heads the output for that reason.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py)
+from voltvar_sim.cli import main  # noqa: E402
+from voltvar_sim.presets import PRESETS, get_preset  # noqa: E402
+from voltvar_sim.sim import linearize, metrics, run  # noqa: E402
+
+TWIN_PRESETS = ("fig3a", "fig10a", "setpoint_step")
+SEEDS = (0, 1)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def trace_digests(trace) -> dict[str, str]:
+    rep = metrics(trace)
+    parts = {
+        "voltages": trace.voltages, "q_inj": trace.q_inj, "p_out": trace.p_out,
+        "mu": trace.mu, **trace.param_log._asdict(),
+    }
+    out = {k: sha(np.ascontiguousarray(v).tobytes()) for k, v in parts.items()}
+    out["flags"] = sha(repr(trace.flags).encode())
+    out["metrics"] = sha(repr(vars(rep)).encode())
+    return out
+
+
+def cli_files(argv: list[str], work: Path) -> dict[str, str]:
+    """Run `voltvar-sim argv` in `work`: its exit code, and digests of its
+    stdout and of every file it writes."""
+    before = set(work.rglob("*"))
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(argv)
+    out = {"exit": str(code), "stdout": sha(stdout.getvalue().encode())}
+    for path in sorted(set(work.rglob("*")) - before):
+        if path.is_file():
+            out[str(path.relative_to(work))] = sha(path.read_bytes())
+    return out
+
+
+def cases(work: Path):
+    for name in sorted(PRESETS):
+        feeder, scenario = get_preset(name)
+        yield f"full/{name}", trace_digests(run(scenario, feeder))
+        yield f"full/{name}/cli", cli_files(
+            ["run", "--scenario", f"presets/{name}", "--out", f"full-{name}"], work)
+    for name in TWIN_PRESETS:
+        feeder, scenario = get_preset(name)
+        yield f"twin/{name}", trace_digests(run(scenario, linearize(feeder)))
+        yield f"twin/{name}/cli", cli_files(
+            ["run", "--engine", "linear", "--scenario", f"presets/{name}",
+             "--out", f"twin-{name}"], work)
+    for wname in ("study30", "ladder300", "linear150"):
+        for seed in SEEDS:
+            plan_dir = work / f"{wname}-{seed}"
+            plan_dir.mkdir()
+            os.chdir(plan_dir)
+            for inv in workloads.WORKLOADS[wname].plan(seed, plan_dir):
+                yield f"{wname}/{seed}/{inv.label}", cli_files(list(inv.argv), plan_dir)
+            os.chdir(work)
+
+
+def main_digest() -> None:
+    np.show_runtime()
+    print(f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '')}")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        os.chdir(work)
+        try:
+            for case, digests in cases(work):
+                for key, value in digests.items():
+                    print(f"{case} {key} {value}")
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    main_digest()

@@ -8,12 +8,14 @@ iterators are straight transcriptions of the discrete maps.  The trace
 I/O oracles are the row-at-a-time `csv` forms of the package's writers
 and reader, the band-violation count is its tick-by-tick loop, and the
 outer-loop records are built one unit at a time from the blocks the
-engine stores, as the engine once built them.
+outer loop returns, as the engine once built them, on units found from
+the trace.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
 point with `np.max` reductions, the window sums walked row by row from
-zero, and the band-violation run search bus by bus.
+zero, the band-violation run search bus by bus, and the outer-loop step
+as the engine ran it on a parameter block of one array per field.
 """
 
 from __future__ import annotations
@@ -21,12 +23,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import fields
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
 
-from voltvar_sim import adaptation, sim
-from voltvar_sim.control import AdaptiveParams
+from voltvar_sim import adaptation
+from voltvar_sim.adaptation import (
+    AdaptiveConfig,
+    WindowStats,
+    capacity_limits,
+    strategy1_update_qp,
+)
+from voltvar_sim.control import AdaptiveParams, clamp
 from voltvar_sim.feeder import (
     FIXED_POINT_STEP,
     CompiledNetwork,
@@ -276,27 +285,34 @@ def write_params_csv_rows(trace: SimulationTrace, path) -> None:
 def param_records_per_unit(scenario, model) -> tuple[list[ParamDispatch], SimulationTrace]:
     """A run's outer-loop updates and its trace.  The updates are taken as
     one record per unit, split with `tolist` from every block that
-    `outer_loop_step` returns and the engine then stores with `put_units`."""
+    `outer_loop_step` returns.  Each block's units are found from the trace
+    alone: those energized and generating through the whole window that
+    the step closes."""
     engine = SimulationEngine(scenario, model)
-    stepped, records = [], []
+    stepped = []
 
     def step(*args):
-        stepped.append(adaptation_step(*args))
-        return stepped[-1]
+        stepped.append((engine.tick, adaptation_step(*args)))
+        return stepped[-1][1]
 
-    def put(params, index, block):
-        if stepped and block is stepped[-1]:
-            columns = [getattr(block, f.name).tolist() for f in fields(block)]
-            records.extend(
-                ParamDispatch(engine.tick, engine.unit_buses[j], AdaptiveParams(*row))
-                for j, row in zip(index, zip(*columns))
-            )
-        return put_units(params, index, block)
-
-    adaptation_step, put_units = adaptation.outer_loop_step, sim.put_units
-    with mock.patch.object(adaptation, "outer_loop_step", step), \
-            mock.patch.object(sim, "put_units", put):
+    adaptation_step = adaptation.outer_loop_step
+    with mock.patch.object(adaptation, "outer_loop_step", step):
         trace = engine.run()
+    T = trace.t_outer
+    cols = [trace.bus_ids.index(b) for b in trace.unit_buses]
+    records = []
+    for tick, block in stepped:
+        window = slice(tick - T + 1, tick + 1)
+        live = [
+            j for j, c in enumerate(cols)
+            if not np.isnan(trace.voltages[window, c]).any() and (trace.p_out[window, j] > 0).all()
+        ]
+        columns = [getattr(block, f.name).tolist() for f in fields(block)]
+        assert len(live) == len(columns[0])
+        records.extend(
+            ParamDispatch(tick, trace.unit_buses[j], AdaptiveParams(*row))
+            for j, row in zip(live, zip(*columns))
+        )
     return records, trace
 
 
@@ -428,3 +444,84 @@ def band_violation_runs(trace: SimulationTrace, limits: MetricsLimits) -> dict[s
         if count := int(np.sum(viol)):
             vvi_per[b] = count
     return vvi_per
+
+
+def take_units(params, index):
+    """The units at `index` of an array-valued parameter block."""
+    return type(params)(*(getattr(params, f.name)[index] for f in fields(params)))
+
+
+def put_units(params, index, block):
+    """`params` with the units at `index` replaced by those of `block`."""
+    values = []
+    for f in fields(params):
+        a = np.array(getattr(params, f.name), dtype=float)
+        a[index] = getattr(block, f.name)
+        values.append(a)
+    return type(params)(*values)
+
+
+def _window_sum_reference(x: np.ndarray) -> np.ndarray:
+    """One window sum per call: `reduce` over rows on two or more columns,
+    `accumulate` down a single column."""
+    rows = np.ascontiguousarray(x).reshape(len(x), -1)
+    s = np.add.reduce(rows, axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
+    return s.reshape(x.shape[1:]) + 0.0
+
+
+def window_stats_reference(
+    voltages: Sequence[float] | np.ndarray,
+    mu: float | np.ndarray,
+    p_pv: Sequence[float] | np.ndarray,
+    signed_flicker: bool = False,
+) -> WindowStats:
+    """`window_stats` with its three quantities summed by three calls."""
+    v = np.asarray(voltages, dtype=float)
+    p = np.asarray(p_pv, dtype=float)
+    t = len(v)
+    mu = np.broadcast_to(mu, v.shape)
+    d = (v[1:] - v[:-1]) / v[1:]
+    sse, vf, p_sum = (
+        _window_sum_reference(x) for x in (v - mu, d if signed_flicker else np.abs(d), p)
+    )
+    return WindowStats(sse_avg=sse / t, vf=100.0 * vf / t, p_pv_avg=p_sum / t)
+
+
+def strategy2_update_slope_reference(
+    m_prev: float, stats: WindowStats, cfg: AdaptiveConfig
+) -> float:
+    """The flicker-zone slope update as one `np.select` over the zones."""
+    vf = np.abs(stats.vf)
+    m_new = np.select(
+        [
+            vf > cfg.vf_lim_bar,
+            vf > cfg.vf_lim,
+            vf > cfg.vf_lim - cfg.eps_vf,
+            np.abs(stats.sse_avg) > cfg.eps_sse,
+        ],
+        [m_prev - cfg.delta_vf_bar, m_prev - cfg.delta_vf, m_prev, m_prev + cfg.delta_vf],
+        m_prev,
+    )
+    return np.maximum(cfg.m_floor, m_new)[()]
+
+
+def outer_loop_step_reference(
+    params: AdaptiveParams,
+    index,
+    voltages: np.ndarray,
+    p_pv: np.ndarray,
+    rating_s: np.ndarray,
+    cfg: AdaptiveConfig,
+) -> tuple[WindowStats, AdaptiveParams, AdaptiveParams]:
+    """One outer-loop boundary as the engine ran it when it kept one array
+    per field: take the units at `index` of the n-unit block `params`, step
+    them on their (T, k) windows, and put the new block back.  Returns the
+    window statistics, the new block and the merged n-unit block."""
+    block = take_units(params, index)
+    stats = window_stats_reference(voltages, block.mu, p_pv, cfg.signed_flicker)
+    q_p = strategy1_update_qp(block.q_p, stats, cfg)
+    m_p = strategy2_update_slope_reference(block.m_p, stats, cfg)
+    q_min_p, q_max_p = capacity_limits(rating_s, stats.p_pv_avg)
+    q_p = clamp(q_p, q_min_p, q_max_p)
+    new = AdaptiveParams.from_slope(m_p, q_p, q_min_p, q_max_p, block.mu)
+    return stats, new, put_units(params, index, new)

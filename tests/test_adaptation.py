@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voltvar_sim.adaptation import (
     AdaptationError,
@@ -16,8 +19,14 @@ from voltvar_sim.adaptation import (
     window_stats,
 )
 from voltvar_sim.control import AdaptiveParams
+from voltvar_sim.sim import SimulationEngine
 
-from oracles import window_stats_rows
+from oracles import (
+    outer_loop_step_reference,
+    strategy2_update_slope_reference,
+    window_stats_reference,
+    window_stats_rows,
+)
 
 # frozen from hand evaluation: 100*(0.01/1.01 + 0.01/1.00 + 0.01/1.01)/4
 VF_ALTERNATING = 0.745049504950495
@@ -262,3 +271,113 @@ class TestConfigValidation:
             AdaptiveConfig(delta_vf=1.0, delta_vf_bar=0.5)
         with pytest.raises(AdaptationError):
             AdaptiveConfig(k_d=0.0)
+
+
+def _same(got, want) -> bool:
+    """Equal by bytes, shape and `repr`, so -0.0 and NaN bits count."""
+    return (np.shape(got) == np.shape(want) and repr(got) == repr(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def _on_edge(edge: float, gap: float, target: float) -> float:
+    """A gap near `gap` with `edge - gap == target` where one exists."""
+    for g in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, np.inf)):
+        if 0.0 < g < edge and edge - g == target:
+            return float(g)
+    return gap
+
+
+def _edge_config(stats: WindowStats, rng: np.random.Generator, signed: bool) -> AdaptiveConfig:
+    """Outer-loop constants whose zone edges sit exactly on some units'
+    |vf| (critical, subcritical and safe-zone edges) and |sse_avg|."""
+    vf = np.unique(np.abs(np.atleast_1d(stats.vf)))
+    vf = vf[np.isfinite(vf) & (vf > 0)]
+    sse = np.abs(np.atleast_1d(stats.sse_avg))
+    sse = sse[np.isfinite(sse) & (sse > 0)]
+    m_floor = float(rng.choice([0.0, 0.1, 0.5]))
+    step = float(rng.uniform(0.05, 1.0))
+    zones = dict(vf_lim_bar=0.09, vf_lim=0.03, eps_vf=0.01)
+    if len(vf) >= 3:
+        lo, mid, hi = vf[0], vf[len(vf) // 2], vf[-1]
+        zones = dict(vf_lim_bar=float(hi), vf_lim=float(mid),
+                     eps_vf=_on_edge(float(mid), float(mid - lo), float(lo)))
+    elif len(vf) == 2:
+        zones = dict(vf_lim_bar=float(vf[1]), vf_lim=float(vf[0]), eps_vf=float(vf[0]) / 2)
+    return AdaptiveConfig(
+        k_d=float(rng.uniform(0.5, 8.0)),
+        eps_sse=float(rng.choice(sse)) if len(sse) else 0.005,
+        delta_vf=step, delta_vf_bar=2 * step, m_init=m_floor + 1.0, m_floor=m_floor,
+        signed_flicker=signed, **zones,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.integers(2, 12),
+    k=st.integers(1, 60),
+    extra=st.integers(0, 3),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_outer_loop_step_matches_reference_bit_for_bit(t, k, extra, signed, seed):
+    # the one-block window sums, the nested zone picks and the engine's
+    # column take and store against the three-sum, `np.select`,
+    # `take_units`/`put_units` form, on (t, k) windows of k of n units
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    index = np.sort(rng.choice(n, k, replace=False))
+    # terms of many magnitudes, so that the order of summation shows
+    v = 1.0 + rng.normal(0.0, 0.02, (t, k)) * 10.0 ** rng.integers(-8, 1, (t, k))
+    p = rng.uniform(0.0, 0.4, (t, k)) * 10.0 ** rng.integers(-8, 1, (t, k))
+    rating = rng.uniform(0.01, 0.3, n)  # below some units' p_pv_avg
+    # half the slopes at 0 or at one of the m_floor values `_edge_config` picks
+    m_p = np.where(rng.random(n) < 0.5, rng.choice([0.0, 0.1, 0.5], n), rng.uniform(0, 3, n))
+    q_lim = rng.uniform(0.05, 0.5, n)
+    q_p = rng.uniform(-1.0, 1.0, n) * q_lim * (rng.random(n) < 0.8)
+    q_p[rng.random(n) < 0.2] = -0.0
+    mu = rng.uniform(0.95, 1.05, n)
+    special = rng.permutation(k)[:3]
+    if k >= 3:
+        v[:, special[0]] = -1.0  # every (signed) flicker term is -0.0
+        v[:, special[1]] = -0.0  # every v - mu term is -0.0 against mu = 0
+        mu[index[special[1]]] = 0.0
+        p[:, special[2]] = -0.0  # p_pv_avg of -0.0 sums to +0.0
+    params = AdaptiveParams.from_slope(m_p, q_p, -q_lim, q_lim, mu)
+    with np.errstate(all="ignore"):
+        want = window_stats_reference(v, params.mu[index], p, signed)
+        cfg = _edge_config(want, rng, signed)
+        stats, new_ref, merged_ref = outer_loop_step_reference(
+            params, index, v, p, rating[index], cfg)
+
+        got = window_stats(v, params.mu[index], p, signed)
+        # the engine's own column take and store, on a bare parameter matrix
+        engine = SimpleNamespace(_params=np.array(list(vars(params).values())), _rows=params)
+        block = SimulationEngine._take(engine, index)
+        new = outer_loop_step(block, v, p, rating[index], cfg)
+        SimulationEngine._put(engine, index, new)
+        one = window_stats(v[:, 0], params.mu[index[0]], p[:, 0], signed)
+        one_ref = window_stats_reference(v[:, 0], params.mu[index[0]], p[:, 0], signed)
+
+    for f in ("sse_avg", "vf", "p_pv_avg"):
+        assert _same(getattr(got, f), getattr(want, f)), f
+        assert _same(getattr(got, f), getattr(stats, f)), f
+        assert _same(getattr(one, f), getattr(one_ref, f)), f
+    for f, g, w, merged, merged_w in zip(vars(new), vars(new).values(), vars(new_ref).values(),
+                                         engine._params, vars(merged_ref).values()):
+        assert _same(g, w), f
+        assert _same(merged, merged_w), f
+
+
+def test_zone_picks_match_select_on_edges():
+    # each zone edge exactly, NaN statistics and signed zeros, for one unit
+    # and for a block of the same window
+    for vf, sse, m_prev in itertools.product(
+        [0.09, 0.03, 0.03 - 0.01, 0.015, math.nan, -0.0, 0.2],
+        [0.005, -0.005, 0.0051, math.nan, -0.0],
+        [0.0, 0.1, 3.0],
+    ):
+        for stats, m in ((WindowStats(sse, vf, 0.5), m_prev),
+                         (WindowStats(np.full(3, sse), np.full(3, vf), np.full(3, 0.5)),
+                          np.full(3, m_prev))):
+            assert _same(strategy2_update_slope(m, stats, CFG),
+                         strategy2_update_slope_reference(m, stats, CFG)), (vf, sse, m_prev)

@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voltvar_sim import adaptation
 from voltvar_sim import feeder as feeder_module
 from voltvar_sim import sim as sim_module
 from voltvar_sim.adaptation import AdaptiveConfig
-from voltvar_sim.control import ControllerKind, DroopParams, droop_dispatch, delayed_dispatch
+from voltvar_sim.control import (
+    AdaptiveParams,
+    ControlError,
+    ControllerKind,
+    DroopParams,
+    droop_dispatch,
+    delayed_dispatch,
+)
 from voltvar_sim.feeder import (
     Bus,
     FeederError,
@@ -489,6 +497,45 @@ class TestAdaptiveLoop:
         # q_p evolves from its pre-event value, not from a reset
         assert abs(after[0].params.q_p - before[0].params.q_p) < 0.1
         assert after[0].params.q_p != 0.0
+
+    def test_bad_block_raises_at_the_boundary_that_makes_it(self, ieee4, monkeypatch):
+        # var limits with q_min > q_max: the outer loop's new block fails
+        # its check, and the first boundary tick raises
+        monkeypatch.setattr(adaptation, "capacity_limits",
+                            lambda rating, p: (np.abs(rating) + 1.0, -np.abs(rating) - 1.0))
+        engine = SimulationEngine(_scenario(ControllerKind.adaptive()), ieee4)
+        while engine.tick < 10:
+            engine.step_inner()
+        with pytest.raises(ControlError, match="q_min_p <= q_p <= q_max_p"):
+            engine.step_inner()
+        assert engine.tick == 10
+
+    def test_params_are_the_last_logged_blocks(self, ieee4_closed, monkeypatch):
+        sc = _scenario(ControllerKind.adaptive(), profile={"bus3": 0.9, "bus4": ((30, 0.5),)},
+                       horizon=80)
+        engine = SimulationEngine(sc, ieee4_closed)
+        trace = engine.run()
+        built = []
+        check = AdaptiveParams.__post_init__
+        monkeypatch.setattr(AdaptiveParams, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        params = engine.params
+        assert len(built) == 1 and built[0] is params  # a checked block
+        ticks, units, values = trace.param_log
+        assert sorted(set(units.tolist())) == [0, 1]
+        for j in (0, 1):
+            last = values[np.flatnonzero(units == j)[-1]]
+            assert np.array([getattr(params, f)[j] for f in vars(params)]).tobytes() == \
+                last.tobytes()
+        params.q_p[:] = 5.0  # a copy: the engine's state stays as it was
+        assert engine.params.q_p.tolist() == [values[units == j][-1, 1] for j in (0, 1)]
+
+    def test_params_kind_follows_the_controller(self, ieee4):
+        for kind, want in ((ControllerKind.none(), type(None)),
+                           (ControllerKind.conventional(), DroopParams),
+                           (ControllerKind.delayed(0.5), DroopParams),
+                           (ControllerKind.adaptive(), AdaptiveParams)):
+            assert type(SimulationEngine(_scenario(kind), ieee4).params) is want
 
     def test_locality_dispatch_depends_on_own_bus_only(self, ieee4_closed):
         sc = _scenario(ControllerKind.delayed(0.5), slope=1.0, horizon=60)
