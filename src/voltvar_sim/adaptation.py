@@ -4,8 +4,8 @@ Once per control horizon of T inner ticks, each inverter independently
 recomputes its window statistics and updates its parameter block: the
 error offset q_p moves against the average set-point deviation (strategy
 I), the slope moves through four flicker zones (strategy II), var limits
-follow the leftover inverter capacity, and the voltage cut-offs are
-re-derived from the slope.  Everything uses local bus data only.  Each
+follow the leftover inverter capacity; the voltage cut-offs follow
+from the slope.  Everything uses local bus data only.  Each
 step works elementwise, so one call updates one inverter or a whole
 fleet given as arrays with one column per inverter.
 """
@@ -168,8 +168,7 @@ def outer_loop_step(
     of an array-valued `params` given (T, n) voltage and p_pv windows.
 
     Order: window statistics, strategy I (q_p), strategy II (slope),
-    capacity limits, then cut-offs from the slope.  q_p is clamped into
-    the fresh var limits.
+    then capacity limits.  q_p is clamped into the fresh var limits.
     """
     stats = window_stats(voltages, params.mu, p_pv, cfg.signed_flicker)
     q_p = strategy1_update_qp(params.q_p, stats, cfg)

@@ -124,34 +124,39 @@ def delayed_dispatch(params: DroopParams, tau: float, v: float, q_prev: float) -
 @dataclass(frozen=True)
 class AdaptiveParams:
     """Parameter block dispatched by the outer loop: slope `m_p`, error
-    offset `q_p`, var limits and the voltage cut-offs they imply."""
+    offset `q_p`, var limits and set-point `mu`.  The voltage cut-offs
+    follow from these (`slope_to_cutoffs`) and are derived on access."""
 
     m_p: float
     q_p: float
     q_min_p: float
     q_max_p: float
-    v_min_p: float
-    v_max_p: float
     mu: float
 
     def __post_init__(self) -> None:
-        if not _all(self.m_p >= 0):
-            raise ControlError("m_p must be >= 0")
+        if not _all(np.isfinite(self.m_p) & (self.m_p >= 0)):
+            raise ControlError("m_p must be finite and >= 0")
+        if not _all(np.isfinite(self.mu)):
+            raise ControlError("mu must be finite")
         if not _all((self.q_min_p <= self.q_p) & (self.q_p <= self.q_max_p)):
             raise ControlError("need q_min_p <= q_p <= q_max_p")
-        implied = self.q_max_p - self.q_p
-        flat = self.m_p == 0  # unchecked; slope 1 there keeps 0 * inf out
-        gap = abs(implied - (self.m_p + flat) * (self.mu - self.v_min_p))
-        unchecked = flat | (abs(self.v_min_p) == np.inf)
-        if not _all(unchecked | (gap <= _SLOPE_RTOL * abs(implied)) | (gap <= _SLOPE_RTOL)):
-            raise ControlError("cut-offs inconsistent with slope")
 
     @classmethod
     def from_slope(
         cls, m_p: float, q_p: float, q_min_p: float, q_max_p: float, mu: float
     ) -> "AdaptiveParams":
-        v_min_p, v_max_p = slope_to_cutoffs(m_p, q_p, q_min_p, q_max_p, mu)
-        return cls(m_p, q_p, q_min_p, q_max_p, v_min_p, v_max_p, mu)
+        """The block the outer loop dispatches (the cut-offs are derived)."""
+        return cls(m_p, q_p, q_min_p, q_max_p, mu)
+
+    @property
+    def v_min_p(self) -> float:
+        """Low cut-off, where the output reaches q_max_p (-inf when flat)."""
+        return slope_to_cutoffs(self.m_p, self.q_p, self.q_min_p, self.q_max_p, self.mu)[0]
+
+    @property
+    def v_max_p(self) -> float:
+        """High cut-off, where the output reaches q_min_p (+inf when flat)."""
+        return slope_to_cutoffs(self.m_p, self.q_p, self.q_min_p, self.q_max_p, self.mu)[1]
 
     def with_setpoint(self, mu: float) -> "AdaptiveParams":
         """The same slope, offset and var limits around a new set-point."""

@@ -200,12 +200,6 @@ class FeederModel:
     def pv_buses(self) -> tuple[str, ...]:
         return tuple(u.bus for u in self.pv_units)
 
-    def pv_at(self, bus_id: str) -> PvUnit:
-        for u in self.pv_units:
-            if u.bus == bus_id:
-                return u
-        raise FeederError(f"no pv unit at bus: {bus_id}")
-
     def with_slack_voltage(self, v_pu: float) -> "FeederModel":
         buses = tuple(
             replace(b, v_set=v_pu) if b.kind == "slack" else b for b in self.buses
@@ -236,7 +230,7 @@ class FeederModel:
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
     """Voltages over the energized island. Buses de-energized behind open
-    switches are absent; `voltage()` returns NaN for them."""
+    switches are absent."""
 
     bus_ids: tuple[str, ...]
     v_mag: np.ndarray
@@ -249,12 +243,6 @@ class PowerFlowSolution:
     @property
     def load_bus_ids(self) -> tuple[str, ...]:
         return tuple(b for b in self.bus_ids if b != self.slack_id)
-
-    def voltage(self, bus_id: str) -> float:
-        try:
-            return float(self.v_mag[self.bus_ids.index(bus_id)])
-        except ValueError:
-            return float("nan")
 
     @property
     def point_id(self) -> str:

@@ -39,6 +39,7 @@ from .control import (
     adaptive_dispatch,
     delayed_dispatch,
     droop_dispatch,
+    slope_to_cutoffs,
 )
 from .feeder import (
     FeederModel,
@@ -58,6 +59,15 @@ class SimulationError(ValueError):
 # events
 
 
+def _check_buses(buses: tuple[str, ...] | None) -> None:
+    """An event's bus list: None (every unit), or buses named once each."""
+    if buses is not None and not buses:
+        raise SimulationError("event names no bus; leave buses out for every unit")
+    for i, b in enumerate(buses or ()):
+        if b in buses[:i]:
+            raise SimulationError(f"event names bus {b} twice")
+
+
 @dataclass(frozen=True)
 class SubstationVoltage:
     v_pu: float
@@ -75,6 +85,7 @@ class SetpointChange:
     def __post_init__(self) -> None:
         if not 0.5 <= self.mu <= 1.5:
             raise SimulationError("set-point outside 0.5-1.5 pu")
+        _check_buses(self.buses)
 
 
 @dataclass(frozen=True)
@@ -85,12 +96,16 @@ class CloudCover:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale >= 0):
             raise SimulationError("cloud cover scale must be finite and >= 0")
+        _check_buses(self.buses)
 
 
 @dataclass(frozen=True)
 class Intermittency:
     series_id: str
     buses: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _check_buses(self.buses)
 
 
 @dataclass(frozen=True)
@@ -338,14 +353,9 @@ class LinearizedFeeder:
         return self.dv_dslack * (self.v_slack - self.v_slack_base)
 
 
-def linearize(
-    model: FeederModel,
-    injections: Mapping[str, tuple[float, float]] | None = None,
-    slack_step: float = 1e-6,
-) -> LinearizedFeeder:
-    """Build the linearized feeder at the operating point implied by the
-    model plus optional extra injections."""
-    sol = solve_power_flow(model, injections=injections)
+def linearize(model: FeederModel) -> LinearizedFeeder:
+    """Build the linearized feeder at the model's operating point."""
+    sol = solve_power_flow(model)
     if not sol.converged:
         raise SimulationError("cannot linearize: power flow did not converge")
     load_ids = sol.load_bus_ids
@@ -357,21 +367,17 @@ def linearize(
     # dV/dP from the same Jacobian, via one finite difference per PV bus
     # (cheap at desk scale and independent of Jacobian block bookkeeping)
     dv_dp = np.zeros((len(load_ids), len(pv_buses)))
-    p_base, q_base = np.zeros((2, len(pv_buses)))
+    p_base = np.array([units[b].p_out for b in pv_buses], dtype=float)
+    q_base = np.array([units[b].q_inj for b in pv_buses], dtype=float)
     h = 1e-6
     for j, b in enumerate(pv_buses):
-        inj = dict(injections or {})
-        p0, q0 = inj.get(b, (0.0, 0.0))
-        p_base[j], q_base[j] = units[b].p_out + p0, units[b].q_inj + q0
-        inj[b] = (p0 + h, q0)
-        s_p = solve_power_flow(model, injections=inj, v_init=sol)
-        inj[b] = (p0 - h, q0)
-        s_m = solve_power_flow(model, injections=inj, v_init=sol)
+        s_p = solve_power_flow(model, injections={b: (h, 0.0)}, v_init=sol)
+        s_m = solve_power_flow(model, injections={b: (-h, 0.0)}, v_init=sol)
         dv_dp[:, j] = (s_p.v_mag[pq] - s_m.v_mag[pq]) / (2 * h)
 
-    stepped = model.with_slack_voltage(model.slack.v_set + slack_step)
-    s_up = solve_power_flow(stepped, injections=injections, v_init=sol)
-    dv_dslack = (s_up.v_mag[pq] - sol.v_mag[pq]) / slack_step
+    stepped = model.with_slack_voltage(model.slack.v_set + h)
+    s_up = solve_power_flow(stepped, v_init=sol)
+    dv_dslack = (s_up.v_mag[pq] - sol.v_mag[pq]) / h
 
     on_island = set(pv_buses)
     return LinearizedFeeder(
@@ -399,21 +405,14 @@ def linearize(
 _BLOCK_BYTES = 1 << 14
 
 
-@dataclass(frozen=True)
-class ParamDispatch:
-    tick: int
-    bus: str
-    params: AdaptiveParams
-
-
 class ParamLog(NamedTuple):
     """Outer-loop updates, one per updated unit in tick, then unit order:
-    closing tick, index into `unit_buses`, and the `AdaptiveParams` fields
-    in order (the `params.csv` columns).  `ParamLog()` is the empty log."""
+    closing tick, index into `unit_buses`, and the five `AdaptiveParams`
+    fields in order.  `ParamLog()` is the empty log."""
 
     ticks: np.ndarray = np.zeros(0, dtype=np.intp)
     units: np.ndarray = np.zeros(0, dtype=np.intp)
-    values: np.ndarray = np.zeros((0, 7))
+    values: np.ndarray = np.zeros((0, 5))
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,16 +433,6 @@ class SimulationTrace:
     @property
     def horizon(self) -> int:
         return self.voltages.shape[0]
-
-    @property
-    def param_dispatches(self) -> tuple[ParamDispatch, ...]:
-        """The parameter log as one record, and one validated block of
-        plain floats, per updated unit; built on each access."""
-        ticks, units, values = self.param_log
-        return tuple(
-            ParamDispatch(t, self.unit_buses[j], AdaptiveParams(*row))
-            for t, j, row in zip(ticks.tolist(), units.tolist(), values.tolist())
-        )
 
     def bus_voltage(self, bus: str) -> np.ndarray:
         return self.voltages[:, self.bus_ids.index(bus)]
@@ -594,7 +583,7 @@ class SimulationEngine:
         self.voltages = np.full((h, len(self.bus_ids)), np.nan)
         self.q_rec = np.zeros((h, n))
         self.flags: list[str] = [""] * h
-        self._outer_log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (7, k) blocks
+        self._outer_log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (5, k) blocks
         self.tick = 0
         self._last_solution: PowerFlowSolution | None = None
         for ev in self.live_events.get(0, []):
@@ -940,7 +929,8 @@ def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
 
 
 def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """The parameter log, one row per updated unit, a block of rows at a time."""
+    """The parameter log, one row per updated unit, a block of rows at a
+    time; the two cut-off columns are derived from the logged fields."""
     ticks, units, values = trace.param_log
     bus_cells = np.array([_csv_cell(b) for b in trace.unit_buses], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -949,7 +939,9 @@ def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:
             part = slice(r0, r0 + _BLOCK_ROWS)
             cells = np.empty((len(ticks[part]), len(_PARAMS_HEADER) - 1), dtype=object)
             cells[:, 0] = ticks[part].astype(str).astype(object) + bus_cells[units[part]]
-            cells[:, 1:] = _float_cells(values[part]).reshape(len(cells), -1)
+            logged = values[part]
+            cols = np.column_stack([logged[:, :4], *slope_to_cutoffs(*logged.T), logged[:, 4]])
+            cells[:, 1:] = _float_cells(cols).reshape(len(cells), -1)
             cells[:, -1] += "\r\n"
             f.write("".join(cells.ravel().tolist()))
 

@@ -9,9 +9,11 @@ Run it from the repository root on two checkouts and compare:
 Cases:
 - every preset on the full engine, and `fig3a`, `fig10a` and
   `setpoint_step` on the linear twin: the trace arrays (voltages, var
-  dispatch, real output, set-points, flags), the parameter log and the
-  metrics, then the bytes of the `trace.csv`, `params.csv` and
-  `metrics.json` that `run` writes;
+  dispatch, real output, set-points, flags), the parameter log in its
+  `params.csv` column form (the five logged fields with the two cut-offs
+  derived between the var limits and the set-point) and the metrics,
+  then the bytes of the `trace.csv`, `params.csv` and `metrics.json`
+  that `run` writes;
 - the benchmark plans (`perfbench/workloads.py`) at seeds 0 and 1: the
   `intermittency` run under each controller and its `k_d` sweep, and the
   generated `ladder300` and `linear150` runs, by the bytes of every file
@@ -19,12 +21,14 @@ Cases:
 
 The bits depend on the BLAS kernel (the fixed point's complex mat-vec
 goes through it), so compare digests taken on one machine class only.
-numpy's runtime report heads the output for that reason.
+numpy's runtime report and the OpenBLAS core name head the output for
+that reason; only the lines after that header need to match.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -39,6 +43,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
 from voltvar_sim.cli import main  # noqa: E402
+from voltvar_sim.control import slope_to_cutoffs  # noqa: E402
 from voltvar_sim.presets import PRESETS, get_preset  # noqa: E402
 from voltvar_sim.sim import linearize, metrics, run  # noqa: E402
 
@@ -50,11 +55,19 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def params_columns(values: np.ndarray) -> np.ndarray:
+    """The logged parameter fields (m_p, q_p, q_min_p, q_max_p, mu) with
+    the cut-offs v_min_p, v_max_p derived before mu: the `params.csv`
+    columns."""
+    return np.column_stack([values[:, :4], *slope_to_cutoffs(*values.T), values[:, 4]])
+
+
 def trace_digests(trace) -> dict[str, str]:
     rep = metrics(trace)
+    ticks, units, values = trace.param_log
     parts = {
         "voltages": trace.voltages, "q_inj": trace.q_inj, "p_out": trace.p_out,
-        "mu": trace.mu, **trace.param_log._asdict(),
+        "mu": trace.mu, "ticks": ticks, "units": units, "values": params_columns(values),
     }
     out = {k: sha(np.ascontiguousarray(v).tobytes()) for k, v in parts.items()}
     out["flags"] = sha(repr(trace.flags).encode())
@@ -97,9 +110,31 @@ def cases(work: Path):
             os.chdir(work)
 
 
+def openblas_core() -> str:
+    """The OpenBLAS kernel this process runs: the library is found among the
+    files mapped into the process and asked through ctypes."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return "unknown"
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
 def main_digest() -> None:
     np.show_runtime()
     print(f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '')}")
+    print(f"openblas_core={openblas_core()}")
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

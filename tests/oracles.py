@@ -6,10 +6,10 @@ equations built directly from the line list, bus injections and losses
 come from the line currents of a solution, and the control-loop
 iterators are straight transcriptions of the discrete maps.  The trace
 I/O oracles are the row-at-a-time `csv` forms of the package's writers
-and reader, the band-violation count is its tick-by-tick loop, and the
-outer-loop records are built one unit at a time from the blocks the
-outer loop returns, as the engine once built them, on units found from
-the trace.
+and reader, and the band-violation count is its tick-by-tick loop.  The
+outer-loop records are read from a trace's parameter log, or built one
+unit at a time from the blocks the outer loop returns, as the engine
+once built them, on units found from the trace.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 from unittest import mock
 
@@ -44,7 +44,6 @@ from voltvar_sim.feeder import (
 )
 from voltvar_sim.sim import (
     MetricsLimits,
-    ParamDispatch,
     ParamLog,
     SimulationEngine,
     SimulationError,
@@ -139,6 +138,13 @@ def gauss_nodal_solve(
     for pos, i in enumerate(load_idx):
         out[island[i]] = v_l[pos]
     return out
+
+
+def voltage_at(solution: PowerFlowSolution, bus_id: str) -> float:
+    """Voltage magnitude of one bus of a solution; NaN for a bus off the
+    solved island."""
+    at = dict(zip(solution.bus_ids, solution.v_mag.tolist()))
+    return at.get(bus_id, math.nan)
 
 
 def _solved_lines(model: FeederModel, solution: PowerFlowSolution):
@@ -267,13 +273,32 @@ def write_trace_csv_rows(trace: SimulationTrace, path) -> None:
             )
 
 
+@dataclass(frozen=True)
+class ParamDispatch:
+    """One outer-loop update of one unit: closing tick, bus and block."""
+
+    tick: int
+    bus: str
+    params: AdaptiveParams
+
+
+def param_dispatches(trace: SimulationTrace) -> tuple[ParamDispatch, ...]:
+    """The trace's parameter log as one record, with a checked block of
+    plain floats, per updated unit."""
+    ticks, units, values = trace.param_log
+    return tuple(
+        ParamDispatch(t, trace.unit_buses[j], AdaptiveParams(*row))
+        for t, j, row in zip(ticks.tolist(), units.tolist(), values.tolist())
+    )
+
+
 def write_params_csv_rows(trace: SimulationTrace, path) -> None:
     """The parameter CSV written row by row through `csv.writer`."""
     cols = ["tick", "bus", "m_p", "q_p", "q_min_p", "q_max_p", "v_min_p", "v_max_p", "mu"]
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(cols)
-        for d in trace.param_dispatches:
+        for d in param_dispatches(trace):
             p = d.params
             writer.writerow(
                 [d.tick, d.bus]

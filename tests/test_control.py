@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -192,6 +194,46 @@ class TestParamValidation:
             AdaptiveParams.from_slope(1.0, 0.9, -0.5, 0.5, 1.0)  # q_p above q_max
         with pytest.raises(ControlError):
             AdaptiveParams.from_slope(-1.0, 0.0, -0.5, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "m_p, q_p, q_min_p, q_max_p, mu",
+        [
+            pytest.param(1.0, 0.0, -0.5, 0.5, math.nan, id="nan_mu"),
+            pytest.param(0.0, 0.0, -0.5, 0.5, math.nan, id="nan_mu_flat"),
+            pytest.param(1.0, 0.0, -0.5, 0.5, math.inf, id="inf_mu"),
+            pytest.param(math.inf, 0.0, -0.5, 0.5, 1.0, id="inf_slope"),
+            pytest.param(math.nan, 0.0, -0.5, 0.5, 1.0, id="nan_slope"),
+            pytest.param(-1.0, 0.0, -0.5, 0.5, 1.0, id="negative_slope"),
+            pytest.param(1.0, 0.0, 0.5, -0.5, 1.0, id="limits_swapped"),
+            pytest.param(1.0, -0.6, -0.5, 0.5, 1.0, id="offset_below_q_min"),
+            pytest.param(1.0, math.nan, -0.5, 0.5, 1.0, id="nan_offset"),
+        ],
+    )
+    def test_adaptive_block_rejects(self, m_p, q_p, q_min_p, q_max_p, mu):
+        with pytest.raises(ControlError):
+            AdaptiveParams(m_p, q_p, q_min_p, q_max_p, mu)
+        # one bad unit fails a whole array-valued block
+        good = np.array([1.0, 0.0, -0.5, 0.5, 1.0])
+        cols = np.stack([good, [m_p, q_p, q_min_p, q_max_p, mu]], axis=1)
+        with pytest.raises(ControlError):
+            AdaptiveParams(*cols)
+
+    @given(
+        m_p=st.sampled_from([0.0, 5e-324, 2.0]) | st.floats(0.0, 50.0),
+        q_p=st.floats(-0.3, 0.3),
+        q_lim=st.floats(0.3, 2.0),
+        mu=st.floats(0.9, 1.1),
+    )
+    def test_adaptive_cutoffs_are_derived(self, m_p, q_p, q_lim, mu):
+        p = AdaptiveParams(m_p, q_p, -q_lim, q_lim, mu)
+        assert [f.name for f in fields(p)] == ["m_p", "q_p", "q_min_p", "q_max_p", "mu"]
+        want = slope_to_cutoffs(m_p, q_p, -q_lim, q_lim, mu)
+        assert repr((p.v_min_p, p.v_max_p)) == repr(want)
+        # the same bits unit by unit in an array-valued block
+        block = AdaptiveParams(*np.array([[m_p, 1.0], [q_p, 0.0], [-q_lim, -0.5],
+                                          [q_lim, 0.5], [mu, 1.0]]))
+        assert (block.v_min_p[0], block.v_max_p[0]) == want
+        assert np.array_equal(block.v_min_p, [want[0], 0.5])
 
     def test_controller_kind(self):
         assert ControllerKind.delayed().tau == 0.5

@@ -30,6 +30,7 @@ from oracles import (
     gauss_nodal_solve,
     total_losses,
     two_bus_voltage,
+    voltage_at,
 )
 
 # frozen from the closed-form two-bus oracle (v1=1, z=0.01+j0.05, S=0.5+j0.2)
@@ -57,8 +58,8 @@ def test_flat_case_no_injection():
 def test_two_bus_matches_closed_form():
     sol = solve_power_flow(_two_bus())
     assert sol.converged
-    assert sol.voltage("b2") == pytest.approx(TWO_BUS_V2, abs=1e-8)
-    assert sol.voltage("b2") == pytest.approx(
+    assert voltage_at(sol, "b2") == pytest.approx(TWO_BUS_V2, abs=1e-8)
+    assert voltage_at(sol, "b2") == pytest.approx(
         two_bus_voltage(1.0, 0.01, 0.05, 0.5, 0.2), abs=1e-10
     )
 
@@ -67,9 +68,9 @@ def test_four_bus_matches_nodal_oracle(ieee4):
     sol = solve_power_flow(ieee4)
     assert sol.converged
     oracle = gauss_nodal_solve(ieee4)
-    assert sol.voltage("bus3") == pytest.approx(abs(oracle["bus3"]), abs=1e-6)
-    assert sol.voltage("bus2") == pytest.approx(abs(oracle["bus2"]), abs=1e-6)
-    assert np.isnan(sol.voltage("bus4"))  # behind the normally open switch
+    assert voltage_at(sol, "bus3") == pytest.approx(abs(oracle["bus3"]), abs=1e-6)
+    assert voltage_at(sol, "bus2") == pytest.approx(abs(oracle["bus2"]), abs=1e-6)
+    assert np.isnan(voltage_at(sol, "bus4"))  # behind the normally open switch
 
 
 def test_solver_deterministic(ieee4):
@@ -85,7 +86,7 @@ def test_warm_start_same_answer(ieee4):
     warm = solve_power_flow(ieee4, v_init=cold)
     assert warm.converged
     assert warm.iterations <= cold.iterations
-    assert warm.voltage("bus3") == pytest.approx(cold.voltage("bus3"), abs=1e-9)
+    assert voltage_at(warm, "bus3") == pytest.approx(voltage_at(cold, "bus3"), abs=1e-9)
 
 
 def test_power_balance(ieee4_closed):
@@ -146,7 +147,7 @@ def test_sensitivity_matches_finite_difference(fixture, request):
     for j, bus in enumerate(pv):
         up = solve_power_flow(model, injections={bus: (0.0, h)}, v_init=sol)
         dn = solve_power_flow(model, injections={bus: (0.0, -h)}, v_init=sol)
-        fd = np.array([(up.voltage(b) - dn.voltage(b)) / (2 * h) for b in pv])
+        fd = np.array([(voltage_at(up, b) - voltage_at(dn, b)) / (2 * h) for b in pv])
         assert np.max(np.abs(a[:, j] - fd)) < 1e-4
 
 
@@ -165,7 +166,7 @@ def test_sensitivity_monotonic_voltage_response(feeder30):
     for bus in pv[:3] + pv[-2:]:
         up = solve_power_flow(feeder30, injections={bus: (0.0, 0.02)}, v_init=sol)
         for other in pv:
-            assert up.voltage(other) >= sol.voltage(other) - 1e-12
+            assert voltage_at(up, other) >= voltage_at(sol, other) - 1e-12
 
 
 def test_sensitivity_requires_convergence(ieee4):
@@ -332,7 +333,7 @@ def test_near_loadability_converges_through_newton_fallback(monkeypatch):
     sol = solve_power_flow(model)
     assert sol.converged
     assert len(calls) == 1
-    assert sol.voltage("b2") == pytest.approx(
+    assert voltage_at(sol, "b2") == pytest.approx(
         two_bus_voltage(1.0, 0.01, 0.05, 4.5, 1.8), abs=1e-10
     )
     assert solve_power_flow(_two_bus()).converged

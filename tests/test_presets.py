@@ -15,7 +15,7 @@ import pytest
 from voltvar_sim.presets import PRESETS, get_preset
 from voltvar_sim.sim import MetricsLimits, metrics, run
 
-from oracles import param_records_per_unit
+from oracles import param_dispatches, param_records_per_unit
 
 # preset: (MSSE %, FC, VVI, diverged ticks, param dispatches,
 #          last dispatch as (tick, bus, (m_p, q_p, q_min_p, q_max_p,
@@ -84,7 +84,7 @@ def test_param_dispatches_match_per_unit_records(name):
     # the values depend on the BLAS build, the order of updates does not
     feeder, scenario = get_preset(name)
     want, trace = param_records_per_unit(scenario, feeder)
-    got = trace.param_dispatches
+    got = param_dispatches(trace)
     assert got == tuple(want)
     assert repr(got) == repr(tuple(want))
     order = repr([(d.tick, d.bus) for d in got]).encode()
@@ -101,11 +101,11 @@ def test_preset_matches_recorded(name):
     assert rep.msse == pytest.approx(msse, rel=1e-9)
     assert (rep.fc, rep.vvi) == (fc, vvi)
     assert sum(1 for f in trace.flags if f) == diverged
-    assert len(trace.param_dispatches) == n_dispatches
+    assert len(param_dispatches(trace)) == n_dispatches
     if last is None:
         return
     tick, bus, values = last
-    d = trace.param_dispatches[-1]
+    d = param_dispatches(trace)[-1]
     assert (d.tick, d.bus) == (tick, bus)
     p = d.params
     got = (p.m_p, p.q_p, p.q_min_p, p.q_max_p, p.v_min_p, p.v_max_p, p.mu)

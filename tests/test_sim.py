@@ -59,7 +59,7 @@ from voltvar_sim.sim import (
     write_trace_csv,
 )
 
-from oracles import band_violation_counts, band_violation_runs
+from oracles import band_violation_counts, band_violation_runs, param_dispatches, voltage_at
 
 
 def _scenario(kind, horizon=100, slope=1.0, events=(), profile=0.9, **kw):
@@ -88,7 +88,7 @@ class TestEngineBasics:
         base = solve_power_flow(ieee4)  # file stores p_out=0.9 on both units
         # only bus3 generates in the trace (bus4 dark), same injection as file
         assert trace.bus_voltage("bus3")[0] == pytest.approx(
-            base.voltage("bus3"), abs=1e-9
+            voltage_at(base, "bus3"), abs=1e-9
         )
 
     def test_conservative_slope_settles(self, ieee4):
@@ -99,7 +99,7 @@ class TestEngineBasics:
         q_bar = trace.q_inj[-1, 0]
         sol = solve_power_flow(ieee4, injections={"bus3": (0.0, q_bar)})
         params = DroopParams.from_slope(1.0, 0.0, 1.0, -0.4124, 0.4124)
-        assert droop_dispatch(params, sol.voltage("bus3")) == pytest.approx(
+        assert droop_dispatch(params, voltage_at(sol, "bus3")) == pytest.approx(
             q_bar, abs=1e-6
         )
 
@@ -365,7 +365,7 @@ class TestScenarioValidation:
         base, got = run(plain, lin), run(moved, lin)
         for name in ("voltages", "q_inj", "p_out", "mu"):
             assert getattr(got, name).tobytes() == getattr(base, name).tobytes()
-        assert (got.flags, got.param_dispatches) == (base.flags, base.param_dispatches)
+        assert (got.flags, param_dispatches(got)) == (base.flags, param_dispatches(base))
 
     def test_event_parameter_ranges(self):
         with pytest.raises(SimulationError):
@@ -376,6 +376,30 @@ class TestScenarioValidation:
             LoadScale(-1.0)
         with pytest.raises(SimulationError):
             SwitchEvent("s", "ajar")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda buses: SetpointChange(1.02, buses), id="setpoint"),
+            pytest.param(lambda buses: CloudCover(0.2, buses), id="cloud_cover"),
+            pytest.param(lambda buses: Intermittency("s", buses), id="intermittency"),
+        ],
+    )
+    def test_event_bus_list_names_each_bus_once(self, make):
+        # a repeated bus would apply the event to it twice (a 0.2 cloud
+        # cover as 0.04), and an empty list would silently do nothing
+        with pytest.raises(SimulationError, match="bus3 twice"):
+            make(("bus3", "bus4", "bus3"))
+        with pytest.raises(SimulationError, match="no bus"):
+            make(())
+        assert make(None).buses is None
+        assert make(("bus3", "bus4")).buses == ("bus3", "bus4")
+        # the scenario JSON reports the same error
+        doc = scenario_to_dict(_scenario(ControllerKind.none(), horizon=20,
+                                         events=((5, make(("bus3",))),)))
+        doc["events"][0]["buses"] = ["bus3", "bus3"]
+        with pytest.raises(SimulationError, match="bus3 twice"):
+            scenario_from_dict(doc)
 
     @pytest.mark.parametrize(
         "build",
@@ -477,12 +501,12 @@ class TestAdaptiveLoop:
             _scenario(ControllerKind.adaptive(), profile={"bus3": ((20, 0.9),)}, horizon=80),
             ieee4,
         )
-        ticks = sorted({d.tick for d in trace.param_dispatches})
+        ticks = sorted({d.tick for d in param_dispatches(trace)})
         assert ticks == [30, 40, 50, 60, 70]  # first full generating window ends at 30
 
     def test_outer_skips_idle_windows(self, ieee4):
         trace = run(_scenario(ControllerKind.adaptive(), profile=0.0), ieee4)
-        assert trace.param_dispatches == ()
+        assert param_dispatches(trace) == ()
 
     def test_qp_persists_across_topology_events(self, ieee4):
         sc = _scenario(
@@ -491,8 +515,8 @@ class TestAdaptiveLoop:
             horizon=120,
         )
         trace = run(sc, ieee4)
-        before = [d for d in trace.param_dispatches if d.tick == 50 and d.bus == "bus3"]
-        after = [d for d in trace.param_dispatches if d.tick == 60 and d.bus == "bus3"]
+        before = [d for d in param_dispatches(trace) if d.tick == 50 and d.bus == "bus3"]
+        after = [d for d in param_dispatches(trace) if d.tick == 60 and d.bus == "bus3"]
         assert before and after
         # q_p evolves from its pre-event value, not from a reset
         assert abs(after[0].params.q_p - before[0].params.q_p) < 0.1
@@ -788,7 +812,7 @@ class TestCsvRoundTrip:
         write_params_csv(trace, path)
         text = path.read_text()
         assert text.splitlines()[0] == "tick,bus,m_p,q_p,q_min_p,q_max_p,v_min_p,v_max_p,mu"
-        assert len(text.splitlines()) == len(trace.param_dispatches) + 1
+        assert len(text.splitlines()) == len(trace.param_log.ticks) + 1
 
 
 class TestLinearizedEngine:
@@ -802,7 +826,8 @@ class TestLinearizedEngine:
         energized = [b for b in sol.load_bus_ids if b in model.pv_buses]
         assert lin.pv_buses == tuple(energized)
         assert lin.dark_pv_buses == tuple(b for b in model.pv_buses if b not in energized)
-        assert lin.pv_ratings == tuple(model.pv_at(b).rating_s for b in energized)
+        ratings = {u.bus: u.rating_s for u in model.pv_units}
+        assert lin.pv_ratings == tuple(ratings[b] for b in energized)
         full = sensitivity_matrix(model, sol, buses=sol.load_bus_ids)
         cols = [sol.load_bus_ids.index(b) for b in energized]
         assert lin.dv_dq.tobytes() == full[:, cols].tobytes()

@@ -45,9 +45,8 @@ def params(draw) -> AdaptiveParams:
     q = sorted(draw(st.lists(values.filter(lambda x: not math.isnan(x)), min_size=3,
                              max_size=3)))
     m_p = draw(st.sampled_from([0.0, -0.0, 5e-324, 2.0]) | st.floats(0.0, 10.0))
-    v_min, v_max, mu = (draw(values) for _ in range(3))
     try:
-        return AdaptiveParams(m_p, q[1], q[0], q[2], v_min, v_max, mu)
+        return AdaptiveParams(m_p, q[1], q[0], q[2], draw(values))
     except ControlError:
         assume(False)
 
@@ -68,7 +67,7 @@ def traces(draw) -> SimulationTrace:
     log = ParamLog(
         ticks=np.array([t for t, _, _ in rows], dtype=np.intp),
         units=np.array([j for _, j, _ in rows], dtype=np.intp),
-        values=np.array([astuple(p) for _, _, p in rows], dtype=float).reshape(-1, 7),
+        values=np.array([astuple(p) for _, _, p in rows], dtype=float).reshape(-1, 5),
     )
     return SimulationTrace(
         bus_ids=bus_ids,
