@@ -5,6 +5,9 @@ is stable when the spectral radius of M A is below one; the per-inverter
 row-sum bound gives the conservative critical slopes.  The outer loop is
 the map S -> B S with B = I - (I + A M)^-1 A K, whose spectral radius
 determines convergence of the error-offset adaptation.
+
+The controllers are local, so M = diag(m_i) and K = diag(k_d,i): every
+function takes slopes and gains as a scalar or as one value per inverter.
 """
 
 from __future__ import annotations
@@ -53,20 +56,19 @@ def spectral_radius(x: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(x))))
 
 
-def _as_diag(m: np.ndarray, n: int) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        if len(m) != n:
-            raise AnalysisError("slope vector length does not match A")
-        return np.diag(m)
-    if m.shape != (n, n):
-        raise AnalysisError("M shape does not match A")
-    return m
+def _diag(values: np.ndarray | float, n: int) -> np.ndarray:
+    """diag(values) for `n` inverters, from a scalar or one value each."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim > 1:
+        raise AnalysisError("slopes and gains are a scalar or one per inverter, not a matrix")
+    if v.ndim == 1 and len(v) != n:
+        raise AnalysisError(f"{len(v)} slopes or gains for {n} inverters")
+    return np.diag(np.broadcast_to(v, (n,)))
 
 
 def stability_report(
     a_matrix: np.ndarray,
-    slopes: np.ndarray,
+    slopes: np.ndarray | float,
     operating_point_id: str | None = None,
 ) -> StabilityReport:
     """Evaluate both stability conditions for slopes `slopes` against the
@@ -78,20 +80,15 @@ def stability_report(
     a = np.asarray(a_matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise AnalysisError("A must be square")
-    n = a.shape[0]
-    m_vec = np.asarray(slopes, dtype=float).reshape(-1)
-    if len(m_vec) == 1 and n > 1:
-        m_vec = np.full(n, m_vec[0])
-    if len(m_vec) != n:
-        raise AnalysisError("slope vector length does not match A")
-    if np.any(m_vec < 0):
+    m = _diag(slopes, a.shape[0])
+    if np.any(m.diagonal() < 0):
         raise AnalysisError("slopes must be >= 0")
     row_sums = np.sum(np.abs(a), axis=1)
     critical = tuple(
         float(1.0 / s) if s > 0 else float("inf") for s in row_sums
     )
-    margins = tuple(float(1.0 - m * s) for m, s in zip(m_vec, row_sums))
-    rho = spectral_radius(np.diag(m_vec) @ a)
+    margins = tuple(float(1.0 - mi * s) for mi, s in zip(m.diagonal(), row_sums))
+    rho = spectral_radius(m @ a)
     return StabilityReport(
         rho_ma=rho,
         row_sum_margins=margins,
@@ -104,7 +101,7 @@ def stability_report(
 
 def predict_sse(
     a_matrix: np.ndarray,
-    m_diag: np.ndarray,
+    m_diag: np.ndarray | float,
     dv_d: np.ndarray,
     v_bar: np.ndarray,
     mu: np.ndarray | float,
@@ -116,7 +113,7 @@ def predict_sse(
     """
     a = np.asarray(a_matrix, dtype=float)
     n = a.shape[0]
-    m = _as_diag(m_diag, n)
+    m = _diag(m_diag, n)
     if spectral_radius(m @ a) >= 1.0:
         raise AnalysisError("series diverges: rho(MA) >= 1")
     dv_d = np.asarray(dv_d, dtype=float).reshape(n)
@@ -126,13 +123,13 @@ def predict_sse(
 
 
 def required_dq(
-    a_matrix: np.ndarray, m_diag: np.ndarray, sse: np.ndarray
+    a_matrix: np.ndarray, m_diag: np.ndarray | float, sse: np.ndarray
 ) -> np.ndarray:
     """Offset change that cancels the SSE in one shot: -(A^-1 + M) sse.
     Needs full feeder information, hence analysis-only."""
     a = np.asarray(a_matrix, dtype=float)
     n = a.shape[0]
-    m = _as_diag(m_diag, n)
+    m = _diag(m_diag, n)
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -142,19 +139,13 @@ def required_dq(
 
 
 def outer_b_matrix(
-    a_matrix: np.ndarray, m_diag: np.ndarray, k_diag: np.ndarray
+    a_matrix: np.ndarray, m_diag: np.ndarray | float, k_diag: np.ndarray | float
 ) -> ConvergenceReport:
     """Outer-loop transition matrix B = I - (I + A M)^-1 A K and whether
-    its spectral radius is below one.  K may be a scalar, vector, or
-    diagonal matrix of correction factors."""
+    its spectral radius is below one."""
     a = np.asarray(a_matrix, dtype=float)
     n = a.shape[0]
-    m = _as_diag(m_diag, n)
-    k = np.asarray(k_diag, dtype=float)
-    if k.ndim == 0:
-        k = np.eye(n) * float(k)
-    else:
-        k = _as_diag(k, n)
+    m, k = _diag(m_diag, n), _diag(k_diag, n)
     try:
         b = np.eye(n) - np.linalg.solve(np.eye(n) + a @ m, a @ k)
     except np.linalg.LinAlgError as exc:
@@ -173,7 +164,7 @@ def outer_b_matrix(
 
 def sse_adaptive_prediction(
     a_matrix: np.ndarray,
-    m_diag: np.ndarray,
+    m_diag: np.ndarray | float,
     dq_p: np.ndarray,
     v_bar: np.ndarray,
     mu: np.ndarray | float,
@@ -182,7 +173,7 @@ def sse_adaptive_prediction(
     (V_bar, .):  V_bar - mu + (I + A M)^-1 A dq_p."""
     a = np.asarray(a_matrix, dtype=float)
     n = a.shape[0]
-    m = _as_diag(m_diag, n)
+    m = _diag(m_diag, n)
     if spectral_radius(m @ a) >= 1.0:
         raise AnalysisError("series diverges: rho(M A) >= 1")
     dq_p = np.asarray(dq_p, dtype=float).reshape(n)

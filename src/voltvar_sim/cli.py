@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ import numpy as np
 from . import analysis
 from .adaptation import AdaptationError
 from .control import ControlError
-from .feeder import FeederError, FeederModel, load_feeder, solve_power_flow, sensitivity_matrix
+from .feeder import (FeederError, FeederModel, PowerFlowError, energized_pv_buses,
+                     load_feeder, sensitivity_matrix, solve_power_flow)
 from .presets import (
     BUILTIN_FEEDERS,
     PRESETS,
@@ -68,6 +70,14 @@ def _resolve_feeder(value: str) -> FeederModel:
     return load_feeder(path)
 
 
+def _set_pairs(args) -> Iterator[list[str]]:
+    """The `--set key=value` pairs as [key, value], in the order given."""
+    for key_value in args.set or []:
+        if "=" not in key_value:
+            raise _CliError(f"--set expects key=value, got {key_value!r}", EXIT_USAGE)
+        yield key_value.split("=", 1)
+
+
 def _resolve_run_inputs(args) -> tuple[FeederModel, Scenario]:
     scenario_ref = args.scenario
     if scenario_ref is None:
@@ -88,10 +98,7 @@ def _resolve_run_inputs(args) -> tuple[FeederModel, Scenario]:
         feeder = _resolve_feeder(args.feeder)
     if key in PRESETS and args.feeder is not None:
         feeder = _resolve_feeder(args.feeder)
-    for key_value in args.set or []:
-        if "=" not in key_value:
-            raise _CliError(f"--set expects key=value, got {key_value!r}", EXIT_USAGE)
-        k, v = key_value.split("=", 1)
+    for k, v in _set_pairs(args):
         scenario = override_scenario(scenario, k, v)
     if args.seed is not None:
         scenario = override_scenario(scenario, "seed", str(args.seed))
@@ -151,10 +158,7 @@ def cmd_run(args) -> int:
 
 def _analyze_params(args) -> dict[str, float]:
     params = {"m": 1.0, "k_d": 4.0}
-    for key_value in args.set or []:
-        if "=" not in key_value:
-            raise _CliError(f"--set expects key=value, got {key_value!r}", EXIT_USAGE)
-        k, v = key_value.split("=", 1)
+    for k, v in _set_pairs(args):
         if k not in ("m", "k_d"):
             raise _CliError(f"analyze supports overrides m and k_d, not {k!r}", EXIT_USAGE)
         try:
@@ -173,19 +177,17 @@ def cmd_analyze(args) -> int:
     if not solution.converged:
         print("power flow did not converge at the base operating point", file=sys.stderr)
         return EXIT_UNSTABLE
+    buses = energized_pv_buses(feeder)  # none is a usage error (exit 2)
     try:
-        a = sensitivity_matrix(feeder, solution)
-    except FeederError as exc:
-        buses = ", ".join(solution.load_bus_ids)
-        print(f"{exc} (load buses: {buses})", file=sys.stderr)
+        a = sensitivity_matrix(feeder, solution, buses)
+    except PowerFlowError as exc:  # singular Jacobian: near voltage collapse
+        print(str(exc), file=sys.stderr)
         return EXIT_UNSTABLE
-    n = a.shape[0]
-    slopes = np.full(n, params["m"])
-    stab = analysis.stability_report(a, slopes, operating_point_id=solution.point_id)
-    conv = analysis.outer_b_matrix(a, np.diag(slopes), params["k_d"] * np.eye(n))
+    stab = analysis.stability_report(a, params["m"], operating_point_id=solution.point_id)
+    conv = analysis.outer_b_matrix(a, params["m"], params["k_d"])
     payload = {
         "operating_point_id": stab.operating_point_id,
-        "inverter_buses": list(feeder.pv_buses),
+        "inverter_buses": list(buses),
         "sensitivity": [[float(x) for x in row] for row in a],
         "slope": params["m"],
         "k_d": params["k_d"],

@@ -6,9 +6,9 @@ Models are immutable snapshots and every operation returns new objects.
 Each topology is compiled once into a `CompiledNetwork`: the energized
 island, its bus index maps, Ybus, the PQ index, Z = Y_LL^-1 and
 w = -Z Y_LS, with Z from the Z-bus building algorithm rather than a
-factorization.  A model builds it on first use and keeps it; snapshots that
-differ only in loads or slack voltage share it, and a switch operation
-makes a model that compiles its own.  The compiled network is never
+factorization.  `FeederModel.network` builds it on first use and keeps it;
+snapshots that differ only in loads or slack voltage share it, and a switch
+operation makes a model that compiles its own.  The compiled network is never
 written after it is built, so snapshots stay safe to use concurrently.
 
 `solve_power_flow` runs the Z-bus fixed point (the matrix form of the
@@ -18,10 +18,11 @@ radial and meshed islands take the same path.  It stops once no voltage
 moves by more than `FIXED_POINT_STEP` pu and then requires the Newton
 mismatch test; that makes it as accurate as a Newton solve, which the
 finite-difference sensitivities rely on.  Near the loadability limit the
-fixed point stalls, so a solve that does not converge within `max_iter`
-falls back to Newton-Raphson, which also supplies the Jacobian for
-`sensitivity_matrix`.  Z is dense, so memory grows as O(n^2) in the
-island size; the design suits feeders up to about 1000 buses.
+fixed point stalls, so a solve that does not converge within
+`DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson, which also
+supplies the Jacobian for `sensitivity_matrix`.  Z is dense, so memory
+grows as O(n^2) in the island size; the design suits feeders up to about
+1000 buses.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -139,9 +140,9 @@ class FeederModel:
     an error.  The set is computed on construction and carried through
     topology events unchanged.
 
-    The island walk, the compiled network (`compile_network`) and the load
-    injections are computed on first use and kept on the snapshot; none is
-    a field, so equality and hashing ignore them.
+    The island walk, the compiled `network` and the base injections are
+    cached properties, computed on first use and kept on the snapshot; none
+    is a field, so equality and hashing ignore them.
     """
 
     buses: tuple[Bus, ...]
@@ -181,7 +182,7 @@ class FeederModel:
             if bus_id not in full:
                 raise PowerFlowError(f"disconnected bus: {bus_id}")
         if self.detachable_buses is None:
-            dark = frozenset(ids).difference(_island(self))
+            dark = frozenset(ids).difference(self._island)
             object.__setattr__(self, "detachable_buses", dark)
 
     @property
@@ -200,11 +201,35 @@ class FeederModel:
     def pv_buses(self) -> tuple[str, ...]:
         return tuple(u.bus for u in self.pv_units)
 
+    @cached_property
+    def _island(self) -> dict[str, tuple[str, int]]:
+        """`_walk` over the in-service lines: the one walk of this topology,
+        which gives the island and the spanning tree the Z-bus build follows."""
+        return _walk(self.slack_id, self.bus_ids, [ln for ln in self.lines if ln.in_service])
+
+    @cached_property
+    def network(self) -> CompiledNetwork:
+        """This topology compiled for repeated solves."""
+        return _compile(self)
+
+    @cached_property
+    def _s_base(self) -> np.ndarray:
+        """Complex injections of the loads and PV units over the island."""
+        net = self.network
+        s = np.zeros(len(net.island), dtype=complex)
+        loads = np.array([complex(b.load_p, b.load_q) for b in self.buses])
+        live = net.pos >= 0
+        s[net.pos[live]] -= loads[live]
+        for u in self.pv_units:
+            if u.bus in net.index:
+                s[net.index[u.bus]] += complex(u.p_out, u.q_inj)
+        return s
+
     def with_slack_voltage(self, v_pu: float) -> "FeederModel":
         buses = tuple(
             replace(b, v_set=v_pu) if b.kind == "slack" else b for b in self.buses
         )
-        return self._copy(("_island", "_network"), buses=buses)
+        return self._copy(("_island", "network"), buses=buses)
 
     def with_scaled_loads(self, factor: float) -> "FeederModel":
         if not (math.isfinite(factor) and factor >= 0):
@@ -213,7 +238,7 @@ class FeederModel:
             replace(b, load_p=b.load_p * factor, load_q=b.load_q * factor)
             for b in self.buses
         )
-        return self._copy(("_island", "_network"), buses=buses)
+        return self._copy(("_island", "network"), buses=buses)
 
     def _copy(self, kept: tuple[str, ...], **changes) -> "FeederModel":
         """Copy with `changes` to its fields and this snapshot's cached
@@ -296,22 +321,10 @@ def _walk(
     return via
 
 
-def _island(model: FeederModel) -> dict[str, tuple[str, int]]:
-    """`_walk` over the model's in-service lines: the one walk of its
-    topology, which gives the island and the spanning tree the Z-bus
-    build follows.  Done on first use and kept on the model."""
-    via = model.__dict__.get("_island")
-    if via is None:
-        lines = [ln for ln in model.lines if ln.in_service]
-        via = _walk(model.slack_id, model.bus_ids, lines)
-        object.__setattr__(model, "_island", via)
-    return via
-
-
 def _compile(model: FeederModel) -> CompiledNetwork:
     bus_ids = model.bus_ids
     lines = [ln for ln in model.lines if ln.in_service]  # as `_island` walked them
-    via = _island(model)
+    via = model._island
     island = tuple(b for b in bus_ids if b in via)
     index = {b: i for i, b in enumerate(island)}
     n = len(island)
@@ -375,49 +388,6 @@ def _zbus(
     return zb
 
 
-def compile_network(model: FeederModel) -> CompiledNetwork:
-    """The model's compiled network: built on first use, then kept on the
-    model (and passed on to its load and slack-voltage updates)."""
-    net = model.__dict__.get("_network")
-    if net is None:
-        net = _compile(model)
-        object.__setattr__(model, "_network", net)
-    return net
-
-
-def _base_injections(model: FeederModel, net: CompiledNetwork) -> np.ndarray:
-    """Complex injections of the model's loads and PV units over the
-    island, computed once per snapshot."""
-    s = model.__dict__.get("_s_base")
-    if s is None:
-        s = np.zeros(len(net.island), dtype=complex)
-        loads = np.array([complex(b.load_p, b.load_q) for b in model.buses])
-        live = net.pos >= 0
-        s[net.pos[live]] -= loads[live]
-        for u in model.pv_units:
-            if u.bus in net.index:
-                s[net.index[u.bus]] += complex(u.p_out, u.q_inj)
-        object.__setattr__(model, "_s_base", s)
-    return s
-
-
-def _spec_injections(
-    model: FeederModel,
-    net: CompiledNetwork,
-    injections: Mapping[str, tuple[float, float]] | np.ndarray | None,
-) -> np.ndarray:
-    s = _base_injections(model, net).copy()
-    if isinstance(injections, np.ndarray):
-        if injections.shape != net.pos.shape:
-            raise PowerFlowError("injection array needs one entry per model bus")
-        s += injections[net.cols]  # entries at dark buses are inert
-    elif injections:
-        for bus_id, (pi, qi) in injections.items():
-            if bus_id in net.index:
-                s[net.index[bus_id]] += complex(pi, qi)
-    return s
-
-
 def _dsbus_dv(ybus: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ibus = ybus @ v
     diag = np.diag_indices_from(ybus)
@@ -442,7 +412,6 @@ def _newton(
     v_slack: float,
     v0: np.ndarray | None,
     tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, bool, int, float]:
     """Newton-Raphson in polar form from `v0` or a flat start; returns the
     voltage magnitudes and angles with the fixed point's other outputs."""
@@ -455,7 +424,7 @@ def _newton(
     mismatch = np.inf
     iterations = 0
     converged = False
-    for _ in range(max_iter + 1):
+    for _ in range(DEFAULT_MAX_ITER + 1):
         v = v_mag * np.exp(1j * v_ang)
         s_calc = v * np.conj(ybus @ v)
         dpq = np.concatenate([s_spec.real[pq] - s_calc.real[pq],
@@ -464,7 +433,7 @@ def _newton(
         if mismatch <= tol:
             converged = True
             break
-        if iterations >= max_iter:
+        if iterations >= DEFAULT_MAX_ITER:
             break
         jac = _jacobian(ybus, v, pq)
         try:
@@ -489,7 +458,6 @@ def _fixed_point(
     v_slack: float,
     v0: np.ndarray | None,
     tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, bool, int, float]:
     """Z-bus fixed point V_L <- w V_S + Z conj(S_L / V_L) from `v0` or the
     no-load voltages.  Converged means the last step moved no voltage by
@@ -507,7 +475,7 @@ def _fixed_point(
     # an iteration, so the step is one direct ufunc reduction (the loop is
     # never entered with an empty `pq`)
     with np.errstate(all="ignore"):
-        while iterations < max_iter and step > FIXED_POINT_STEP:
+        while iterations < DEFAULT_MAX_ITER and step > FIXED_POINT_STEP:
             v_new = v_src + z @ np.conj(s_l / v_l)
             step = np.maximum.reduce(np.abs(v_new - v_l))
             v_l = v_new
@@ -524,43 +492,40 @@ def _fixed_point(
 
 def solve_power_flow(
     model: FeederModel,
-    injections: Mapping[str, tuple[float, float]] | np.ndarray | None = None,
+    injections: np.ndarray | None = None,
     v_init: PowerFlowSolution | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PowerFlowSolution:
     """Solve the feeder power flow over the energized island.
 
     `injections` are extra pu injections added on top of the model's loads
-    and PV unit outputs: a dict {bus: (P, Q)}, or a complex array of
-    P + jQ with one entry per bus of `model.bus_ids` (the form the
-    simulation engine feeds its inverter dispatches in).  Injections at
-    buses off the island are ignored.  `v_init` warm-starts the solve
-    from a previous solution on the same island.  The Z-bus fixed point
-    runs first; if it does not converge within `max_iter` iterations,
-    Newton-Raphson takes over from the warm start and then once more from
-    a flat start.  Non-convergence is reported via `converged=False`, not
-    raised.
+    and PV unit outputs: a complex array of P + jQ with one entry per bus
+    of `model.bus_ids`.  Injections at buses off the island are ignored.
+    `v_init` warm-starts the solve from a previous solution on the same
+    island.  The Z-bus fixed point runs first; if it does not converge
+    within `DEFAULT_MAX_ITER` iterations, Newton-Raphson takes over from
+    the warm start and then once more from a flat start.  Non-convergence
+    is reported via `converged=False`, not raised.
     """
-    net = compile_network(model)
-    s_spec = _spec_injections(model, net, injections)
+    net = model.network
+    s_spec = model._s_base
+    if injections is not None:
+        if not isinstance(injections, np.ndarray) or injections.shape != net.pos.shape:
+            raise PowerFlowError("injections need a P + jQ array, one entry per model bus")
+        s_spec = s_spec + injections[net.cols]  # entries at dark buses are inert
     v_slack = model.slack.v_set
 
     v0 = None
     if v_init is not None and v_init.bus_ids == net.island:
         v0 = v_init.v_mag * np.exp(1j * v_init.v_ang)
-    v, converged, iterations, mismatch = _fixed_point(
-        net, s_spec, v_slack, v0, tol, max_iter
-    )
+    v, converged, iterations, mismatch = _fixed_point(net, s_spec, v_slack, v0, tol)
     if converged:
         v_mag, v_ang = np.abs(v), np.angle(v)
     else:
-        v_mag, v_ang, converged, iterations, mismatch = _newton(
-            net, s_spec, v_slack, v0, tol, max_iter
-        )
+        v_mag, v_ang, converged, iterations, mismatch = _newton(net, s_spec, v_slack, v0, tol)
         if not converged and v0 is not None:
             v_mag, v_ang, converged, iterations, mismatch = _newton(
-                net, s_spec, v_slack, None, tol, max_iter
+                net, s_spec, v_slack, None, tol
             )
     return PowerFlowSolution(
         bus_ids=net.island,
@@ -573,6 +538,15 @@ def solve_power_flow(
     )
 
 
+def energized_pv_buses(model: FeederModel) -> tuple[str, ...]:
+    """The analyses' inverters: PV buses on the island, in island order."""
+    pv_buses = set(model.pv_buses)
+    buses = tuple(b for b in model.network.island if b in pv_buses)
+    if not buses:
+        raise FeederError("no energized PV unit to analyze")
+    return buses
+
+
 def sensitivity_matrix(
     model: FeederModel,
     solution: PowerFlowSolution,
@@ -580,22 +554,18 @@ def sensitivity_matrix(
 ) -> np.ndarray:
     """Voltage sensitivity A with A[i][j] = dV_i/dQ_j at the operating point.
 
-    Extracted from the power-flow Jacobian, reduced by default to the
-    energized PV-hosting buses (the per-inverter matrix the stability and
-    convergence analyses use); pass `buses` for any other subset.  Row and
-    column order follows the `buses` argument / island order.
+    Extracted from the power-flow Jacobian, reduced by default to
+    `energized_pv_buses(model)` (the per-inverter matrix); pass `buses`
+    for any other subset, in the order given.
     """
     if not solution.converged:
         raise PowerFlowError("sensitivity requires a converged operating point")
-    net = compile_network(model)
-    island = net.island
-    if island != solution.bus_ids:
+    net = model.network
+    if net.island != solution.bus_ids:
         raise PowerFlowError("solution does not match the model topology")
-    load_ids = [b for b in island if b != model.slack_id]
     if buses is None:
-        pv_buses = set(model.pv_buses)
-        buses = tuple(b for b in island if b in pv_buses) or tuple(load_ids)
-    col = {b: i for i, b in enumerate(load_ids)}
+        buses = energized_pv_buses(model)
+    col = {b: i for i, b in enumerate(solution.load_bus_ids)}
     for b in buses:
         if b not in col:
             raise FeederError(f"bus {b} is not an energized load bus")
@@ -636,7 +606,7 @@ def apply_topology_event(
         replace(ln, switch_state=new_state) if ln is target else ln for ln in model.lines
     )
     updated = model._copy((), lines=lines)
-    newly_dark = set(_island(model)) - set(_island(updated))
+    newly_dark = set(model._island) - set(updated._island)
     illegal = sorted(newly_dark - set(model.detachable_buses or frozenset()))
     if illegal:
         raise FeederError(

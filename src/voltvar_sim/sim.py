@@ -45,7 +45,6 @@ from .feeder import (
     FeederModel,
     PowerFlowSolution,
     apply_topology_event,
-    compile_network,
     sensitivity_matrix,
     solve_power_flow,
 )
@@ -359,7 +358,7 @@ def linearize(model: FeederModel) -> LinearizedFeeder:
     if not sol.converged:
         raise SimulationError("cannot linearize: power flow did not converge")
     load_ids = sol.load_bus_ids
-    pq = compile_network(model).pq  # island positions of `load_ids`
+    pq = model.network.pq  # island positions of `load_ids`
     units = {u.bus: u for u in model.pv_units}
     pv_buses = tuple(b for b in load_ids if b in units)
     a_full_q = sensitivity_matrix(model, sol, buses=load_ids)
@@ -370,9 +369,11 @@ def linearize(model: FeederModel) -> LinearizedFeeder:
     p_base = np.array([units[b].p_out for b in pv_buses], dtype=float)
     q_base = np.array([units[b].q_inj for b in pv_buses], dtype=float)
     h = 1e-6
-    for j, b in enumerate(pv_buses):
-        s_p = solve_power_flow(model, injections={b: (h, 0.0)}, v_init=sol)
-        s_m = solve_power_flow(model, injections={b: (-h, 0.0)}, v_init=sol)
+    for j, k in enumerate(_positions(pv_buses, model.bus_ids)):
+        inj = np.zeros(len(model.bus_ids), dtype=complex)
+        inj[k] = h
+        s_p = solve_power_flow(model, injections=inj, v_init=sol)
+        s_m = solve_power_flow(model, injections=-inj, v_init=sol)
         dv_dp[:, j] = (s_p.v_mag[pq] - s_m.v_mag[pq]) / (2 * h)
 
     stepped = model.with_slack_voltage(model.slack.v_set + h)
@@ -707,7 +708,7 @@ class SimulationEngine:
         if sol.converged:
             self._last_solution = sol
         row = np.full(len(self.bus_ids), np.nan)  # dark buses stay NaN
-        row[compile_network(self.model).cols] = sol.v_mag
+        row[self.model.network.cols] = sol.v_mag
         return row, sol.converged
 
     def _solve_linear(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:

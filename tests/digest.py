@@ -1,10 +1,10 @@
 """SHA-256 digests of engine outputs, to show that a change keeps them bit
 for bit.  Not a test module: pytest does not collect it.
 
-Run it from the repository root on two checkouts and compare:
+Run it from the repository root:
 
-    PYTHONPATH=src python tests/digest.py > after.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python tests/digest.py > digest.out
+    grep -v '^#' digest.out | diff tests/digest.txt -
 
 Cases:
 - every preset on the full engine, and `fig3a`, `fig10a` and
@@ -19,10 +19,15 @@ Cases:
   generated `ladder300` and `linear150` runs, by the bytes of every file
   they write (`sweep.csv` included).
 
-The bits depend on the BLAS kernel (the fixed point's complex mat-vec
-goes through it), so compare digests taken on one machine class only.
-numpy's runtime report and the OpenBLAS core name head the output for
-that reason; only the lines after that header need to match.
+The bits depend on the OpenBLAS kernel (the fixed point's complex mat-vec
+goes through it), on its thread count and on numpy's SIMD loops.  So the
+cases run in a child process with all three pinned (`PINNING`): the
+Haswell kernel, which any x86-64-v3 host can run, one BLAS thread, and
+numpy's AVX-512 loops switched off.  That body is checked in as
+`tests/digest.txt` (numpy 2.4.6, x86-64).  When the calling shell
+already exports `PINNING`, the cases run in this process.  A header of
+`#` lines (numpy's runtime report, the pinning, the OpenBLAS core) heads
+the output; only the lines after it need to match.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import ctypes
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +55,14 @@ from voltvar_sim.sim import linearize, metrics, run  # noqa: E402
 
 TWIN_PRESETS = ("fig3a", "fig10a", "setpoint_step")
 SEEDS = (0, 1)
+# numpy 2.4 names its dispatch targets X86_V4, AVX512_ICL, AVX512_SPR
+# (an older name such as AVX512F is accepted and disables nothing); a
+# threaded BLAS splits the larger products by the host's core count
+PINNING = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "OPENBLAS_NUM_THREADS": "1",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+}
 
 
 def sha(data: bytes) -> str:
@@ -132,9 +146,13 @@ def openblas_core() -> str:
 
 
 def main_digest() -> None:
-    np.show_runtime()
-    print(f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', '')}")
-    print(f"openblas_core={openblas_core()}")
+    with contextlib.redirect_stdout(io.StringIO()) as runtime:
+        np.show_runtime()
+    for line in runtime.getvalue().splitlines():
+        print(f"# {line}")
+    for key in PINNING:
+        print(f"# {key}={os.environ.get(key, '')}")
+    print(f"# openblas_core={openblas_core()}")
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -148,4 +166,8 @@ def main_digest() -> None:
 
 
 if __name__ == "__main__":
-    main_digest()
+    if all(os.environ.get(k) == v for k, v in PINNING.items()):
+        main_digest()
+    else:  # the pinning must be set before numpy and OpenBLAS load
+        env = {**os.environ, **PINNING}
+        sys.exit(subprocess.run([sys.executable, __file__], env=env).returncode)

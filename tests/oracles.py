@@ -140,6 +140,17 @@ def gauss_nodal_solve(
     return out
 
 
+def injection_array(
+    model: FeederModel, injections: dict[str, tuple[float, float]]
+) -> np.ndarray:
+    """Extra injections {bus: (P, Q)} as the complex P + jQ array over
+    `model.bus_ids` that `solve_power_flow` takes."""
+    out = np.zeros(len(model.bus_ids), dtype=complex)
+    for bus_id, (p, q) in injections.items():
+        out[model.bus_ids.index(bus_id)] += complex(p, q)
+    return out
+
+
 def voltage_at(solution: PowerFlowSolution, bus_id: str) -> float:
     """Voltage magnitude of one bus of a solution; NaN for a bus off the
     solved island."""

@@ -25,7 +25,7 @@ from voltvar_sim.sim import (
     run,
 )
 
-from oracles import voltage_at
+from oracles import injection_array, voltage_at
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -131,7 +131,7 @@ def test_criterion_3_outer_loop_gain_regimes(ieee4):
 def test_criterion_4_closed_switch_b_matrix(ieee4_closed):
     sol = solve_power_flow(ieee4_closed)
     a = sensitivity_matrix(ieee4_closed, sol)
-    rep = outer_b_matrix(a, np.diag([1.0, 1.0]), 4.0 * np.eye(2))
+    rep = outer_b_matrix(a, [1.0, 1.0], 4.0)
     mags = sorted(np.abs(np.linalg.eigvals(rep.b_matrix)), reverse=True)
     ok = abs(mags[0] - 0.73) <= 0.05 and abs(mags[1] - 0.56) <= 0.05
     _report(4, "closed-switch B-matrix eigenvalues", ok,
@@ -178,11 +178,10 @@ def test_criterion_6_sse_closed_form(ieee4):
     full_settled = run(sc, ieee4)
     v_bar_f = full_settled.bus_voltage("bus3")[-1]
     q_bar_f = full_settled.q_inj[-1, 0]
-    base_sol = solve_power_flow(ieee4, injections={"bus3": (0.0, q_bar_f)})
+    q_inj = injection_array(ieee4, {"bus3": (0.0, q_bar_f)})
+    base_sol = solve_power_flow(ieee4, injections=q_inj)
     a_full = sensitivity_matrix(ieee4, base_sol)
-    frozen = solve_power_flow(
-        ieee4.with_slack_voltage(1.05), injections={"bus3": (0.0, q_bar_f)}
-    )
+    frozen = solve_power_flow(ieee4.with_slack_voltage(1.05), injections=q_inj)
     dv_d_f = voltage_at(frozen, "bus3") - v_bar_f
     v_pred_full, _ = predict_sse(a_full, [1.0], [dv_d_f], [v_bar_f], 1.0)
     full_stepped = run(
@@ -252,8 +251,9 @@ def test_criterion_8_invariant_suites(ieee4, ieee4_closed, feeder30):
         a = sensitivity_matrix(model, sol)
         pv = [b for b in sol.bus_ids if b in set(model.pv_buses)]
         for j, bus in enumerate(pv):
-            up = solve_power_flow(model, injections={bus: (0.0, 1e-5)}, v_init=sol)
-            dn = solve_power_flow(model, injections={bus: (0.0, -1e-5)}, v_init=sol)
+            dq = injection_array(model, {bus: (0.0, 1e-5)})
+            up = solve_power_flow(model, injections=dq, v_init=sol)
+            dn = solve_power_flow(model, injections=-dq, v_init=sol)
             fd = np.array([(voltage_at(up, b) - voltage_at(dn, b)) / 2e-5 for b in pv])
             fd_ok &= bool(np.max(np.abs(a[:, j] - fd)) < 1e-4)
 

@@ -40,6 +40,15 @@ class TestSpectralRadius:
         with pytest.raises(AnalysisError):
             spectral_radius(np.ones((2, 3)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(AnalysisError, match="finite"):
+            spectral_radius(np.array([[0.3, np.nan], [0.1, 0.2]]))
+        with pytest.raises(AnalysisError, match="finite"):
+            spectral_radius(np.array([[np.inf]]))
+
+    def test_empty_matrix_is_zero(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+
 
 class TestStabilityReport:
     def test_scalar_critical_slope(self):
@@ -60,6 +69,23 @@ class TestStabilityReport:
         a = np.array([[0.3, 0.0], [0.0, 0.0]])
         rep = stability_report(a, [1.0, 1.0])
         assert rep.critical_slopes[1] == np.inf
+
+    def test_non_square_a_rejected(self):
+        with pytest.raises(AnalysisError, match="square"):
+            stability_report(np.ones((2, 3)), 1.0)
+        with pytest.raises(AnalysisError, match="square"):
+            stability_report(np.ones(2), 1.0)
+
+    def test_wrong_slope_count_rejected(self):
+        a = np.array([[0.30, 0.28], [0.27, 0.44]])
+        with pytest.raises(AnalysisError, match="1 slopes or gains for 2 inverters"):
+            stability_report(a, [1.0])
+        with pytest.raises(AnalysisError, match="3 slopes or gains for 2 inverters"):
+            stability_report(a, [1.0, 1.0, 1.0])
+
+    def test_negative_slope_rejected(self):
+        with pytest.raises(AnalysisError, match=">= 0"):
+            stability_report(np.array([[0.30, 0.28], [0.27, 0.44]]), [1.0, -0.1])
 
     def test_operating_point_id_carried(self, ieee4):
         sol = solve_power_flow(ieee4)
@@ -86,11 +112,12 @@ class TestPredictSse:
     def test_matrix_matches_iterated_series(self):
         rng = np.random.default_rng(11)
         a = np.abs(rng.normal(0.1, 0.05, size=(4, 4))) + 0.25 * np.eye(4)
-        m = np.diag(rng.uniform(0.2, 0.7, 4))
+        slopes = rng.uniform(0.2, 0.7, 4)
+        m = np.diag(slopes)
         assert spectral_radius(m @ a) < 1
         dv = rng.normal(0.0, 0.01, 4)
         v_bar = np.ones(4) * 1.02
-        v_new, _ = predict_sse(a, m, dv, v_bar, 1.0)
+        v_new, _ = predict_sse(a, slopes, dv, v_bar, 1.0)
         series = geometric_series_limit(a, m, dv, tol=1e-14)
         assert np.max(np.abs((v_new - v_bar) - series)) < 1e-10
 
@@ -101,7 +128,7 @@ class TestPredictSse:
         v_nc0 = np.array([1.03, 1.04])
         v_bar, _ = iterate_linear_droop(a, m, v_nc0, mu)
         dv_d = np.array([0.02, 0.02])
-        v_pred, _ = predict_sse(a, m, dv_d, v_bar, mu)
+        v_pred, _ = predict_sse(a, 1.0, dv_d, v_bar, mu)
         v_after, _ = iterate_linear_droop(a, m, v_nc0 + dv_d, mu)
         assert np.max(np.abs(v_pred - v_after)) < 1e-10
 
@@ -132,7 +159,7 @@ class TestRequiredDq:
 
     def test_singular_a_rejected(self):
         with pytest.raises(AnalysisError, match="singular"):
-            required_dq(np.zeros((2, 2)), np.eye(2), np.ones(2))
+            required_dq(np.zeros((2, 2)), [1.0, 1.0], np.ones(2))
 
 
 class TestOuterBMatrix:
@@ -165,14 +192,29 @@ class TestOuterBMatrix:
         a = np.array([[0.2857]])
         rep = outer_b_matrix(a, [1.0], 4.0)
         assert rep.k_d_upper_scalar == pytest.approx(2 * (1 / 0.2857 + 1.0))
-        rep2 = outer_b_matrix(np.eye(2) * 0.3, np.eye(2), 4.0)
+        rep2 = outer_b_matrix(np.eye(2) * 0.3, 1.0, 4.0)
         assert rep2.k_d_upper_scalar is None
+
+    def test_per_inverter_gains_match_scalar(self):
+        a = np.array([[0.30, 0.28], [0.27, 0.44]])
+        scalar = outer_b_matrix(a, 1.0, 4.0)
+        vector = outer_b_matrix(a, [1.0, 1.0], [4.0, 4.0])
+        assert scalar.b_matrix.tobytes() == vector.b_matrix.tobytes()
+
+    def test_gain_count_must_match_a(self):
+        with pytest.raises(AnalysisError, match="1 slopes or gains for 2 inverters"):
+            outer_b_matrix(np.array([[0.30, 0.28], [0.27, 0.44]]), 1.0, [4.0])
+
+    def test_singular_i_plus_am_rejected(self):
+        # I + A M = 1 - 1 = 0
+        with pytest.raises(AnalysisError, match=r"singular \(I \+ A M\)"):
+            outer_b_matrix(np.array([[-1.0]]), 1.0, 4.0)
 
     def test_matches_linear_outer_iteration(self):
         a = np.array([[0.30, 0.28], [0.27, 0.44]])
         m = np.diag([1.0, 1.0])
         k = np.diag([4.0, 4.0])
-        rep = outer_b_matrix(a, m, k)
+        rep = outer_b_matrix(a, [1.0, 1.0], [4.0, 4.0])
         mu = np.ones(2)
         sse_hist = iterate_linear_adaptive_outer(a, m, k, np.array([1.05, 1.06]), mu, 4)
         for i in range(3):
@@ -183,11 +225,11 @@ class TestOuterBMatrix:
 class TestSseAdaptivePrediction:
     def test_inverse_pair_is_exact(self):
         a = np.array([[0.30, 0.28], [0.27, 0.44]])
-        m = np.diag([1.2, 0.8])
+        slopes = [1.2, 0.8]
         v_bar = np.array([1.03, 1.05])
         sse = v_bar - 1.0
-        dq = required_dq(a, m, sse)
-        out = sse_adaptive_prediction(a, m, dq, v_bar, 1.0)
+        dq = required_dq(a, slopes, sse)
+        out = sse_adaptive_prediction(a, slopes, dq, v_bar, 1.0)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_zero_shift_keeps_sse(self):
@@ -202,13 +244,30 @@ class TestSseAdaptivePrediction:
         v_nc = np.array([1.04])
         v_bar, _ = iterate_linear_droop(a, m, v_nc, mu)
         dq_p = np.array([-0.05])
-        predicted = sse_adaptive_prediction(a, m, dq_p, v_bar, mu)
+        predicted = sse_adaptive_prediction(a, 1.0, dq_p, v_bar, mu)
         # same loop with the offset applied: q = q_p - M (v - mu)
         v = v_bar.copy()
         for _ in range(4000):
             q = dq_p - m @ (v - mu)
             v = v_nc + a @ q
         assert predicted[0] == pytest.approx(v[0] - mu[0], abs=1e-10)
+
+
+# the controllers are local: M and K are diagonal, given by their diagonals
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda a, d: stability_report(a, d), id="stability_report"),
+    pytest.param(lambda a, d: predict_sse(a, d, [0.0, 0.0], [1.0, 1.0], 1.0), id="predict_sse"),
+    pytest.param(lambda a, d: required_dq(a, d, [0.01, 0.01]), id="required_dq"),
+    pytest.param(lambda a, d: sse_adaptive_prediction(a, d, [0.0, 0.0], [1.0, 1.0], 1.0),
+                 id="sse_adaptive_prediction"),
+    pytest.param(lambda a, d: outer_b_matrix(a, d, 4.0), id="outer_b_matrix.M"),
+    pytest.param(lambda a, d: outer_b_matrix(a, 1.0, 4.0 * d), id="outer_b_matrix.K"),
+])
+def test_slope_and_gain_matrices_rejected(call):
+    a = np.array([[0.30, 0.28], [0.27, 0.44]])
+    call(a, np.ones(2))
+    with pytest.raises(AnalysisError, match="not a matrix"):
+        call(a, np.eye(2))
 
 
 class TestAnalysisProperties:

@@ -41,6 +41,15 @@ class TestRun:
         assert main(["run", "--scenario", "fig3a", "--out", str(tmp_path),
                      "--set", "m"]) == 2
 
+    @pytest.mark.parametrize("value, code", [("true", 0), ("1", 0), ("yes", 2)])
+    def test_bool_override_parsed(self, tmp_path, monkeypatch, value, code):
+        seen = []
+        run_sim = cli.run_sim
+        monkeypatch.setattr(cli, "run_sim", lambda sc, model: seen.append(sc) or run_sim(sc, model))
+        assert main(["run", "--scenario", "fig3a", "--out", str(tmp_path),
+                     "--set", f"recompute_droop_capacity={value}"]) == code
+        assert [sc.recompute_droop_capacity for sc in seen] == ([True] if code == 0 else [])
+
     def test_missing_scenario_file_exits_4(self, tmp_path):
         assert main(["run", "--scenario", "/no/such/file.json",
                      "--out", str(tmp_path)]) == 4
@@ -123,6 +132,34 @@ class TestAnalyze:
     def test_divergent_gain_exits_3(self):
         assert main(["analyze", "--feeder", "ieee4_mod",
                      "--set", "m=1", "--set", "k_d=10"]) == 3
+
+    def _analyze(self, capsys, feeder: str) -> dict:
+        assert main(["analyze", "--feeder", feeder]) == 0
+        out = capsys.readouterr().out
+        return json.loads(out[: out.rindex("}") + 1])
+
+    def test_inverter_buses_are_the_matrix_rows(self, capsys, tmp_path, ieee4_closed):
+        # bus4's unit sits behind the open switch, outside the 1x1 matrix
+        payload = self._analyze(capsys, "ieee4_mod")
+        assert payload["inverter_buses"] == ["bus3"]
+        assert np.shape(payload["sensitivity"]) == (1, 1)
+        assert len(payload["critical_slopes"]) == 1
+        closed = tmp_path / "closed.json"
+        closed.write_text(json.dumps(feeder_to_dict(ieee4_closed)))
+        payload = self._analyze(capsys, str(closed))
+        assert payload["inverter_buses"] == ["bus3", "bus4"]
+        assert np.shape(payload["sensitivity"]) == (2, 2)
+
+    @pytest.mark.parametrize("units", [[], ["bus4"]], ids=["no-pv", "only-dark-pv"])
+    def test_feeder_without_energized_pv_exits_2(self, capsys, tmp_path, ieee4, units):
+        doc = feeder_to_dict(ieee4)
+        doc["pv_units"] = [u for u in doc["pv_units"] if u["bus"] in units]
+        path = tmp_path / "feeder.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--feeder", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no energized PV unit" in captured.err
 
     def test_unknown_analyze_key_exits_2(self):
         assert main(["analyze", "--feeder", "ieee4_mod", "--set", "tau=0.5"]) == 2

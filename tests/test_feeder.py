@@ -17,7 +17,7 @@ from voltvar_sim.feeder import (
     PowerFlowError,
     PvUnit,
     apply_topology_event,
-    compile_network,
+    energized_pv_buses,
     feeder_from_dict,
     feeder_to_dict,
     sensitivity_matrix,
@@ -28,6 +28,7 @@ from oracles import (
     bus_injections,
     fixed_point_reference,
     gauss_nodal_solve,
+    injection_array,
     total_losses,
     two_bus_voltage,
     voltage_at,
@@ -109,6 +110,11 @@ def test_power_balance(ieee4_closed):
 def test_injection_array_needs_one_entry_per_bus(ieee4):
     with pytest.raises(PowerFlowError, match="one entry per model bus"):
         solve_power_flow(ieee4, injections=np.zeros(len(ieee4.bus_ids) - 1, dtype=complex))
+    # only the array form: no dict, no list, no other shape
+    for injections in ({"bus3": (0.0, 0.01)}, [0j, 0j, 0.01j, 0j],
+                       np.zeros((4, 1), dtype=complex), np.zeros(5, dtype=complex)):
+        with pytest.raises(PowerFlowError, match=r"P \+ jQ array, one entry per model bus"):
+            solve_power_flow(ieee4, injections=injections)
 
 
 def test_nonconvergence_flagged_not_fatal():
@@ -145,8 +151,9 @@ def test_sensitivity_matches_finite_difference(fixture, request):
     pv = [b for b in sol.bus_ids if b in set(model.pv_buses)]
     h = 1e-5
     for j, bus in enumerate(pv):
-        up = solve_power_flow(model, injections={bus: (0.0, h)}, v_init=sol)
-        dn = solve_power_flow(model, injections={bus: (0.0, -h)}, v_init=sol)
+        dq = injection_array(model, {bus: (0.0, h)})
+        up = solve_power_flow(model, injections=dq, v_init=sol)
+        dn = solve_power_flow(model, injections=-dq, v_init=sol)
         fd = np.array([(voltage_at(up, b) - voltage_at(dn, b)) / (2 * h) for b in pv])
         assert np.max(np.abs(a[:, j] - fd)) < 1e-4
 
@@ -164,9 +171,25 @@ def test_sensitivity_monotonic_voltage_response(feeder30):
     sol = solve_power_flow(feeder30)
     pv = list(feeder30.pv_buses)
     for bus in pv[:3] + pv[-2:]:
-        up = solve_power_flow(feeder30, injections={bus: (0.0, 0.02)}, v_init=sol)
+        up = solve_power_flow(
+            feeder30, injections=injection_array(feeder30, {bus: (0.0, 0.02)}), v_init=sol
+        )
         for other in pv:
             assert voltage_at(up, other) >= voltage_at(sol, other) - 1e-12
+
+
+def test_sensitivity_needs_an_energized_pv_unit(ieee4):
+    # the default is the energized PV buses, never every load bus
+    assert energized_pv_buses(ieee4) == ("bus3",)  # bus4 is behind the open switch
+    assert sensitivity_matrix(ieee4, solve_power_flow(ieee4)).shape == (1, 1)
+    bare = replace(ieee4, pv_units=())
+    sol = solve_power_flow(bare)
+    with pytest.raises(FeederError, match="no energized PV unit"):
+        sensitivity_matrix(bare, sol)
+    dark = replace(ieee4, pv_units=ieee4.pv_units[1:])  # only bus4, behind the open switch
+    with pytest.raises(FeederError, match="no energized PV unit"):
+        sensitivity_matrix(dark, solve_power_flow(dark))
+    assert sensitivity_matrix(bare, sol, buses=("bus2", "bus3")).shape == (2, 2)
 
 
 def test_sensitivity_requires_convergence(ieee4):
@@ -243,6 +266,32 @@ def test_feeder_json_round_trip(ieee4):
     assert again == ieee4
 
 
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(lambda d: d["buses"][3].update(id="bus2"), "duplicate bus ids",
+                 id="duplicate-bus-id"),
+    pytest.param(lambda d: d["lines"][1].update(to="bus9"), "line bus2-bus9: references unknown bus",
+                 id="line-unknown-bus"),
+    pytest.param(lambda d: d["pv_units"][1].update(bus="bus9"), "unknown bus bus9",
+                 id="pv-unknown-bus"),
+    pytest.param(lambda d: d["pv_units"][1].update(bus="bus3"), "multiple PV units on one bus",
+                 id="two-pv-units-on-one-bus"),
+    pytest.param(lambda d: d["buses"][2].update(base_voltage=0.0), "bus bus3: base_voltage",
+                 id="base-voltage-zero"),
+    pytest.param(lambda d: d["buses"][2].update(base_voltage=-4160.0), "bus bus3: base_voltage",
+                 id="base-voltage-negative"),
+    pytest.param(lambda d: d["pv_units"][0].update(rating_s=0.0), "pv at bus3: rating_s",
+                 id="rating-zero"),
+    pytest.param(lambda d: d["pv_units"][0].update(p_out=-0.1), "pv at bus3: p_out must be >= 0",
+                 id="p-out-negative"),
+])
+def test_feeder_document_rejected(ieee4, edit, match):
+    doc = feeder_to_dict(ieee4)
+    feeder_from_dict(doc)
+    edit(doc)
+    with pytest.raises(FeederError, match=match):
+        feeder_from_dict(doc)
+
+
 def test_feeder_validation_errors():
     with pytest.raises(FeederError, match="slack"):
         FeederModel(buses=(Bus("a", "load"),), lines=())
@@ -284,43 +333,38 @@ def _random_feeder(draw):
     return model, injections
 
 
+def _spec(model: FeederModel, injections: np.ndarray | None = None) -> np.ndarray:
+    """S_spec over the island: the model's loads and PV units plus
+    `injections`, as `solve_power_flow` adds them."""
+    s = model._s_base
+    return s if injections is None else s + injections[model.network.cols]
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_random_feeder())
 def test_fixed_point_agrees_with_oracle_and_newton(case):
     model, injections = case
-    sol = solve_power_flow(model, injections=injections)
+    array = injection_array(model, injections)
+    sol = solve_power_flow(model, injections=array)
     assert sol.converged
     v = sol.v_mag * np.exp(1j * sol.v_ang)
 
     oracle = gauss_nodal_solve(model, injections)
     assert np.max(np.abs(v - [oracle[b] for b in sol.bus_ids])) < 1e-9
 
-    net = compile_network(model)
+    net = model.network
     y_ll = net.ybus[np.ix_(net.pq, net.pq)]
     assert np.max(np.abs(net.z @ y_ll - np.eye(len(net.pq)))) < 1e-9
-    s = feeder._spec_injections(model, net, injections)
-    v_mag, v_ang, converged, _, _ = feeder._newton(
-        net, s, model.slack.v_set, None, 1e-12, DEFAULT_MAX_ITER
-    )
+    s = _spec(model, array)
+    v_mag, v_ang, converged, _, _ = feeder._newton(net, s, model.slack.v_set, None, 1e-12)
     assert converged
     assert np.max(np.abs(v - v_mag * np.exp(1j * v_ang))) < 1e-10
-
-    # the same injections as a complex array over the bus order give the same bits
-    ids = model.bus_ids
-    array = np.zeros(len(ids), dtype=complex)
-    for b, (p, q) in injections.items():
-        array[ids.index(b)] = complex(p, q)
-    again = solve_power_flow(model, injections=array)
-    assert again.v_mag.tobytes() == sol.v_mag.tobytes()
-    assert again.v_ang.tobytes() == sol.v_ang.tobytes()
 
 
 def test_near_loadability_converges_through_newton_fallback(monkeypatch):
     model = _two_bus(load_p=4.5, load_q=1.8)  # 9x the test load
-    net = compile_network(model)
-    s = feeder._spec_injections(model, net, None)
     _, converged, iterations, _ = feeder._fixed_point(
-        net, s, 1.0, None, DEFAULT_TOL, DEFAULT_MAX_ITER
+        model.network, _spec(model), 1.0, None, DEFAULT_TOL
     )
     assert not converged
     assert iterations == DEFAULT_MAX_ITER
@@ -347,7 +391,7 @@ def _fixed_point_case(name, request):
     if name == "feeder30_warm":
         base = solve_power_flow(feeder30)
         v0 = base.v_mag * np.exp(1j * base.v_ang)
-        injections = {b: (-0.02, 0.03) for b in feeder30.pv_buses}
+        injections = injection_array(feeder30, {b: (-0.02, 0.03) for b in feeder30.pv_buses})
     elif name == "ieee4_closed":
         model = request.getfixturevalue("ieee4_closed")
     elif name == "feeder30_meshed":
@@ -360,8 +404,7 @@ def _fixed_point_case(name, request):
         base = solve_power_flow(feeder30)
         v0 = base.v_mag * np.exp(1j * base.v_ang)
         v0[5] = 0.0
-    net = compile_network(model)
-    return net, feeder._spec_injections(model, net, injections), model.slack.v_set, v0
+    return model.network, _spec(model, injections), model.slack.v_set, v0
 
 
 @pytest.mark.parametrize("name", [
@@ -371,7 +414,7 @@ def _fixed_point_case(name, request):
 def test_fixed_point_matches_reference_bit_for_bit(name, request, monkeypatch):
     # the reference keeps the `np.max` reductions the kernel replaced
     net, s, v_slack, v0 = _fixed_point_case(name, request)
-    got = feeder._fixed_point(net, s, v_slack, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    got = feeder._fixed_point(net, s, v_slack, v0, DEFAULT_TOL)
     want = fixed_point_reference(net, s, v_slack, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:3] == want[1:3]
@@ -404,13 +447,26 @@ def test_fixed_point_matches_reference_bit_for_bit(name, request, monkeypatch):
 
 
 def test_compiled_network_follows_topology(ieee4):
-    net = compile_network(ieee4)
-    assert compile_network(ieee4) is net
-    assert compile_network(ieee4.with_slack_voltage(1.03)) is net
-    assert compile_network(ieee4.with_scaled_loads(1.5)) is net
+    net = ieee4.network
+    assert ieee4.network is net
+    assert ieee4.with_slack_voltage(1.03).network is net
+    assert ieee4.with_scaled_loads(1.5).network is net
     closed = apply_topology_event(ieee4, "switch1", "closed")
-    assert compile_network(closed) is not net
-    assert compile_network(closed).island == ("bus1", "bus2", "bus3", "bus4")
+    assert closed.network is not net
+    assert closed.network.island == ("bus1", "bus2", "bus3", "bus4")
+
+
+def test_copies_keep_the_topology_but_not_the_injections(ieee4):
+    model = feeder_from_dict(feeder_to_dict(ieee4))
+    base = solve_power_flow(model)  # computes the island, network and injections
+    assert {"_island", "network", "_s_base"} <= set(vars(model))
+    for copy in (model.with_slack_voltage(0.98), model.with_scaled_loads(1.5)):
+        assert copy._island is model._island and copy.network is model.network
+        assert "_s_base" not in vars(copy)
+        assert solve_power_flow(copy).v_mag.tobytes() != base.v_mag.tobytes()
+    closed = apply_topology_event(model, "switch1", "closed")  # walks its own island
+    assert closed._island is not model._island
+    assert "network" not in vars(closed) and "_s_base" not in vars(closed)
 
 
 def test_close_then_reopen_matches_fresh_solve(ieee4):
@@ -450,7 +506,7 @@ def test_unchecked_copies_equal_checked_builds(ieee4):
 
 
 def test_dsbus_dv_matches_diagonal_matrix_products(feeder30):
-    net = compile_network(feeder30)
+    net = feeder30.network
     rng = np.random.default_rng(7)
     n = len(net.island)
     v = rng.uniform(0.95, 1.05, n) * np.exp(1j * rng.uniform(-0.05, 0.05, n))
@@ -470,7 +526,7 @@ def test_concurrent_first_solves_share_one_snapshot(feeder30):
     import sys
     import threading
 
-    inj = {"t05": (0.0, 0.01)}
+    inj = injection_array(feeder30, {"t05": (0.0, 0.01)})
     fresh = feeder_from_dict(feeder_to_dict(feeder30))
     expected = (solve_power_flow(fresh, injections=inj), solve_power_flow(fresh))
     shared = feeder_from_dict(feeder_to_dict(feeder30))  # nothing compiled yet

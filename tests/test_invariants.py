@@ -15,7 +15,7 @@ from voltvar_sim.feeder import sensitivity_matrix, solve_power_flow
 from voltvar_sim.presets import get_preset
 from voltvar_sim.sim import run
 
-from oracles import param_dispatches, voltage_at
+from oracles import injection_array, param_dispatches, voltage_at
 
 
 def test_norm_bound_on_100_random_matrices():
@@ -50,8 +50,9 @@ def test_sensitivity_against_central_differences(fixture, request):
     pv = [b for b in sol.bus_ids if b in set(model.pv_buses)]
     h = 1e-5
     for j, bus in enumerate(pv):
-        up = solve_power_flow(model, injections={bus: (0.0, h)}, v_init=sol)
-        dn = solve_power_flow(model, injections={bus: (0.0, -h)}, v_init=sol)
+        dq = injection_array(model, {bus: (0.0, h)})
+        up = solve_power_flow(model, injections=dq, v_init=sol)
+        dn = solve_power_flow(model, injections=-dq, v_init=sol)
         fd = np.array([(voltage_at(up, b) - voltage_at(dn, b)) / (2 * h) for b in pv])
         assert np.max(np.abs(a[:, j] - fd)) < 1e-4
 

@@ -59,7 +59,13 @@ from voltvar_sim.sim import (
     write_trace_csv,
 )
 
-from oracles import band_violation_counts, band_violation_runs, param_dispatches, voltage_at
+from oracles import (
+    band_violation_counts,
+    band_violation_runs,
+    injection_array,
+    param_dispatches,
+    voltage_at,
+)
 
 
 def _scenario(kind, horizon=100, slope=1.0, events=(), profile=0.9, **kw):
@@ -97,7 +103,7 @@ class TestEngineBasics:
         assert np.all(dq[60:] < 1e-8)
         # fixed-point certificate: q = f(h(q)) at the recorded equilibrium
         q_bar = trace.q_inj[-1, 0]
-        sol = solve_power_flow(ieee4, injections={"bus3": (0.0, q_bar)})
+        sol = solve_power_flow(ieee4, injections=injection_array(ieee4, {"bus3": (0.0, q_bar)}))
         params = DroopParams.from_slope(1.0, 0.0, 1.0, -0.4124, 0.4124)
         assert droop_dispatch(params, voltage_at(sol, "bus3")) == pytest.approx(
             q_bar, abs=1e-6
@@ -366,6 +372,29 @@ class TestScenarioValidation:
         for name in ("voltages", "q_inj", "p_out", "mu"):
             assert getattr(got, name).tobytes() == getattr(base, name).tobytes()
         assert (got.flags, param_dispatches(got)) == (base.flags, param_dispatches(base))
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda d: d["events"].append({"tick": 8, "kind": "setpoint", "mu": 1.6}),
+                     "set-point outside 0.5-1.5", id="setpoint-high"),
+        pytest.param(lambda d: d["events"].append({"tick": 8, "kind": "setpoint", "mu": 0.4}),
+                     "set-point outside 0.5-1.5", id="setpoint-low"),
+        pytest.param(lambda d: d.update(series={"s": {"telegraph": {"low": 0.9, "high": 0.5}}}),
+                     "low <= high", id="telegraph-low-above-high"),
+        pytest.param(lambda d: d.update(horizon=0), "horizon must be >= 1", id="horizon-zero"),
+    ])
+    def test_scenario_document_rejected(self, edit, match):
+        doc = {"horizon": 40, "t_outer": 10, "controller": {"kind": "conventional"},
+               "events": [{"tick": 5, "kind": "cloud_cover", "scale": 0.5}]}
+        scenario_from_dict(doc)
+        edit(doc)
+        with pytest.raises(SimulationError, match=match):
+            scenario_from_dict(doc)
+
+    def test_integral_float_tick_decodes_to_int(self):
+        doc = {"horizon": 40, "t_outer": 10, "controller": {"kind": "none"},
+               "events": [{"tick": 5.0, "kind": "load_scale", "factor": 1.1}]}
+        tick, _ = scenario_from_dict(doc).events[0]
+        assert tick == 5 and type(tick) is int
 
     def test_event_parameter_ranges(self):
         with pytest.raises(SimulationError):
