@@ -30,7 +30,6 @@ class StabilityReport:
     critical_slopes: tuple[float, ...]
     stable_sufficient: bool
     stable_spectral: bool
-    operating_point_id: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +65,7 @@ def _diag(values: np.ndarray | float, n: int) -> np.ndarray:
     return np.diag(np.broadcast_to(v, (n,)))
 
 
-def stability_report(
-    a_matrix: np.ndarray,
-    slopes: np.ndarray | float,
-    operating_point_id: str | None = None,
-) -> StabilityReport:
+def stability_report(a_matrix: np.ndarray, slopes: np.ndarray | float) -> StabilityReport:
     """Evaluate both stability conditions for slopes `slopes` against the
     sensitivity matrix: the row-sum sufficient bound and the spectral one.
 
@@ -95,7 +90,6 @@ def stability_report(
         critical_slopes=critical,
         stable_sufficient=bool(all(mg > 0 for mg in margins)),
         stable_spectral=bool(rho < 1.0),
-        operating_point_id=operating_point_id,
     )
 
 

@@ -35,7 +35,6 @@ from .presets import (
     override_scenario,
 )
 from .sim import (
-    MetricsLimits,
     Scenario,
     SimulationError,
     SimulationTrace,
@@ -134,8 +133,7 @@ def cmd_run(args) -> int:
     # flicker violations are counted against the scenario's maximum
     # flicker limit; strategy II intentionally works the slope up to the
     # borderline zone, so the borderline itself is not a violation
-    limits = MetricsLimits(vf_lim=scenario.adaptive.vf_lim_bar, window=scenario.t_outer)
-    rep = metrics(trace, limits=limits)
+    rep = metrics(trace, scenario.adaptive.vf_lim_bar)
     write_trace_csv(trace, out / "trace.csv")
     write_params_csv(trace, out / "params.csv")
     payload = {
@@ -183,10 +181,10 @@ def cmd_analyze(args) -> int:
     except PowerFlowError as exc:  # singular Jacobian: near voltage collapse
         print(str(exc), file=sys.stderr)
         return EXIT_UNSTABLE
-    stab = analysis.stability_report(a, params["m"], operating_point_id=solution.point_id)
+    stab = analysis.stability_report(a, params["m"])
     conv = analysis.outer_b_matrix(a, params["m"], params["k_d"])
     payload = {
-        "operating_point_id": stab.operating_point_id,
+        "operating_point_id": solution.point_id,
         "inverter_buses": list(buses),
         "sensitivity": [[float(x) for x in row] for row in a],
         "slope": params["m"],
@@ -216,7 +214,7 @@ def _sse_series(trace: SimulationTrace) -> list[tuple[int, str, float]]:
     """(closing tick, bus, sse_avg) of every outer-loop window without a
     dark tick, in tick then unit order."""
     T = trace.t_outer
-    sse = trace.window_stats(T).sse_avg
+    sse = trace.window_stats().sse_avg
     return [
         ((k + 1) * T, b, float(s))
         for k, row in enumerate(sse)

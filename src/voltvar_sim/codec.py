@@ -8,10 +8,9 @@ is an error.  A dataclass takes an object with a key per field.  A field
 without a default is required, except a nested dataclass, which reads a
 missing object as {}, and any other key is an error.  A class may put
 fields under other keys (`_json_keys`, "a.b" for key b of object a; an
-object that only such keys read is required), give a field its own
-(decode, encode) pair (`_json_coders`) and leave fields out
-(`_json_skip`).  `encode` is the inverse.  Each class's field table is
-built once.
+object that only such keys read is required) and give a field its own
+(decode, encode) pair (`_json_coders`).  `encode` is the inverse.  Each
+class's field table is built once.
 """
 
 from __future__ import annotations
@@ -144,8 +143,6 @@ class _Fields:
         self.cls, self.rows = cls, []
         hints, keys = _hints(cls), getattr(cls, "_json_keys", {})
         for f in fields(cls):
-            if f.name in getattr(cls, "_json_skip", ()):
-                continue
             tp = hints[f.name]
             key, sub = keys.get(f.name, f.name).partition(".")[::2]
             coders = getattr(cls, "_json_coders", {}).get(f.name) or (_decoder(tp), encode)

@@ -194,7 +194,7 @@ def slope_to_cutoffs(
 @dataclass(frozen=True)
 class ControllerKind:
     """Which inner law an inverter runs: none (the default), conventional,
-    delayed(tau), or adaptive."""
+    delayed with its `tau`, or adaptive; e.g. `ControllerKind("delayed", 0.9)`."""
 
     name: str = "none"
     tau: float = 0.0
@@ -207,19 +207,3 @@ class ControllerKind:
             raise ControlError(f"unknown controller kind {self.name!r}")
         if not 0.0 <= self.tau < 1.0:
             raise ControlError("tau must be in [0, 1)")
-
-    @classmethod
-    def none(cls) -> "ControllerKind":
-        return cls("none")
-
-    @classmethod
-    def conventional(cls) -> "ControllerKind":
-        return cls("conventional")
-
-    @classmethod
-    def delayed(cls, tau: float = 0.5) -> "ControllerKind":
-        return cls("delayed", tau=tau)
-
-    @classmethod
-    def adaptive(cls) -> "ControllerKind":
-        return cls("adaptive")

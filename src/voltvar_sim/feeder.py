@@ -134,11 +134,11 @@ class PvUnit:
 class FeederModel:
     """Immutable feeder snapshot: buses, lines, PV units.
 
-    `detachable_buses` are buses that are de-energized in the as-built
-    switch configuration (behind normally-open switches).  Switch events
-    may re-island exactly those buses; islanding any other load/PV bus is
-    an error.  The set is computed on construction and carried through
-    topology events unchanged.
+    `detachable_buses` (an attribute, not a field) are buses that are
+    de-energized in the as-built switch configuration (behind normally-open
+    switches).  Switch events may re-island exactly those buses; islanding
+    any other load/PV bus is an error.  The set is computed on construction
+    and carried through topology events unchanged.
 
     The island walk, the compiled `network` and the base injections are
     cached properties, computed on first use and kept on the snapshot; none
@@ -149,8 +149,6 @@ class FeederModel:
     lines: tuple[Line, ...]
     pv_units: tuple[PvUnit, ...] = ()
     name: str = ""
-    detachable_buses: frozenset[str] | None = None
-    _json_skip = ("detachable_buses",)  # derived from the lines
 
     def __post_init__(self) -> None:
         ids = [b.id for b in self.buses]
@@ -181,9 +179,7 @@ class FeederModel:
         for bus_id in ids:
             if bus_id not in full:
                 raise PowerFlowError(f"disconnected bus: {bus_id}")
-        if self.detachable_buses is None:
-            dark = frozenset(ids).difference(self._island)
-            object.__setattr__(self, "detachable_buses", dark)
+        object.__setattr__(self, "detachable_buses", frozenset(ids).difference(self._island))
 
     @property
     def slack_id(self) -> str:
@@ -247,7 +243,8 @@ class FeederModel:
         all switches closed, which no caller changes.  Callers swap bus or PV
         data (each new `Bus` or `PvUnit` checks its values) or operate one switch."""
         out = object.__new__(FeederModel)
-        out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, **changes)
+        out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
+                            detachable_buses=self.detachable_buses, **changes)
         out.__dict__.update((k, self.__dict__[k]) for k in kept if k in self.__dict__)
         return out
 
@@ -494,7 +491,6 @@ def solve_power_flow(
     model: FeederModel,
     injections: np.ndarray | None = None,
     v_init: PowerFlowSolution | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> PowerFlowSolution:
     """Solve the feeder power flow over the energized island.
 
@@ -502,10 +498,11 @@ def solve_power_flow(
     and PV unit outputs: a complex array of P + jQ with one entry per bus
     of `model.bus_ids`.  Injections at buses off the island are ignored.
     `v_init` warm-starts the solve from a previous solution on the same
-    island.  The Z-bus fixed point runs first; if it does not converge
-    within `DEFAULT_MAX_ITER` iterations, Newton-Raphson takes over from
-    the warm start and then once more from a flat start.  Non-convergence
-    is reported via `converged=False`, not raised.
+    island.  The Z-bus fixed point runs first, to a power mismatch of
+    `DEFAULT_TOL`; if it does not converge within `DEFAULT_MAX_ITER`
+    iterations, Newton-Raphson takes over from the warm start and then
+    once more from a flat start.  Non-convergence is reported via
+    `converged=False`, not raised.
     """
     net = model.network
     s_spec = model._s_base
@@ -518,15 +515,15 @@ def solve_power_flow(
     v0 = None
     if v_init is not None and v_init.bus_ids == net.island:
         v0 = v_init.v_mag * np.exp(1j * v_init.v_ang)
-    v, converged, iterations, mismatch = _fixed_point(net, s_spec, v_slack, v0, tol)
+    v, converged, iterations, mismatch = _fixed_point(net, s_spec, v_slack, v0, DEFAULT_TOL)
     if converged:
         v_mag, v_ang = np.abs(v), np.angle(v)
     else:
-        v_mag, v_ang, converged, iterations, mismatch = _newton(net, s_spec, v_slack, v0, tol)
+        v_mag, v_ang, converged, iterations, mismatch = _newton(
+            net, s_spec, v_slack, v0, DEFAULT_TOL)
         if not converged and v0 is not None:
             v_mag, v_ang, converged, iterations, mismatch = _newton(
-                net, s_spec, v_slack, None, tol
-            )
+                net, s_spec, v_slack, None, DEFAULT_TOL)
     return PowerFlowSolution(
         bus_ids=net.island,
         v_mag=v_mag,
@@ -607,7 +604,7 @@ def apply_topology_event(
     )
     updated = model._copy((), lines=lines)
     newly_dark = set(model._island) - set(updated._island)
-    illegal = sorted(newly_dark - set(model.detachable_buses or frozenset()))
+    illegal = sorted(newly_dark - model.detachable_buses)
     if illegal:
         raise FeederError(
             f"opening {switch_id} would island bus(es): {', '.join(illegal)}"

@@ -77,21 +77,21 @@ _ADAPTIVE_30 = AdaptiveConfig(
 _BASE_4BUS = Scenario(
     horizon=200,
     t_outer=10,
-    controller_kind=ControllerKind.adaptive(),
+    controller_kind=ControllerKind("adaptive"),
     droop_slope=6.0,
     adaptive=_ADAPTIVE_4BUS,
     pv_profile={"bus3": ((20, 0.9),), "bus4": ((20, 0.9),)},
 )
 _FIG3A = replace(
-    _BASE_4BUS, horizon=130, controller_kind=ControllerKind.conventional(), droop_slope=1.0,
+    _BASE_4BUS, horizon=130, controller_kind=ControllerKind("conventional"), droop_slope=1.0,
     events=((80, SubstationVoltage(1.05)),), name="fig3a",
 )
 _FIG3B = replace(
-    _BASE_4BUS, controller_kind=ControllerKind.delayed(0.9), recompute_droop_capacity=True,
+    _BASE_4BUS, controller_kind=ControllerKind("delayed", 0.9), recompute_droop_capacity=True,
     events=((80, CloudCover(0.2, ("bus3",))),), name="fig3b",
 )
 _FIG3C = replace(
-    _BASE_4BUS, controller_kind=ControllerKind.delayed(0.9),
+    _BASE_4BUS, controller_kind=ControllerKind("delayed", 0.9),
     events=((80, SwitchEvent("switch1", "closed")),), name="fig3c",
 )
 
@@ -99,7 +99,7 @@ _FIG3C = replace(
 _BASE_30 = Scenario(
     horizon=400,
     t_outer=10,
-    controller_kind=ControllerKind.adaptive(),
+    controller_kind=ControllerKind("adaptive"),
     droop_slope=3.0,
     adaptive=_ADAPTIVE_30,
     pv_profile=0.15,
@@ -131,7 +131,7 @@ def _fixed(scenario: Scenario) -> Callable[[FeederModel], Scenario]:
 
 
 def _adaptive(scenario: Scenario, name: str) -> Callable[[FeederModel], Scenario]:
-    return _fixed(replace(scenario, controller_kind=ControllerKind.adaptive(), name=name))
+    return _fixed(replace(scenario, controller_kind=ControllerKind("adaptive"), name=name))
 
 
 PRESETS: dict[str, PresetDef] = {
@@ -237,8 +237,9 @@ def override_scenario(scenario: Scenario, key: str, value: str) -> Scenario:
     if key not in _OVERRIDES:
         raise SimulationError(f"unknown override key {key!r}")
     try:
-        if key == "controller":  # a delayed controller keeps its tau, or takes 0.5
-            tau = (scenario.controller_kind.tau or 0.5) if value == "delayed" else 0.0
+        if key == "controller":  # a delayed controller keeps its tau, another takes 0.5
+            kind = scenario.controller_kind
+            tau = (kind.tau if kind.name == "delayed" else 0.5) if value == "delayed" else 0.0
             scenario = replace_path(scenario, "controller_kind.tau", tau)
         for path in _OVERRIDES[key]:
             parsed = _PARSE[field_type(Scenario, path)](value)

@@ -428,8 +428,6 @@ class SimulationTrace:
     param_log: ParamLog
     dt_inner: float
     t_outer: int
-    name: str = ""
-    seed: int = 0
 
     @property
     def horizon(self) -> int:
@@ -438,13 +436,13 @@ class SimulationTrace:
     def bus_voltage(self, bus: str) -> np.ndarray:
         return self.voltages[:, self.bus_ids.index(bus)]
 
-    def window_stats(self, width: int, mu: np.ndarray | None = None) -> WindowStats:
-        """Statistics of the complete windows of `width` ticks that the
-        outer loop sees (ticks 1..width, width+1..2*width, ...) per unit,
-        as arrays of shape (n_windows, n_units); window k closes at tick
-        (k + 1) * width.  `mu` overrides the trace's set-point series."""
+    def window_stats(self) -> WindowStats:
+        """Statistics of the complete windows of `t_outer` ticks that the
+        outer loop sees (ticks 1..T, T+1..2*T, ...) per unit, against the
+        trace's set-points, as arrays of shape (n_windows, n_units); window
+        k closes at tick (k + 1) * T."""
+        width = self.t_outer
         k = (self.horizon - 1) // width
-        mu = self.mu if mu is None else mu
 
         cols = _positions(self.unit_buses, self.bus_ids)
 
@@ -455,7 +453,7 @@ class SimulationTrace:
         out = np.empty((3, k, len(cols)))
         for i in range(0, len(cols), per):
             s = window_stats(windows(self.voltages[:, cols[i : i + per]]),
-                             windows(mu[:, i : i + per]), windows(self.p_out[:, i : i + per]))
+                             windows(self.mu[:, i : i + per]), windows(self.p_out[:, i : i + per]))
             out[..., i : i + per] = (s.sse_avg, s.vf, s.p_pv_avg)
         return WindowStats(*out)
 
@@ -464,7 +462,7 @@ def _materialize_profile(
     spec: ProfileSpec | Mapping[str, ProfileSpec],
     unit_buses: tuple[str, ...],
     horizon: int,
-    dark_buses: tuple[str, ...] = (),
+    dark_buses: tuple[str, ...],
 ) -> np.ndarray:
     """Available PV output per tick and unit.  A per-bus mapping may name
     only units, or `dark_buses` (units the model leaves out)."""
@@ -767,8 +765,6 @@ class SimulationEngine:
             param_log=log,
             dt_inner=self.scenario.dt_inner,
             t_outer=self.scenario.t_outer,
-            name=self.scenario.name,
-            seed=self.scenario.seed,
         )
 
 
@@ -781,17 +777,11 @@ def run(scenario: Scenario, model: FeederModel | LinearizedFeeder) -> Simulation
 # metrics
 
 
-@dataclass(frozen=True)
-class MetricsLimits:
-    """Thresholds for the trace metrics: flicker limit (percent/window),
-    flicker window length in ticks, ANSI instantaneous and sustained
-    voltage bands, and the sustain duration in seconds."""
-
-    vf_lim: float = 0.03
-    window: int = 10
-    ansi_a: tuple[float, float] = (0.9, 1.06)
-    ansi_b: tuple[float, float] = (0.95, 1.05)
-    sustain_seconds: float = 300.0
+# ANSI C84.1 service voltage bands (pu): every tick outside range A counts,
+# and every tick of a run outside range B that lasts the sustain time
+ANSI_RANGE_A = (0.9, 1.06)
+ANSI_RANGE_B = (0.95, 1.05)
+ANSI_SUSTAIN_S = 300.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -804,38 +794,32 @@ class MetricsReport:
     vvi_per_bus: dict[str, int]
 
 
-def metrics(
-    trace: SimulationTrace,
-    mu: float | np.ndarray | None = None,
-    limits: MetricsLimits | None = None,
-) -> MetricsReport:
-    """Trace metrics: MSSE (percent, PV buses only), flicker count over
-    non-overlapping windows, and the count of ANSI band violations
-    (instantaneous range A or range B sustained past the limit)."""
-    limits = limits or MetricsLimits(window=trace.t_outer)
+def metrics(trace: SimulationTrace, vf_lim: float = 0.03) -> MetricsReport:
+    """Trace metrics: MSSE (percent, PV buses only), the count of outer-loop
+    windows (`trace.t_outer` ticks) whose flicker exceeds `vf_lim`, and the
+    count of ANSI band violations (outside `ANSI_RANGE_A`, or outside
+    `ANSI_RANGE_B` for at least `ANSI_SUSTAIN_S` seconds)."""
     h = trace.horizon
-    mu_arr = trace.mu if mu is None else (
-        np.full((h, len(trace.unit_buses)), 0.0) + np.asarray(mu, dtype=float))
 
     msse_per: dict[str, float] = {}
     # unit by unit: np.mean's pairwise order depends on which dark ticks drop out
     cols = _positions(trace.unit_buses, trace.bus_ids)
     for j, (b, c) in enumerate(zip(trace.unit_buses, cols)):
-        dev = np.abs(trace.voltages[:, c] - mu_arr[:, j])
+        dev = np.abs(trace.voltages[:, c] - trace.mu[:, j])
         dev = dev[~np.isnan(dev)]
         msse_per[b] = float(np.mean(dev) * 100.0) if len(dev) else 0.0
     msse = float(np.mean(list(msse_per.values()))) if msse_per else 0.0
 
     # windows with a dark tick have NaN flicker, which never counts
-    over = trace.window_stats(limits.window, mu_arr).vf > limits.vf_lim
+    over = trace.window_stats().vf > vf_lim
     fc_per = {b: int(n) for b, n in zip(trace.unit_buses, np.sum(over, axis=0))}
 
-    sustain_ticks = max(int(math.ceil(limits.sustain_seconds / trace.dt_inner)), 1)
+    sustain_ticks = max(int(math.ceil(ANSI_SUSTAIN_S / trace.dt_inner)), 1)
     vvi_per: dict[str, int] = {}
     per = max(_BLOCK_BYTES // (h + 2), 1)  # buses per block of bool masks
     for i in range(0, len(trace.bus_ids), per):
-        counts = _band_violations(trace.voltages[:, i : i + per], limits.ansi_a,
-                                  limits.ansi_b, sustain_ticks)
+        counts = _band_violations(trace.voltages[:, i : i + per], ANSI_RANGE_A,
+                                  ANSI_RANGE_B, sustain_ticks)
         vvi_per.update((b, n) for b, n in zip(trace.bus_ids[i:], counts.tolist()) if n)
 
     return MetricsReport(

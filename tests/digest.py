@@ -17,7 +17,9 @@ Cases:
 - the benchmark plans (`perfbench/workloads.py`) at seeds 0 and 1: the
   `intermittency` run under each controller and its `k_d` sweep, and the
   generated `ladder300` and `linear150` runs, by the bytes of every file
-  they write (`sweep.csv` included).
+  they write (`sweep.csv` included);
+- the stdout of `presets --show NAME` for every preset, and of `analyze`
+  on both bundled feeders.
 
 The bits depend on the OpenBLAS kernel (the fixed point's complex mat-vec
 goes through it), on its thread count and on numpy's SIMD loops.  So the
@@ -122,6 +124,10 @@ def cases(work: Path):
             for inv in workloads.WORKLOADS[wname].plan(seed, plan_dir):
                 yield f"{wname}/{seed}/{inv.label}", cli_files(list(inv.argv), plan_dir)
             os.chdir(work)
+    for name in sorted(PRESETS):
+        yield f"presets/{name}", cli_files(["presets", "--show", name], work)
+    for feeder in ("ieee4_mod", "feeder30"):
+        yield f"analyze/{feeder}", cli_files(["analyze", "--feeder", feeder], work)
 
 
 def openblas_core() -> str:

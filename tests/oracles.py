@@ -43,7 +43,6 @@ from voltvar_sim.feeder import (
     PowerFlowSolution,
 )
 from voltvar_sim.sim import (
-    MetricsLimits,
     ParamLog,
     SimulationEngine,
     SimulationError,
@@ -464,12 +463,14 @@ def window_stats_rows(
     return sse / t, 100.0 * vf / t, p_sum / t
 
 
-def band_violation_runs(trace: SimulationTrace, limits: MetricsLimits) -> dict[str, int]:
+def band_violation_runs(
+    trace: SimulationTrace, band_a: tuple[float, float], band_b: tuple[float, float],
+    sustain_ticks: int,
+) -> dict[str, int]:
     """Per-bus band-violation counts (zero counts left out), found bus by
     bus from the edges of each bus's padded range-B mask."""
-    lo_a, hi_a = limits.ansi_a
-    lo_b, hi_b = limits.ansi_b
-    sustain_ticks = max(int(math.ceil(limits.sustain_seconds / trace.dt_inner)), 1)
+    lo_a, hi_a = band_a
+    lo_b, hi_b = band_b
     vvi_per: dict[str, int] = {}
     for b, v in zip(trace.bus_ids, trace.voltages.T):
         viol = (v > hi_a) | (v < lo_a)

@@ -17,7 +17,6 @@ from voltvar_sim.control import ControllerKind
 from voltvar_sim.feeder import sensitivity_matrix, solve_power_flow
 from voltvar_sim.presets import get_preset, override_scenario
 from voltvar_sim.sim import (
-    MetricsLimits,
     Scenario,
     SubstationVoltage,
     linearize,
@@ -62,13 +61,13 @@ def test_criterion_1_critical_slope(ieee4):
 
 def test_criterion_2_stability_dichotomy(ieee4):
     t0 = time.perf_counter()
-    settled = run(_steady_scenario(ControllerKind.conventional(), 1.0), ieee4)
+    settled = run(_steady_scenario(ControllerKind("conventional"), 1.0), ieee4)
     t_settle = time.perf_counter() - t0
     resid = np.abs(np.diff(settled.q_inj[:, 0]))
     settles = bool(np.all(resid[60:] < 1e-6))
 
     t1 = time.perf_counter()
-    oscillating = run(_steady_scenario(ControllerKind.conventional(), 6.0), ieee4)
+    oscillating = run(_steady_scenario(ControllerKind("conventional"), 6.0), ieee4)
     t_osc = time.perf_counter() - t1
     v3 = oscillating.bus_voltage("bus3")[-20:]
     p2p = float(v3.max() - v3.min())
@@ -98,7 +97,7 @@ def test_criterion_3_outer_loop_gain_regimes(ieee4):
     base = Scenario(
         horizon=1001,
         t_outer=100,
-        controller_kind=ControllerKind.adaptive(),
+        controller_kind=ControllerKind("adaptive"),
         mu=1.0,
         adaptive=quiet,
         pv_profile={"bus3": 0.9},
@@ -159,7 +158,7 @@ def test_criterion_5_disturbance_recovery():
 def test_criterion_6_sse_closed_form(ieee4):
     # linearized engine: prediction and simulation agree to 1e-6
     lin = linearize(ieee4)
-    sc = _steady_scenario(ControllerKind.conventional(), 1.0, horizon=100)
+    sc = _steady_scenario(ControllerKind("conventional"), 1.0, horizon=100)
     settled = run(sc, lin)
     v_bar = settled.bus_voltage("bus3")[-1]
     q_bar = settled.q_inj[-1, 0]
@@ -167,7 +166,7 @@ def test_criterion_6_sse_closed_form(ieee4):
     dv_d = 0.02 * lin.dv_dslack[lin.load_bus_ids.index("bus3")]
     v_pred_lin, _ = predict_sse(a_lin, [1.0], [dv_d], [v_bar], 1.0)
     stepped = run(
-        _steady_scenario(ControllerKind.conventional(), 1.0, horizon=200,
+        _steady_scenario(ControllerKind("conventional"), 1.0, horizon=200,
                          events=((100, SubstationVoltage(1.05)),)),
         lin,
     )
@@ -185,7 +184,7 @@ def test_criterion_6_sse_closed_form(ieee4):
     dv_d_f = voltage_at(frozen, "bus3") - v_bar_f
     v_pred_full, _ = predict_sse(a_full, [1.0], [dv_d_f], [v_bar_f], 1.0)
     full_stepped = run(
-        _steady_scenario(ControllerKind.conventional(), 1.0, horizon=200,
+        _steady_scenario(ControllerKind("conventional"), 1.0, horizon=200,
                          events=((100, SubstationVoltage(1.05)),)),
         ieee4,
     )
@@ -199,19 +198,18 @@ def test_criterion_6_sse_closed_form(ieee4):
 def test_criterion_7_intermittency_metric_chain():
     t0 = time.perf_counter()
     feeder, adaptive_sc = get_preset("intermittency")
-    limits = MetricsLimits(vf_lim=adaptive_sc.adaptive.vf_lim_bar,
-                           window=adaptive_sc.t_outer)
+    vf_lim = adaptive_sc.adaptive.vf_lim_bar
 
     def run_kind(controller: str, slope: float | None = None):
         sc = override_scenario(adaptive_sc, "controller", controller)
         if slope is not None:
             sc = override_scenario(sc, "m", str(slope))
-        return metrics(run(sc, feeder), mu=1.0, limits=limits)
+        return metrics(run(sc, feeder), vf_lim)
 
     rep_none = run_kind("none")
     rep_conv = run_kind("conventional", 3.0)
     rep_delay = run_kind("delayed", 1.5)
-    rep_adapt = metrics(run(adaptive_sc, feeder), mu=1.0, limits=limits)
+    rep_adapt = metrics(run(adaptive_sc, feeder), vf_lim)
     elapsed = time.perf_counter() - t0
     ok = (
         rep_adapt.fc == 0

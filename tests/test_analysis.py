@@ -12,7 +12,6 @@ from voltvar_sim.analysis import (
     sse_adaptive_prediction,
     stability_report,
 )
-from voltvar_sim.feeder import sensitivity_matrix, solve_power_flow
 
 from oracles import geometric_series_limit, iterate_linear_adaptive_outer, iterate_linear_droop
 
@@ -86,12 +85,6 @@ class TestStabilityReport:
     def test_negative_slope_rejected(self):
         with pytest.raises(AnalysisError, match=">= 0"):
             stability_report(np.array([[0.30, 0.28], [0.27, 0.44]]), [1.0, -0.1])
-
-    def test_operating_point_id_carried(self, ieee4):
-        sol = solve_power_flow(ieee4)
-        a = sensitivity_matrix(ieee4, sol)
-        rep = stability_report(a, [1.0], operating_point_id=sol.point_id)
-        assert rep.operating_point_id == sol.point_id
 
 
 class TestPredictSse:

@@ -9,9 +9,9 @@ import pytest
 
 from voltvar_sim import cli
 from voltvar_sim.cli import main
-from voltvar_sim.feeder import feeder_to_dict
+from voltvar_sim.feeder import feeder_to_dict, solve_power_flow
 from voltvar_sim.presets import get_preset
-from voltvar_sim.sim import MetricsLimits, metrics, read_trace_csv, scenario_to_dict
+from voltvar_sim.sim import metrics, read_trace_csv, scenario_to_dict
 
 ALL_PRESETS = (
     "fig3a", "fig3b", "fig3c", "fig10a", "fig10b", "fig10c",
@@ -109,7 +109,7 @@ class TestRun:
         assert main(["run", "--scenario", "fig10a", "--out", str(out)]) == 0
         payload = json.loads((out / "metrics.json").read_text())
         again = read_trace_csv(out / "trace.csv", dt_inner=1.0, t_outer=10)
-        rep = metrics(again, mu=1.0, limits=MetricsLimits(vf_lim=3.0, window=10))
+        rep = metrics(again, vf_lim=3.0)
         assert rep.msse == payload["msse_percent"]
         assert rep.fc == payload["fc"]
         assert rep.vvi == payload["vvi"]
@@ -137,6 +137,10 @@ class TestAnalyze:
         assert main(["analyze", "--feeder", feeder]) == 0
         out = capsys.readouterr().out
         return json.loads(out[: out.rindex("}") + 1])
+
+    def test_reports_the_solved_operating_point(self, capsys, ieee4):
+        payload = self._analyze(capsys, "ieee4_mod")
+        assert payload["operating_point_id"] == solve_power_flow(ieee4).point_id
 
     def test_inverter_buses_are_the_matrix_rows(self, capsys, tmp_path, ieee4_closed):
         # bus4's unit sits behind the open switch, outside the 1x1 matrix

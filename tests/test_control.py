@@ -236,8 +236,8 @@ class TestParamValidation:
         assert np.array_equal(block.v_min_p, [want[0], 0.5])
 
     def test_controller_kind(self):
-        assert ControllerKind.delayed().tau == 0.5
-        assert ControllerKind.none().name == "none"
+        assert ControllerKind("delayed", 0.5).tau == 0.5
+        assert ControllerKind().name == "none"
         with pytest.raises(ControlError):
             ControllerKind("fuzzy")
         with pytest.raises(ControlError):

@@ -91,8 +91,8 @@ def test_warm_start_same_answer(ieee4):
 
 
 def test_power_balance(ieee4_closed):
-    tol = 1e-8
-    sol = solve_power_flow(ieee4_closed, tol=tol)
+    tol = DEFAULT_TOL
+    sol = solve_power_flow(ieee4_closed)
     assert sol.converged
     inj = bus_injections(ieee4_closed, sol)
     loss = total_losses(ieee4_closed, sol)

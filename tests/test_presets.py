@@ -4,16 +4,19 @@ array controller state.  Compared at rel 1e-9, not bit for bit, so the
 check does not depend on the BLAS build.  The trace's parameter log, read
 back as records, equals the records split unit by unit from the blocks
 the engine stores, bit for bit, in the order of updates recorded before
-the log became arrays."""
+the log became arrays.  A `controller` override keeps a delayed
+controller's tau."""
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from voltvar_sim.presets import PRESETS, get_preset
-from voltvar_sim.sim import MetricsLimits, metrics, run
+from voltvar_sim.control import ControllerKind
+from voltvar_sim.presets import PRESETS, get_preset, override_scenario
+from voltvar_sim.sim import metrics, run
 
 from oracles import param_dispatches, param_records_per_unit
 
@@ -96,8 +99,7 @@ def test_preset_matches_recorded(name):
     msse, fc, vvi, diverged, n_dispatches, last = RECORDED[name]
     feeder, scenario = get_preset(name)
     trace = run(scenario, feeder)
-    rep = metrics(trace, limits=MetricsLimits(vf_lim=scenario.adaptive.vf_lim_bar,
-                                              window=scenario.t_outer))
+    rep = metrics(trace, scenario.adaptive.vf_lim_bar)
     assert rep.msse == pytest.approx(msse, rel=1e-9)
     assert (rep.fc, rep.vvi) == (fc, vvi)
     assert sum(1 for f in trace.flags if f) == diverged
@@ -110,3 +112,15 @@ def test_preset_matches_recorded(name):
     p = d.params
     got = (p.m_p, p.q_p, p.q_min_p, p.q_max_p, p.v_min_p, p.v_max_p, p.mu)
     assert got == pytest.approx(values, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind, tau", [
+    (ControllerKind("delayed", 0.0), 0.0),
+    (ControllerKind("delayed", 0.9), 0.9),
+    (ControllerKind("adaptive"), 0.5),
+    (ControllerKind("conventional"), 0.5),
+])
+def test_controller_override_keeps_a_delayed_tau(kind, tau):
+    _, scenario = get_preset("fig3b")
+    switched = override_scenario(replace(scenario, controller_kind=kind), "controller", "delayed")
+    assert switched.controller_kind == ControllerKind("delayed", tau)

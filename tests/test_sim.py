@@ -35,10 +35,11 @@ from voltvar_sim.feeder import (
 )
 from voltvar_sim.presets import PRESETS, get_preset
 from voltvar_sim.sim import (
+    ANSI_RANGE_A,
+    ANSI_RANGE_B,
     CloudCover,
     Intermittency,
     LoadScale,
-    MetricsLimits,
     ParamLog,
     Scenario,
     SetpointChange,
@@ -47,6 +48,7 @@ from voltvar_sim.sim import (
     SubstationVoltage,
     SwitchEvent,
     TelegraphSpec,
+    _band_violations,
     _materialize_profile,
     linearize,
     metrics,
@@ -84,13 +86,13 @@ def _scenario(kind, horizon=100, slope=1.0, events=(), profile=0.9, **kw):
 
 class TestEngineBasics:
     def test_no_controller_no_events_constant_voltages(self, ieee4):
-        trace = run(_scenario(ControllerKind.none(), horizon=20), ieee4)
+        trace = run(_scenario(ControllerKind("none"), horizon=20), ieee4)
         v3 = trace.bus_voltage("bus3")
         assert np.all(np.abs(v3 - v3[0]) < 1e-12)
         assert np.all(trace.q_inj == 0.0)
 
     def test_none_controller_equals_repeated_base_solve(self, ieee4):
-        trace = run(_scenario(ControllerKind.none(), horizon=10), ieee4)
+        trace = run(_scenario(ControllerKind("none"), horizon=10), ieee4)
         base = solve_power_flow(ieee4)  # file stores p_out=0.9 on both units
         # only bus3 generates in the trace (bus4 dark), same injection as file
         assert trace.bus_voltage("bus3")[0] == pytest.approx(
@@ -98,7 +100,7 @@ class TestEngineBasics:
         )
 
     def test_conservative_slope_settles(self, ieee4):
-        trace = run(_scenario(ControllerKind.conventional(), slope=1.0), ieee4)
+        trace = run(_scenario(ControllerKind("conventional"), slope=1.0), ieee4)
         dq = np.abs(np.diff(trace.q_inj[:, 0]))
         assert np.all(dq[60:] < 1e-8)
         # fixed-point certificate: q = f(h(q)) at the recorded equilibrium
@@ -110,13 +112,13 @@ class TestEngineBasics:
         )
 
     def test_supercritical_slope_oscillates(self, ieee4):
-        trace = run(_scenario(ControllerKind.conventional(), slope=6.0), ieee4)
+        trace = run(_scenario(ControllerKind("conventional"), slope=6.0), ieee4)
         v3 = trace.bus_voltage("bus3")[-20:]
         assert v3.max() - v3.min() > 0.01
 
     def test_inverters_idle_until_generating(self, ieee4):
         trace = run(
-            _scenario(ControllerKind.conventional(), profile={"bus3": ((20, 0.9),)}),
+            _scenario(ControllerKind("conventional"), profile={"bus3": ((20, 0.9),)}),
             ieee4,
         )
         assert np.all(trace.q_inj[:20, 0] == 0.0)
@@ -136,12 +138,12 @@ class TestEngineBasics:
                 out[t] = level
             return out
 
-        prof = _materialize_profile(points, ("a", "b"), 30)
+        prof = _materialize_profile(points, ("a", "b"), 30, ())
         assert prof[:, 0].tobytes() == reference(points, 30).tobytes()
         assert prof[:, 1].tobytes() == prof[:, 0].tobytes()
 
     def test_horizon_exhaustion_raises(self, ieee4):
-        eng = SimulationEngine(_scenario(ControllerKind.none(), horizon=12), ieee4)
+        eng = SimulationEngine(_scenario(ControllerKind("none"), horizon=12), ieee4)
         for _ in range(11):
             eng.step_inner()
         with pytest.raises(SimulationError):
@@ -152,7 +154,7 @@ class TestEvents:
     def test_substation_step_shifts_voltage(self, ieee4):
         trace = run(
             _scenario(
-                ControllerKind.none(), events=((50, SubstationVoltage(1.05)),)
+                ControllerKind("none"), events=((50, SubstationVoltage(1.05)),)
             ),
             ieee4,
         )
@@ -163,7 +165,7 @@ class TestEvents:
     def test_switch_event_energizes_bus4(self, ieee4):
         trace = run(
             _scenario(
-                ControllerKind.none(), events=((30, SwitchEvent("switch1", "closed")),)
+                ControllerKind("none"), events=((30, SwitchEvent("switch1", "closed")),)
             ),
             ieee4,
         )
@@ -180,7 +182,7 @@ class TestEvents:
     def test_tick0_switch_event_compiles_before_solving(self, ieee4):
         trace = run(
             _scenario(
-                ControllerKind.none(), events=((0, SwitchEvent("switch1", "closed")),)
+                ControllerKind("none"), events=((0, SwitchEvent("switch1", "closed")),)
             ),
             ieee4,
         )
@@ -198,7 +200,7 @@ class TestEvents:
             (25, SwitchEvent("switch1", "open")),
         )
         engine = SimulationEngine(
-            _scenario(ControllerKind.none(), horizon=30, events=events), ieee4
+            _scenario(ControllerKind("none"), horizon=30, events=events), ieee4
         )
         assert len(builds) == 1
         while engine.tick < 15:
@@ -220,14 +222,14 @@ class TestEvents:
             lambda *a, **kw: calls.append(kw) or solve(*a, **kw),
         )
         events = ((10, SwitchEvent("switch1", "closed")),)
-        trace = run(_scenario(ControllerKind.conventional(), horizon=20, events=events), ieee4)
+        trace = run(_scenario(ControllerKind("conventional"), horizon=20, events=events), ieee4)
         assert len(calls) == trace.horizon
         assert all("v_init" in kw for kw in calls)
         assert [t for t, kw in enumerate(calls) if kw["v_init"] is None] == [0, 10]
 
     def test_load_scale_drops_voltage(self, ieee4):
         trace = run(
-            _scenario(ControllerKind.none(), events=((40, LoadScale(2.0)),)), ieee4
+            _scenario(ControllerKind("none"), events=((40, LoadScale(2.0)),)), ieee4
         )
         v3 = trace.bus_voltage("bus3")
         assert v3[40] < v3[39]
@@ -235,7 +237,7 @@ class TestEvents:
     def test_cloud_cover_scales_profile(self, ieee4):
         trace = run(
             _scenario(
-                ControllerKind.none(),
+                ControllerKind("none"),
                 events=((25, CloudCover(0.5, ("bus3",))),),
             ),
             ieee4,
@@ -246,7 +248,7 @@ class TestEvents:
     def test_setpoint_event_rebuilds_droop_curve(self, ieee4):
         trace = run(
             _scenario(
-                ControllerKind.conventional(),
+                ControllerKind("conventional"),
                 events=((60, SetpointChange(0.98)),),
                 horizon=140,
             ),
@@ -257,7 +259,7 @@ class TestEvents:
 
     def test_intermittency_uses_named_series(self, ieee4):
         sc = _scenario(
-            ControllerKind.none(),
+            ControllerKind("none"),
             events=((10, Intermittency("cloud", ("bus3",))),),
             seed=5,
         )
@@ -278,14 +280,14 @@ class TestEvents:
 
     def test_unknown_series_rejected(self, ieee4):
         sc = _scenario(
-            ControllerKind.none(), events=((10, Intermittency("nope", ("bus3",))),)
+            ControllerKind("none"), events=((10, Intermittency("nope", ("bus3",))),)
         )
         with pytest.raises(SimulationError, match="series"):
             run(sc, ieee4)
 
     def test_event_on_unknown_pv_bus_rejected(self, ieee4):
         sc = _scenario(
-            ControllerKind.none(), events=((10, CloudCover(0.5, ("bus9",))),)
+            ControllerKind("none"), events=((10, CloudCover(0.5, ("bus9",))),)
         )
         with pytest.raises(SimulationError, match="unknown PV bus"):
             run(sc, ieee4)
@@ -295,21 +297,21 @@ class TestScenarioValidation:
     def test_events_must_be_sorted(self):
         with pytest.raises(SimulationError, match="sorted"):
             _scenario(
-                ControllerKind.none(),
+                ControllerKind("none"),
                 events=((50, SubstationVoltage(1.05)), (10, LoadScale(1.1))),
             )
 
     def test_horizon_bounds_events(self):
         with pytest.raises(SimulationError, match="horizon"):
-            _scenario(ControllerKind.none(), events=((500, LoadScale(1.1)),))
+            _scenario(ControllerKind("none"), events=((500, LoadScale(1.1)),))
 
     def test_horizon_at_least_one_outer_period(self):
         with pytest.raises(SimulationError):
-            _scenario(ControllerKind.none(), horizon=5)
+            _scenario(ControllerKind("none"), horizon=5)
 
     def test_t_outer_at_least_two(self):
         with pytest.raises(SimulationError, match="t_outer"):
-            Scenario(horizon=20, t_outer=1, controller_kind=ControllerKind.adaptive())
+            Scenario(horizon=20, t_outer=1, controller_kind=ControllerKind("adaptive"))
 
     def test_adaptive_T_must_equal_t_outer(self):
         doc = {"horizon": 20, "t_outer": 10, "controller": {"kind": "adaptive"},
@@ -331,28 +333,28 @@ class TestScenarioValidation:
     )
     def test_profile_inputs_checked(self, ieee4, kw):
         with pytest.raises(SimulationError, match="series|finite"):
-            run(_scenario(ControllerKind.conventional(), horizon=20, **kw), ieee4)
+            run(_scenario(ControllerKind("conventional"), horizon=20, **kw), ieee4)
 
     @pytest.mark.parametrize("points", [((-5, 0.9),), ((20, 0.9),), ((500, 0.9),)])
     def test_profile_tick_outside_horizon_rejected(self, ieee4, points):
         with pytest.raises(SimulationError, match="outside 0..19"):
-            run(_scenario(ControllerKind.none(), horizon=20, profile=points), ieee4)
+            run(_scenario(ControllerKind("none"), horizon=20, profile=points), ieee4)
 
     def test_profile_repeated_tick_rejected(self, ieee4):
         with pytest.raises(SimulationError, match="distinct"):
-            run(_scenario(ControllerKind.none(), horizon=20,
+            run(_scenario(ControllerKind("none"), horizon=20,
                           profile={"bus3": ((10, 0.5), (10, 0.9))}), ieee4)
 
     def test_profile_bus_without_unit_rejected(self, ieee4):
         with pytest.raises(SimulationError, match="without a PV unit: bus2"):
-            run(_scenario(ControllerKind.none(), horizon=20,
+            run(_scenario(ControllerKind("none"), horizon=20,
                           profile={"bus3": 0.9, "bus2": 0.5}), ieee4)
 
     def test_profile_may_name_unit_the_linear_twin_leaves_out(self, ieee4):
         # bus4 sits behind an open switch: a unit on the feeder, not on the twin
         lin = linearize(ieee4)
         assert lin.dark_pv_buses == ("bus4",)
-        sc = _scenario(ControllerKind.none(), horizon=20, profile={"bus3": 0.9, "bus4": 0.5})
+        sc = _scenario(ControllerKind("none"), horizon=20, profile={"bus3": 0.9, "bus4": 0.5})
         assert run(sc, lin).p_out[0].tolist() == [0.9]
 
     @pytest.mark.parametrize(
@@ -360,7 +362,7 @@ class TestScenarioValidation:
         ids=["cloud", "setpoint"],
     )
     def test_event_may_name_unit_the_linear_twin_leaves_out(self, ieee4, event):
-        plain = _scenario(ControllerKind.conventional(), horizon=20)
+        plain = _scenario(ControllerKind("conventional"), horizon=20)
         moved = replace(plain, events=((5, event),))
         # the feeder keeps its bus4 unit, so the event reaches it there
         full, full_moved = run(plain, ieee4), run(moved, ieee4)
@@ -424,7 +426,7 @@ class TestScenarioValidation:
         assert make(None).buses is None
         assert make(("bus3", "bus4")).buses == ("bus3", "bus4")
         # the scenario JSON reports the same error
-        doc = scenario_to_dict(_scenario(ControllerKind.none(), horizon=20,
+        doc = scenario_to_dict(_scenario(ControllerKind("none"), horizon=20,
                                          events=((5, make(("bus3",))),)))
         doc["events"][0]["buses"] = ["bus3", "bus3"]
         with pytest.raises(SimulationError, match="bus3 twice"):
@@ -440,11 +442,11 @@ class TestScenarioValidation:
             pytest.param(lambda: AdaptiveConfig(eps_sse=math.nan), id="AdaptiveConfig.eps_sse"),
             pytest.param(lambda: AdaptiveConfig(m_floor=math.nan), id="AdaptiveConfig.m_floor"),
             pytest.param(
-                lambda: _scenario(ControllerKind.none(), dt_inner=math.nan),
+                lambda: _scenario(ControllerKind("none"), dt_inner=math.nan),
                 id="Scenario.dt_inner",
             ),
             pytest.param(
-                lambda: _scenario(ControllerKind.none(), slope=math.nan),
+                lambda: _scenario(ControllerKind("none"), slope=math.nan),
                 id="Scenario.droop_slope",
             ),
         ],
@@ -515,7 +517,7 @@ class TestScenarioValidation:
         (np.nextafter(0.99, 0), 3.0, "droop limits at tick 1 for bus3"),
     ])
     def test_droop_needs_var_headroom_at_profile_peak(self, ieee4, peak, slope, match):
-        sc = _scenario(ControllerKind.conventional(), slope=slope,
+        sc = _scenario(ControllerKind("conventional"), slope=slope,
                        profile={"bus3": ((0, peak), (40, 0.5))},
                        recompute_droop_capacity=True)
         with pytest.raises(SimulationError, match=match):
@@ -527,19 +529,19 @@ class TestScenarioValidation:
 class TestAdaptiveLoop:
     def test_outer_dispatches_at_boundaries(self, ieee4):
         trace = run(
-            _scenario(ControllerKind.adaptive(), profile={"bus3": ((20, 0.9),)}, horizon=80),
+            _scenario(ControllerKind("adaptive"), profile={"bus3": ((20, 0.9),)}, horizon=80),
             ieee4,
         )
         ticks = sorted({d.tick for d in param_dispatches(trace)})
         assert ticks == [30, 40, 50, 60, 70]  # first full generating window ends at 30
 
     def test_outer_skips_idle_windows(self, ieee4):
-        trace = run(_scenario(ControllerKind.adaptive(), profile=0.0), ieee4)
+        trace = run(_scenario(ControllerKind("adaptive"), profile=0.0), ieee4)
         assert param_dispatches(trace) == ()
 
     def test_qp_persists_across_topology_events(self, ieee4):
         sc = _scenario(
-            ControllerKind.adaptive(),
+            ControllerKind("adaptive"),
             events=((55, SwitchEvent("switch1", "closed")),),
             horizon=120,
         )
@@ -556,7 +558,7 @@ class TestAdaptiveLoop:
         # its check, and the first boundary tick raises
         monkeypatch.setattr(adaptation, "capacity_limits",
                             lambda rating, p: (np.abs(rating) + 1.0, -np.abs(rating) - 1.0))
-        engine = SimulationEngine(_scenario(ControllerKind.adaptive()), ieee4)
+        engine = SimulationEngine(_scenario(ControllerKind("adaptive")), ieee4)
         while engine.tick < 10:
             engine.step_inner()
         with pytest.raises(ControlError, match="q_min_p <= q_p <= q_max_p"):
@@ -564,7 +566,7 @@ class TestAdaptiveLoop:
         assert engine.tick == 10
 
     def test_params_are_the_last_logged_blocks(self, ieee4_closed, monkeypatch):
-        sc = _scenario(ControllerKind.adaptive(), profile={"bus3": 0.9, "bus4": ((30, 0.5),)},
+        sc = _scenario(ControllerKind("adaptive"), profile={"bus3": 0.9, "bus4": ((30, 0.5),)},
                        horizon=80)
         engine = SimulationEngine(sc, ieee4_closed)
         trace = engine.run()
@@ -584,14 +586,14 @@ class TestAdaptiveLoop:
         assert engine.params.q_p.tolist() == [values[units == j][-1, 1] for j in (0, 1)]
 
     def test_params_kind_follows_the_controller(self, ieee4):
-        for kind, want in ((ControllerKind.none(), type(None)),
-                           (ControllerKind.conventional(), DroopParams),
-                           (ControllerKind.delayed(0.5), DroopParams),
-                           (ControllerKind.adaptive(), AdaptiveParams)):
+        for kind, want in ((ControllerKind("none"), type(None)),
+                           (ControllerKind("conventional"), DroopParams),
+                           (ControllerKind("delayed", 0.5), DroopParams),
+                           (ControllerKind("adaptive"), AdaptiveParams)):
             assert type(SimulationEngine(_scenario(kind), ieee4).params) is want
 
     def test_locality_dispatch_depends_on_own_bus_only(self, ieee4_closed):
-        sc = _scenario(ControllerKind.delayed(0.5), slope=1.0, horizon=60)
+        sc = _scenario(ControllerKind("delayed", 0.5), slope=1.0, horizon=60)
         trace = run(sc, ieee4_closed)
         params = {
             b: DroopParams.from_slope(1.0, 0.0, 1.0, -q, q)
@@ -616,7 +618,7 @@ class TestDivergenceHandling:
             pv_units=(PvUnit("b2", 0.3, p_out=0.0),),
         )
         sc = _scenario(
-            ControllerKind.none(),
+            ControllerKind("none"),
             horizon=20,
             profile=0.0,
             events=((8, LoadScale(40.0)),),
@@ -686,7 +688,7 @@ class TestStabilityConcordance:
         assert rep.stable_sufficient
         profile = 0.9 if fixture == "ieee4" else 0.15
         trace = run(
-            _scenario(ControllerKind.conventional(), slope=slope, profile=profile,
+            _scenario(ControllerKind("conventional"), slope=slope, profile=profile,
                       horizon=max(10 * n + 20, 100)),
             model,
         )
@@ -714,21 +716,21 @@ class TestMetrics:
         )
 
     def test_pinned_at_setpoint_all_zero(self):
-        rep = metrics(self._trace([1.0] * 40), mu=1.0)
+        rep = metrics(self._trace([1.0] * 40))
         assert rep.msse == 0.0 and rep.fc == 0 and rep.vvi == 0
 
     def test_constant_high_voltage_counts_every_tick(self):
-        rep = metrics(self._trace([1.07] * 40), mu=1.0)
+        rep = metrics(self._trace([1.07] * 40))
         assert rep.vvi_per_bus["b"] == 40
         assert rep.msse == pytest.approx(7.0)
 
     def test_sustained_band_b_needs_five_minutes(self):
         # 1.055 pu violates only range B; short runs do not count
         volts = [1.0] * 10 + [1.055] * 20 + [1.0] * 10
-        rep = metrics(self._trace(volts), mu=1.0, limits=MetricsLimits(sustain_seconds=300))
+        rep = metrics(self._trace(volts))
         assert rep.vvi == 0
         volts_long = [1.0] * 5 + [1.055] * 320 + [1.0] * 5
-        rep2 = metrics(self._trace(volts_long), mu=1.0)
+        rep2 = metrics(self._trace(volts_long))
         assert rep2.vvi_per_bus["b"] == 320
 
     def test_square_wave_window_counts_one_flicker(self):
@@ -736,43 +738,50 @@ class TestMetrics:
         # far over any default limit, so each complete window counts once
         base = [1.005 if i % 2 else 0.995 for i in range(8)]
         volts = [1.0] + base + [1.0] * 3
-        rep = metrics(self._trace(volts, t_outer=4), mu=1.0,
-                      limits=MetricsLimits(vf_lim=0.03, window=4))
+        rep = metrics(self._trace(volts, t_outer=4), vf_lim=0.03)
         assert rep.fc_per_inverter["b"] >= 1
 
     def test_dark_bus_ignored(self):
         volts = [float("nan")] * 12
-        rep = metrics(self._trace(volts), mu=1.0)
+        rep = metrics(self._trace(volts))
         assert rep.msse == 0.0 and rep.vvi == 0 and rep.fc == 0
 
     @staticmethod
-    def _loop_vvi(trace, lim):
-        sustain = max(math.ceil(lim.sustain_seconds / trace.dt_inner), 1)
-        counts = band_violation_counts(trace.voltages, lim.ansi_a, lim.ansi_b, sustain)
+    def _vvi(trace, band_b, sustain_ticks):
+        """`_band_violations` over the whole trace, per bus as `metrics`
+        reports it."""
+        counts = _band_violations(trace.voltages, ANSI_RANGE_A, band_b, sustain_ticks)
+        return {b: c for b, c in zip(trace.bus_ids, counts.tolist()) if c}
+
+    @staticmethod
+    def _loop_vvi(trace, band_b, sustain_ticks):
+        counts = band_violation_counts(trace.voltages, ANSI_RANGE_A, band_b, sustain_ticks)
         return {b: c for b, c in zip(trace.bus_ids, counts) if c}
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_band_violations_match_loop_oracle_on_presets(self, name):
         feeder, sc = get_preset(name)
-        trace = run(sc, feeder)
-        for lim in (MetricsLimits(), MetricsLimits(ansi_b=(0.99, 1.01), sustain_seconds=5.0)):
-            assert metrics(trace, limits=lim).vvi_per_bus == self._loop_vvi(trace, lim)
+        trace = run(sc, feeder)  # dt_inner 1 s: a sustain of 300 s is 300 ticks
+        assert metrics(trace).vvi_per_bus == self._loop_vvi(trace, ANSI_RANGE_B, 300)
+        assert self._vvi(trace, (0.99, 1.01), 5) == self._loop_vvi(trace, (0.99, 1.01), 5)
         # and the bus-by-bus run search, over sustain lengths and a narrow band B
-        for sustain in (1.0, 5.0, 300.0):
-            for band_b in ((0.95, 1.05), (0.995, 1.005)):
-                lim = MetricsLimits(ansi_b=band_b, sustain_seconds=sustain)
-                assert metrics(trace, limits=lim).vvi_per_bus == band_violation_runs(trace, lim)
+        for sustain in (1, 5, 300):
+            for band_b in (ANSI_RANGE_B, (0.995, 1.005)):
+                want = band_violation_runs(trace, ANSI_RANGE_A, band_b, sustain)
+                assert self._vvi(trace, band_b, sustain) == want
 
     def test_blocked_metrics_match_one_block(self, monkeypatch):
         # a block of one bus (band runs) and one unit (windows) at a time
         feeder, sc = get_preset("intermittency")
         trace = run(sc, feeder)
-        lim = MetricsLimits(ansi_b=(0.995, 1.005), sustain_seconds=5.0)
+        # a narrow band B held for 5 s, so that band runs occur
+        monkeypatch.setattr(sim_module, "ANSI_RANGE_B", (0.995, 1.005))
+        monkeypatch.setattr(sim_module, "ANSI_SUSTAIN_S", 5.0)
         mu = np.linspace(0.99, 1.01, len(trace.unit_buses))  # one set point per unit
-        mu_series = np.broadcast_to(mu, trace.mu.shape)
-        whole = metrics(trace, mu, lim), trace.window_stats(10, mu_series)
+        trace = replace(trace, mu=np.broadcast_to(mu, trace.mu.shape))
+        whole = metrics(trace), trace.window_stats()
         monkeypatch.setattr(sim_module, "_BLOCK_BYTES", 1)
-        blocked = metrics(trace, mu, lim), trace.window_stats(10, mu_series)
+        blocked = metrics(trace), trace.window_stats()
         assert repr(vars(blocked[0])) == repr(vars(whole[0]))
         for got, want in zip(vars(blocked[1]).values(), vars(whole[1]).values()):
             assert got.tobytes() == want.tobytes()
@@ -783,7 +792,7 @@ class TestMetrics:
     @given(
         h=st.integers(1, 60),
         n_bus=st.integers(1, 4),
-        sustain=st.floats(0.5, 12.0),
+        sustain=st.integers(1, 12),
         data=st.data(),
     )
     def test_band_violations_match_loop_oracle_on_random_masks(self, h, n_bus, sustain, data):
@@ -797,21 +806,21 @@ class TestMetrics:
             p_out=np.zeros((h, 0)), mu=np.zeros((h, 0)), flags=("",) * h,
             param_log=ParamLog(), dt_inner=1.0, t_outer=4,
         )
-        lim = MetricsLimits(window=4, sustain_seconds=sustain)
-        assert metrics(trace, limits=lim).vvi_per_bus == self._loop_vvi(trace, lim)
+        assert metrics(trace).vvi_per_bus == self._loop_vvi(trace, ANSI_RANGE_B, 300)
+        want = self._loop_vvi(trace, ANSI_RANGE_B, sustain)
+        assert self._vvi(trace, ANSI_RANGE_B, sustain) == want
 
 
 class TestCsvRoundTrip:
     def test_metrics_bit_identical(self, tmp_path, ieee4):
-        sc = _scenario(ControllerKind.adaptive(), profile={"bus3": ((20, 0.9),)},
+        sc = _scenario(ControllerKind("adaptive"), profile={"bus3": ((20, 0.9),)},
                        events=((50, SubstationVoltage(1.05)),), horizon=90)
         trace = run(sc, ieee4)
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         again = read_trace_csv(path, dt_inner=sc.dt_inner, t_outer=sc.t_outer)
-        lim = MetricsLimits(vf_lim=1.0, window=10)
-        a = metrics(trace, mu=1.0, limits=lim)
-        b = metrics(again, mu=1.0, limits=lim)
+        a = metrics(trace, vf_lim=1.0)
+        b = metrics(again, vf_lim=1.0)
         assert a.msse == b.msse
         assert a.fc == b.fc and a.vvi == b.vvi
         assert a.msse_per_inverter == b.msse_per_inverter
@@ -835,7 +844,7 @@ class TestCsvRoundTrip:
             read_trace_csv(path)
 
     def test_params_csv_written(self, tmp_path, ieee4):
-        sc = _scenario(ControllerKind.adaptive(), profile=0.9, horizon=40)
+        sc = _scenario(ControllerKind("adaptive"), profile=0.9, horizon=40)
         trace = run(sc, ieee4)
         path = tmp_path / "params.csv"
         write_params_csv(trace, path)
@@ -865,7 +874,7 @@ class TestLinearizedEngine:
 
     def test_matches_full_engine_near_linearization_point(self, ieee4):
         lin = linearize(ieee4)
-        sc = _scenario(ControllerKind.conventional(), slope=1.0, profile=0.9, horizon=60)
+        sc = _scenario(ControllerKind("conventional"), slope=1.0, profile=0.9, horizon=60)
         full = run(sc, ieee4)
         approx = run(sc, lin)
         v_full = full.bus_voltage("bus3")[-1]
@@ -874,7 +883,7 @@ class TestLinearizedEngine:
 
     def test_substation_event_supported(self, ieee4):
         lin = linearize(ieee4)
-        sc = _scenario(ControllerKind.none(), profile=0.9, horizon=30,
+        sc = _scenario(ControllerKind("none"), profile=0.9, horizon=30,
                        events=((10, SubstationVoltage(1.05)),))
         tr = run(sc, lin)
         v3 = tr.bus_voltage("bus3")
@@ -882,14 +891,14 @@ class TestLinearizedEngine:
 
     def test_switch_event_rejected(self, ieee4):
         lin = linearize(ieee4)
-        sc = _scenario(ControllerKind.none(), profile=0.9, horizon=30,
+        sc = _scenario(ControllerKind("none"), profile=0.9, horizon=30,
                        events=((10, SwitchEvent("switch1", "closed")),))
         with pytest.raises(SimulationError, match="not supported"):
             run(sc, lin)
 
     def test_load_scale_rejected_when_engine_is_built(self, ieee4):
         lin = linearize(ieee4)
-        sc = _scenario(ControllerKind.none(), profile=0.9, horizon=30,
+        sc = _scenario(ControllerKind("none"), profile=0.9, horizon=30,
                        events=((25, LoadScale(1.2)),))
         with pytest.raises(SimulationError, match="not supported"):
             SimulationEngine(sc, lin)
