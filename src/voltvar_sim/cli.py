@@ -177,7 +177,7 @@ def cmd_analyze(args) -> int:
         return EXIT_UNSTABLE
     buses = energized_pv_buses(feeder)  # none is a usage error (exit 2)
     try:
-        a = sensitivity_matrix(feeder, solution, buses)
+        a = sensitivity_matrix(feeder, solution)
     except PowerFlowError as exc:  # singular Jacobian: near voltage collapse
         print(str(exc), file=sys.stderr)
         return EXIT_UNSTABLE

@@ -194,7 +194,8 @@ def slope_to_cutoffs(
 @dataclass(frozen=True)
 class ControllerKind:
     """Which inner law an inverter runs: none (the default), conventional,
-    delayed with its `tau`, or adaptive; e.g. `ControllerKind("delayed", 0.9)`."""
+    delayed with its `tau`, or adaptive; e.g. `ControllerKind("delayed", 0.9)`.
+    Only the delayed law reads `tau`, so every other kind takes 0."""
 
     name: str = "none"
     tau: float = 0.0
@@ -207,3 +208,5 @@ class ControllerKind:
             raise ControlError(f"unknown controller kind {self.name!r}")
         if not 0.0 <= self.tau < 1.0:
             raise ControlError("tau must be in [0, 1)")
+        if self.tau != 0.0 and self.name != "delayed":
+            raise ControlError(f"tau is for the delayed controller, not {self.name}")

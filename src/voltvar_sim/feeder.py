@@ -17,12 +17,16 @@ V_L = w V_S + Z conj(S_L / V_L).  Z exists for any connected island, so
 radial and meshed islands take the same path.  It stops once no voltage
 moves by more than `FIXED_POINT_STEP` pu and then requires the Newton
 mismatch test; that makes it as accurate as a Newton solve, which the
-finite-difference sensitivities rely on.  Near the loadability limit the
-fixed point stalls, so a solve that does not converge within
-`DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson, which also
-supplies the Jacobian for `sensitivity_matrix`.  Z is dense, so memory
-grows as O(n^2) in the island size; the design suits feeders up to about
-1000 buses.
+tests' finite-difference sensitivities rely on.  Near the loadability
+limit the fixed point stalls, so a solve that does not converge within
+`DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson.  Z is dense,
+so memory grows as O(n^2) in the island size; the design suits feeders
+up to about 1000 buses.
+
+`voltage_sensitivities` builds Newton's Jacobian at a solved operating
+point and solves it once for dV/dP, dV/dQ and dV/dV_slack, which
+linearize the feeder; `sensitivity_matrix` is the PV-bus rows of its
+dV/dQ.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .codec import SchemaError, decode, encode
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
 # the fixed point stops once no voltage moves more than this (pu); a
-# mismatch-only stop leaves errors up to ~5e-9, too coarse for the
+# mismatch-only stop leaves errors up to ~5e-9, too coarse for the tests'
 # finite-difference sensitivities
 FIXED_POINT_STEP = 1e-13
 
@@ -544,43 +548,48 @@ def energized_pv_buses(model: FeederModel) -> tuple[str, ...]:
     return buses
 
 
-def sensitivity_matrix(
-    model: FeederModel,
-    solution: PowerFlowSolution,
-    buses: tuple[str, ...] | None = None,
-) -> np.ndarray:
-    """Voltage sensitivity A with A[i][j] = dV_i/dQ_j at the operating point.
+def voltage_sensitivities(
+    model: FeederModel, solution: PowerFlowSolution
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dV/dP, dV/dQ and dV/dV_slack at the operating point.
 
-    Extracted from the power-flow Jacobian, reduced by default to
-    `energized_pv_buses(model)` (the per-inverter matrix); pass `buses`
-    for any other subset, in the order given.
+    dV/dP and dV/dQ have a row per load bus (`solution.load_bus_ids`) and
+    a column per PV bus on the island, in island order; dV/dV_slack has a
+    row per load bus.  All three come from one solve against the
+    power-flow Jacobian, with a unit P and a unit Q column per PV bus and
+    the substation column -dS/dV_slack.
     """
     if not solution.converged:
         raise PowerFlowError("sensitivity requires a converged operating point")
     net = model.network
     if net.island != solution.bus_ids:
         raise PowerFlowError("solution does not match the model topology")
-    if buses is None:
-        buses = energized_pv_buses(model)
-    col = {b: i for i, b in enumerate(solution.load_bus_ids)}
-    for b in buses:
-        if b not in col:
-            raise FeederError(f"bus {b} is not an energized load bus")
-
     pq = net.pq
+    pv_buses = set(model.pv_buses)
+    unit = np.eye(len(pq))[:, [b in pv_buses for b in solution.load_bus_ids]]
+    k = unit.shape[1]
+    zero = np.zeros_like(unit)
     v = solution.v_mag * np.exp(1j * solution.v_ang)
-    jac = _jacobian(net.ybus, v, pq)
-    npq = len(pq)
-    rhs = np.vstack([np.zeros((npq, npq)), np.eye(npq)])
+    ds_dslack = v[pq] * np.conj(net.ybus[pq, net.slack_idx])  # the slack angle is 0
+    rhs = np.block([[unit, zero, -ds_dslack.real[:, None]],
+                    [zero, unit, -ds_dslack.imag[:, None]]])
     try:
-        x = np.linalg.solve(jac, rhs)
+        x = np.linalg.solve(_jacobian(net.ybus, v, pq), rhs)[len(pq):]
     except np.linalg.LinAlgError as exc:
         raise PowerFlowError(
             "singular Jacobian at operating point (near voltage collapse)"
         ) from exc
-    a_full = x[npq:, :]
-    sel = [col[b] for b in buses]
-    return a_full[np.ix_(sel, sel)]
+    # copies, not views: the twin's per-tick mat-vecs are faster on contiguous blocks
+    return x[:, :k].copy(), x[:, k:2 * k].copy(), x[:, 2 * k].copy()
+
+
+def sensitivity_matrix(model: FeederModel, solution: PowerFlowSolution) -> np.ndarray:
+    """Voltage sensitivity A with A[i][j] = dV_i/dQ_j at the operating point,
+    over `energized_pv_buses(model)` (the per-inverter matrix): the PV rows
+    of `voltage_sensitivities`' dV/dQ."""
+    dv_dq = voltage_sensitivities(model, solution)[1]
+    pv_buses = set(energized_pv_buses(model))
+    return dv_dq[[b in pv_buses for b in solution.load_bus_ids]]
 
 
 def apply_topology_event(

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .adaptation import AdaptiveConfig
 from .codec import field_type, replace_path
-from .control import ControllerKind
+from .control import ControlError, ControllerKind
 from .feeder import FeederModel, feeder_from_dict
 from .sim import (
     CloudCover,
@@ -240,12 +240,14 @@ def override_scenario(scenario: Scenario, key: str, value: str) -> Scenario:
         if key == "controller":  # a delayed controller keeps its tau, another takes 0.5
             kind = scenario.controller_kind
             tau = (kind.tau if kind.name == "delayed" else 0.5) if value == "delayed" else 0.0
-            scenario = replace_path(scenario, "controller_kind.tau", tau)
+            return replace(scenario, controller_kind=ControllerKind(value, tau))
         for path in _OVERRIDES[key]:
             parsed = _PARSE[field_type(Scenario, path)](value)
             scenario = replace_path(scenario, path, parsed)
         return scenario
     except SimulationError:
         raise
+    except ControlError as exc:  # a value of the right type that the controller rejects
+        raise SimulationError(f"bad value for override {key}: {value!r} ({exc})") from exc
     except ValueError as exc:
         raise SimulationError(f"bad value for override {key}: {value!r}") from exc

@@ -45,9 +45,10 @@ from .feeder import (
     FeederModel,
     PowerFlowSolution,
     apply_topology_event,
-    sensitivity_matrix,
     solve_power_flow,
+    voltage_sensitivities,
 )
+from .feeder import sensitivity_matrix  # noqa: F401 (perfbench's tracer patches it here)
 
 
 class SimulationError(ValueError):
@@ -330,10 +331,6 @@ class LinearizedFeeder:
     def bus_ids(self) -> tuple[str, ...]:
         return (self.slack_id,) + self.load_bus_ids
 
-    def a_matrix(self) -> np.ndarray:
-        """Square dV/dQ over the PV buses (the analysis sensitivity)."""
-        return self.dv_dq[_positions(self.pv_buses, self.load_bus_ids), :]
-
     def with_slack_voltage(self, v_pu: float) -> "LinearizedFeeder":
         return replace(self, v_slack=v_pu)
 
@@ -353,47 +350,30 @@ class LinearizedFeeder:
 
 
 def linearize(model: FeederModel) -> LinearizedFeeder:
-    """Build the linearized feeder at the model's operating point."""
+    """Build the linearized feeder at the model's operating point: one
+    power-flow solve, then every derivative from one solve against its
+    Jacobian (`voltage_sensitivities`)."""
     sol = solve_power_flow(model)
     if not sol.converged:
         raise SimulationError("cannot linearize: power flow did not converge")
     load_ids = sol.load_bus_ids
-    pq = model.network.pq  # island positions of `load_ids`
     units = {u.bus: u for u in model.pv_units}
     pv_buses = tuple(b for b in load_ids if b in units)
-    a_full_q = sensitivity_matrix(model, sol, buses=load_ids)
-
-    # dV/dP from the same Jacobian, via one finite difference per PV bus
-    # (cheap at desk scale and independent of Jacobian block bookkeeping)
-    dv_dp = np.zeros((len(load_ids), len(pv_buses)))
-    p_base = np.array([units[b].p_out for b in pv_buses], dtype=float)
-    q_base = np.array([units[b].q_inj for b in pv_buses], dtype=float)
-    h = 1e-6
-    for j, k in enumerate(_positions(pv_buses, model.bus_ids)):
-        inj = np.zeros(len(model.bus_ids), dtype=complex)
-        inj[k] = h
-        s_p = solve_power_flow(model, injections=inj, v_init=sol)
-        s_m = solve_power_flow(model, injections=-inj, v_init=sol)
-        dv_dp[:, j] = (s_p.v_mag[pq] - s_m.v_mag[pq]) / (2 * h)
-
-    stepped = model.with_slack_voltage(model.slack.v_set + h)
-    s_up = solve_power_flow(stepped, v_init=sol)
-    dv_dslack = (s_up.v_mag[pq] - sol.v_mag[pq]) / h
-
+    dv_dp, dv_dq, dv_dslack = voltage_sensitivities(model, sol)
     on_island = set(pv_buses)
     return LinearizedFeeder(
         slack_id=model.slack_id,
         load_bus_ids=load_ids,
         pv_buses=pv_buses,
         pv_ratings=tuple(units[b].rating_s for b in pv_buses),
-        v_base=sol.v_mag[pq],
+        v_base=sol.v_mag[model.network.pq],
         v_slack_base=model.slack.v_set,
         v_slack=model.slack.v_set,
-        dv_dq=a_full_q[:, _positions(pv_buses, load_ids)],
+        dv_dq=dv_dq,
         dv_dp=dv_dp,
         dv_dslack=dv_dslack,
-        p_base=p_base,
-        q_base=q_base,
+        p_base=np.array([units[b].p_out for b in pv_buses], dtype=float),
+        q_base=np.array([units[b].q_inj for b in pv_buses], dtype=float),
         dark_pv_buses=tuple(b for b in units if b not in on_island),
     )
 

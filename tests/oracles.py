@@ -7,6 +7,8 @@ come from the line currents of a solution, and the control-loop
 iterators are straight transcriptions of the discrete maps.  The trace
 I/O oracles are the row-at-a-time `csv` forms of the package's writers
 and reader, and the band-violation count is its tick-by-tick loop.  The
+linear twin's derivatives are central differences of warm-started power
+flows, h pu apart, against which the Jacobian solve is checked.  The
 outer-loop records are read from a trace's parameter log, or built one
 unit at a time from the blocks the outer loop returns, as the engine
 once built them, on units found from the trace.
@@ -41,6 +43,7 @@ from voltvar_sim.feeder import (
     CompiledNetwork,
     FeederModel,
     PowerFlowSolution,
+    solve_power_flow,
 )
 from voltvar_sim.sim import (
     ParamLog,
@@ -148,6 +151,32 @@ def injection_array(
     for bus_id, (p, q) in injections.items():
         out[model.bus_ids.index(bus_id)] += complex(p, q)
     return out
+
+
+def fd_sensitivities(
+    model: FeederModel, h: float = 1e-6
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dV/dP, dV/dQ and dV/dV_slack at the model's operating point by
+    central differences, laid out as `voltage_sensitivities` returns them:
+    a row per load bus, a column per PV bus on the island in island order.
+    Each difference is two power flows warm-started from the operating
+    point, whose `FIXED_POINT_STEP` stop keeps them exact enough for h."""
+    sol = solve_power_flow(model)
+    pq = model.network.pq
+    pv = [b for b in sol.load_bus_ids if b in model.pv_buses]
+
+    def central(solved) -> np.ndarray:
+        return (solved(h).v_mag[pq] - solved(-h).v_mag[pq]) / (2 * h)
+
+    def injected(bus: str, p: float, q: float):
+        return lambda d: solve_power_flow(
+            model, injections=injection_array(model, {bus: (d * p, d * q)}), v_init=sol)
+
+    dv_dp = np.column_stack([central(injected(b, 1.0, 0.0)) for b in pv])
+    dv_dq = np.column_stack([central(injected(b, 0.0, 1.0)) for b in pv])
+    dv_dslack = central(lambda d: solve_power_flow(
+        model.with_slack_voltage(model.slack.v_set + d), v_init=sol))
+    return dv_dp, dv_dq, dv_dslack
 
 
 def voltage_at(solution: PowerFlowSolution, bus_id: str) -> float:

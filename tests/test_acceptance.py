@@ -162,7 +162,7 @@ def test_criterion_6_sse_closed_form(ieee4):
     settled = run(sc, lin)
     v_bar = settled.bus_voltage("bus3")[-1]
     q_bar = settled.q_inj[-1, 0]
-    a_lin = lin.a_matrix()
+    a_lin = lin.dv_dq[[lin.load_bus_ids.index(b) for b in lin.pv_buses]]
     dv_d = 0.02 * lin.dv_dslack[lin.load_bus_ids.index("bus3")]
     v_pred_lin, _ = predict_sse(a_lin, [1.0], [dv_d], [v_bar], 1.0)
     stepped = run(

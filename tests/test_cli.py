@@ -236,6 +236,16 @@ class TestSweep:
         assert p2p(tmp_path / "3") < 1e-4
         assert p2p(tmp_path / "4.5") > 0.01
 
+    def test_tau_sweep_needs_the_delayed_controller(self, tmp_path, monkeypatch):
+        # the adaptive law does not read tau: every value is a usage error
+        runs = []
+        monkeypatch.setattr(cli, "run_sim", lambda *a: runs.append(a))
+        assert main(["sweep", "--scenario", "presets/fig10a", "--param", "tau",
+                     "--values", "0.1,0.8", "--out", str(tmp_path)]) == 2
+        assert main(["run", "--scenario", "presets/fig10a", "--set", "tau=0.3",
+                     "--out", str(tmp_path)]) == 2
+        assert runs == []
+
     def test_bad_param_exits_2(self, tmp_path):
         assert main(["sweep", "--scenario", "fig3a", "--param", "zeta",
                      "--values", "1", "--out", str(tmp_path)]) == 2

@@ -242,3 +242,10 @@ class TestParamValidation:
             ControllerKind("fuzzy")
         with pytest.raises(ControlError):
             ControllerKind("delayed", tau=1.0)
+
+    @pytest.mark.parametrize("name", ["none", "conventional", "adaptive"])
+    def test_only_the_delayed_kind_takes_tau(self, name):
+        # no other law reads tau, so a nonzero one would be ignored
+        assert ControllerKind(name, 0.0).tau == 0.0
+        with pytest.raises(ControlError, match="tau is for the delayed controller"):
+            ControllerKind(name, 0.5)

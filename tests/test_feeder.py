@@ -22,10 +22,12 @@ from voltvar_sim.feeder import (
     feeder_to_dict,
     sensitivity_matrix,
     solve_power_flow,
+    voltage_sensitivities,
 )
 
 from oracles import (
     bus_injections,
+    fd_sensitivities,
     fixed_point_reference,
     gauss_nodal_solve,
     injection_array,
@@ -148,14 +150,10 @@ def test_sensitivity_matches_finite_difference(fixture, request):
     model = request.getfixturevalue(fixture)
     sol = solve_power_flow(model)
     a = sensitivity_matrix(model, sol)
-    pv = [b for b in sol.bus_ids if b in set(model.pv_buses)]
-    h = 1e-5
-    for j, bus in enumerate(pv):
-        dq = injection_array(model, {bus: (0.0, h)})
-        up = solve_power_flow(model, injections=dq, v_init=sol)
-        dn = solve_power_flow(model, injections=-dq, v_init=sol)
-        fd = np.array([(voltage_at(up, b) - voltage_at(dn, b)) / (2 * h) for b in pv])
-        assert np.max(np.abs(a[:, j] - fd)) < 1e-4
+    rows = [b in model.pv_buses for b in sol.load_bus_ids]
+    fd = fd_sensitivities(model)[1][rows]
+    assert a.shape == fd.shape
+    assert np.max(np.abs(a - fd)) < 1e-4
 
 
 def test_sensitivity_positive_rows_when_closed(ieee4_closed):
@@ -179,7 +177,7 @@ def test_sensitivity_monotonic_voltage_response(feeder30):
 
 
 def test_sensitivity_needs_an_energized_pv_unit(ieee4):
-    # the default is the energized PV buses, never every load bus
+    # the matrix is over the energized PV buses, never every load bus
     assert energized_pv_buses(ieee4) == ("bus3",)  # bus4 is behind the open switch
     assert sensitivity_matrix(ieee4, solve_power_flow(ieee4)).shape == (1, 1)
     bare = replace(ieee4, pv_units=())
@@ -189,13 +187,33 @@ def test_sensitivity_needs_an_energized_pv_unit(ieee4):
     dark = replace(ieee4, pv_units=ieee4.pv_units[1:])  # only bus4, behind the open switch
     with pytest.raises(FeederError, match="no energized PV unit"):
         sensitivity_matrix(dark, solve_power_flow(dark))
-    assert sensitivity_matrix(bare, sol, buses=("bus2", "bus3")).shape == (2, 2)
+    # the twin's derivatives take no PV column there, and the substation one
+    dv_dp, dv_dq, dv_dslack = voltage_sensitivities(bare, sol)
+    n = len(sol.load_bus_ids)
+    assert (dv_dp.shape, dv_dq.shape, dv_dslack.shape) == ((n, 0), (n, 0), (n,))
 
 
 def test_sensitivity_requires_convergence(ieee4):
     bad = solve_power_flow(_two_bus(load_p=30.0, load_q=10.0))
     with pytest.raises(PowerFlowError):
         sensitivity_matrix(_two_bus(load_p=30.0, load_q=10.0), bad)
+    with pytest.raises(PowerFlowError, match="converged"):
+        voltage_sensitivities(_two_bus(load_p=30.0, load_q=10.0), bad)
+
+
+def test_sensitivity_requires_the_solved_island(ieee4, ieee4_closed):
+    with pytest.raises(PowerFlowError, match="topology"):
+        voltage_sensitivities(ieee4_closed, solve_power_flow(ieee4))
+
+
+def test_singular_jacobian_raises(ieee4, monkeypatch):
+    sol = solve_power_flow(ieee4)
+    monkeypatch.setattr(feeder, "_jacobian",
+                        lambda ybus, v, pq: np.zeros((2 * len(pq), 2 * len(pq))))
+    with pytest.raises(PowerFlowError, match="singular Jacobian"):
+        voltage_sensitivities(ieee4, sol)
+    with pytest.raises(PowerFlowError, match="singular Jacobian"):
+        sensitivity_matrix(ieee4, sol)
 
 
 def test_topology_close_expands_reduced_matrix(ieee4):

@@ -5,7 +5,7 @@ check does not depend on the BLAS build.  The trace's parameter log, read
 back as records, equals the records split unit by unit from the blocks
 the engine stores, bit for bit, in the order of updates recorded before
 the log became arrays.  A `controller` override keeps a delayed
-controller's tau."""
+controller's tau, and only a delayed controller takes a `tau` override."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import pytest
 
 from voltvar_sim.control import ControllerKind
 from voltvar_sim.presets import PRESETS, get_preset, override_scenario
-from voltvar_sim.sim import metrics, run
+from voltvar_sim.sim import SimulationError, metrics, run
 
 from oracles import param_dispatches, param_records_per_unit
 
@@ -124,3 +124,19 @@ def test_controller_override_keeps_a_delayed_tau(kind, tau):
     _, scenario = get_preset("fig3b")
     switched = override_scenario(replace(scenario, controller_kind=kind), "controller", "delayed")
     assert switched.controller_kind == ControllerKind("delayed", tau)
+
+
+@pytest.mark.parametrize("name", ["none", "conventional", "adaptive"])
+def test_controller_override_drops_a_delayed_tau(name):
+    _, scenario = get_preset("fig3b")  # delayed, tau 0.9
+    switched = override_scenario(scenario, "controller", name)
+    assert switched.controller_kind == ControllerKind(name)
+
+
+def test_tau_override_needs_the_delayed_controller():
+    _, scenario = get_preset("fig10a")  # adaptive
+    assert override_scenario(scenario, "tau", "0").controller_kind == ControllerKind("adaptive")
+    with pytest.raises(SimulationError, match="tau is for the delayed controller, not adaptive"):
+        override_scenario(scenario, "tau", "0.3")
+    _, delayed = get_preset("fig3b")
+    assert override_scenario(delayed, "tau", "0.3").controller_kind == ControllerKind("delayed", 0.3)

@@ -49,14 +49,15 @@ def scenario_docs(draw) -> dict:
     profile = draw(floats(0.0, 1.2) | steps | st.dictionaries(
         st.sampled_from(PV_BUSES), floats(0.0, 1.2) | steps, max_size=2))
     events = sorted(draw(st.lists(_event(horizon), max_size=6)), key=lambda e: e["tick"])
+    kind = draw(st.sampled_from(["none", "conventional", "delayed", "adaptive"]))
     return {
         "horizon": horizon,
         "t_outer": t_outer,
         "seed": draw(st.integers(0, 2**16)),
         "mu": draw(floats(0.95, 1.05)),
         "controller": {
-            "kind": draw(st.sampled_from(["none", "conventional", "delayed", "adaptive"])),
-            "tau": draw(floats(0.0, 0.95)),
+            "kind": kind,
+            "tau": draw(floats(0.0, 0.95)) if kind == "delayed" else 0.0,  # only delayed takes one
             "slope": draw(floats(0.0, 8.0)),
             "deadband": draw(floats(0.0, 0.05)),
         },

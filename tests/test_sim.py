@@ -32,6 +32,7 @@ from voltvar_sim.feeder import (
     feeder_to_dict,
     sensitivity_matrix,
     solve_power_flow,
+    voltage_sensitivities,
 )
 from voltvar_sim.presets import PRESETS, get_preset
 from voltvar_sim.sim import (
@@ -64,6 +65,7 @@ from voltvar_sim.sim import (
 from oracles import (
     band_violation_counts,
     band_violation_runs,
+    fd_sensitivities,
     injection_array,
     param_dispatches,
     voltage_at,
@@ -856,8 +858,9 @@ class TestCsvRoundTrip:
 class TestLinearizedEngine:
     @pytest.mark.parametrize("fixture", ["ieee4", "feeder30"])
     def test_unit_order_and_sensitivity_columns(self, fixture, request):
-        # PV buses in island order, dark units in model order, and dV/dQ the
-        # sensitivity matrix's PV columns, bit for bit
+        # PV buses in island order, dark units in model order, the derivatives
+        # those of `voltage_sensitivities` and the PV rows of dV/dQ the
+        # sensitivity matrix, bit for bit
         model = request.getfixturevalue(fixture)
         lin = linearize(model)
         sol = solve_power_flow(model)
@@ -866,11 +869,27 @@ class TestLinearizedEngine:
         assert lin.dark_pv_buses == tuple(b for b in model.pv_buses if b not in energized)
         ratings = {u.bus: u.rating_s for u in model.pv_units}
         assert lin.pv_ratings == tuple(ratings[b] for b in energized)
-        full = sensitivity_matrix(model, sol, buses=sol.load_bus_ids)
-        cols = [sol.load_bus_ids.index(b) for b in energized]
-        assert lin.dv_dq.tobytes() == full[:, cols].tobytes()
-        assert lin.a_matrix().tobytes() == full[np.ix_(cols, cols)].tobytes()
-        assert sensitivity_matrix(model, sol).tobytes() == lin.a_matrix().tobytes()
+        derivatives = voltage_sensitivities(model, sol)
+        for got, want in zip((lin.dv_dp, lin.dv_dq, lin.dv_dslack), derivatives):
+            assert got.tobytes() == want.tobytes()
+        rows = [sol.load_bus_ids.index(b) for b in energized]
+        assert sensitivity_matrix(model, sol).tobytes() == lin.dv_dq[rows].tobytes()
+
+    @pytest.mark.parametrize("fixture", ["ieee4", "feeder30"])
+    def test_derivatives_match_finite_differences(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        lin = linearize(model)
+        for got, want in zip((lin.dv_dp, lin.dv_dq, lin.dv_dslack), fd_sensitivities(model)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    def test_one_power_flow_solve(self, feeder30, monkeypatch):
+        solves = []
+        solve = sim_module.solve_power_flow
+        monkeypatch.setattr(sim_module, "solve_power_flow",
+                            lambda *a, **k: solves.append(a) or solve(*a, **k))
+        linearize(feeder30)
+        assert len(solves) == 1
 
     def test_matches_full_engine_near_linearization_point(self, ieee4):
         lin = linearize(ieee4)
