@@ -4,24 +4,33 @@ Positive-sequence balanced model, per-unit on a single system VA base.
 Models are immutable snapshots and every operation returns new objects.
 
 Each topology is compiled once into a `CompiledNetwork`: the energized
-island, its bus index maps, Ybus, the PQ index, Z = Y_LL^-1 and
-w = -Z Y_LS, with Z from the Z-bus building algorithm rather than a
-factorization.  `FeederModel.network` builds it on first use and keeps it;
+island, its bus index maps and the PQ index, then the arrays its solves
+iterate on.  `FeederModel.network` builds it on first use and keeps it;
 snapshots that differ only in loads or slack voltage share it, and a switch
 operation makes a model that compiles its own.  The compiled network is never
-written after it is built, so snapshots stay safe to use concurrently.
+written after it is built (its lazily built arrays are computed once and
+kept), so snapshots stay safe to use concurrently.
 
-`solve_power_flow` runs the Z-bus fixed point (the matrix form of the
-backward/forward sweep, after Shirmohammadi et al. 1988 and Teng 2003)
-V_L = w V_S + Z conj(S_L / V_L).  Z exists for any connected island, so
-radial and meshed islands take the same path.  It stops once no voltage
-moves by more than `FIXED_POINT_STEP` pu and then requires the Newton
-mismatch test; that makes it as accurate as a Newton solve, which the
-tests' finite-difference sensitivities rely on.  Near the loadability
-limit the fixed point stalls, so a solve that does not converge within
-`DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson.  Z is dense,
-so memory grows as O(n^2) in the island size; the design suits feeders
-up to about 1000 buses.
+`solve_power_flow` iterates the fixed point V_L = w V_S + Z conj(S_L / V_L)
+of the backward/forward sweep (Shirmohammadi et al. 1988; Teng 2003) in
+one of two forms, chosen per island when it is compiled:
+- a radial island of more than `SWEEP_BUSES` buses runs the sweep itself
+  on tree arrays (depth-first preorder, subtree ranges, the enter and
+  leave steps of a walk down the tree, line impedances): each iteration is
+  a few O(n) array calls, and no n x n array is built;
+- any other island, meshed ones of every size included, runs the matrix
+  form with a dense Z = Y_LL^-1 from the Z-bus building algorithm rather
+  than a factorization, and w = -Z Y_LS.  Z needs O(n^2) memory and
+  each iteration is an O(n^2) mat-vec, but on a few dozen buses that one
+  call is cheaper than the sweep's extra ones.  `SWEEP_BUSES` sits where
+  the two cost the same per solve.
+Both stop once no voltage moves by more than `FIXED_POINT_STEP` pu and
+then require the Newton mismatch test; that makes them as accurate as a
+Newton solve, which the tests' finite-difference sensitivities rely on.
+Near the loadability limit the fixed point stalls, so a solve that does not
+converge within `DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson.
+Ybus is built on first use: the Z path reads it every solve, while on a
+sweep island only the Newton fallback and the sensitivities need it.
 
 `voltage_sensitivities` builds Newton's Jacobian at a solved operating
 point and solves it once for dV/dP, dV/dQ and dV/dV_slack, which
@@ -49,6 +58,11 @@ DEFAULT_MAX_ITER = 30
 # mismatch-only stop leaves errors up to ~5e-9, too coarse for the tests'
 # finite-difference sensitivities
 FIXED_POINT_STEP = 1e-13
+# a radial island of more buses than this is solved by the sweep.  Per
+# solve the dense Z fixed point and the sweep cost the same between 101 and
+# 121 buses on the benchmark's generated ladders; below that the one Z
+# mat-vec is cheaper than the sweep's extra array calls
+SWEEP_BUSES = 120
 
 
 class FeederError(Exception):
@@ -281,25 +295,77 @@ class PowerFlowSolution:
 
 
 @dataclass(frozen=True, eq=False)
+class RadialTree:
+    """A radial island as arrays over its load buses in depth-first
+    preorder, the slack being the root.
+
+    `order[k]` is the island position of the bus at preorder position k,
+    `z[k]` the impedance of the line it hangs from, and `up[k]` the
+    preorder position of the bus at that line's other end, counting the
+    slack as 0 and bus k as k + 1.  The buses below bus k, itself
+    included, fill positions k to end_k - 1.
+
+    A walk down the tree from the slack takes 2 (n - 1) steps, one on
+    entering and one on leaving each load bus.  Step s enters or leaves
+    bus `walk_bus[s]`, whose subtree ends at `walk_end[s]`, and carries
+    `walk_z[s]`: that bus's z on entering, -z on leaving.  Bus k is
+    entered at step `enter[k]` - 1, so that `enter` indexes a walk array
+    headed by the slack.
+    """
+
+    order: np.ndarray
+    up: np.ndarray
+    z: np.ndarray
+    enter: np.ndarray
+    walk_bus: np.ndarray
+    walk_end: np.ndarray
+    walk_z: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledNetwork:
     """One topology of a feeder, compiled for repeated solves.
 
     `island` lists the energized buses in model order and `index` maps
     each to its island position; `pos[k]` is the island position of model
     bus k (-1 when dark) and `cols[i]` the model index of island bus i.
-    `z` is None when Y_LL is singular, which only the Newton path can then
-    report.
+    `lines` are the in-service lines on the island, in model order, with
+    the island positions of their ends.
+
+    A radial island of more than `SWEEP_BUSES` buses keeps its `tree` for
+    the sweep and has `z` None; any other island has `tree` None and `z`,
+    which is None when Y_LL is singular (only the Newton path can then
+    report that).  `ybus` and `w` are built on first use: on a sweep
+    island only the Newton fallback and the sensitivities read Ybus.
     """
 
     island: tuple[str, ...]
     index: dict[str, int]
     pos: np.ndarray
     cols: np.ndarray
-    ybus: np.ndarray
+    lines: tuple[tuple[int, int, Line], ...]
     slack_idx: int
     pq: np.ndarray
     z: np.ndarray | None
-    w: np.ndarray | None
+    tree: RadialTree | None
+
+    @cached_property
+    def ybus(self) -> np.ndarray:
+        n = len(self.island)
+        ybus = np.zeros((n, n), dtype=complex)
+        for i, j, ln in self.lines:
+            y = 1.0 / complex(ln.resistance, ln.reactance)
+            ybus[i, i] += y
+            ybus[j, j] += y
+            ybus[i, j] -= y
+            ybus[j, i] -= y
+        return ybus
+
+    @cached_property
+    def w(self) -> np.ndarray | None:
+        """-Z Y_LS: the load-bus voltages per unit of slack voltage at no
+        load (Z path only)."""
+        return None if self.z is None else -self.z @ self.ybus[self.pq, self.slack_idx]
 
 
 def _walk(
@@ -329,39 +395,77 @@ def _compile(model: FeederModel) -> CompiledNetwork:
     island = tuple(b for b in bus_ids if b in via)
     index = {b: i for i, b in enumerate(island)}
     n = len(island)
-    ybus = np.zeros((n, n), dtype=complex)
-    for ln in lines:
-        if ln.from_bus not in index:
-            continue
-        y = 1.0 / complex(ln.resistance, ln.reactance)
-        i, j = index[ln.from_bus], index[ln.to_bus]
-        ybus[i, i] += y
-        ybus[j, j] += y
-        ybus[i, j] -= y
-        ybus[j, i] -= y
     pos = np.array([index.get(b, -1) for b in bus_ids], dtype=int)
     slack_idx = index[model.slack_id]
     pq = np.delete(np.arange(n), slack_idx)
-    tree = {k for _, k in via.values()}
-    z = _zbus(
-        n,
-        [(index[a], index[b], lines[k]) for b, (a, k) in via.items() if k >= 0],
-        [(index[ln.from_bus], index[ln.to_bus], ln) for k, ln in enumerate(lines)
-         if k not in tree and ln.from_bus in index],
-    )
-    if z is not None:
-        z = z[np.ix_(pq, pq)]
-    w = None if z is None else -z @ ybus[pq, slack_idx]
+    on_island = tuple((index[ln.from_bus], index[ln.to_bus], ln)
+                      for ln in lines if ln.from_bus in index)
+    tree = z = None
+    if len(on_island) == n - 1 and n > SWEEP_BUSES:  # radial: the lines span the island
+        tree = _radial_tree(slack_idx, on_island)
+    else:
+        walked = {k for _, k in via.values()}
+        z = _zbus(
+            n,
+            [(index[a], index[b], lines[k]) for b, (a, k) in via.items() if k >= 0],
+            [(index[ln.from_bus], index[ln.to_bus], ln) for k, ln in enumerate(lines)
+             if k not in walked and ln.from_bus in index],
+        )
+        if z is not None:
+            z = z[np.ix_(pq, pq)]
     return CompiledNetwork(
         island=island,
         index=index,
         pos=pos,
         cols=np.flatnonzero(pos >= 0),
-        ybus=ybus,
+        lines=on_island,
         slack_idx=slack_idx,
         pq=pq,
         z=z,
-        w=w,
+        tree=tree,
+    )
+
+
+def _radial_tree(slack_idx: int, lines: tuple[tuple[int, int, Line], ...]) -> RadialTree:
+    """The `RadialTree` of an island whose `lines` (island positions of
+    both ends, and the line) form a tree, walked depth first from the
+    slack; the lines at a bus are taken in the order of `lines`."""
+    adj: dict[int, list[tuple[int, Line]]] = {}
+    for i, j, ln in lines:
+        adj.setdefault(i, []).append((j, ln))
+        adj.setdefault(j, []).append((i, ln))
+    order, up, z, enter, end = [slack_idx], [], [], [], {}
+    walk, leaving = [], []  # the bus of each step of the walk, and whether it leaves it
+    # a tuple on the stack enters a bus; an int leaves that preorder position
+    stack: list = [(j, 0, ln) for j, ln in reversed(adj.get(slack_idx, []))]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int):
+            end[item] = len(order) - 1
+            walk.append(item)
+            leaving.append(True)
+            continue
+        j, parent, ln = item
+        k = len(order) - 1
+        above = order[parent]
+        order.append(j)
+        up.append(parent)
+        z.append(complex(ln.resistance, ln.reactance))
+        walk.append(k)
+        leaving.append(False)
+        enter.append(len(walk))
+        stack.append(k)
+        stack.extend((c, k + 1, cl) for c, cl in reversed(adj[j]) if c != above)
+    z_arr = np.array(z, dtype=complex)
+    walk_z = z_arr[walk]
+    return RadialTree(
+        order=np.array(order[1:], dtype=int),
+        up=np.array(up, dtype=int),
+        z=z_arr,
+        enter=np.array(enter, dtype=int),
+        walk_bus=np.array(walk, dtype=int),
+        walk_end=np.array([end[k] for k in walk], dtype=int),
+        walk_z=np.where(leaving, -walk_z, walk_z),
     )
 
 
@@ -401,10 +505,15 @@ def _dsbus_dv(ybus: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    ds_dva, ds_dvm = _dsbus_dv(ybus, v)
-    sel = np.ix_(pq, pq)
-    dva, dvm = ds_dva[sel], ds_dvm[sel]
-    return np.block([[dva.real, dvm.real], [dva.imag, dvm.imag]])
+    """Newton's Jacobian over the PQ buses: rows dP then dQ, columns dVa
+    then dVm, each block written straight into the one array."""
+    npq = len(pq)
+    jac = np.empty((2 * npq, 2 * npq))
+    for cols, ds in zip((slice(None, npq), slice(npq, None)), _dsbus_dv(ybus, v)):
+        block = ds[pq][:, pq]
+        jac[:npq, cols] = block.real
+        jac[npq:, cols] = block.imag
+    return jac
 
 
 def _newton(
@@ -491,6 +600,57 @@ def _fixed_point(
     return v, converged, iterations, mismatch
 
 
+def _sweep(
+    net: CompiledNetwork,
+    s_spec: np.ndarray,
+    v_slack: float,
+    v0: np.ndarray | None,
+    tol: float,
+) -> tuple[np.ndarray, bool, int, float]:
+    """`_fixed_point`'s map and stop rule on a radial island's `tree`, as
+    the backward/forward sweep of Shirmohammadi et al. (1988): the current
+    through each line is the sum of the injected currents below it, and
+    each bus voltage is the slack voltage plus the drops (z times that
+    current) of the lines on its path.  O(n) per iteration; the closing
+    mismatch comes from the line currents."""
+    t = net.tree
+    v = np.full(len(net.island), v_slack, dtype=complex)
+    s_l = s_spec[t.order]
+    v_l = v[t.order] if v0 is None else v0[t.order]
+    m = len(s_l)
+    # running sums from 0 of the injected currents in preorder, and over
+    # the walk from the slack voltage
+    acc = np.zeros(m + 1, dtype=complex)
+    walk = np.empty(2 * m + 1, dtype=complex)
+    walk[0] = v_slack
+    currents, drops = acc[1:], walk[1:]
+    step = np.inf if m else 0.0
+    iterations = 0
+    with np.errstate(all="ignore"):
+        while iterations < DEFAULT_MAX_ITER and step > FIXED_POINT_STEP:
+            # backward: a line carries the currents of the subtree below it,
+            # one difference of the running sum; forward: each drop joins the
+            # walk's running sum on entering its bus and leaves it on leaving,
+            # so the sum on entering a bus is its voltage
+            np.add.accumulate(np.conj(s_l / v_l), out=currents)
+            np.multiply(t.walk_z, acc[t.walk_end] - acc[t.walk_bus], out=drops)
+            v_new = np.add.accumulate(walk, out=walk)[t.enter]
+            step = np.maximum.reduce(np.abs(v_new - v_l))
+            v_l = v_new
+            iterations += 1
+            if not math.isfinite(step):
+                break
+        # (Ybus v) at a load bus: the line currents out to the buses below
+        # it less the current in from the bus above
+        i_in = (np.concatenate(([v_slack], v_l))[t.up] - v_l) / t.z
+        i_out = np.bincount(t.up, i_in.real, m + 1) + 1j * np.bincount(t.up, i_in.imag, m + 1)
+        ds = s_l - v_l * np.conj(i_out[1:] - i_in)
+        mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
+    v[t.order] = v_l
+    converged = bool(step <= FIXED_POINT_STEP and mismatch <= tol)
+    return v, converged, iterations, mismatch
+
+
 def solve_power_flow(
     model: FeederModel,
     injections: np.ndarray | None = None,
@@ -502,7 +662,8 @@ def solve_power_flow(
     and PV unit outputs: a complex array of P + jQ with one entry per bus
     of `model.bus_ids`.  Injections at buses off the island are ignored.
     `v_init` warm-starts the solve from a previous solution on the same
-    island.  The Z-bus fixed point runs first, to a power mismatch of
+    island.  The fixed point runs first (the sweep on a large radial
+    island, the Z-bus form on any other), to a power mismatch of
     `DEFAULT_TOL`; if it does not converge within `DEFAULT_MAX_ITER`
     iterations, Newton-Raphson takes over from the warm start and then
     once more from a flat start.  Non-convergence is reported via
@@ -519,7 +680,8 @@ def solve_power_flow(
     v0 = None
     if v_init is not None and v_init.bus_ids == net.island:
         v0 = v_init.v_mag * np.exp(1j * v_init.v_ang)
-    v, converged, iterations, mismatch = _fixed_point(net, s_spec, v_slack, v0, DEFAULT_TOL)
+    fixed_point = _fixed_point if net.tree is None else _sweep
+    v, converged, iterations, mismatch = fixed_point(net, s_spec, v_slack, v0, DEFAULT_TOL)
     if converged:
         v_mag, v_ang = np.abs(v), np.angle(v)
     else:

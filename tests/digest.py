@@ -21,15 +21,16 @@ Cases:
 - the stdout of `presets --show NAME` for every preset, and of `analyze`
   on both bundled feeders.
 
-The bits depend on the OpenBLAS kernel (the fixed point's complex mat-vec
-goes through it), on its thread count and on numpy's SIMD loops.  So the
-cases run in a child process with all three pinned (`PINNING`): the
-Haswell kernel, which any x86-64-v3 host can run, one BLAS thread, and
-numpy's AVX-512 loops switched off.  That body is checked in as
-`tests/digest.txt` (numpy 2.4.6, x86-64).  When the calling shell
-already exports `PINNING`, the cases run in this process.  A header of
-`#` lines (numpy's runtime report, the pinning, the OpenBLAS core) heads
-the output; only the lines after it need to match.
+The bits depend on the OpenBLAS kernel (the Z-bus fixed point's complex
+mat-vec, the Newton fallback and the sensitivity solve go through it; the
+sweep that solves `ladder300` does not), on its thread count and on
+numpy's SIMD loops.  So the cases run in a child process with all three
+pinned (`PINNING`): the Haswell kernel, which any x86-64-v3 host can
+run, one BLAS thread, and numpy's AVX-512 loops switched off.  That body
+is checked in as `tests/digest.txt` (numpy 2.4.6, x86-64).  When the
+calling shell already exports `PINNING`, the cases run in this process.
+A header of `#` lines (numpy's runtime report, the pinning, the OpenBLAS
+core) heads the output; only the lines after it need to match.
 """
 
 from __future__ import annotations

@@ -377,6 +377,13 @@ def test_fixed_point_agrees_with_oracle_and_newton(case):
     v_mag, v_ang, converged, _, _ = feeder._newton(net, s, model.slack.v_set, None, 1e-12)
     assert converged
     assert np.max(np.abs(v - v_mag * np.exp(1j * v_ang))) < 1e-10
+    if len(net.lines) == len(net.pq):  # radial: the sweep iterates the same map
+        tree = feeder._radial_tree(net.slack_idx, net.lines)
+        swept = feeder._sweep(replace(net, z=None, tree=tree), s, model.slack.v_set, None,
+                              DEFAULT_TOL)
+        dense = feeder._fixed_point(net, s, model.slack.v_set, None, DEFAULT_TOL)
+        assert swept[1] == dense[1]
+        assert np.max(np.abs(swept[0] - dense[0])) < 1e-12
 
 
 def test_near_loadability_converges_through_newton_fallback(monkeypatch):
