@@ -29,6 +29,8 @@ then require the Newton mismatch test; that makes them as accurate as a
 Newton solve, which the tests' finite-difference sensitivities rely on.
 Near the loadability limit the fixed point stalls, so a solve that does not
 converge within `DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson.
+All three solvers return complex voltages, which a `PowerFlowSolution`
+holds as `v`; a warm start reuses them as they are.
 Ybus is built on first use: the Z path reads it every solve, while on a
 sweep island only the Newton fallback and the sensitivities need it.
 
@@ -231,9 +233,8 @@ class FeederModel:
         """Complex injections of the loads and PV units over the island."""
         net = self.network
         s = np.zeros(len(net.island), dtype=complex)
-        loads = np.array([complex(b.load_p, b.load_q) for b in self.buses])
-        live = net.pos >= 0
-        s[net.pos[live]] -= loads[live]
+        # subtracted from zeros, so that a +0.0 load stays +0.0
+        s -= np.array([complex(b.load_p, b.load_q) for b in self.buses])[net.cols]
         for u in self.pv_units:
             if u.bus in net.index:
                 s[net.index[u.bus]] += complex(u.p_out, u.q_inj)
@@ -269,16 +270,20 @@ class FeederModel:
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
-    """Voltages over the energized island. Buses de-energized behind open
+    """Complex voltages `v` (pu) over the energized island, in `bus_ids`
+    order, as the solver left them.  Buses de-energized behind open
     switches are absent."""
 
     bus_ids: tuple[str, ...]
-    v_mag: np.ndarray
-    v_ang: np.ndarray
+    v: np.ndarray
     converged: bool
     iterations: int
     max_mismatch: float
     slack_id: str
+
+    @property
+    def v_mag(self) -> np.ndarray:
+        return np.abs(self.v)
 
     @property
     def load_bus_ids(self) -> tuple[str, ...]:
@@ -289,8 +294,8 @@ class PowerFlowSolution:
         """Deterministic tag of the operating point (topology + voltages)."""
         h = hashlib.sha1()
         h.update(",".join(self.bus_ids).encode())
-        h.update(np.round(self.v_mag, 10).tobytes())
-        h.update(np.round(self.v_ang, 10).tobytes())
+        h.update(np.round(np.abs(self.v), 10).tobytes())
+        h.update(np.round(np.angle(self.v), 10).tobytes())
         return h.hexdigest()[:12]
 
 
@@ -327,8 +332,8 @@ class CompiledNetwork:
     """One topology of a feeder, compiled for repeated solves.
 
     `island` lists the energized buses in model order and `index` maps
-    each to its island position; `pos[k]` is the island position of model
-    bus k (-1 when dark) and `cols[i]` the model index of island bus i.
+    each to its island position; `cols[i]` is the model index of island
+    bus i.
     `lines` are the in-service lines on the island, in model order, with
     the island positions of their ends.
 
@@ -341,7 +346,6 @@ class CompiledNetwork:
 
     island: tuple[str, ...]
     index: dict[str, int]
-    pos: np.ndarray
     cols: np.ndarray
     lines: tuple[tuple[int, int, Line], ...]
     slack_idx: int
@@ -395,7 +399,6 @@ def _compile(model: FeederModel) -> CompiledNetwork:
     island = tuple(b for b in bus_ids if b in via)
     index = {b: i for i, b in enumerate(island)}
     n = len(island)
-    pos = np.array([index.get(b, -1) for b in bus_ids], dtype=int)
     slack_idx = index[model.slack_id]
     pq = np.delete(np.arange(n), slack_idx)
     on_island = tuple((index[ln.from_bus], index[ln.to_bus], ln)
@@ -416,8 +419,7 @@ def _compile(model: FeederModel) -> CompiledNetwork:
     return CompiledNetwork(
         island=island,
         index=index,
-        pos=pos,
-        cols=np.flatnonzero(pos >= 0),
+        cols=np.array([k for k, b in enumerate(bus_ids) if b in index], dtype=int),
         lines=on_island,
         slack_idx=slack_idx,
         pq=pq,
@@ -497,9 +499,11 @@ def _dsbus_dv(ybus: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ibus = ybus @ v
     diag = np.diag_indices_from(ybus)
     vnorm = v / np.abs(v)
-    ds_dvm = v[:, None] * np.conj(ybus * vnorm)
+    ds_dvm = np.multiply(ybus, vnorm)
+    np.multiply(v[:, None], np.conjugate(ds_dvm, out=ds_dvm), out=ds_dvm)
     ds_dvm[diag] += np.conj(ibus) * vnorm
-    ds_dva = -1j * v[:, None] * np.conj(ybus * v)
+    ds_dva = np.multiply(ybus, v)
+    np.multiply(-1j * v[:, None], np.conjugate(ds_dva, out=ds_dva), out=ds_dva)
     ds_dva[diag] += 1j * v * np.conj(ibus)
     return ds_dva, ds_dvm
 
@@ -522,44 +526,37 @@ def _newton(
     v_slack: float,
     v0: np.ndarray | None,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, bool, int, float]:
-    """Newton-Raphson in polar form from `v0` or a flat start; returns the
-    voltage magnitudes and angles with the fixed point's other outputs."""
+) -> tuple[np.ndarray, bool, int, float]:
+    """Newton-Raphson from `v0` or a flat start, on the `_fixed_point`
+    contract.  It steps the polar magnitudes and angles and builds the
+    phasors `v` from them before each mismatch test; a magnitude that is
+    not finite and positive stops it unconverged, with `v` all NaN."""
     ybus, slack_idx, pq = net.ybus, net.slack_idx, net.pq
-    n = len(net.island)
-    v_mag = np.ones(n) if v0 is None else np.abs(v0).copy()
-    v_ang = np.zeros(n) if v0 is None else np.angle(v0).copy()
+    n, npq = len(net.island), len(pq)
+    v_mag = np.ones(n) if v0 is None else np.abs(v0)
+    v_ang = np.zeros(n) if v0 is None else np.angle(v0)
     v_mag[slack_idx] = v_slack
     v_ang[slack_idx] = 0.0
     mismatch = np.inf
-    iterations = 0
-    converged = False
-    for _ in range(DEFAULT_MAX_ITER + 1):
+    for iterations in range(DEFAULT_MAX_ITER + 1):
+        if not np.all(np.isfinite(v_mag)) or np.any(v_mag <= 0):
+            v = np.full(n, np.nan, dtype=complex)  # a diverged step stays visibly invalid
+            break
         v = v_mag * np.exp(1j * v_ang)
         s_calc = v * np.conj(ybus @ v)
         dpq = np.concatenate([s_spec.real[pq] - s_calc.real[pq],
                               s_spec.imag[pq] - s_calc.imag[pq]])
         mismatch = float(np.maximum.reduce(np.abs(dpq), initial=0.0))
-        if mismatch <= tol:
-            converged = True
+        if mismatch <= tol or iterations == DEFAULT_MAX_ITER:
             break
-        if iterations >= DEFAULT_MAX_ITER:
-            break
-        jac = _jacobian(ybus, v, pq)
         try:
-            dx = np.linalg.solve(jac, dpq)
+            dx = np.linalg.solve(_jacobian(ybus, v, pq), dpq)
         except np.linalg.LinAlgError:
             break
-        npq = len(pq)
         v_ang[pq] += dx[:npq]
         v_mag[pq] += dx[npq:]
-        iterations += 1
-        if not np.all(np.isfinite(v_mag)) or np.any(v_mag <= 0):
-            break
-    bad = ~np.isfinite(v_mag) | (v_mag <= 0)
-    if np.any(bad):
-        converged = False
-    return v_mag, v_ang, converged, iterations, mismatch
+    # every other exit follows a mismatch above `tol`
+    return v, mismatch <= tol, iterations, mismatch
 
 
 def _fixed_point(
@@ -661,39 +658,35 @@ def solve_power_flow(
     `injections` are extra pu injections added on top of the model's loads
     and PV unit outputs: a complex array of P + jQ with one entry per bus
     of `model.bus_ids`.  Injections at buses off the island are ignored.
-    `v_init` warm-starts the solve from a previous solution on the same
-    island.  The fixed point runs first (the sweep on a large radial
-    island, the Z-bus form on any other), to a power mismatch of
-    `DEFAULT_TOL`; if it does not converge within `DEFAULT_MAX_ITER`
-    iterations, Newton-Raphson takes over from the warm start and then
-    once more from a flat start.  Non-convergence is reported via
-    `converged=False`, not raised.
+    `v_init` warm-starts the solve from the phasors of a previous
+    solution on the same island.  The solvers share one contract: each
+    takes the specified injections, the slack voltage and a start, and
+    returns (v, converged, iterations, mismatch).  They are tried in turn
+    until one converges to a power mismatch of `DEFAULT_TOL`: the fixed
+    point (the sweep on a large radial island, the Z-bus form on any
+    other), then Newton-Raphson from the warm start, then, if there was
+    one, Newton-Raphson from a flat start.  Non-convergence is reported
+    via `converged=False`, not raised.
     """
     net = model.network
     s_spec = model._s_base
     if injections is not None:
-        if not isinstance(injections, np.ndarray) or injections.shape != net.pos.shape:
+        if not isinstance(injections, np.ndarray) or injections.shape != (len(model.buses),):
             raise PowerFlowError("injections need a P + jQ array, one entry per model bus")
         s_spec = s_spec + injections[net.cols]  # entries at dark buses are inert
     v_slack = model.slack.v_set
 
-    v0 = None
-    if v_init is not None and v_init.bus_ids == net.island:
-        v0 = v_init.v_mag * np.exp(1j * v_init.v_ang)
-    fixed_point = _fixed_point if net.tree is None else _sweep
-    v, converged, iterations, mismatch = fixed_point(net, s_spec, v_slack, v0, DEFAULT_TOL)
-    if converged:
-        v_mag, v_ang = np.abs(v), np.angle(v)
-    else:
-        v_mag, v_ang, converged, iterations, mismatch = _newton(
-            net, s_spec, v_slack, v0, DEFAULT_TOL)
-        if not converged and v0 is not None:
-            v_mag, v_ang, converged, iterations, mismatch = _newton(
-                net, s_spec, v_slack, None, DEFAULT_TOL)
+    v0 = v_init.v if v_init is not None and v_init.bus_ids == net.island else None
+    attempts = [(_fixed_point if net.tree is None else _sweep, v0), (_newton, v0)]
+    if v0 is not None:
+        attempts.append((_newton, None))
+    for solver, start in attempts:
+        v, converged, iterations, mismatch = solver(net, s_spec, v_slack, start, DEFAULT_TOL)
+        if converged:
+            break
     return PowerFlowSolution(
         bus_ids=net.island,
-        v_mag=v_mag,
-        v_ang=v_ang,
+        v=v,
         converged=converged,
         iterations=iterations,
         max_mismatch=mismatch,
@@ -731,12 +724,11 @@ def voltage_sensitivities(
     unit = np.eye(len(pq))[:, [b in pv_buses for b in solution.load_bus_ids]]
     k = unit.shape[1]
     zero = np.zeros_like(unit)
-    v = solution.v_mag * np.exp(1j * solution.v_ang)
-    ds_dslack = v[pq] * np.conj(net.ybus[pq, net.slack_idx])  # the slack angle is 0
+    ds_dslack = solution.v[pq] * np.conj(net.ybus[pq, net.slack_idx])  # the slack angle is 0
     rhs = np.block([[unit, zero, -ds_dslack.real[:, None]],
                     [zero, unit, -ds_dslack.imag[:, None]]])
     try:
-        x = np.linalg.solve(_jacobian(net.ybus, v, pq), rhs)[len(pq):]
+        x = np.linalg.solve(_jacobian(net.ybus, solution.v, pq), rhs)[len(pq):]
     except np.linalg.LinAlgError as exc:
         raise PowerFlowError(
             "singular Jacobian at operating point (near voltage collapse)"

@@ -242,7 +242,9 @@ class Scenario:
             raise SimulationError("horizon must be >= t_outer")
         if not (math.isfinite(self.dt_inner) and self.dt_inner > 0):
             raise SimulationError("dt_inner must be finite and > 0")
-        for name in ("mu", "droop_slope", "droop_deadband"):
+        if not 0.5 <= self.mu <= 1.5:
+            raise SimulationError("mu: set-point outside 0.5-1.5 pu")
+        for name in ("droop_slope", "droop_deadband"):
             if not math.isfinite(getattr(self, name)):
                 raise SimulationError(f"{name} must be finite")
         ticks = [t for t, _ in self.events]
@@ -520,8 +522,9 @@ class SimulationEngine:
         )
         self.mu_arr = np.full((h, n), scenario.mu)
         self._apply_profile_events(rng)
-        if not np.all(np.isfinite(self.p_profile)):
-            raise SimulationError("PV profile and series values must be finite")
+        # `PvUnit`'s bounds, after the cloud and intermittency multipliers
+        if not np.all((self.p_profile >= 0) & (self.p_profile <= self.ratings * (1 + 1e-9))):
+            raise SimulationError("PV profile and series values must be finite and in 0..rating")
         self._generating = self.p_profile > 0
 
         self.live_events: dict[int, list[EventKind]] = {}

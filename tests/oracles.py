@@ -189,7 +189,7 @@ def voltage_at(solution: PowerFlowSolution, bus_id: str) -> float:
 def _solved_lines(model: FeederModel, solution: PowerFlowSolution):
     """Complex voltage of each solved bus, and each in-service line between
     two solved buses with its series current from `from_bus` to `to_bus`."""
-    v = dict(zip(solution.bus_ids, solution.v_mag * np.exp(1j * solution.v_ang)))
+    v = dict(zip(solution.bus_ids, solution.v))
     lines = [
         (ln, (v[ln.from_bus] - v[ln.to_bus]) / complex(ln.resistance, ln.reactance))
         for ln in model.lines

@@ -54,8 +54,7 @@ def test_flat_case_no_injection():
     model = _two_bus(load_p=0.0, load_q=0.0)
     sol = solve_power_flow(model)
     assert sol.converged
-    assert np.allclose(sol.v_mag, 1.0)
-    assert np.allclose(sol.v_ang, 0.0)
+    assert np.allclose(sol.v, 1.0)
 
 
 def test_two_bus_matches_closed_form():
@@ -79,8 +78,7 @@ def test_four_bus_matches_nodal_oracle(ieee4):
 def test_solver_deterministic(ieee4):
     a = solve_power_flow(ieee4)
     b = solve_power_flow(ieee4)
-    assert a.v_mag.tobytes() == b.v_mag.tobytes()
-    assert a.v_ang.tobytes() == b.v_ang.tobytes()
+    assert a.v.tobytes() == b.v.tobytes()
     assert a.point_id == b.point_id
 
 
@@ -365,7 +363,7 @@ def test_fixed_point_agrees_with_oracle_and_newton(case):
     array = injection_array(model, injections)
     sol = solve_power_flow(model, injections=array)
     assert sol.converged
-    v = sol.v_mag * np.exp(1j * sol.v_ang)
+    v = sol.v
 
     oracle = gauss_nodal_solve(model, injections)
     assert np.max(np.abs(v - [oracle[b] for b in sol.bus_ids])) < 1e-9
@@ -374,9 +372,9 @@ def test_fixed_point_agrees_with_oracle_and_newton(case):
     y_ll = net.ybus[np.ix_(net.pq, net.pq)]
     assert np.max(np.abs(net.z @ y_ll - np.eye(len(net.pq)))) < 1e-9
     s = _spec(model, array)
-    v_mag, v_ang, converged, _, _ = feeder._newton(net, s, model.slack.v_set, None, 1e-12)
+    v_newton, converged, _, _ = feeder._newton(net, s, model.slack.v_set, None, 1e-12)
     assert converged
-    assert np.max(np.abs(v - v_mag * np.exp(1j * v_ang))) < 1e-10
+    assert np.max(np.abs(v - v_newton)) < 1e-10
     if len(net.lines) == len(net.pq):  # radial: the sweep iterates the same map
         tree = feeder._radial_tree(net.slack_idx, net.lines)
         swept = feeder._sweep(replace(net, z=None, tree=tree), s, model.slack.v_set, None,
@@ -415,7 +413,7 @@ def _fixed_point_case(name, request):
     model, injections, v0 = feeder30, None, None
     if name == "feeder30_warm":
         base = solve_power_flow(feeder30)
-        v0 = base.v_mag * np.exp(1j * base.v_ang)
+        v0 = base.v
         injections = injection_array(feeder30, {b: (-0.02, 0.03) for b in feeder30.pv_buses})
     elif name == "ieee4_closed":
         model = request.getfixturevalue("ieee4_closed")
@@ -427,7 +425,7 @@ def _fixed_point_case(name, request):
         model = FeederModel(buses=(Bus("s", "slack", v_set=1.02),), lines=())
     elif name == "zero_in_v0":
         base = solve_power_flow(feeder30)
-        v0 = base.v_mag * np.exp(1j * base.v_ang)
+        v0 = base.v.copy()
         v0[5] = 0.0
     return model.network, _spec(model, injections), model.slack.v_set, v0
 
@@ -456,17 +454,18 @@ def test_fixed_point_matches_reference_bit_for_bit(name, request, monkeypatch):
         assert not converged and iterations == 1
         model = request.getfixturevalue("feeder30")
         warm = solve_power_flow(model)
-        v_mag = warm.v_mag.copy()
-        v_mag[5] = 0.0
+        v = warm.v.copy()
+        v[5] = 0.0
         calls = []
         newton = feeder._newton
         monkeypatch.setattr(
             feeder, "_newton", lambda *args: calls.append(args) or newton(*args)
         )
-        with np.errstate(invalid="ignore"):  # the Jacobian at the zero voltage
-            sol = solve_power_flow(model, v_init=replace(warm, v_mag=v_mag))
+        sol = solve_power_flow(model, v_init=replace(warm, v=v))
         assert sol.converged and len(calls) == 2
         assert np.max(np.abs(sol.v_mag - warm.v_mag)) < 1e-9
+        stopped, converged, _, _ = newton(*calls[0])  # the zero magnitude stops it
+        assert not converged and np.isnan(stopped).all()
     else:
         assert converged and 0 < iterations < DEFAULT_MAX_ITER
 
@@ -501,8 +500,7 @@ def test_close_then_reopen_matches_fresh_solve(ieee4):
     again = solve_power_flow(reopened)
     fresh = solve_power_flow(feeder_from_dict(feeder_to_dict(ieee4)))
     assert again.bus_ids == fresh.bus_ids
-    assert again.v_mag.tobytes() == fresh.v_mag.tobytes()
-    assert again.v_ang.tobytes() == fresh.v_ang.tobytes()
+    assert again.v.tobytes() == fresh.v.tobytes()
 
 
 def test_nan_load_scale_rejected(ieee4):

@@ -331,11 +331,17 @@ class TestScenarioValidation:
                           "events": ((5, Intermittency("s")),)}, id="empty_series"),
             pytest.param({"series": {"s": (0.5, math.inf)},
                           "events": ((5, Intermittency("s")),)}, id="series_value"),
+            # `PvUnit.p_out`'s bounds (0 to the 0.99 pu rating here), after
+            # the cloud and intermittency multipliers
+            pytest.param({"profile": -0.1}, id="negative"),
+            pytest.param({"profile": 1e308}, id="overflowing"),
+            pytest.param({"events": ((5, CloudCover(1.2)),)}, id="cloud_above_rating"),
         ],
     )
     def test_profile_inputs_checked(self, ieee4, kw):
-        with pytest.raises(SimulationError, match="series|finite"):
-            run(_scenario(ControllerKind("conventional"), horizon=20, **kw), ieee4)
+        for model in (ieee4, linearize(ieee4)):
+            with pytest.raises(SimulationError, match="series|finite"):
+                run(_scenario(ControllerKind("conventional"), horizon=20, **kw), model)
 
     @pytest.mark.parametrize("points", [((-5, 0.9),), ((20, 0.9),), ((500, 0.9),)])
     def test_profile_tick_outside_horizon_rejected(self, ieee4, points):
@@ -382,6 +388,9 @@ class TestScenarioValidation:
                      "set-point outside 0.5-1.5", id="setpoint-high"),
         pytest.param(lambda d: d["events"].append({"tick": 8, "kind": "setpoint", "mu": 0.4}),
                      "set-point outside 0.5-1.5", id="setpoint-low"),
+        # the scenario's own set-point takes the same range
+        pytest.param(lambda d: d.update(mu=0.0), "set-point outside 0.5-1.5", id="mu-zero"),
+        pytest.param(lambda d: d.update(mu=1.6), "set-point outside 0.5-1.5", id="mu-high"),
         pytest.param(lambda d: d.update(series={"s": {"telegraph": {"low": 0.9, "high": 0.5}}}),
                      "low <= high", id="telegraph-low-above-high"),
         pytest.param(lambda d: d.update(horizon=0), "horizon must be >= 1", id="horizon-zero"),
