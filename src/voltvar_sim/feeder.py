@@ -3,21 +3,27 @@
 Positive-sequence balanced model, per-unit on a single system VA base.
 Models are immutable snapshots and every operation returns new objects.
 
-Each topology is compiled once into a `CompiledNetwork`: the energized
-island, its bus index maps and the PQ index, then the arrays its solves
-iterate on.  `FeederModel.network` builds it on first use and keeps it;
-snapshots that differ only in loads or slack voltage share it, and a switch
-operation makes a model that compiles its own.  The compiled network is never
-written after it is built (its lazily built arrays are computed once and
-kept), so snapshots stay safe to use concurrently.
+A checked model indexes its bus/line graph once, as a `FeederGraph` of
+integers with a map from switch name to line, and every snapshot copied
+from it shares that index: no copy changes line ends, names, impedances
+or which lines are switches.  A load-scale copy checks only the values
+it scales.  Each topology is walked breadth first on the index and
+compiled once into a `CompiledNetwork`: the energized island, its bus
+index maps and the PQ index, then the arrays its solves iterate on.
+`FeederModel.network` builds it on first use and keeps it; snapshots that
+differ only in loads or slack voltage share it, and a switch operation
+re-walks the island and makes a model that compiles its own.  The compiled
+network is never written after it is built (its lazily built arrays are
+computed once and kept), so snapshots stay safe to use concurrently.
 
 `solve_power_flow` iterates the fixed point V_L = w V_S + Z conj(S_L / V_L)
 of the backward/forward sweep (Shirmohammadi et al. 1988; Teng 2003) in
 one of two forms, chosen per island when it is compiled:
 - a radial island of more than `SWEEP_BUSES` buses runs the sweep itself
   on tree arrays (depth-first preorder, subtree ranges, the enter and
-  leave steps of a walk down the tree, line impedances): each iteration is
-  a few O(n) array calls, and no n x n array is built;
+  leave steps of a walk down the tree, line impedances), derived from the
+  breadth-first island walk: each iteration is a few O(n) array calls,
+  and no n x n array is built;
 - any other island, meshed ones of every size included, runs the matrix
   form with a dense Z = Y_LL^-1 from the Z-bus building algorithm rather
   than a factorization, and w = -Z Y_LS.  Z needs O(n^2) memory and
@@ -49,6 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,13 +181,10 @@ class FeederModel:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise FeederError("duplicate bus ids")
-        slacks = [b for b in self.buses if b.kind == "slack"]
+        slacks = [k for k, b in enumerate(self.buses) if b.kind == "slack"]
         if len(slacks) != 1:
             raise FeederError(f"need exactly one slack bus, found {len(slacks)}")
-        known = set(ids)
-        for ln in self.lines:
-            if ln.from_bus not in known or ln.to_bus not in known:
-                raise FeederError(f"line {ln.name}: references unknown bus")
+        graph = _index_graph(ids, slacks[0], self.lines)
         # a switch event operates the one line of its name
         names = [ln.name for ln in self.lines]
         if len(set(names)) < len(names):
@@ -191,15 +195,19 @@ class FeederModel:
         pv_buses = [u.bus for u in self.pv_units]
         if len(set(pv_buses)) != len(pv_buses):
             raise FeederError("multiple PV units on one bus are not supported")
+        known = set(ids)
         for u in self.pv_units:
             if u.bus not in known:
                 raise FeederError(f"pv unit references unknown bus {u.bus}")
+        object.__setattr__(self, "_graph", graph)
         # every bus must be reachable from the slack with all switches closed
-        full = _walk(self.slack_id, self.bus_ids, list(self.lines))
-        for bus_id in ids:
-            if bus_id not in full:
+        full = set(graph.walk([True] * len(self.lines)).buses)
+        for k, bus_id in enumerate(ids):
+            if k not in full:
                 raise PowerFlowError(f"disconnected bus: {bus_id}")
-        object.__setattr__(self, "detachable_buses", frozenset(ids).difference(self._island))
+        island = set(self._island.buses)
+        object.__setattr__(self, "detachable_buses",
+                           frozenset(b for k, b in enumerate(ids) if k not in island))
 
     @property
     def slack_id(self) -> str:
@@ -218,10 +226,14 @@ class FeederModel:
         return tuple(u.bus for u in self.pv_units)
 
     @cached_property
-    def _island(self) -> dict[str, tuple[str, int]]:
-        """`_walk` over the in-service lines: the one walk of this topology,
-        which gives the island and the spanning tree the Z-bus build follows."""
-        return _walk(self.slack_id, self.bus_ids, [ln for ln in self.lines if ln.in_service])
+    def _island(self) -> Walk:
+        """The graph walked over the in-service lines: the one walk of this
+        topology, which gives the island, the sweep's tree and the spanning
+        tree the Z-bus build follows."""
+        closed = [True] * len(self.lines)
+        for k in self._graph.switches.values():
+            closed[k] = self.lines[k].in_service
+        return self._graph.walk(closed)
 
     @cached_property
     def network(self) -> CompiledNetwork:
@@ -234,11 +246,24 @@ class FeederModel:
         net = self.network
         s = np.zeros(len(net.island), dtype=complex)
         # subtracted from zeros, so that a +0.0 load stays +0.0
-        s -= np.array([complex(b.load_p, b.load_q) for b in self.buses])[net.cols]
-        for u in self.pv_units:
-            if u.bus in net.index:
-                s[net.index[u.bus]] += complex(u.p_out, u.q_inj)
+        n = len(self.buses)
+        s.real -= np.fromiter((b.load_p for b in self.buses), float, n)[net.cols]
+        s.imag -= np.fromiter((b.load_q for b in self.buses), float, n)[net.cols]
+        pv = [(net.index[u.bus], u.p_out, u.q_inj) for u in self.pv_units if u.bus in net.index]
+        if pv:
+            at, p, q = zip(*pv)
+            s.real[list(at)] += p
+            s.imag[list(at)] += q
         return s
+
+    def switch_line(self, switch_id: str) -> int:
+        """The index in `lines` of the switch named `switch_id`."""
+        k = self._graph.switches.get(switch_id)
+        if k is None:
+            if any(ln.name == switch_id for ln in self.lines):
+                raise FeederError(f"line {switch_id} is not a switch")
+            raise FeederError(f"no such switch: {switch_id}")
+        return k
 
     def with_slack_voltage(self, v_pu: float) -> "FeederModel":
         buses = tuple(
@@ -247,25 +272,100 @@ class FeederModel:
         return self._copy(("_island", "network"), buses=buses)
 
     def with_scaled_loads(self, factor: float) -> "FeederModel":
+        """Every load times `factor`.  The copies check only the two
+        values they change, with `Bus`'s own message."""
         if not (math.isfinite(factor) and factor >= 0):
             raise FeederError("load scale factor must be finite and >= 0")
-        buses = tuple(
-            replace(b, load_p=b.load_p * factor, load_q=b.load_q * factor)
-            for b in self.buses
-        )
-        return self._copy(("_island", "network"), buses=buses)
+        buses = []
+        for b in self.buses:
+            p, q = b.load_p * factor, b.load_q * factor
+            if not (math.isfinite(p) and math.isfinite(q)):
+                name = "load_q" if math.isfinite(p) else "load_p"
+                raise FeederError(f"bus {b.id}: {name} must be finite")
+            scaled = object.__new__(Bus)
+            scaled.__dict__.update(vars(b), load_p=p, load_q=q)
+            buses.append(scaled)
+        return self._copy(("_island", "network"), buses=tuple(buses))
 
     def _copy(self, kept: tuple[str, ...], **changes) -> "FeederModel":
         """Copy with `changes` to its fields and this snapshot's cached
         `kept`, unchecked: the model checks read bus ids and kinds, line ends
         and names, which lines are switches, PV buses and reachability with
-        all switches closed, which no caller changes.  Callers swap bus or PV
-        data (each new `Bus` or `PvUnit` checks its values) or operate one switch."""
+        all switches closed, which no caller changes, so the copy shares the
+        graph index.  Callers swap bus or PV data (each new `Bus` or
+        `PvUnit` checks its values) or operate one switch."""
         out = object.__new__(FeederModel)
         out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
-                            detachable_buses=self.detachable_buses, **changes)
+                            detachable_buses=self.detachable_buses, _graph=self._graph,
+                            **changes)
         out.__dict__.update((k, self.__dict__[k]) for k in kept if k in self.__dict__)
         return out
+
+
+class Walk(NamedTuple):
+    """A breadth-first walk from the slack: the model indices of the buses
+    reached, in walk order, with the walk position of the bus each was
+    reached from and the index of the line it came by (-1 for the slack),
+    and which lines the walk could take."""
+
+    buses: list[int]
+    up: list[int]
+    via: list[int]
+    closed: list[bool]
+
+
+@dataclass(frozen=True, eq=False)
+class FeederGraph:
+    """A feeder's bus/line graph over model indices, built once when a model
+    is checked and shared by every snapshot copied from it: line ends,
+    names and impedances, and which lines are switches, never change
+    across them.
+
+    `adj[b]` lists (line, bus at its other end) for the lines at bus b, in
+    line order; `ends[k]` are the (from, to) buses of line k and `z[k]` its
+    impedance; `switches` maps each switch's name to its line.
+    """
+
+    slack: int
+    adj: tuple[list[tuple[int, int]], ...]
+    ends: tuple[tuple[int, int], ...]
+    z: np.ndarray
+    switches: dict[str, int]
+
+    def walk(self, closed: list[bool]) -> Walk:
+        """Walk breadth first from the slack over the lines with `closed[k]`
+        true, taking the lines at each bus in line order."""
+        seen = [False] * len(self.adj)
+        seen[self.slack] = True
+        buses, up, via = [self.slack], [-1], [-1]
+        for i, b in enumerate(buses):  # `buses` grows while it is walked
+            for k, c in self.adj[b]:
+                if closed[k] and not seen[c]:
+                    seen[c] = True
+                    buses.append(c)
+                    up.append(i)
+                    via.append(k)
+        return Walk(buses, up, via, closed)
+
+
+def _index_graph(bus_ids: list[str], slack: int, lines: tuple[Line, ...]) -> FeederGraph:
+    index = {b: k for k, b in enumerate(bus_ids)}
+    adj: tuple[list[tuple[int, int]], ...] = tuple([] for _ in bus_ids)
+    ends = []
+    for k, ln in enumerate(lines):
+        a, b = index.get(ln.from_bus), index.get(ln.to_bus)
+        if a is None or b is None:
+            raise FeederError(f"line {ln.name}: references unknown bus")
+        adj[a].append((k, b))
+        adj[b].append((k, a))
+        ends.append((a, b))
+    return FeederGraph(
+        slack=slack,
+        adj=adj,
+        ends=tuple(ends),
+        z=np.array([complex(ln.resistance, ln.reactance) for ln in lines], dtype=complex),
+        switches={ln.name: k for k, ln in enumerate(lines) if ln.switch_state != "none"},
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,55 +472,40 @@ class CompiledNetwork:
         return None if self.z is None else -self.z @ self.ybus[self.pq, self.slack_idx]
 
 
-def _walk(
-    slack_id: str, bus_ids: tuple[str, ...], lines: list[Line]
-) -> dict[str, tuple[str, int]]:
-    """Breadth-first walk from the slack over `lines`: each bus reached,
-    in walk order, with the bus and the index of the line it was reached
-    from (("", -1) for the slack)."""
-    adj: dict[str, list[int]] = {b: [] for b in bus_ids}
-    for k, ln in enumerate(lines):
-        adj[ln.from_bus].append(k)
-        adj[ln.to_bus].append(k)
-    order, via = [slack_id], {slack_id: ("", -1)}
-    for b in order:  # `order` grows while it is walked
-        for k in adj[b]:
-            nxt = lines[k].to_bus if lines[k].from_bus == b else lines[k].from_bus
-            if nxt not in via:
-                via[nxt] = (b, k)
-                order.append(nxt)
-    return via
-
-
 def _compile(model: FeederModel) -> CompiledNetwork:
-    bus_ids = model.bus_ids
-    lines = [ln for ln in model.lines if ln.in_service]  # as `_island` walked them
-    via = model._island
-    island = tuple(b for b in bus_ids if b in via)
-    index = {b: i for i, b in enumerate(island)}
+    graph, walk = model._graph, model._island
+    bus_ids, lines = model.bus_ids, model.lines
+    energized = np.zeros(len(bus_ids), dtype=bool)
+    energized[walk.buses] = True
+    cols = np.flatnonzero(energized)
+    island = tuple(bus_ids[k] for k in cols.tolist())
+    index = dict(zip(island, range(len(island))))
     n = len(island)
-    slack_idx = index[model.slack_id]
+    pos = np.cumsum(energized) - 1  # the island position of each energized bus
+    at, on = pos.tolist(), energized.tolist()
+    slack_idx = at[graph.slack]
     pq = np.delete(np.arange(n), slack_idx)
-    on_island = tuple((index[ln.from_bus], index[ln.to_bus], ln)
-                      for ln in lines if ln.from_bus in index)
+    # (line, island positions of its ends) for the in-service lines on the island
+    on_island = [(k, at[a], at[b]) for k, ((a, b), closed)
+                 in enumerate(zip(graph.ends, walk.closed)) if closed and on[a]]
     tree = z = None
     if len(on_island) == n - 1 and n > SWEEP_BUSES:  # radial: the lines span the island
-        tree = _radial_tree(slack_idx, on_island)
+        tree = _walk_tree(walk, pos, graph.z)
     else:
-        walked = {k for _, k in via.values()}
+        walked = set(walk.via)
         z = _zbus(
             n,
-            [(index[a], index[b], lines[k]) for b, (a, k) in via.items() if k >= 0],
-            [(index[ln.from_bus], index[ln.to_bus], ln) for k, ln in enumerate(lines)
-             if k not in walked and ln.from_bus in index],
+            [(at[walk.buses[p]], at[b], graph.z[k])
+             for b, p, k in zip(walk.buses[1:], walk.up[1:], walk.via[1:])],
+            [(i, j, graph.z[k]) for k, i, j in on_island if k not in walked],
         )
         if z is not None:
             z = z[np.ix_(pq, pq)]
     return CompiledNetwork(
         island=island,
         index=index,
-        cols=np.array([k for k, b in enumerate(bus_ids) if b in index], dtype=int),
-        lines=on_island,
+        cols=cols,
+        lines=tuple((i, j, lines[k]) for k, i, j in on_island),
         slack_idx=slack_idx,
         pq=pq,
         z=z,
@@ -428,67 +513,77 @@ def _compile(model: FeederModel) -> CompiledNetwork:
     )
 
 
-def _radial_tree(slack_idx: int, lines: tuple[tuple[int, int, Line], ...]) -> RadialTree:
-    """The `RadialTree` of an island whose `lines` (island positions of
-    both ends, and the line) form a tree, walked depth first from the
-    slack; the lines at a bus are taken in the order of `lines`."""
-    adj: dict[int, list[tuple[int, Line]]] = {}
-    for i, j, ln in lines:
-        adj.setdefault(i, []).append((j, ln))
-        adj.setdefault(j, []).append((i, ln))
-    order, up, z, enter, end = [slack_idx], [], [], [], {}
-    walk, leaving = [], []  # the bus of each step of the walk, and whether it leaves it
-    # a tuple on the stack enters a bus; an int leaves that preorder position
-    stack: list = [(j, 0, ln) for j, ln in reversed(adj.get(slack_idx, []))]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, int):
-            end[item] = len(order) - 1
-            walk.append(item)
-            leaving.append(True)
-            continue
-        j, parent, ln = item
-        k = len(order) - 1
-        above = order[parent]
-        order.append(j)
-        up.append(parent)
-        z.append(complex(ln.resistance, ln.reactance))
-        walk.append(k)
-        leaving.append(False)
-        enter.append(len(walk))
-        stack.append(k)
-        stack.extend((c, k + 1, cl) for c, cl in reversed(adj[j]) if c != above)
-    z_arr = np.array(z, dtype=complex)
-    walk_z = z_arr[walk]
+def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
+    """The `RadialTree` of a radial island from its breadth-first `walk`,
+    with `pos` the island position of each model bus and `z_line` the line
+    impedances.  The walk meets each bus's children in the order a
+    depth-first walk takes them (Shirmohammadi et al. number the branches
+    layer by layer from the same walk), so one reverse pass gives the
+    subtree sizes, one forward pass the preorder slots and depths, and
+    array operations the rest."""
+    up = walk.up
+    n = len(up)
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[up[i]] += size[i]
+    # preorder slots counting the slack as 0; `free[i]` is the slot of the
+    # next child of walk position i
+    slot, depth, free = [0] * n, [0] * n, [1] * n
+    for i in range(1, n):
+        p = up[i]
+        slot[i] = free[p]
+        free[p] += size[i]
+        free[i] = slot[i] + 1
+        depth[i] = depth[p] + 1
+    table = np.array((size, depth, walk.via, walk.buses, up, slot))
+    # the walk position at each preorder slot; the slack's is slot 0
+    at = np.empty(n, dtype=int)
+    at[table[5]] = np.arange(n)
+    # the rest in preorder over the load buses
+    size, depth, via, buses, up = table[:5, at[1:]]
+    m = n - 1
+    k = np.arange(m)
+    # the walk enters bus k after k entries and the exits of the k - depth + 1
+    # buses before it that are not above it, and leaves it after its subtree;
+    # `enter` is one past the entering step
+    enter = 2 * k - depth + 2
+    leave = enter + 2 * size - 2
+    walk_bus = np.empty(2 * m, dtype=int)
+    walk_bus[enter - 1] = k
+    walk_bus[leave] = k
+    z = z_line[via]
+    walk_z = z[walk_bus]
+    walk_z[leave] = -z
     return RadialTree(
-        order=np.array(order[1:], dtype=int),
-        up=np.array(up, dtype=int),
-        z=z_arr,
-        enter=np.array(enter, dtype=int),
-        walk_bus=np.array(walk, dtype=int),
-        walk_end=np.array([end[k] for k in walk], dtype=int),
-        walk_z=np.where(leaving, -walk_z, walk_z),
+        order=pos[buses],
+        up=table[5, up],
+        z=z,
+        enter=enter,
+        walk_bus=walk_bus,
+        walk_end=(k + size)[walk_bus],
+        walk_z=walk_z,
     )
 
 
 def _zbus(
-    n: int, tree: list[tuple[int, int, Line]], loops: list[tuple[int, int, Line]]
+    n: int, tree: list[tuple[int, int, complex]], loops: list[tuple[int, int, complex]]
 ) -> np.ndarray | None:
     """Bus impedance matrix of an island of `n` buses with the slack as
     reference (its row and column stay zero), so Z[pq, pq] = Y_LL^-1.
+    Lines come as (one end, other end, impedance).
     Built by the Z-bus building algorithm: a `tree` line (parent, child),
     in breadth-first order, copies the row of the bus it hangs from, and a
     line that closes a loop is a rank-1 update.  That is O(n) per tree line
     and O(n^2) per loop, with no factorization.  None when a loop has zero
     impedance (Y_LL singular)."""
     zb = np.zeros((n, n), dtype=complex)
-    for i, j, ln in tree:
+    for i, j, z in tree:
         zb[j] = zb[i]
         zb[:, j] = zb[:, i]
-        zb[j, j] = zb[i, i] + complex(ln.resistance, ln.reactance)
-    for i, j, ln in loops:
+        zb[j, j] = zb[i, i] + z
+    for i, j, z in loops:
         d = zb[:, i] - zb[:, j]
-        den = d[i] - d[j] + complex(ln.resistance, ln.reactance)
+        den = d[i] - d[j] + z
         if den == 0:
             return None
         zb -= np.outer(d, d) / den
@@ -510,14 +605,21 @@ def _dsbus_dv(ybus: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
     """Newton's Jacobian over the PQ buses: rows dP then dQ, columns dVa
-    then dVm, each block written straight into the one array."""
+    then dVm.  `pq` is every island position but the slack's, so each
+    block is a derivative less the slack's row and column: up to four
+    slices of it, written straight into the one array with no copy."""
     npq = len(pq)
-    jac = np.empty((2 * npq, 2 * npq))
-    for cols, ds in zip((slice(None, npq), slice(npq, None)), _dsbus_dv(ybus, v)):
-        block = ds[pq][:, pq]
-        jac[:npq, cols] = block.real
-        jac[npq:, cols] = block.imag
-    return jac
+    slack = int(np.count_nonzero(pq == np.arange(npq)))  # the buses before it keep their places
+    # (rows or columns of the derivative, where they go in the block)
+    pieces = ((slice(None, slack), slice(None, slack)),
+              (slice(slack + 1, None), slice(slack, None)))
+    jac = np.empty((2, npq, 2, npq))  # (dP or dQ, bus, dVa or dVm, bus)
+    for d, ds in enumerate(_dsbus_dv(ybus, v)):
+        for part, values in enumerate((ds.real, ds.imag)):
+            for rows, row_to in pieces:
+                for cols, col_to in pieces:
+                    jac[part, row_to, d, col_to] = values[rows, cols]
+    return jac.reshape(2 * npq, 2 * npq)
 
 
 def _newton(
@@ -757,17 +859,14 @@ def apply_topology_event(
     """
     if new_state not in ("open", "closed"):
         raise FeederError(f"bad switch state {new_state!r}")
-    target = next((ln for ln in model.lines if ln.name == switch_id), None)
-    if target is None:
-        raise FeederError(f"no such switch: {switch_id}")
-    if target.switch_state == "none":
-        raise FeederError(f"line {switch_id} is not a switch")
-    lines = tuple(
-        replace(ln, switch_state=new_state) if ln is target else ln for ln in model.lines
+    k = model.switch_line(switch_id)
+    lines = model.lines
+    updated = model._copy(
+        (), lines=lines[:k] + (replace(lines[k], switch_state=new_state),) + lines[k + 1:]
     )
-    updated = model._copy((), lines=lines)
-    newly_dark = set(model._island) - set(updated._island)
-    illegal = sorted(newly_dark - model.detachable_buses)
+    newly_dark = set(model._island.buses).difference(updated._island.buses)
+    illegal = sorted(b for b in (model.buses[i].id for i in newly_dark)
+                     if b not in model.detachable_buses)
     if illegal:
         raise FeederError(
             f"opening {switch_id} would island bus(es): {', '.join(illegal)}"

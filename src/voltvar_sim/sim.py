@@ -42,6 +42,7 @@ from .control import (
     slope_to_cutoffs,
 )
 from .feeder import (
+    FeederError,
     FeederModel,
     PowerFlowSolution,
     apply_topology_event,
@@ -507,6 +508,12 @@ class SimulationEngine:
                 replace(u, p_out=0.0, q_inj=0.0) for u in model.pv_units))
             self.ratings = np.array([u.rating_s for u in model.pv_units], dtype=float)
             self._solve = SimulationEngine._solve_full
+            try:  # a switch id is checked here, not at its tick
+                for _, ev in scenario.events:
+                    if isinstance(ev, SwitchEvent):
+                        model.switch_line(ev.switch_id)
+            except FeederError as exc:
+                raise SimulationError(str(exc)) from None
             self._dark_units = ()
         self.model = model
         self.bus_ids = model.bus_ids

@@ -15,7 +15,8 @@ once built them, on units found from the trace.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
-point with `np.max` reductions, the window sums walked row by row from
+point with `np.max` reductions, the sweep's tree arrays from a
+depth-first walk of the island's lines, the window sums walked row by row from
 zero, the band-violation run search bus by bus, and the outer-loop step
 as the engine ran it on a parameter block of one array per field.
 """
@@ -42,7 +43,9 @@ from voltvar_sim.feeder import (
     FIXED_POINT_STEP,
     CompiledNetwork,
     FeederModel,
+    Line,
     PowerFlowSolution,
+    RadialTree,
     solve_power_flow,
 )
 from voltvar_sim.sim import (
@@ -471,6 +474,51 @@ def fixed_point_reference(
                              np.max(np.abs(ds.imag), initial=0.0)))
     converged = step <= FIXED_POINT_STEP and mismatch <= tol
     return v, converged, iterations, mismatch
+
+
+def radial_tree(slack_idx: int, lines: tuple[tuple[int, int, Line], ...]) -> RadialTree:
+    """The `RadialTree` of an island whose `lines` (island positions of
+    both ends, and the line) form a tree, walked depth first from the
+    slack with an explicit stack; the lines at a bus are taken in the
+    order of `lines`.  The package derives the same arrays from its
+    breadth-first island walk instead."""
+    adj: dict[int, list[tuple[int, Line]]] = {}
+    for i, j, ln in lines:
+        adj.setdefault(i, []).append((j, ln))
+        adj.setdefault(j, []).append((i, ln))
+    order, up, z, enter, end = [slack_idx], [], [], [], {}
+    walk, leaving = [], []  # the bus of each step of the walk, and whether it leaves it
+    # a tuple on the stack enters a bus; an int leaves that preorder position
+    stack: list = [(j, 0, ln) for j, ln in reversed(adj.get(slack_idx, []))]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int):
+            end[item] = len(order) - 1
+            walk.append(item)
+            leaving.append(True)
+            continue
+        j, parent, ln = item
+        k = len(order) - 1
+        above = order[parent]
+        order.append(j)
+        up.append(parent)
+        z.append(complex(ln.resistance, ln.reactance))
+        walk.append(k)
+        leaving.append(False)
+        enter.append(len(walk))
+        stack.append(k)
+        stack.extend((c, k + 1, cl) for c, cl in reversed(adj[j]) if c != above)
+    z_arr = np.array(z, dtype=complex)
+    walk_z = z_arr[walk]
+    return RadialTree(
+        order=np.array(order[1:], dtype=int),
+        up=np.array(up, dtype=int),
+        z=z_arr,
+        enter=np.array(enter, dtype=int),
+        walk_bus=np.array(walk, dtype=int),
+        walk_end=np.array([end[k] for k in walk], dtype=int),
+        walk_z=np.where(leaving, -walk_z, walk_z),
+    )
 
 
 def window_stats_rows(

@@ -31,6 +31,7 @@ from oracles import (
     fixed_point_reference,
     gauss_nodal_solve,
     injection_array,
+    radial_tree,
     total_losses,
     two_bus_voltage,
     voltage_at,
@@ -376,7 +377,7 @@ def test_fixed_point_agrees_with_oracle_and_newton(case):
     assert converged
     assert np.max(np.abs(v - v_newton)) < 1e-10
     if len(net.lines) == len(net.pq):  # radial: the sweep iterates the same map
-        tree = feeder._radial_tree(net.slack_idx, net.lines)
+        tree = radial_tree(net.slack_idx, net.lines)
         swept = feeder._sweep(replace(net, z=None, tree=tree), s, model.slack.v_set, None,
                               DEFAULT_TOL)
         dense = feeder._fixed_point(net, s, model.slack.v_set, None, DEFAULT_TOL)
@@ -491,6 +492,22 @@ def test_copies_keep_the_topology_but_not_the_injections(ieee4):
     closed = apply_topology_event(model, "switch1", "closed")  # walks its own island
     assert closed._island is not model._island
     assert "network" not in vars(closed) and "_s_base" not in vars(closed)
+
+
+def test_graph_index_is_shared_by_every_copy(ieee4, monkeypatch):
+    model = feeder_from_dict(feeder_to_dict(ieee4))
+    builds = []
+    index_graph = feeder._index_graph
+    monkeypatch.setattr(feeder, "_index_graph", lambda *a: builds.append(a) or index_graph(*a))
+    closed = apply_topology_event(model, "switch1", "closed")
+    copies = (model.with_scaled_loads(1.5), model.with_slack_voltage(0.98), closed,
+              apply_topology_event(closed, "switch1", "open"), closed.with_scaled_loads(0.5))
+    for copy in copies:
+        assert copy._graph is model._graph
+        solve_power_flow(copy)
+    assert builds == []
+    assert replace(model, name="other")._graph is not model._graph  # a checked build
+    assert len(builds) == 1
 
 
 def test_close_then_reopen_matches_fresh_solve(ieee4):

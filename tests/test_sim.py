@@ -28,6 +28,7 @@ from voltvar_sim.feeder import (
     FeederModel,
     Line,
     PvUnit,
+    apply_topology_event,
     feeder_from_dict,
     feeder_to_dict,
     sensitivity_matrix,
@@ -189,6 +190,21 @@ class TestEvents:
             ieee4,
         )
         assert np.all(np.isfinite(trace.bus_voltage("bus4")))
+
+    @pytest.mark.parametrize("switch_id, message", [
+        ("nope", "no such switch: nope"),
+        ("bus1-bus2", "line bus1-bus2 is not a switch"),  # a plain line's name
+    ])
+    def test_bad_switch_id_fails_before_the_first_solve(self, ieee4, monkeypatch,
+                                                         switch_id, message):
+        calls = []
+        monkeypatch.setattr(sim_module, "solve_power_flow", lambda *a, **kw: calls.append(a))
+        scenario = _scenario(ControllerKind("none"), events=((99, SwitchEvent(switch_id, "open")),))
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            SimulationEngine(scenario, ieee4)
+        assert calls == []
+        with pytest.raises(FeederError, match=f"^{message}$"):  # the text the tick would raise
+            apply_topology_event(ieee4, switch_id, "open")
 
     def test_network_compiled_once_per_topology(self, ieee4, monkeypatch):
         builds = []

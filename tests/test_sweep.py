@@ -10,11 +10,13 @@ is imported and never written.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voltvar_sim import feeder
 from voltvar_sim.feeder import (
@@ -25,11 +27,12 @@ from voltvar_sim.feeder import (
     Line,
     apply_topology_event,
     feeder_from_dict,
+    feeder_to_dict,
     solve_power_flow,
     voltage_sensitivities,
 )
 
-from oracles import fd_sensitivities, gauss_nodal_solve, injection_array
+from oracles import fd_sensitivities, gauss_nodal_solve, injection_array, radial_tree
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -43,7 +46,7 @@ def _swept(model: FeederModel) -> feeder.CompiledNetwork:
     """`model.network` with its island compiled to tree arrays, whatever
     its size."""
     net = model.network
-    return replace(net, z=None, tree=feeder._radial_tree(net.slack_idx, net.lines))
+    return replace(net, z=None, tree=radial_tree(net.slack_idx, net.lines))
 
 
 def _pv_injections(model: FeederModel, seed: int) -> dict[str, tuple[float, float]]:
@@ -89,7 +92,7 @@ def test_tree_arrays_walk_a_hand_built_tree():
                Line("c", "a", 0.03, 0.04), Line("s", "d", 0.04, 0.05)),
     )
     net = model.network
-    t = feeder._radial_tree(net.slack_idx, net.lines)
+    t = radial_tree(net.slack_idx, net.lines)
     assert [net.island[i] for i in t.order] == ["a", "b", "c", "d"]
     assert t.up.tolist() == [0, 1, 1, 0]
     assert t.z.tolist() == [0.01 + 0.02j, 0.02 + 0.03j, 0.03 + 0.04j, 0.04 + 0.05j]
@@ -164,3 +167,56 @@ def test_3000_bus_ladder_builds_no_square_array():
     arrays = [a for a in [*vars(net).values(), *vars(net.tree).values()]
               if isinstance(a, np.ndarray)]
     assert arrays and all(a.ndim == 1 for a in arrays)
+
+
+@lru_cache(maxsize=None)
+def _ladder_doc(n: int, seed: int, laterals: int) -> dict:
+    return gen.ladder_feeder(n, seed, open_laterals=laterals)
+
+
+def _walked_tree(model: FeederModel) -> feeder.RadialTree:
+    """The tree arrays `_compile` derives from the island walk, on an
+    island of any size."""
+    net = model.network
+    pos = np.zeros(len(model.buses), dtype=int)
+    pos[net.cols] = np.arange(len(net.cols))
+    return feeder._walk_tree(model._island, pos, model._graph.z)
+
+
+# switch toggles (by lateral) and load scales, applied in turn
+_EVENTS = st.lists(st.one_of(st.integers(0, 2), st.floats(0.8, 1.25)), min_size=1, max_size=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([60, SWEEP_BUSES - 6, LADDER_BUSES]), seed=st.integers(0, 2),
+       laterals=st.integers(1, 3), events=_EVENTS)
+def test_events_keep_the_walked_tree_and_the_shared_index_exact(n, seed, laterals, events):
+    # islands on both sides of SWEEP_BUSES; closing laterals on the middle
+    # size carries the island across it
+    model = feeder_from_dict(_ladder_doc(n, seed, laterals))
+    closed = set()
+    for ev in events:
+        if isinstance(ev, int):
+            sw = ev % laterals
+            state = "open" if sw in closed else "closed"
+            closed.symmetric_difference_update({sw})
+            model = apply_topology_event(model, f"sw{sw}", state)
+        else:
+            model = model.with_scaled_loads(ev)
+        net = model.network
+        want = radial_tree(net.slack_idx, net.lines)
+        got = _walked_tree(model)
+        if net.tree is not None:
+            assert len(net.island) > SWEEP_BUSES
+            got = net.tree
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        # a fresh, checked build indexes its own graph: the shared index
+        # must solve to the same bits
+        fresh = feeder_from_dict(feeder_to_dict(model))
+        assert fresh._graph is not model._graph
+        sol, again = solve_power_flow(model), solve_power_flow(fresh)
+        assert sol.bus_ids == again.bus_ids
+        assert (sol.converged, sol.iterations) == (again.converged, again.iterations)
+        assert sol.v.tobytes() == again.v.tobytes()
