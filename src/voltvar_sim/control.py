@@ -27,7 +27,7 @@ class ControlError(ValueError):
 def _all(ok) -> bool:
     """Whether a check passes on every unit (`ok`: a bool, or a bool
     array over units).  Checks are written so that NaN fails them."""
-    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+    return np.count_nonzero(ok) == ok.size if isinstance(ok, np.ndarray) else bool(ok)
 
 
 def clamp(x, lo, hi):
@@ -121,6 +121,19 @@ def delayed_dispatch(params: DroopParams, tau: float, v: float, q_prev: float) -
     return clamp(droop_dispatch(params, v) + tau * q_prev, params.q_min, params.q_max)
 
 
+def check_adaptive(m_p, q_p, q_min_p, q_max_p, mu) -> None:
+    """Check the fields of an adaptive block, given as floats or as rows
+    with one entry per unit: raise `ControlError` unless every unit's
+    slope is finite and >= 0, its set-point finite and its offset within
+    its var limits."""
+    if not _all(np.isfinite(m_p) & (m_p >= 0)):
+        raise ControlError("m_p must be finite and >= 0")
+    if not _all(np.isfinite(mu)):
+        raise ControlError("mu must be finite")
+    if not _all((q_min_p <= q_p) & (q_p <= q_max_p)):
+        raise ControlError("need q_min_p <= q_p <= q_max_p")
+
+
 @dataclass(frozen=True)
 class AdaptiveParams:
     """Parameter block dispatched by the outer loop: slope `m_p`, error
@@ -134,12 +147,7 @@ class AdaptiveParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if not _all(np.isfinite(self.m_p) & (self.m_p >= 0)):
-            raise ControlError("m_p must be finite and >= 0")
-        if not _all(np.isfinite(self.mu)):
-            raise ControlError("mu must be finite")
-        if not _all((self.q_min_p <= self.q_p) & (self.q_p <= self.q_max_p)):
-            raise ControlError("need q_min_p <= q_p <= q_max_p")
+        check_adaptive(self.m_p, self.q_p, self.q_min_p, self.q_max_p, self.mu)
 
     @classmethod
     def from_slope(

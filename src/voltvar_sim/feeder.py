@@ -161,7 +161,8 @@ class PvUnit:
 class FeederModel:
     """Immutable feeder snapshot: buses, lines, PV units.
 
-    `detachable_buses` (an attribute, not a field) are buses that are
+    `bus_ids` (an attribute, not a field) holds the bus ids in `buses`
+    order.  `detachable_buses` (another attribute) are buses that are
     de-energized in the as-built switch configuration (behind normally-open
     switches).  Switch events may re-island exactly those buses; islanding
     any other load/PV bus is an error.  The set is computed on construction
@@ -200,6 +201,7 @@ class FeederModel:
             if u.bus not in known:
                 raise FeederError(f"pv unit references unknown bus {u.bus}")
         object.__setattr__(self, "_graph", graph)
+        object.__setattr__(self, "bus_ids", tuple(ids))
         # every bus must be reachable from the slack with all switches closed
         full = set(graph.walk([True] * len(self.lines)).buses)
         for k, bus_id in enumerate(ids):
@@ -211,15 +213,11 @@ class FeederModel:
 
     @property
     def slack_id(self) -> str:
-        return next(b.id for b in self.buses if b.kind == "slack")
+        return self.slack.id
 
     @property
     def slack(self) -> Bus:
-        return next(b for b in self.buses if b.kind == "slack")
-
-    @property
-    def bus_ids(self) -> tuple[str, ...]:
-        return tuple(b.id for b in self.buses)
+        return self.buses[self._graph.slack]
 
     @property
     def pv_buses(self) -> tuple[str, ...]:
@@ -297,7 +295,7 @@ class FeederModel:
         out = object.__new__(FeederModel)
         out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
                             detachable_buses=self.detachable_buses, _graph=self._graph,
-                            **changes)
+                            bus_ids=self.bus_ids, **changes)
         out.__dict__.update((k, self.__dict__[k]) for k in kept if k in self.__dict__)
         return out
 

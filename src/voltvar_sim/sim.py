@@ -29,7 +29,7 @@ import numpy as np
 
 from . import adaptation
 from .adaptation import AdaptiveConfig, WindowStats, capacity_limits, window_stats
-from .adaptation import outer_loop_step  # noqa: F401 (see _outer_boundary)
+from .adaptation import outer_loop_step  # noqa: F401 (perfbench's tracer patches it here)
 from .codec import SchemaError, decode, encode, within
 from .control import (
     AdaptiveParams,
@@ -708,18 +708,10 @@ class SimulationEngine:
         """Outer-loop step for every unit that was energized and generating
         through the whole window closing at tick `t`."""
         window = slice(t - self.scenario.t_outer + 1, t + 1)
-        v = self.voltages[window, self._unit_cols]
-        p = self.p_profile[window]
-        idx = np.flatnonzero(~np.isnan(v).any(axis=0) & (p.min(axis=0) > 0))
-        if len(idx):
-            # perfbench's tracer wraps `sim.outer_loop_step` with a hook for
-            # one unit per call, so the fleet-wide call goes through `adaptation`
-            new = adaptation.outer_loop_step(
-                self._take(idx), v[:, idx], p[:, idx], self.ratings[idx], self.scenario.adaptive,
-            )
-            self._put(idx, new)
-            # the stored columns, a copy that holds no view of the step's arrays
-            self._outer_log.append((t, idx, self._params[:, idx]))
+        step = adaptation.step_matrix(self._params, self.voltages[window, self._unit_cols],
+                                      self.p_profile[window], self.ratings, self.scenario.adaptive)
+        if step is not None:
+            self._outer_log.append((t, *step))
 
     def step_inner(self) -> int:
         """Advance one tick: apply this tick's events, dispatch every

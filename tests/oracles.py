@@ -10,15 +10,16 @@ and reader, and the band-violation count is its tick-by-tick loop.  The
 linear twin's derivatives are central differences of warm-started power
 flows, h pu apart, against which the Jacobian solve is checked.  The
 outer-loop records are read from a trace's parameter log, or built one
-unit at a time from the blocks the outer loop returns, as the engine
-once built them, on units found from the trace.
+unit at a time from the row blocks the outer-loop kernel returns, on
+units found from the trace.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
 point with `np.max` reductions, the sweep's tree arrays from a
 depth-first walk of the island's lines, the window sums walked row by row from
 zero, the band-violation run search bus by bus, and the outer-loop step
-as the engine ran it on a parameter block of one array per field.
+as the engine ran it on a parameter block of one array per field, with
+the engine's outer-loop boundary composed from it.
 """
 
 from __future__ import annotations
@@ -351,19 +352,19 @@ def write_params_csv_rows(trace: SimulationTrace, path) -> None:
 
 def param_records_per_unit(scenario, model) -> tuple[list[ParamDispatch], SimulationTrace]:
     """A run's outer-loop updates and its trace.  The updates are taken as
-    one record per unit, split with `tolist` from every block that
-    `outer_loop_step` returns.  Each block's units are found from the trace
-    alone: those energized and generating through the whole window that
-    the step closes."""
+    one record per unit, split with `tolist` from every (5, k) block of
+    rows that the outer-loop kernel `adaptation._step_rows` returns.  Each
+    block's units are found from the trace alone: those energized and
+    generating through the whole window that the step closes."""
     engine = SimulationEngine(scenario, model)
     stepped = []
 
     def step(*args):
-        stepped.append((engine.tick, adaptation_step(*args)))
+        stepped.append((engine.tick, kernel(*args)))
         return stepped[-1][1]
 
-    adaptation_step = adaptation.outer_loop_step
-    with mock.patch.object(adaptation, "outer_loop_step", step):
+    kernel = adaptation._step_rows
+    with mock.patch.object(adaptation, "_step_rows", step):
         trace = engine.run()
     T = trace.t_outer
     cols = [trace.bus_ids.index(b) for b in trace.unit_buses]
@@ -374,7 +375,7 @@ def param_records_per_unit(scenario, model) -> tuple[list[ParamDispatch], Simula
             j for j, c in enumerate(cols)
             if not np.isnan(trace.voltages[window, c]).any() and (trace.p_out[window, j] > 0).all()
         ]
-        columns = [getattr(block, f.name).tolist() for f in fields(block)]
+        columns = block.tolist()
         assert len(live) == len(columns[0])
         records.extend(
             ParamDispatch(tick, trace.unit_buses[j], AdaptiveParams(*row))
@@ -639,3 +640,23 @@ def outer_loop_step_reference(
     q_p = clamp(q_p, q_min_p, q_max_p)
     new = AdaptiveParams.from_slope(m_p, q_p, q_min_p, q_max_p, block.mu)
     return stats, new, put_units(params, index, new)
+
+
+def outer_boundary_reference(engine: SimulationEngine, t: int) -> None:
+    """`SimulationEngine._outer_boundary` as the reference composition: the
+    eligible units found column by column, the engine's n-unit block taken
+    as an `AdaptiveParams`, stepped with `outer_loop_step_reference`, and
+    the merged block and the new columns stored and logged."""
+    window = slice(t - engine.scenario.t_outer + 1, t + 1)
+    v = engine.voltages[window, engine._unit_cols]
+    p = engine.p_profile[window]
+    index = [j for j in range(v.shape[1])
+             if not np.isnan(v[:, j]).any() and (p[:, j] > 0).all()]
+    if not index:
+        return
+    params = AdaptiveParams(*engine._params.copy())
+    _, new, merged = outer_loop_step_reference(
+        params, index, v[:, index], p[:, index], engine.ratings[index], engine.scenario.adaptive)
+    engine._params[:] = [getattr(merged, f.name) for f in fields(merged)]
+    engine._outer_log.append(
+        (t, np.array(index, dtype=np.intp), np.array([getattr(new, f.name) for f in fields(new)])))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,12 +20,14 @@ from voltvar_sim.adaptation import (
     strategy2_update_slope,
     window_stats,
 )
-from voltvar_sim.control import AdaptiveParams
-from voltvar_sim.sim import SimulationEngine
+from voltvar_sim.control import AdaptiveParams, ControllerKind
+from voltvar_sim.feeder import Bus, FeederModel, Line, PvUnit
+from voltvar_sim.sim import Scenario, SimulationEngine, linearize
 
 from oracles import (
     outer_loop_step_reference,
     strategy2_update_slope_reference,
+    take_units,
     window_stats_reference,
     window_stats_rows,
 )
@@ -357,6 +361,11 @@ def test_outer_loop_step_matches_reference_bit_for_bit(t, k, extra, signed, seed
         SimulationEngine._put(engine, index, new)
         one = window_stats(v[:, 0], params.mu[index[0]], p[:, 0], signed)
         one_ref = window_stats_reference(v[:, 0], params.mu[index[0]], p[:, 0], signed)
+        # the block form on one unit's scalar block and (T,) windows
+        one_new = outer_loop_step(take_units(params, index[0]), v[:, 0], p[:, 0],
+                                  rating[index[0]], cfg)
+        _, one_new_ref, _ = outer_loop_step_reference(
+            params, index[0], v[:, 0], p[:, 0], rating[index[0]], cfg)
 
     for f in ("sse_avg", "vf", "p_pv_avg"):
         assert _same(getattr(got, f), getattr(want, f)), f
@@ -366,7 +375,86 @@ def test_outer_loop_step_matches_reference_bit_for_bit(t, k, extra, signed, seed
                                          engine._params, vars(merged_ref).values()):
         assert _same(g, w), f
         assert _same(merged, merged_w), f
+    for f in vars(one_new):
+        assert _same(getattr(one_new, f), getattr(one_new_ref, f)), f
 
+
+
+@lru_cache(maxsize=None)
+def _chain_twin(n: int):
+    """The linear twin of a chain of n load buses with a PV unit on each."""
+    buses = (Bus("s", "slack", v_set=1.0),) + tuple(
+        Bus(f"b{i}", "load", load_p=0.01, load_q=0.003) for i in range(n))
+    lines = tuple(Line(f"b{i - 1}" if i else "s", f"b{i}", 0.002, 0.004) for i in range(n))
+    return linearize(FeederModel(buses, lines, tuple(PvUnit(f"b{i}", 0.5) for i in range(n))))
+
+
+def _rows(block: AdaptiveParams) -> np.ndarray:
+    return np.array([getattr(block, f) for f in vars(block)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.integers(2, 12),
+    n=st.integers(1, 40),
+    holes=st.sampled_from(["none", "some", "all"]),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_outer_boundary_matches_reference_bit_for_bit(t, n, holes, signed, seed):
+    # `SimulationEngine._outer_boundary` itself, against the reference
+    # composition: on the matrix rows when every unit qualifies, on a
+    # column subset when some units are dark (NaN) or at zero output on
+    # some tick of the window, and with no step when none qualifies
+    rng = np.random.default_rng(seed)
+    scenario = Scenario(horizon=3 * t, t_outer=t, controller_kind=ControllerKind("adaptive"),
+                        pv_profile=0.1)
+    engine = SimulationEngine(scenario, _chain_twin(n))
+    tick = 2 * t
+    v = 1.0 + rng.normal(0.0, 0.02, (t, n)) * 10.0 ** rng.integers(-8, 1, (t, n))
+    p = rng.uniform(0.01, 0.4, (t, n)) * 10.0 ** rng.integers(-8, 1, (t, n))
+    mu = rng.uniform(0.95, 1.05, n)
+    if n >= 3:
+        v[:, 0] = -1.0  # every (signed) flicker term is -0.0
+        v[:, 1] = -0.0  # every v - mu term is -0.0 against mu = 0
+        mu[1] = 0.0
+    if holes != "none":
+        for j in np.flatnonzero((rng.random(n) < 0.5) | (holes == "all")):
+            if rng.random() < 0.5:
+                v[rng.integers(t), j] = np.nan
+            else:
+                p[rng.integers(t), j] = 0.0
+    rating = rng.uniform(0.01, 0.3, n)  # below some units' p_pv_avg
+    m_p = np.where(rng.random(n) < 0.5, rng.choice([0.0, 0.1, 0.5], n), rng.uniform(0, 3, n))
+    q_lim = rng.uniform(0.05, 0.5, n)
+    q_p = rng.uniform(-1.0, 1.0, n) * q_lim * (rng.random(n) < 0.8)
+    q_p[rng.random(n) < 0.2] = -0.0
+    engine.voltages[tick - t + 1 : tick + 1, engine._unit_cols] = v
+    engine.p_profile[tick - t + 1 : tick + 1] = p
+    engine.ratings[:] = rating
+    engine._params[:] = (m_p, q_p, -q_lim, q_lim, mu)
+    before = AdaptiveParams(*engine._params.copy())
+    index = [j for j in range(n) if not np.isnan(v[:, j]).any() and (p[:, j] > 0).all()]
+    with np.errstate(all="ignore"):
+        cfg = AdaptiveConfig(signed_flicker=signed)
+        if index:
+            want = window_stats_reference(v[:, index], mu[index], p[:, index], signed)
+            cfg = _edge_config(want, rng, signed)
+        engine.scenario = replace(scenario, adaptive=cfg)
+        engine._outer_boundary(tick)
+        if index:
+            _, new, merged = outer_loop_step_reference(
+                before, index, v[:, index], p[:, index], rating[index], cfg)
+
+    if not index:
+        assert engine._outer_log == []
+        assert engine._params.tobytes() == _rows(before).tobytes()
+        return
+    [(logged, units, values)] = engine._outer_log
+    assert logged == tick and units.tolist() == index
+    assert values.tobytes() == _rows(new).tobytes()
+    assert engine._params.tobytes() == _rows(merged).tobytes()
+    assert not np.shares_memory(values, engine._params)
 
 def test_zone_picks_match_select_on_edges():
     # each zone edge exactly, NaN statistics and signed zeros, for one unit

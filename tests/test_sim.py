@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,9 +69,14 @@ from oracles import (
     band_violation_runs,
     fd_sensitivities,
     injection_array,
+    outer_boundary_reference,
     param_dispatches,
     voltage_at,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gen  # noqa: E402  (perfbench/gen.py)
 
 
 def _scenario(kind, horizon=100, slope=1.0, events=(), profile=0.9, **kw):
@@ -591,6 +597,56 @@ class TestAdaptiveLoop:
         with pytest.raises(ControlError, match="q_min_p <= q_p <= q_max_p"):
             engine.step_inner()
         assert engine.tick == 10
+
+    @pytest.mark.parametrize("fixture", ["ieee4", "ieee4_closed"])
+    @pytest.mark.parametrize("bad", ["new", "old"])
+    def test_failing_boundary_changes_nothing(self, fixture, bad, request, monkeypatch):
+        # with bus4 dark (`ieee4`) the boundary steps a column subset, with
+        # both units live (`ieee4_closed`) the whole matrix; a block that
+        # fails its check leaves the matrix, the params and the log as the
+        # tick before left them
+        engine = SimulationEngine(_scenario(ControllerKind("adaptive")),
+                                  request.getfixturevalue(fixture))
+        while engine.tick < 30:
+            engine.step_inner()
+        assert len(engine._outer_log) == 2
+        if bad == "new":  # var limits with q_min > q_max
+            monkeypatch.setattr(adaptation, "capacity_limits",
+                                lambda rating, p: (np.abs(rating) + 1.0, -np.abs(rating) - 1.0))
+            match = "q_min_p <= q_p <= q_max_p"
+        else:  # a stored slope that is no longer valid
+            engine._params[0, 0] = np.nan
+            match = "m_p must be finite and >= 0"
+        matrix = engine._params.copy()
+        log = list(engine._outer_log)
+        with pytest.raises(ControlError, match=match):
+            engine.step_inner()
+        assert engine.tick == 30
+        assert engine._params.tobytes() == matrix.tobytes()
+        assert engine._outer_log == log
+        if bad == "new":
+            params = engine.params
+            assert np.array([getattr(params, f) for f in vars(params)]).tobytes() == \
+                matrix.tobytes()
+
+    @pytest.mark.parametrize("case", ["feeder30-intermittency", "twin150"])
+    def test_adaptive_run_matches_reference_composition(self, case, monkeypatch):
+        # a whole adaptive run, every boundary through the engine's matrix
+        # step, against the same run with each boundary composed from the
+        # reference step (`outer_boundary_reference`), byte for byte
+        if case == "twin150":
+            doc = gen.ladder_feeder(150, 11)
+            model = linearize(feeder_from_dict(doc))
+            scenario = scenario_from_dict(gen.linear_scenario(doc, 11, 600))
+        else:
+            model, scenario = get_preset("intermittency")
+        got = run(scenario, model)
+        monkeypatch.setattr(SimulationEngine, "_outer_boundary", outer_boundary_reference)
+        want = run(scenario, model)
+        assert len(got.param_log.ticks) == len(want.param_log.ticks) > 0
+        for a, b in zip((got.voltages, got.q_inj, *got.param_log),
+                        (want.voltages, want.q_inj, *want.param_log)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_params_are_the_last_logged_blocks(self, ieee4_closed, monkeypatch):
         sc = _scenario(ControllerKind("adaptive"), profile={"bus3": 0.9, "bus4": ((30, 0.5),)},
