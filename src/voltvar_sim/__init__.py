@@ -9,74 +9,22 @@ closed-form stability and convergence analytics, and a scenario-driven
 quasi-static time-series engine.
 """
 
-from .adaptation import (
-    AdaptiveConfig,
-    WindowStats,
-    capacity_limits,
-    outer_loop_step,
-    strategy1_update_qp,
-    strategy2_update_slope,
-    window_stats,
-)
-from .analysis import (
-    ConvergenceReport,
-    StabilityReport,
-    outer_b_matrix,
-    predict_sse,
-    required_dq,
-    spectral_radius,
-    sse_adaptive_prediction,
-    stability_report,
-)
-from .control import (
-    AdaptiveParams,
-    ControllerKind,
-    DroopParams,
-    adaptive_dispatch,
-    delayed_dispatch,
-    droop_dispatch,
-    slope_to_cutoffs,
-)
-from .feeder import (
-    Bus,
-    FeederError,
-    FeederModel,
-    Line,
-    PowerFlowError,
-    PowerFlowSolution,
-    PvUnit,
-    apply_topology_event,
-    feeder_from_dict,
-    feeder_to_dict,
-    load_feeder,
-    sensitivity_matrix,
-    solve_power_flow,
-)
+from .adaptation import (AdaptiveConfig, WindowStats, capacity_limits, outer_loop_step,
+                         strategy1_update_qp, strategy2_update_slope, window_stats)
+from .analysis import (ConvergenceReport, StabilityReport, outer_b_matrix, predict_sse,
+                       required_dq, spectral_radius, sse_adaptive_prediction, stability_report)
+from .control import (AdaptiveParams, ControllerKind, DroopParams, adaptive_dispatch,
+                      delayed_dispatch, droop_dispatch, slope_to_cutoffs)
+from .feeder import (Bus, FeederError, FeederModel, Line, PowerFlowError, PowerFlowSolution,
+                     PvUnit, apply_topology_event, feeder_from_dict, feeder_to_dict, load_feeder,
+                     sensitivity_matrix, solve_power_flow)
 from .presets import get_preset, list_presets, load_builtin_feeder, override_scenario
-from .sim import (
-    CloudCover,
-    Intermittency,
-    LinearizedFeeder,
-    LoadScale,
-    MetricsReport,
-    Scenario,
-    SetpointChange,
-    SimulationEngine,
-    SimulationError,
-    SimulationTrace,
-    SubstationVoltage,
-    SwitchEvent,
-    TelegraphSpec,
-    linearize,
-    load_scenario,
-    metrics,
-    read_trace_csv,
-    run,
-    scenario_from_dict,
-    scenario_to_dict,
-    write_params_csv,
-    write_trace_csv,
-)
+from .results import (MetricsReport, SimulationTrace, metrics, read_trace_csv,
+                      write_params_csv, write_trace_csv)
+from .scenario import (CloudCover, Intermittency, LoadScale, Scenario, SetpointChange,
+                       SimulationError, SubstationVoltage, SwitchEvent, TelegraphSpec,
+                       load_scenario, scenario_from_dict, scenario_to_dict)
+from .sim import LinearizedFeeder, SimulationEngine, linearize, run
 
 __version__ = "0.1.0"
 

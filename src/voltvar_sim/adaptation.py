@@ -43,9 +43,7 @@ class AdaptiveConfig:
     window; `vf_lim` is the borderline limit, `vf_lim_bar` the maximum,
     `eps_vf` the safe-zone width.  `delta_vf`/`delta_vf_bar` are the small
     and large slope steps, `m_init` the initial slope and `m_floor` the
-    smallest slope the adaptation may reach.  `signed_flicker` selects the
-    signed-difference flicker variant instead of the absolute-value
-    default.
+    smallest slope the adaptation may reach.
     """
 
     k_d: float = 4.0
@@ -57,7 +55,6 @@ class AdaptiveConfig:
     delta_vf_bar: float = 1.0
     m_init: float = 1.0
     m_floor: float = 0.1
-    signed_flicker: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k_d) and self.k_d > 0):
@@ -88,18 +85,17 @@ def window_stats(
     voltages: Sequence[float] | np.ndarray,
     mu: float | np.ndarray,
     p_pv: Sequence[float] | np.ndarray,
-    signed_flicker: bool = False,
 ) -> WindowStats:
     """Statistics over one complete horizon of T samples.
 
     `voltages` and `p_pv` hold T samples along their first axis; further
     axes (inverters, windows) are independent.  `mu` broadcasts against
     `voltages`.  sse_avg is the signed mean of (V - mu).  Flicker sums the
-    tick-to-tick relative voltage changes over the window, divided by T,
-    times 100; changes are absolute unless `signed_flicker`.
+    absolute tick-to-tick relative voltage changes over the window,
+    divided by T, times 100.
     """
     v, p = _windows(voltages, p_pv)
-    return WindowStats(*_window_means(v, mu, p, signed_flicker))
+    return WindowStats(*_window_means(v, mu, p))
 
 
 def _windows(voltages, p_pv) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +110,7 @@ def _windows(voltages, p_pv) -> tuple[np.ndarray, np.ndarray]:
     return v, p
 
 
-def _window_means(v: np.ndarray, mu, p: np.ndarray, signed_flicker: bool) -> np.ndarray:
+def _window_means(v: np.ndarray, mu, p: np.ndarray) -> np.ndarray:
     """`window_stats` as one (3, ...) array (sse_avg, vf, p_pv_avg) of
     checked windows."""
     t = len(v)
@@ -126,8 +122,7 @@ def _window_means(v: np.ndarray, mu, p: np.ndarray, signed_flicker: bool) -> np.
     np.subtract(v, mu, out=terms[:, 0])
     d = v[1:] - v[:-1]
     np.divide(d, v[1:], out=d)
-    if not signed_flicker:
-        np.abs(d, out=d)
+    np.abs(d, out=d)
     terms[0, 1] = 0.0
     terms[1:, 1] = d
     terms[:, 2] = p
@@ -258,7 +253,7 @@ def _step_rows(
     own order, so the rows keep their bits.
     """
     m_p, q_p, _, _, mu = rows
-    sse, vf, p_avg = _window_means(voltages, mu, p_pv, cfg.signed_flicker)
+    sse, vf, p_avg = _window_means(voltages, mu, p_pv)
     moved = np.abs(sse) > cfg.eps_sse
     q_min_p, q_max_p = capacity_limits(rating_s, p_avg)
     q_p = np.where(moved, q_p - cfg.k_d * sse, q_p)

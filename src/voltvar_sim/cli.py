@@ -12,41 +12,23 @@ Exit codes: 0 ok, 2 usage or schema error, 3 analysis-declared unstable,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis
 from .adaptation import AdaptationError
 from .control import ControlError
 from .feeder import (FeederError, FeederModel, PowerFlowError, energized_pv_buses,
                      load_feeder, sensitivity_matrix, solve_power_flow)
-from .presets import (
-    BUILTIN_FEEDERS,
-    PRESETS,
-    get_preset,
-    list_presets,
-    load_builtin_feeder,
-    override_scenario,
-)
-from .sim import (
-    Scenario,
-    SimulationError,
-    SimulationTrace,
-    _csv_cell,
-    linearize,
-    load_scenario,
-    metrics,
-    run as run_sim,
-    scenario_to_dict,
-    write_params_csv,
-    write_trace_csv,
-)
+from .presets import (BUILTIN_FEEDERS, PRESETS, get_preset, list_presets, load_builtin_feeder,
+                      override_scenario)
+from .results import (metrics, metrics_table, sse_series, write_metrics, write_params_csv,
+                      write_sweep_csv, write_trace_csv)
+from .scenario import Scenario, SimulationError, load_scenario, scenario_to_dict
+from .sim import linearize, run as run_sim
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,18 +96,6 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _metrics_table(rep) -> str:
-    lines = [
-        f"{'metric':<22}{'value':>12}",
-        f"{'MSSE (%)':<22}{rep.msse:>12.4f}",
-        f"{'flicker count':<22}{rep.fc:>12d}",
-        f"{'voltage violations':<22}{rep.vvi:>12d}",
-    ]
-    for bus, val in rep.msse_per_inverter.items():
-        lines.append(f"{'  msse ' + bus:<22}{val:>12.4f}")
-    return "\n".join(lines)
-
-
 def cmd_run(args) -> int:
     feeder, scenario = _resolve_run_inputs(args)
     out = _out_dir(args)
@@ -136,21 +106,9 @@ def cmd_run(args) -> int:
     rep = metrics(trace, scenario.adaptive.vf_lim_bar)
     write_trace_csv(trace, out / "trace.csv")
     write_params_csv(trace, out / "params.csv")
-    payload = {
-        "scenario": scenario.name,
-        "seed": scenario.seed,
-        "msse_percent": rep.msse,
-        "fc": rep.fc,
-        "vvi": rep.vvi,
-        "msse_per_inverter": rep.msse_per_inverter,
-        "fc_per_inverter": rep.fc_per_inverter,
-        "vvi_per_bus": rep.vvi_per_bus,
-        "diverged_ticks": sum(1 for f in trace.flags if f),
-    }
-    (out / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
-    (out / "metrics.txt").write_text(_metrics_table(rep) + "\n", "utf-8")
+    write_metrics(rep, trace, scenario, out)
     print(f"wrote {out / 'trace.csv'}, params.csv, metrics.json, metrics.txt")
-    print(_metrics_table(rep))
+    print(metrics_table(rep))
     return EXIT_OK
 
 
@@ -210,19 +168,6 @@ def cmd_analyze(args) -> int:
     return EXIT_UNSTABLE
 
 
-def _sse_series(trace: SimulationTrace) -> list[tuple[int, str, float]]:
-    """(closing tick, bus, sse_avg) of every outer-loop window without a
-    dark tick, in tick then unit order."""
-    T = trace.t_outer
-    sse = trace.window_stats().sse_avg
-    return [
-        ((k + 1) * T, b, float(s))
-        for k, row in enumerate(sse)
-        for b, s in zip(trace.unit_buses, row)
-        if not np.isnan(s)
-    ]
-
-
 def cmd_sweep(args) -> int:
     feeder, scenario = _resolve_run_inputs(args)
     if args.param not in ("k_d", "m", "tau", "T"):
@@ -236,17 +181,12 @@ def cmd_sweep(args) -> int:
     scenarios = [override_scenario(scenario, args.param, v) for v in values]
     model = linearize(feeder) if args.engine == "linear" else feeder
     out = _out_dir(args)
-    results = [(v, _sse_series(run_sim(s, model))) for v, s in zip(values, scenarios)]
-
+    results = [(v, sse_series(run_sim(s, model))) for v, s in zip(values, scenarios)]
     sweep_path = out / "sweep.csv"
-    bus_cell = functools.cache(_csv_cell)
-    with open(sweep_path, "w", encoding="utf-8") as f:
-        f.write("param,value,outer_tick,bus,sse_avg\n")
-        for value, series in results:
-            for t, b, sse in series:
-                f.write(f"{args.param},{value},{t}{bus_cell(b)},{sse!r}\n")
-            final = series[-1][2] if series else float("nan")
-            print(f"{args.param}={value}: {len(series)} samples, final sse_avg {final:+.6f}")
+    write_sweep_csv(sweep_path, args.param, results)
+    for value, series in results:
+        final = series[-1][2] if series else float("nan")
+        print(f"{args.param}={value}: {len(series)} samples, final sse_avg {final:+.6f}")
     print(f"wrote {sweep_path}")
     return EXIT_OK
 
@@ -280,7 +220,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", help="scenario JSON file or preset name (presets/NAME)")
             p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
             p.add_argument("--engine", choices=("full", "linear"), default="full",
-                           help="power-flow engine: full Newton or linearized")
+                           help="power-flow engine: full (fixed point or sweep, Newton fallback) "
+                                "or linearized")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a documented scenario/analysis key")
         p.add_argument("--out", help="output directory (fallback: $VOLTVAR_SIM_OUT)")

@@ -187,19 +187,19 @@ class FeederModel:
             raise FeederError(f"need exactly one slack bus, found {len(slacks)}")
         graph = _index_graph(ids, slacks[0], self.lines)
         # a switch event operates the one line of its name
-        names = [ln.name for ln in self.lines]
-        if len(set(names)) < len(names):
-            count = Counter(names)
-            for ln, name in zip(self.lines, names):
-                if ln.switch_state != "none" and count[name] > 1:
-                    raise FeederError(f"switch {name}: name shared with another line")
+        count = Counter(ln.name for ln in self.lines)
+        for ln in self.lines:
+            if ln.switch_state != "none" and count[ln.name] > 1:
+                raise FeederError(f"switch {ln.name}: name shared with another line")
         pv_buses = [u.bus for u in self.pv_units]
         if len(set(pv_buses)) != len(pv_buses):
             raise FeederError("multiple PV units on one bus are not supported")
         known = set(ids)
-        for u in self.pv_units:
-            if u.bus not in known:
-                raise FeederError(f"pv unit references unknown bus {u.bus}")
+        for b in pv_buses:
+            if b not in known:
+                raise FeederError(f"pv unit references unknown bus {b}")
+            if b == ids[slacks[0]]:  # its vars would meet the fixed slack voltage
+                raise FeederError(f"pv unit on the slack bus {b} is not supported")
         object.__setattr__(self, "_graph", graph)
         object.__setattr__(self, "bus_ids", tuple(ids))
         # every bus must be reachable from the slack with all switches closed

@@ -23,16 +23,8 @@ from .adaptation import AdaptiveConfig
 from .codec import field_type, replace_path
 from .control import ControlError, ControllerKind
 from .feeder import FeederModel, feeder_from_dict
-from .sim import (
-    CloudCover,
-    Intermittency,
-    Scenario,
-    SetpointChange,
-    SimulationError,
-    SubstationVoltage,
-    SwitchEvent,
-    TelegraphSpec,
-)
+from .scenario import (CloudCover, Intermittency, Scenario, SetpointChange, SimulationError,
+                       SubstationVoltage, SwitchEvent, TelegraphSpec)
 
 BUILTIN_FEEDERS = ("ieee4_mod", "feeder30")
 

@@ -54,7 +54,8 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 from voltvar_sim.cli import main  # noqa: E402
 from voltvar_sim.control import slope_to_cutoffs  # noqa: E402
 from voltvar_sim.presets import PRESETS, get_preset  # noqa: E402
-from voltvar_sim.sim import linearize, metrics, run  # noqa: E402
+from voltvar_sim.results import metrics  # noqa: E402
+from voltvar_sim.sim import linearize, run  # noqa: E402
 
 TWIN_PRESETS = ("fig3a", "fig10a", "setpoint_step")
 SEEDS = (0, 1)

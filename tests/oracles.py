@@ -49,12 +49,9 @@ from voltvar_sim.feeder import (
     RadialTree,
     solve_power_flow,
 )
-from voltvar_sim.sim import (
-    ParamLog,
-    SimulationEngine,
-    SimulationError,
-    SimulationTrace,
-)
+from voltvar_sim.results import ParamLog, SimulationTrace
+from voltvar_sim.scenario import SimulationError
+from voltvar_sim.sim import SimulationEngine
 
 
 def two_bus_voltage(v1: float, r: float, x: float, p_load: float, q_load: float) -> float:
@@ -523,7 +520,7 @@ def radial_tree(slack_idx: int, lines: tuple[tuple[int, int, Line], ...]) -> Rad
 
 
 def window_stats_rows(
-    voltages: np.ndarray, mu, p_pv: np.ndarray, signed_flicker: bool = False
+    voltages: np.ndarray, mu, p_pv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sse_avg, vf, p_pv_avg) of a window block, summed row by row from
     zero along the first axis."""
@@ -537,7 +534,7 @@ def window_stats_rows(
         p_sum += p[i]
         if i:
             d = (v[i] - v[i - 1]) / v[i]
-            vf += d if signed_flicker else np.abs(d)
+            vf += np.abs(d)
     return sse / t, 100.0 * vf / t, p_sum / t
 
 
@@ -588,7 +585,6 @@ def window_stats_reference(
     voltages: Sequence[float] | np.ndarray,
     mu: float | np.ndarray,
     p_pv: Sequence[float] | np.ndarray,
-    signed_flicker: bool = False,
 ) -> WindowStats:
     """`window_stats` with its three quantities summed by three calls."""
     v = np.asarray(voltages, dtype=float)
@@ -596,9 +592,7 @@ def window_stats_reference(
     t = len(v)
     mu = np.broadcast_to(mu, v.shape)
     d = (v[1:] - v[:-1]) / v[1:]
-    sse, vf, p_sum = (
-        _window_sum_reference(x) for x in (v - mu, d if signed_flicker else np.abs(d), p)
-    )
+    sse, vf, p_sum = (_window_sum_reference(x) for x in (v - mu, np.abs(d), p))
     return WindowStats(sse_avg=sse / t, vf=100.0 * vf / t, p_pv_avg=p_sum / t)
 
 
@@ -633,7 +627,7 @@ def outer_loop_step_reference(
     them on their (T, k) windows, and put the new block back.  Returns the
     window statistics, the new block and the merged n-unit block."""
     block = take_units(params, index)
-    stats = window_stats_reference(voltages, block.mu, p_pv, cfg.signed_flicker)
+    stats = window_stats_reference(voltages, block.mu, p_pv)
     q_p = strategy1_update_qp(block.q_p, stats, cfg)
     m_p = strategy2_update_slope_reference(block.m_p, stats, cfg)
     q_min_p, q_max_p = capacity_limits(rating_s, stats.p_pv_avg)

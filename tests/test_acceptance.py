@@ -16,13 +16,9 @@ from voltvar_sim.analysis import outer_b_matrix, predict_sse, spectral_radius, s
 from voltvar_sim.control import ControllerKind
 from voltvar_sim.feeder import sensitivity_matrix, solve_power_flow
 from voltvar_sim.presets import get_preset, override_scenario
-from voltvar_sim.sim import (
-    Scenario,
-    SubstationVoltage,
-    linearize,
-    metrics,
-    run,
-)
+from voltvar_sim.results import metrics
+from voltvar_sim.scenario import Scenario, SubstationVoltage
+from voltvar_sim.sim import linearize, run
 
 from oracles import injection_array, voltage_at
 

@@ -22,7 +22,8 @@ from voltvar_sim.adaptation import (
 )
 from voltvar_sim.control import AdaptiveParams, ControllerKind
 from voltvar_sim.feeder import Bus, FeederModel, Line, PvUnit
-from voltvar_sim.sim import Scenario, SimulationEngine, linearize
+from voltvar_sim.scenario import Scenario
+from voltvar_sim.sim import SimulationEngine, linearize
 
 from oracles import (
     outer_loop_step_reference,
@@ -64,32 +65,26 @@ class TestWindowStats:
         assert s.sse_avg == pytest.approx(0.0, abs=1e-15)
         assert s.vf > 0
 
-    def test_signed_variant_cancels_oscillation(self):
-        s = window_stats([1.00, 1.01, 1.00, 1.01], 1.0, [0.5] * 4, signed_flicker=True)
-        assert abs(s.vf) < VF_ALTERNATING / 2
-
     @pytest.mark.parametrize("n_units", [1, 3])
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_block_matches_python_sums_per_column(self, n_units, signed):
+    def test_block_matches_python_sums_per_column(self, n_units):
         # the loop form: Python `sum` over each column, bit for bit
         def reference(v, mu, p):
             t = len(v)
             diffs = [(v[i] - v[i - 1]) / v[i] for i in range(1, t)]
-            vf = sum(diffs) if signed else sum(abs(d) for d in diffs)
+            vf = sum(abs(d) for d in diffs)
             return sum(x - mu for x in v) / t, 100.0 * vf / t, sum(p) / t
 
         rng = np.random.default_rng(11)
         v = 1.0 + rng.normal(0.0, 0.02, (10, n_units))
         p = rng.uniform(0.1, 0.9, (10, n_units))
         mu = rng.uniform(0.95, 1.05, n_units)
-        s = window_stats(v, mu, p, signed_flicker=signed)
+        s = window_stats(v, mu, p)
         for j in range(n_units):
             want = reference(v[:, j].tolist(), float(mu[j]), p[:, j].tolist())
             assert (s.sse_avg[j], s.vf[j], s.p_pv_avg[j]) == want
 
     @pytest.mark.parametrize("shape", [(10,), (10, 4), (7, 3, 5), (12, 1), (10, 6000)])
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_block_matches_row_loop_reference(self, shape, signed):
+    def test_block_matches_row_loop_reference(self, shape):
         # bit for bit against the sums walked row by row from zero, with
         # columns whose every term is -0.0 (the reference sums them to +0.0);
         # a single column of more than 8 rows is where a pairwise sum differs
@@ -99,13 +94,13 @@ class TestWindowStats:
         p = rng.uniform(0.1, 0.9, shape) * 10.0 ** rng.integers(-8, 1, shape)
         mu = rng.uniform(0.95, 1.05, shape[1:])
         if len(shape) > 1 and shape[1] > 1:
-            v[:, 0] = -1.0  # every (signed) flicker term is -0.0
+            v[:, 0] = -1.0  # every flicker quotient is -0.0 before its abs
             v[:, 1] = -0.0  # every v - mu term is -0.0 against mu = 0
             mu[1] = 0.0
             p[:, 0] = -0.0
         with np.errstate(invalid="ignore"):  # 0/0 flicker of the -0.0 column
-            got = window_stats(v, mu, p, signed_flicker=signed)
-            want = window_stats_rows(v, mu, p, signed_flicker=signed)
+            got = window_stats(v, mu, p)
+            want = window_stats_rows(v, mu, p)
         for g, w in zip((got.sse_avg, got.vf, got.p_pv_avg), want):
             assert np.shape(g) == np.shape(w)
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
@@ -291,7 +286,7 @@ def _on_edge(edge: float, gap: float, target: float) -> float:
     return gap
 
 
-def _edge_config(stats: WindowStats, rng: np.random.Generator, signed: bool) -> AdaptiveConfig:
+def _edge_config(stats: WindowStats, rng: np.random.Generator) -> AdaptiveConfig:
     """Outer-loop constants whose zone edges sit exactly on some units'
     |vf| (critical, subcritical and safe-zone edges) and |sse_avg|."""
     vf = np.unique(np.abs(np.atleast_1d(stats.vf)))
@@ -310,8 +305,7 @@ def _edge_config(stats: WindowStats, rng: np.random.Generator, signed: bool) -> 
     return AdaptiveConfig(
         k_d=float(rng.uniform(0.5, 8.0)),
         eps_sse=float(rng.choice(sse)) if len(sse) else 0.005,
-        delta_vf=step, delta_vf_bar=2 * step, m_init=m_floor + 1.0, m_floor=m_floor,
-        signed_flicker=signed, **zones,
+        delta_vf=step, delta_vf_bar=2 * step, m_init=m_floor + 1.0, m_floor=m_floor, **zones,
     )
 
 
@@ -320,10 +314,9 @@ def _edge_config(stats: WindowStats, rng: np.random.Generator, signed: bool) -> 
     t=st.integers(2, 12),
     k=st.integers(1, 60),
     extra=st.integers(0, 3),
-    signed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_outer_loop_step_matches_reference_bit_for_bit(t, k, extra, signed, seed):
+def test_outer_loop_step_matches_reference_bit_for_bit(t, k, extra, seed):
     # the one-block window sums, the nested zone picks and the engine's
     # column take and store against the three-sum, `np.select`,
     # `take_units`/`put_units` form, on (t, k) windows of k of n units
@@ -342,25 +335,25 @@ def test_outer_loop_step_matches_reference_bit_for_bit(t, k, extra, signed, seed
     mu = rng.uniform(0.95, 1.05, n)
     special = rng.permutation(k)[:3]
     if k >= 3:
-        v[:, special[0]] = -1.0  # every (signed) flicker term is -0.0
+        v[:, special[0]] = -1.0  # every flicker quotient is -0.0 before its abs
         v[:, special[1]] = -0.0  # every v - mu term is -0.0 against mu = 0
         mu[index[special[1]]] = 0.0
         p[:, special[2]] = -0.0  # p_pv_avg of -0.0 sums to +0.0
     params = AdaptiveParams.from_slope(m_p, q_p, -q_lim, q_lim, mu)
     with np.errstate(all="ignore"):
-        want = window_stats_reference(v, params.mu[index], p, signed)
-        cfg = _edge_config(want, rng, signed)
+        want = window_stats_reference(v, params.mu[index], p)
+        cfg = _edge_config(want, rng)
         stats, new_ref, merged_ref = outer_loop_step_reference(
             params, index, v, p, rating[index], cfg)
 
-        got = window_stats(v, params.mu[index], p, signed)
+        got = window_stats(v, params.mu[index], p)
         # the engine's own column take and store, on a bare parameter matrix
         engine = SimpleNamespace(_params=np.array(list(vars(params).values())), _rows=params)
         block = SimulationEngine._take(engine, index)
         new = outer_loop_step(block, v, p, rating[index], cfg)
         SimulationEngine._put(engine, index, new)
-        one = window_stats(v[:, 0], params.mu[index[0]], p[:, 0], signed)
-        one_ref = window_stats_reference(v[:, 0], params.mu[index[0]], p[:, 0], signed)
+        one = window_stats(v[:, 0], params.mu[index[0]], p[:, 0])
+        one_ref = window_stats_reference(v[:, 0], params.mu[index[0]], p[:, 0])
         # the block form on one unit's scalar block and (T,) windows
         one_new = outer_loop_step(take_units(params, index[0]), v[:, 0], p[:, 0],
                                   rating[index[0]], cfg)
@@ -398,10 +391,9 @@ def _rows(block: AdaptiveParams) -> np.ndarray:
     t=st.integers(2, 12),
     n=st.integers(1, 40),
     holes=st.sampled_from(["none", "some", "all"]),
-    signed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_engine_outer_boundary_matches_reference_bit_for_bit(t, n, holes, signed, seed):
+def test_engine_outer_boundary_matches_reference_bit_for_bit(t, n, holes, seed):
     # `SimulationEngine._outer_boundary` itself, against the reference
     # composition: on the matrix rows when every unit qualifies, on a
     # column subset when some units are dark (NaN) or at zero output on
@@ -415,7 +407,7 @@ def test_engine_outer_boundary_matches_reference_bit_for_bit(t, n, holes, signed
     p = rng.uniform(0.01, 0.4, (t, n)) * 10.0 ** rng.integers(-8, 1, (t, n))
     mu = rng.uniform(0.95, 1.05, n)
     if n >= 3:
-        v[:, 0] = -1.0  # every (signed) flicker term is -0.0
+        v[:, 0] = -1.0  # every flicker quotient is -0.0 before its abs
         v[:, 1] = -0.0  # every v - mu term is -0.0 against mu = 0
         mu[1] = 0.0
     if holes != "none":
@@ -436,10 +428,10 @@ def test_engine_outer_boundary_matches_reference_bit_for_bit(t, n, holes, signed
     before = AdaptiveParams(*engine._params.copy())
     index = [j for j in range(n) if not np.isnan(v[:, j]).any() and (p[:, j] > 0).all()]
     with np.errstate(all="ignore"):
-        cfg = AdaptiveConfig(signed_flicker=signed)
+        cfg = AdaptiveConfig()
         if index:
-            want = window_stats_reference(v[:, index], mu[index], p[:, index], signed)
-            cfg = _edge_config(want, rng, signed)
+            want = window_stats_reference(v[:, index], mu[index], p[:, index])
+            cfg = _edge_config(want, rng)
         engine.scenario = replace(scenario, adaptive=cfg)
         engine._outer_boundary(tick)
         if index:

@@ -11,7 +11,9 @@ from voltvar_sim import cli
 from voltvar_sim.cli import main
 from voltvar_sim.feeder import feeder_to_dict, solve_power_flow
 from voltvar_sim.presets import get_preset
-from voltvar_sim.sim import metrics, read_trace_csv, scenario_to_dict
+from voltvar_sim.results import metrics, read_trace_csv
+from voltvar_sim.scenario import scenario_to_dict
+from voltvar_sim.sim import run
 
 ALL_PRESETS = (
     "fig3a", "fig3b", "fig3c", "fig10a", "fig10b", "fig10c",
@@ -29,6 +31,18 @@ class TestRun:
         assert payload["scenario"] == "fig3a"
         out = capsys.readouterr().out
         assert "MSSE" in out
+
+    def test_metrics_files_hold_the_printed_report(self, tmp_path, capsys):
+        assert main(["run", "--scenario", "presets/fig10a", "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.split("\n", 1)[1]
+        assert (tmp_path / "metrics.txt").read_text("utf-8") == printed
+        payload = json.loads((tmp_path / "metrics.json").read_text("utf-8"))
+        assert list(payload) == ["scenario", "seed", "msse_percent", "fc", "vvi",
+                                 "msse_per_inverter", "fc_per_inverter", "vvi_per_bus",
+                                 "diverged_ticks"]
+        feeder, sc = get_preset("fig10a")
+        rep = metrics(run(sc, feeder), sc.adaptive.vf_lim_bar)
+        assert (payload["msse_percent"], payload["fc"], payload["vvi"]) == (rep.msse, rep.fc, rep.vvi)
 
     def test_unknown_override_key_exits_2(self, tmp_path, capsys):
         code = main(["run", "--scenario", "fig3a", "--out", str(tmp_path),
@@ -164,6 +178,17 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no energized PV unit" in captured.err
+
+    def test_pv_unit_on_slack_bus_exits_2(self, capsys, tmp_path, ieee4):
+        # its row would be missing from the matrix that `inverter_buses` labels
+        doc = feeder_to_dict(ieee4)
+        doc["pv_units"].append({"bus": "bus1", "rating_s": 0.5, "p_out": 0.1})
+        path = tmp_path / "feeder.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--feeder", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pv unit on the slack bus bus1" in captured.err
 
     def test_unknown_analyze_key_exits_2(self):
         assert main(["analyze", "--feeder", "ieee4_mod", "--set", "tau=0.5"]) == 2

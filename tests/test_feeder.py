@@ -292,6 +292,8 @@ def test_feeder_json_round_trip(ieee4):
                  id="pv-unknown-bus"),
     pytest.param(lambda d: d["pv_units"][1].update(bus="bus3"), "multiple PV units on one bus",
                  id="two-pv-units-on-one-bus"),
+    pytest.param(lambda d: d["pv_units"].append({"bus": "bus1", "rating_s": 0.5, "p_out": 0.1}),
+                 "pv unit on the slack bus bus1", id="pv-on-slack-bus"),
     pytest.param(lambda d: d["buses"][2].update(base_voltage=0.0), "bus bus3: base_voltage",
                  id="base-voltage-zero"),
     pytest.param(lambda d: d["buses"][2].update(base_voltage=-4160.0), "bus bus3: base_voltage",

@@ -16,7 +16,9 @@ import pytest
 
 from voltvar_sim.control import ControllerKind
 from voltvar_sim.presets import PRESETS, get_preset, override_scenario
-from voltvar_sim.sim import SimulationError, metrics, run
+from voltvar_sim.results import metrics
+from voltvar_sim.scenario import SimulationError
+from voltvar_sim.sim import run
 
 from oracles import param_dispatches, param_records_per_unit
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voltvar_sim.sim import SimulationError, linearize, run, scenario_from_dict
+from voltvar_sim.scenario import SimulationError, scenario_from_dict
+from voltvar_sim.sim import linearize, run
 
 PV_BUSES = ("bus3", "bus4")
 ALWAYS_ENERGIZED = ("bus1", "bus2", "bus3")
@@ -64,7 +65,6 @@ def scenario_docs(draw) -> dict:
         "adaptive": {
             "k_d": draw(floats(0.1, 8.0)),
             "m_init": draw(floats(0.1, 4.0)),
-            "signed_flicker": draw(st.booleans()),
         },
         "recompute_droop_capacity": draw(st.booleans()),
         "pv_profile": profile,

@@ -13,16 +13,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voltvar_sim import sim
+from voltvar_sim import results
 from voltvar_sim.control import AdaptiveParams, ControlError
-from voltvar_sim.sim import (
+from voltvar_sim.results import (
     ParamLog,
-    SimulationError,
     SimulationTrace,
     read_trace_csv,
     write_params_csv,
     write_trace_csv,
 )
+from voltvar_sim.scenario import SimulationError
 
 from oracles import (
     read_trace_csv_rows,
@@ -86,12 +86,12 @@ def traces(draw) -> SimulationTrace:
 
 
 @settings(max_examples=80, deadline=None)
-@given(trace=traces(), block_rows=st.sampled_from([1, 7, 50, sim._BLOCK_ROWS]))
+@given(trace=traces(), block_rows=st.sampled_from([1, 7, 50, results._BLOCK_ROWS]))
 def test_writers_match_row_oracles(tmp_path_factory, trace, block_rows):
     d = tmp_path_factory.mktemp("csv")
     write_trace_csv_rows(trace, d / "want.csv")
     write_params_csv_rows(trace, d / "want_params.csv")
-    with mock.patch.object(sim, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(results, "_BLOCK_ROWS", block_rows):
         write_trace_csv(trace, d / "got.csv")
         write_params_csv(trace, d / "got_params.csv")
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
