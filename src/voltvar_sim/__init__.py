@@ -12,7 +12,7 @@ quasi-static time-series engine.
 from .adaptation import (AdaptiveConfig, WindowStats, capacity_limits, outer_loop_step,
                          strategy1_update_qp, strategy2_update_slope, window_stats)
 from .analysis import (ConvergenceReport, StabilityReport, outer_b_matrix, predict_sse,
-                       required_dq, spectral_radius, sse_adaptive_prediction, stability_report)
+                       required_dq, spectral_radius, stability_report)
 from .control import (AdaptiveParams, ControllerKind, DroopParams, adaptive_dispatch,
                       delayed_dispatch, droop_dispatch, slope_to_cutoffs)
 from .feeder import (Bus, FeederError, FeederModel, Line, PowerFlowError, PowerFlowSolution,
@@ -83,7 +83,6 @@ __all__ = [
     "slope_to_cutoffs",
     "solve_power_flow",
     "spectral_radius",
-    "sse_adaptive_prediction",
     "stability_report",
     "strategy1_update_qp",
     "strategy2_update_slope",

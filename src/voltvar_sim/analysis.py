@@ -2,12 +2,17 @@
 
 The inner droop loop linearizes to the discrete map dQ -> -M A dQ, so it
 is stable when the spectral radius of M A is below one; the per-inverter
-row-sum bound gives the conservative critical slopes.  The outer loop is
-the map S -> B S with B = I - (I + A M)^-1 A K, whose spectral radius
-determines convergence of the error-offset adaptation.
+row-sum bound gives the conservative critical slopes.  Its settled
+response to a voltage shift d is (I + A M)^-1 d: the SSE after a
+disturbance (`predict_sse`), or after an offset step dq_p, whose shift
+is A dq_p.  The outer loop is the map S -> B S with
+B = I - (I + A M)^-1 A K, whose spectral radius determines convergence
+of the error-offset adaptation.
 
-The controllers are local, so M = diag(m_i) and K = diag(k_d,i): every
-function takes slopes and gains as a scalar or as one value per inverter.
+Every input passes one check, or raises `AnalysisError`: entries are
+finite reals, A is a square matrix, voltage vectors hold one value per
+inverter, and (the controllers being local, M = diag(m_i) and
+K = diag(k_d,i)) slopes, gains and `mu` are a scalar or one per inverter.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 
 class AnalysisError(ValueError):
-    """Analysis preconditions violated (divergent series, singular A)."""
+    """Bad analysis input, a divergent series or a singular matrix."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,26 +48,45 @@ class ConvergenceReport:
     k_d_upper_scalar: float | None = None
 
 
-def spectral_radius(x: np.ndarray) -> float:
-    """Largest absolute eigenvalue; bounded above by any induced norm."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise AnalysisError("spectral radius needs a square matrix")
-    if x.size == 0:
-        return 0.0
+def _finite(values: np.ndarray | float, what: str, n: int | None = None,
+            scalar: bool = False) -> np.ndarray:
+    """`values` as finite floats: a square matrix when `n` is None, else
+    one value per inverter (a scalar too, if `scalar`), as `n` values."""
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, complex or not numbers
+        raise AnalysisError(f"{what} must be real numbers") from exc
+    if n is None and (x.ndim != 2 or x.shape[0] != x.shape[1]):
+        raise AnalysisError(f"{what} must be a square matrix")
+    if n is not None and x.ndim > 1:
+        raise AnalysisError(f"{what} are one per inverter, not a matrix")
+    if n is not None and x.size != n and not (scalar and x.ndim == 0):
+        raise AnalysisError(f"{x.size} {what} for {n} inverters")
     if not np.all(np.isfinite(x)):
-        raise AnalysisError("matrix entries must be finite")
-    return float(np.max(np.abs(np.linalg.eigvals(x))))
+        raise AnalysisError(f"{what} must be finite")
+    return x if n is None else np.broadcast_to(x, (n,))
 
 
 def _diag(values: np.ndarray | float, n: int) -> np.ndarray:
     """diag(values) for `n` inverters, from a scalar or one value each."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim > 1:
-        raise AnalysisError("slopes and gains are a scalar or one per inverter, not a matrix")
-    if v.ndim == 1 and len(v) != n:
-        raise AnalysisError(f"{len(v)} slopes or gains for {n} inverters")
-    return np.diag(np.broadcast_to(v, (n,)))
+    return np.diag(_finite(values, "slopes or gains", n, scalar=True))
+
+
+def _closed_loop(a: np.ndarray, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(I + A M)^-1 rhs: the droop loop's settled response to the voltage
+    shift(s) `rhs`."""
+    try:
+        return np.linalg.solve(np.eye(len(a)) + a @ m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise AnalysisError("singular (I + A M)") from exc
+
+
+def spectral_radius(x: np.ndarray) -> float:
+    """Largest absolute eigenvalue; bounded above by any induced norm."""
+    x = _finite(x, "spectral radius argument")
+    if x.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(x))))
 
 
 def stability_report(a_matrix: np.ndarray, slopes: np.ndarray | float) -> StabilityReport:
@@ -72,9 +96,7 @@ def stability_report(a_matrix: np.ndarray, slopes: np.ndarray | float) -> Stabil
     Critical slope i is 1/sum_j |a_ij| (+inf for a zero row); the margins
     are 1 - m_i * sum_j |a_ij|.
     """
-    a = np.asarray(a_matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise AnalysisError("A must be square")
+    a = _finite(a_matrix, "A")
     m = _diag(slopes, a.shape[0])
     if np.any(m.diagonal() < 0):
         raise AnalysisError("slopes must be >= 0")
@@ -103,17 +125,18 @@ def predict_sse(
     """New droop equilibrium after a disturbance shifts the no-control
     voltages by `dv_d`:  V_new = V_bar + (I + A M)^-1 dv_d, and the SSE
     vector V_new - mu.  Requires the geometric series to converge, i.e.
-    rho(M A) < 1.
+    rho(M A) < 1.  An offset step dq_p from (V_bar, .) is `dv_d = A @ dq_p`.
     """
-    a = np.asarray(a_matrix, dtype=float)
+    a = _finite(a_matrix, "A")
     n = a.shape[0]
     m = _diag(m_diag, n)
+    dv_d = _finite(dv_d, "values of dv_d", n)
+    v_bar = _finite(v_bar, "values of v_bar", n)
+    mu = _finite(mu, "set-points mu", n, scalar=True)
     if spectral_radius(m @ a) >= 1.0:
         raise AnalysisError("series diverges: rho(MA) >= 1")
-    dv_d = np.asarray(dv_d, dtype=float).reshape(n)
-    v_bar = np.asarray(v_bar, dtype=float).reshape(n)
-    v_new = v_bar + np.linalg.solve(np.eye(n) + a @ m, dv_d)
-    return v_new, v_new - np.asarray(mu, dtype=float)
+    v_new = v_bar + _closed_loop(a, m, dv_d)
+    return v_new, v_new - mu
 
 
 def required_dq(
@@ -121,14 +144,14 @@ def required_dq(
 ) -> np.ndarray:
     """Offset change that cancels the SSE in one shot: -(A^-1 + M) sse.
     Needs full feeder information, hence analysis-only."""
-    a = np.asarray(a_matrix, dtype=float)
+    a = _finite(a_matrix, "A")
     n = a.shape[0]
     m = _diag(m_diag, n)
+    sse = _finite(sse, "values of sse", n)
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise AnalysisError("singular sensitivity matrix A") from exc
-    sse = np.asarray(sse, dtype=float).reshape(n)
     return -(a_inv + m) @ sse
 
 
@@ -137,13 +160,10 @@ def outer_b_matrix(
 ) -> ConvergenceReport:
     """Outer-loop transition matrix B = I - (I + A M)^-1 A K and whether
     its spectral radius is below one."""
-    a = np.asarray(a_matrix, dtype=float)
+    a = _finite(a_matrix, "A")
     n = a.shape[0]
     m, k = _diag(m_diag, n), _diag(k_diag, n)
-    try:
-        b = np.eye(n) - np.linalg.solve(np.eye(n) + a @ m, a @ k)
-    except np.linalg.LinAlgError as exc:
-        raise AnalysisError("singular (I + A M)") from exc
+    b = np.eye(n) - _closed_loop(a, m, a @ k)
     rho = spectral_radius(b)
     k_upper = None
     if n == 1 and a[0, 0] != 0:
@@ -153,27 +173,4 @@ def outer_b_matrix(
         rho_b=rho,
         converges=bool(rho < 1.0),
         k_d_upper_scalar=k_upper,
-    )
-
-
-def sse_adaptive_prediction(
-    a_matrix: np.ndarray,
-    m_diag: np.ndarray | float,
-    dq_p: np.ndarray,
-    v_bar: np.ndarray,
-    mu: np.ndarray | float,
-) -> np.ndarray:
-    """SSE after shifting the adaptive offsets by `dq_p` from equilibrium
-    (V_bar, .):  V_bar - mu + (I + A M)^-1 A dq_p."""
-    a = np.asarray(a_matrix, dtype=float)
-    n = a.shape[0]
-    m = _diag(m_diag, n)
-    if spectral_radius(m @ a) >= 1.0:
-        raise AnalysisError("series diverges: rho(M A) >= 1")
-    dq_p = np.asarray(dq_p, dtype=float).reshape(n)
-    v_bar = np.asarray(v_bar, dtype=float).reshape(n)
-    return (
-        v_bar
-        - np.asarray(mu, dtype=float)
-        + np.linalg.solve(np.eye(n) + a @ m, a @ dq_p)
     )

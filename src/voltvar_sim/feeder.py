@@ -821,14 +821,16 @@ def voltage_sensitivities(
         raise PowerFlowError("solution does not match the model topology")
     pq = net.pq
     pv_buses = set(model.pv_buses)
-    unit = np.eye(len(pq))[:, [b in pv_buses for b in solution.load_bus_ids]]
-    k = unit.shape[1]
-    zero = np.zeros_like(unit)
+    rows = np.flatnonzero([b in pv_buses for b in solution.load_bus_ids])
+    k = len(rows)
     ds_dslack = solution.v[pq] * np.conj(net.ybus[pq, net.slack_idx])  # the slack angle is 0
-    rhs = np.block([[unit, zero, -ds_dslack.real[:, None]],
-                    [zero, unit, -ds_dslack.imag[:, None]]])
+    # (P or Q row, bus, column): unit P per PV bus, unit Q per PV bus, -dS/dV_slack
+    rhs = np.zeros((2, len(pq), 2 * k + 1))
+    rhs[0, rows, np.arange(k)] = rhs[1, rows, np.arange(k, 2 * k)] = 1.0
+    rhs[:, :, 2 * k] = -ds_dslack.real, -ds_dslack.imag
     try:
-        x = np.linalg.solve(_jacobian(net.ybus, solution.v, pq), rhs)[len(pq):]
+        x = np.linalg.solve(_jacobian(net.ybus, solution.v, pq),
+                            rhs.reshape(2 * len(pq), -1))[len(pq):]
     except np.linalg.LinAlgError as exc:
         raise PowerFlowError(
             "singular Jacobian at operating point (near voltage collapse)"

@@ -112,10 +112,11 @@ class MetricsReport:
     vvi_per_bus: dict[str, int]
 
 
-def metrics(trace: SimulationTrace, vf_lim: float = 0.03) -> MetricsReport:
-    """Trace metrics: MSSE (percent, PV buses only), the count of outer-loop
-    windows (`trace.t_outer` ticks) whose flicker exceeds `vf_lim`, and the
-    count of ANSI band violations (outside `ANSI_RANGE_A`, or outside
+def metrics(trace: SimulationTrace, vf_lim: float) -> MetricsReport:
+    """Trace metrics: MSSE (percent, over the PV units' energized ticks; a
+    unit never energized has none), the count of outer-loop windows
+    (`trace.t_outer` ticks) whose flicker exceeds `vf_lim`, and the count
+    of ANSI band violations (outside `ANSI_RANGE_A`, or outside
     `ANSI_RANGE_B` for at least `ANSI_SUSTAIN_S` seconds)."""
     h = trace.horizon
 
@@ -125,7 +126,8 @@ def metrics(trace: SimulationTrace, vf_lim: float = 0.03) -> MetricsReport:
     for j, (b, c) in enumerate(zip(trace.unit_buses, cols)):
         dev = np.abs(trace.voltages[:, c] - trace.mu[:, j])
         dev = dev[~np.isnan(dev)]
-        msse_per[b] = float(np.mean(dev) * 100.0) if len(dev) else 0.0
+        if len(dev):
+            msse_per[b] = float(np.mean(dev) * 100.0)
     msse = float(np.mean(list(msse_per.values()))) if msse_per else 0.0
 
     # windows with a dark tick have NaN flicker, which never counts
@@ -280,12 +282,11 @@ def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:
             f.write("".join(cells.ravel().tolist()))
 
 
-def read_trace_csv(
-    path: str | Path, dt_inner: float = 1.0, t_outer: int = 10
-) -> SimulationTrace:
+def read_trace_csv(path: str | Path, dt_inner: float, t_outer: int) -> SimulationTrace:
     """Rebuild a trace from its CSV (voltages, var dispatches, real
     outputs, set-points, flags); metrics on it equal those of the trace
-    that was written.  Parameter dispatches are not part of the CSV."""
+    that was written.  Parameter dispatches are not part of the CSV, nor
+    are the run's `dt_inner` and `t_outer`, which the caller gives."""
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, [])

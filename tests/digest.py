@@ -81,7 +81,7 @@ def params_columns(values: np.ndarray) -> np.ndarray:
 
 
 def trace_digests(trace) -> dict[str, str]:
-    rep = metrics(trace)
+    rep = metrics(trace, 0.03)
     ticks, units, values = trace.param_log
     parts = {
         "voltages": trace.voltages, "q_inj": trace.q_inj, "p_out": trace.p_out,

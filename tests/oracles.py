@@ -381,7 +381,7 @@ def param_records_per_unit(scenario, model) -> tuple[list[ParamDispatch], Simula
     return records, trace
 
 
-def read_trace_csv_rows(path, dt_inner: float = 1.0, t_outer: int = 10) -> SimulationTrace:
+def read_trace_csv_rows(path, dt_inner: float, t_outer: int) -> SimulationTrace:
     """The trace CSV read row by row through `csv.reader`."""
     rows = []
     with open(path, "r", newline="", encoding="utf-8") as f:

@@ -9,7 +9,6 @@ from voltvar_sim.analysis import (
     predict_sse,
     required_dq,
     spectral_radius,
-    sse_adaptive_prediction,
     stability_report,
 )
 
@@ -216,18 +215,20 @@ class TestOuterBMatrix:
 
 
 class TestSseAdaptivePrediction:
+    """The SSE after an offset step dq_p: `predict_sse` of the shift A dq_p."""
+
     def test_inverse_pair_is_exact(self):
         a = np.array([[0.30, 0.28], [0.27, 0.44]])
         slopes = [1.2, 0.8]
         v_bar = np.array([1.03, 1.05])
         sse = v_bar - 1.0
         dq = required_dq(a, slopes, sse)
-        out = sse_adaptive_prediction(a, slopes, dq, v_bar, 1.0)
+        out = predict_sse(a, slopes, a @ dq, v_bar, 1.0)[1]
         assert np.max(np.abs(out)) < 1e-12
 
     def test_zero_shift_keeps_sse(self):
         a = np.array([[0.2857]])
-        out = sse_adaptive_prediction(a, [1.0], [0.0], [1.02], 1.0)
+        out = predict_sse(a, [1.0], a @ [0.0], [1.02], 1.0)[1]
         assert out[0] == pytest.approx(0.02)
 
     def test_scalar_against_linear_engine(self):
@@ -237,7 +238,7 @@ class TestSseAdaptivePrediction:
         v_nc = np.array([1.04])
         v_bar, _ = iterate_linear_droop(a, m, v_nc, mu)
         dq_p = np.array([-0.05])
-        predicted = sse_adaptive_prediction(a, 1.0, dq_p, v_bar, mu)
+        predicted = predict_sse(a, 1.0, a @ dq_p, v_bar, mu)[1]
         # same loop with the offset applied: q = q_p - M (v - mu)
         v = v_bar.copy()
         for _ in range(4000):
@@ -251,8 +252,6 @@ class TestSseAdaptivePrediction:
     pytest.param(lambda a, d: stability_report(a, d), id="stability_report"),
     pytest.param(lambda a, d: predict_sse(a, d, [0.0, 0.0], [1.0, 1.0], 1.0), id="predict_sse"),
     pytest.param(lambda a, d: required_dq(a, d, [0.01, 0.01]), id="required_dq"),
-    pytest.param(lambda a, d: sse_adaptive_prediction(a, d, [0.0, 0.0], [1.0, 1.0], 1.0),
-                 id="sse_adaptive_prediction"),
     pytest.param(lambda a, d: outer_b_matrix(a, d, 4.0), id="outer_b_matrix.M"),
     pytest.param(lambda a, d: outer_b_matrix(a, 1.0, 4.0 * d), id="outer_b_matrix.K"),
 ])
@@ -261,6 +260,47 @@ def test_slope_and_gain_matrices_rejected(call):
     call(a, np.ones(2))
     with pytest.raises(AnalysisError, match="not a matrix"):
         call(a, np.eye(2))
+
+
+A2 = np.array([[0.30, 0.28], [0.27, 0.44]])
+# each public function with good arguments; each bad input replaces one
+GOOD_CALLS = {
+    "spectral_radius": (spectral_radius, {"x": A2}),
+    "stability_report": (stability_report, {"a_matrix": A2, "slopes": 1.0}),
+    "predict_sse": (predict_sse, {"a_matrix": A2, "m_diag": 1.0, "dv_d": [0.01, 0.02],
+                                  "v_bar": [1.0, 1.0], "mu": 1.0}),
+    "required_dq": (required_dq, {"a_matrix": A2, "m_diag": 1.0, "sse": [0.01, 0.02]}),
+    "outer_b_matrix": (outer_b_matrix, {"a_matrix": A2, "m_diag": 1.0, "k_diag": 4.0}),
+}
+BAD_INPUTS = {
+    "matrix": {"non_square": np.ones((2, 3)), "vector": np.ones(2),
+               "nan": np.array([[0.30, np.nan], [0.27, 0.44]]),
+               "inf": np.array([[0.30, 0.28], [np.inf, 0.44]]), "ragged": [[0.30, 0.28], [0.27]]},
+    # slopes, gains and mu: a scalar or one per inverter
+    "per_unit": {"nan": np.nan, "inf": np.inf, "nan_entry": [1.0, np.nan],
+                 "short": [1.0], "long": [1.0, 1.0, 1.0], "matrix": np.eye(2), "text": "1.0x"},
+    # voltage vectors: one per inverter
+    "vector": {"nan_entry": [0.01, np.nan], "inf_entry": [np.inf, 0.01], "short": [0.01],
+               "long": [0.01, 0.01, 0.01], "matrix": np.full((2, 2), 0.01),
+               "complex": [0.01j, 0.01]},
+}
+ARG_KINDS = {"x": "matrix", "a_matrix": "matrix", "slopes": "per_unit", "m_diag": "per_unit",
+             "k_diag": "per_unit", "mu": "per_unit", "dv_d": "vector", "v_bar": "vector",
+             "sse": "vector"}
+
+
+@pytest.mark.parametrize("name, arg, bad", [
+    pytest.param(name, arg, bad, id=f"{name}.{arg}.{label}")
+    for name, (_, good) in GOOD_CALLS.items()
+    for arg in good
+    for label, bad in BAD_INPUTS[ARG_KINDS[arg]].items()
+])
+def test_bad_input_raises_analysis_error(name, arg, bad):
+    # never a raw numpy error and never a NaN answer
+    func, good = GOOD_CALLS[name]
+    func(**good)
+    with pytest.raises(AnalysisError):
+        func(**{**good, arg: bad})
 
 
 class TestAnalysisProperties:

@@ -233,7 +233,7 @@ class TestSweep:
                      "--set", "m=1"]) == 0
         with open(out_sweep / "sweep.csv") as f:
             rows = [r for r in csv.DictReader(f) if r["bus"] == "bus3"]
-        trace = read_trace_csv(out_run / "trace.csv", t_outer=10)
+        trace = read_trace_csv(out_run / "trace.csv", dt_inner=1.0, t_outer=10)
         v3 = trace.voltages[:, trace.bus_ids.index("bus3")]
         for r in rows:
             t = int(r["outer_tick"])
@@ -255,7 +255,7 @@ class TestSweep:
                          "ieee4_mod", "--out", str(tmp_path / m),
                          "--set", f"m={m}"]) == 0
         def p2p(d):
-            tr = read_trace_csv(d / "trace.csv", t_outer=10)
+            tr = read_trace_csv(d / "trace.csv", dt_inner=1.0, t_outer=10)
             v3 = tr.voltages[-20:, tr.bus_ids.index("bus3")]
             return v3.max() - v3.min()
         assert p2p(tmp_path / "3") < 1e-4

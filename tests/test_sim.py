@@ -855,21 +855,21 @@ class TestMetrics:
         )
 
     def test_pinned_at_setpoint_all_zero(self):
-        rep = metrics(self._trace([1.0] * 40))
+        rep = metrics(self._trace([1.0] * 40), 0.03)
         assert rep.msse == 0.0 and rep.fc == 0 and rep.vvi == 0
 
     def test_constant_high_voltage_counts_every_tick(self):
-        rep = metrics(self._trace([1.07] * 40))
+        rep = metrics(self._trace([1.07] * 40), 0.03)
         assert rep.vvi_per_bus["b"] == 40
         assert rep.msse == pytest.approx(7.0)
 
     def test_sustained_band_b_needs_five_minutes(self):
         # 1.055 pu violates only range B; short runs do not count
         volts = [1.0] * 10 + [1.055] * 20 + [1.0] * 10
-        rep = metrics(self._trace(volts))
+        rep = metrics(self._trace(volts), 0.03)
         assert rep.vvi == 0
         volts_long = [1.0] * 5 + [1.055] * 320 + [1.0] * 5
-        rep2 = metrics(self._trace(volts_long))
+        rep2 = metrics(self._trace(volts_long), 0.03)
         assert rep2.vvi_per_bus["b"] == 320
 
     def test_square_wave_window_counts_one_flicker(self):
@@ -880,9 +880,25 @@ class TestMetrics:
         rep = metrics(self._trace(volts, t_outer=4), vf_lim=0.03)
         assert rep.fc_per_inverter["b"] >= 1
 
+    def test_never_energized_unit_has_no_msse(self):
+        # unit c is dark on every tick: it has no entry, and the fleet MSSE
+        # is the mean over the lit units b (2%) and d (3%)
+        h = 12
+        volts = np.column_stack([np.ones(h), np.full(h, 1.02), np.full(h, np.nan),
+                                 np.full(h, 0.97)])
+        trace = SimulationTrace(
+            bus_ids=("s", "b", "c", "d"), unit_buses=("b", "c", "d"), voltages=volts,
+            q_inj=np.zeros((h, 3)), p_out=np.full((h, 3), 0.5), mu=np.ones((h, 3)),
+            flags=("",) * h, param_log=ParamLog(), dt_inner=1.0, t_outer=4,
+        )
+        rep = metrics(trace, 0.03)
+        assert list(rep.msse_per_inverter) == ["b", "d"]
+        assert rep.msse == np.mean([rep.msse_per_inverter["b"], rep.msse_per_inverter["d"]])
+        assert rep.msse == pytest.approx(2.5)
+
     def test_dark_bus_ignored(self):
         volts = [float("nan")] * 12
-        rep = metrics(self._trace(volts))
+        rep = metrics(self._trace(volts), 0.03)
         assert rep.msse == 0.0 and rep.vvi == 0 and rep.fc == 0
 
     @staticmethod
@@ -901,7 +917,7 @@ class TestMetrics:
     def test_band_violations_match_loop_oracle_on_presets(self, name):
         feeder, sc = get_preset(name)
         trace = run(sc, feeder)  # dt_inner 1 s: a sustain of 300 s is 300 ticks
-        assert metrics(trace).vvi_per_bus == self._loop_vvi(trace, ANSI_RANGE_B, 300)
+        assert metrics(trace, 0.03).vvi_per_bus == self._loop_vvi(trace, ANSI_RANGE_B, 300)
         assert self._vvi(trace, (0.99, 1.01), 5) == self._loop_vvi(trace, (0.99, 1.01), 5)
         # and the bus-by-bus run search, over sustain lengths and a narrow band B
         for sustain in (1, 5, 300):
@@ -918,9 +934,9 @@ class TestMetrics:
         monkeypatch.setattr(results_module, "ANSI_SUSTAIN_S", 5.0)
         mu = np.linspace(0.99, 1.01, len(trace.unit_buses))  # one set point per unit
         trace = replace(trace, mu=np.broadcast_to(mu, trace.mu.shape))
-        whole = metrics(trace), trace.window_stats()
+        whole = metrics(trace, 0.03), trace.window_stats()
         monkeypatch.setattr(results_module, "_BLOCK_BYTES", 1)
-        blocked = metrics(trace), trace.window_stats()
+        blocked = metrics(trace, 0.03), trace.window_stats()
         assert repr(vars(blocked[0])) == repr(vars(whole[0]))
         for got, want in zip(vars(blocked[1]).values(), vars(whole[1]).values()):
             assert got.tobytes() == want.tobytes()
@@ -943,7 +959,7 @@ class TestMetrics:
             p_out=np.zeros((h, 0)), mu=np.zeros((h, 0)), flags=("",) * h,
             param_log=ParamLog(), dt_inner=1.0, t_outer=4,
         )
-        assert metrics(trace).vvi_per_bus == self._loop_vvi(trace, ANSI_RANGE_B, 300)
+        assert metrics(trace, 0.03).vvi_per_bus == self._loop_vvi(trace, ANSI_RANGE_B, 300)
         want = self._loop_vvi(trace, ANSI_RANGE_B, sustain)
         assert self._vvi(trace, ANSI_RANGE_B, sustain) == want
 
@@ -970,7 +986,7 @@ class TestCsvRoundTrip:
         again = read_trace_csv(tmp_path / "trace.csv", dt_inner=sc.dt_inner,
                                t_outer=sc.t_outer)
         assert again.mu.tobytes() == trace.mu.tobytes()
-        a, b = metrics(trace), metrics(again)
+        a, b = metrics(trace, 0.03), metrics(again, 0.03)
         assert (a.msse, a.fc, a.vvi) == (b.msse, b.fc, b.vvi)
         assert a.msse_per_inverter == b.msse_per_inverter
 
@@ -978,7 +994,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "trace.csv"
         path.write_text("tick,bus,V_pu,q_inj_pu,p_out_pu,flags\n0,bus1,1.03,,,\n")
         with pytest.raises(SimulationError, match="mu_pu"):
-            read_trace_csv(path)
+            read_trace_csv(path, 1.0, 10)
 
     def test_params_csv_written(self, tmp_path, ieee4):
         sc = _scenario(ControllerKind("adaptive"), profile=0.9, horizon=40)

@@ -110,7 +110,8 @@ def _same_trace(a: SimulationTrace, b: SimulationTrace) -> bool:
 def test_reader_matches_row_oracle(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("csv") / "trace.csv"
     write_trace_csv(trace, path)
-    assert _same_trace(read_trace_csv(path), read_trace_csv_rows(path))
+    assert _same_trace(read_trace_csv(path, trace.dt_inner, trace.t_outer),
+                       read_trace_csv_rows(path, trace.dt_inner, trace.t_outer))
 
 
 def test_signed_zeros_in_one_block_keep_their_sign(tmp_path):
@@ -124,7 +125,7 @@ def test_signed_zeros_in_one_block_keep_their_sign(tmp_path):
     assert (tmp_path / "trace.csv").read_text().splitlines()[1:] == [
         "0,s,1.0,,,,", "0,b,0.0,-0.0,0.0,1.0,", "1,s,-0.0,,,,", "1,b,1.0,0.0,0.0,1.0,",
     ]
-    assert _same_trace(read_trace_csv(tmp_path / "trace.csv"), trace)
+    assert _same_trace(read_trace_csv(tmp_path / "trace.csv", 1.0, 10), trace)
 
 
 @pytest.mark.parametrize(
@@ -142,4 +143,4 @@ def test_reader_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SimulationError, match=match):
-        read_trace_csv(path)
+        read_trace_csv(path, 1.0, 10)
