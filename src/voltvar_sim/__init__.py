@@ -9,12 +9,13 @@ closed-form stability and convergence analytics, and a scenario-driven
 quasi-static time-series engine.
 """
 
-from .adaptation import (AdaptiveConfig, WindowStats, capacity_limits, outer_loop_step,
-                         strategy1_update_qp, strategy2_update_slope, window_stats)
-from .analysis import (ConvergenceReport, StabilityReport, outer_b_matrix, predict_sse,
-                       required_dq, spectral_radius, stability_report)
-from .control import (AdaptiveParams, ControllerKind, DroopParams, adaptive_dispatch,
-                      delayed_dispatch, droop_dispatch, slope_to_cutoffs)
+from .adaptation import (AdaptationError, AdaptiveConfig, WindowStats, capacity_limits,
+                         outer_loop_step, strategy1_update_qp, strategy2_update_slope,
+                         window_stats)
+from .analysis import (AnalysisError, ConvergenceReport, StabilityReport, outer_b_matrix,
+                       predict_sse, required_dq, spectral_radius, stability_report)
+from .control import (AdaptiveParams, ControlError, ControllerKind, DroopParams,
+                      adaptive_dispatch, delayed_dispatch, droop_dispatch, slope_to_cutoffs)
 from .feeder import (Bus, FeederError, FeederModel, Line, PowerFlowError, PowerFlowSolution,
                      PvUnit, apply_topology_event, feeder_from_dict, feeder_to_dict, load_feeder,
                      sensitivity_matrix, solve_power_flow)
@@ -29,10 +30,13 @@ from .sim import LinearizedFeeder, SimulationEngine, linearize, run
 __version__ = "0.1.0"
 
 __all__ = [
+    "AdaptationError",
     "AdaptiveConfig",
     "AdaptiveParams",
+    "AnalysisError",
     "Bus",
     "CloudCover",
+    "ControlError",
     "ControllerKind",
     "ConvergenceReport",
     "DroopParams",

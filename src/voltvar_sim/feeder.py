@@ -6,15 +6,23 @@ Models are immutable snapshots and every operation returns new objects.
 A checked model indexes its bus/line graph once, as a `FeederGraph` of
 integers with a map from switch name to line, and every snapshot copied
 from it shares that index: no copy changes line ends, names, impedances
-or which lines are switches.  A load-scale copy checks only the values
-it scales.  Each topology is walked breadth first on the index and
-compiled once into a `CompiledNetwork`: the energized island, its bus
-index maps and the PQ index, then the arrays its solves iterate on.
+or which lines are switches.  What events change, a snapshot holds as
+arrays: `loads`, the complex load of each bus, `v_slack`, and `closed`,
+whether each line is in service.  A load step is one array multiply and
+a finiteness check, a slack-voltage step one checked number, and neither
+builds a `Bus`: the copy's `buses` tuple is built from the arrays when it
+is first read (by `==` or `feeder_to_dict`, say) and then kept.  Each
+topology is walked breadth first on the index, into arrays, and compiled
+once into a `CompiledNetwork`: the energized island, the model-to-island
+index, the in-service lines as integer ends and impedances, the PQ index,
+then the arrays its solves iterate on.
 `FeederModel.network` builds it on first use and keeps it; snapshots that
 differ only in loads or slack voltage share it, and a switch operation
-re-walks the island and makes a model that compiles its own.  The compiled
-network is never written after it is built (its lazily built arrays are
-computed once and kept), so snapshots stay safe to use concurrently.
+copies the closed mask, re-walks the island and makes a model that
+compiles its own.  The compiled network is never written after it is
+built (its lazily built arrays are computed once and kept), and no
+snapshot writes to what it shares, so snapshots stay safe to use
+concurrently.
 
 `solve_power_flow` iterates the fixed point V_L = w V_S + Z conj(S_L / V_L)
 of the backward/forward sweep (Shirmohammadi et al. 1988; Teng 2003) in
@@ -52,7 +60,8 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -168,9 +177,13 @@ class FeederModel:
     any other load/PV bus is an error.  The set is computed on construction
     and carried through topology events unchanged.
 
-    The island walk, the compiled `network` and the base injections are
-    cached properties, computed on first use and kept on the snapshot; none
-    is a field, so equality and hashing ignore them.
+    What events change is also held as read-only arrays: `loads`, the
+    complex load P + jQ of each bus in `buses` order, `v_slack`, the slack
+    bus's `v_set`, and `closed`, true for each line in service.  A copy
+    made by an event reads them, not `buses`, which it builds on first
+    read.  The island walk, the compiled `network` and the base injections
+    are cached properties, computed on first use and kept on the snapshot;
+    none of these is a field, so equality and hashing ignore them.
     """
 
     buses: tuple[Bus, ...]
@@ -180,12 +193,16 @@ class FeederModel:
 
     def __post_init__(self) -> None:
         ids = [b.id for b in self.buses]
-        if len(set(ids)) != len(ids):
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) != len(ids):
             raise FeederError("duplicate bus ids")
         slacks = [k for k, b in enumerate(self.buses) if b.kind == "slack"]
         if len(slacks) != 1:
             raise FeederError(f"need exactly one slack bus, found {len(slacks)}")
-        graph = _index_graph(ids, slacks[0], self.lines)
+        slack = self.buses[slacks[0]]
+        if not slack.v_set > 0:  # a negative set-point would solve to its magnitude
+            raise FeederError(f"bus {slack.id}: v_set must be finite and > 0")
+        graph = _index_graph(index, slacks[0], self.lines)
         # a switch event operates the one line of its name
         count = Counter(ln.name for ln in self.lines)
         for ln in self.lines:
@@ -194,26 +211,45 @@ class FeederModel:
         pv_buses = [u.bus for u in self.pv_units]
         if len(set(pv_buses)) != len(pv_buses):
             raise FeederError("multiple PV units on one bus are not supported")
-        known = set(ids)
         for b in pv_buses:
-            if b not in known:
+            if b not in index:
                 raise FeederError(f"pv unit references unknown bus {b}")
-            if b == ids[slacks[0]]:  # its vars would meet the fixed slack voltage
+            if b == slack.id:  # its vars would meet the fixed slack voltage
                 raise FeederError(f"pv unit on the slack bus {b} is not supported")
-        object.__setattr__(self, "_graph", graph)
-        object.__setattr__(self, "bus_ids", tuple(ids))
+        loads = np.empty(len(ids), dtype=complex)
+        loads.real = [b.load_p for b in self.buses]
+        loads.imag = [b.load_q for b in self.buses]
+        closed = np.array([ln.in_service for ln in self.lines], dtype=bool)
+        self.__dict__.update(
+            _graph=graph, bus_ids=tuple(ids), _bus_source=self.buses,
+            _pv_at=np.array([index[b] for b in pv_buses], dtype=int),
+            loads=_frozen(loads), v_slack=slack.v_set, closed=_frozen(closed),
+        )
         # every bus must be reachable from the slack with all switches closed
-        full = set(graph.walk([True] * len(self.lines)).buses)
-        for k, bus_id in enumerate(ids):
-            if k not in full:
-                raise PowerFlowError(f"disconnected bus: {bus_id}")
-        island = set(self._island.buses)
-        object.__setattr__(self, "detachable_buses",
-                           frozenset(b for k, b in enumerate(ids) if k not in island))
+        full = graph.walk([True] * len(self.lines)).energized
+        if not full.all():
+            raise PowerFlowError(f"disconnected bus: {ids[np.flatnonzero(~full)[0]]}")
+        self.__dict__["detachable_buses"] = frozenset(
+            b for b, on in zip(ids, self._island.energized.tolist()) if not on)
+
+    def __getattr__(self, name: str) -> tuple[Bus, ...]:
+        # only `buses` is ever missing: a copy whose loads or slack voltage
+        # changed builds it on first read, from the checked build's buses
+        # and its own (checked) arrays
+        if name != "buses" or "_bus_source" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        buses = []
+        for b, p, q in zip(self._bus_source, self.loads.real.tolist(), self.loads.imag.tolist()):
+            bus = object.__new__(Bus)
+            bus.__dict__.update(vars(b), load_p=p, load_q=q)
+            buses.append(bus)
+        buses[self._graph.slack].__dict__["v_set"] = self.v_slack
+        self.__dict__["buses"] = buses = tuple(buses)
+        return buses
 
     @property
     def slack_id(self) -> str:
-        return self.slack.id
+        return self.bus_ids[self._graph.slack]
 
     @property
     def slack(self) -> Bus:
@@ -228,10 +264,7 @@ class FeederModel:
         """The graph walked over the in-service lines: the one walk of this
         topology, which gives the island, the sweep's tree and the spanning
         tree the Z-bus build follows."""
-        closed = [True] * len(self.lines)
-        for k in self._graph.switches.values():
-            closed[k] = self.lines[k].in_service
-        return self._graph.walk(closed)
+        return self._graph.walk(self.closed.tolist())
 
     @cached_property
     def network(self) -> CompiledNetwork:
@@ -239,19 +272,19 @@ class FeederModel:
         return _compile(self)
 
     @cached_property
+    def _pv_s(self) -> np.ndarray:
+        """The PV units' complex output P + jQ, in `pv_units` order."""
+        return np.array([complex(u.p_out, u.q_inj) for u in self.pv_units], dtype=complex)
+
+    @cached_property
     def _s_base(self) -> np.ndarray:
         """Complex injections of the loads and PV units over the island."""
         net = self.network
         s = np.zeros(len(net.island), dtype=complex)
-        # subtracted from zeros, so that a +0.0 load stays +0.0
-        n = len(self.buses)
-        s.real -= np.fromiter((b.load_p for b in self.buses), float, n)[net.cols]
-        s.imag -= np.fromiter((b.load_q for b in self.buses), float, n)[net.cols]
-        pv = [(net.index[u.bus], u.p_out, u.q_inj) for u in self.pv_units if u.bus in net.index]
-        if pv:
-            at, p, q = zip(*pv)
-            s.real[list(at)] += p
-            s.imag[list(at)] += q
+        s -= self.loads[net.cols]  # subtracted from zeros, so that a +0.0 load stays +0.0
+        at = net.pos[self._pv_at]
+        on = at >= 0
+        s[at[on]] += self._pv_s[on]
         return s
 
     def switch_line(self, switch_id: str) -> int:
@@ -264,52 +297,64 @@ class FeederModel:
         return k
 
     def with_slack_voltage(self, v_pu: float) -> "FeederModel":
-        buses = tuple(
-            replace(b, v_set=v_pu) if b.kind == "slack" else b for b in self.buses
-        )
-        return self._copy(("_island", "network"), buses=buses)
+        if not (math.isfinite(v_pu) and v_pu > 0):
+            raise FeederError(f"bus {self.slack_id}: v_set must be finite and > 0")
+        return self._copy(("_island", "network", "_pv_s"), v_slack=v_pu)
 
     def with_scaled_loads(self, factor: float) -> "FeederModel":
-        """Every load times `factor`.  The copies check only the two
-        values they change, with `Bus`'s own message."""
+        """Every load times `factor`: one multiply over the (P, Q) pairs of
+        `loads`, the same as `load_p * factor` and `load_q * factor` on each
+        bus.  A product that is not finite raises `Bus`'s message for the
+        first bus that has one."""
         if not (math.isfinite(factor) and factor >= 0):
             raise FeederError("load scale factor must be finite and >= 0")
-        buses = []
-        for b in self.buses:
-            p, q = b.load_p * factor, b.load_q * factor
-            if not (math.isfinite(p) and math.isfinite(q)):
-                name = "load_q" if math.isfinite(p) else "load_p"
-                raise FeederError(f"bus {b.id}: {name} must be finite")
-            scaled = object.__new__(Bus)
-            scaled.__dict__.update(vars(b), load_p=p, load_q=q)
-            buses.append(scaled)
-        return self._copy(("_island", "network"), buses=tuple(buses))
+        with np.errstate(over="ignore"):
+            pq = self.loads.view(float) * factor
+        bad = np.flatnonzero(~np.isfinite(pq))
+        if len(bad):
+            k, part = divmod(int(bad[0]), 2)
+            raise FeederError(f"bus {self.bus_ids[k]}: {('load_p', 'load_q')[part]} must be finite")
+        return self._copy(("_island", "network", "_pv_s"), loads=_frozen(pq.view(complex)))
 
     def _copy(self, kept: tuple[str, ...], **changes) -> "FeederModel":
-        """Copy with `changes` to its fields and this snapshot's cached
-        `kept`, unchecked: the model checks read bus ids and kinds, line ends
-        and names, which lines are switches, PV buses and reachability with
-        all switches closed, which no caller changes, so the copy shares the
-        graph index.  Callers swap bus or PV data (each new `Bus` or
-        `PvUnit` checks its values) or operate one switch."""
+        """Copy with `changes` to its fields or snapshot arrays and this
+        snapshot's cached `kept`, unchecked: the model checks read bus ids and
+        kinds, line ends and names, which lines are switches, PV buses and
+        reachability with all switches closed, which no caller changes, so
+        the copy shares the graph index.  Callers swap PV data (each new
+        `PvUnit` checks its values), scale the loads, set the slack voltage
+        or operate one switch, and check what they change."""
         out = object.__new__(FeederModel)
-        out.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)},
-                            detachable_buses=self.detachable_buses, _graph=self._graph,
-                            bus_ids=self.bus_ids, **changes)
-        out.__dict__.update((k, self.__dict__[k]) for k in kept if k in self.__dict__)
+        state = self.__dict__
+        out.__dict__.update({k: state[k] for k in _SNAPSHOT}, **changes)
+        if "buses" in state and not {"loads", "v_slack"} & changes.keys():
+            out.__dict__["buses"] = state["buses"]
+        out.__dict__.update((k, state[k]) for k in kept if k in state)
         return out
+
+
+# what every copy of a snapshot starts from; `buses` only while the loads
+# and slack voltage it was built from are the copy's
+_SNAPSHOT = ("lines", "pv_units", "name", "bus_ids", "detachable_buses", "_graph",
+             "_bus_source", "_pv_at", "loads", "v_slack", "closed")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, read-only: snapshots share their arrays."""
+    a.flags.writeable = False
+    return a
 
 
 class Walk(NamedTuple):
     """A breadth-first walk from the slack: the model indices of the buses
     reached, in walk order, with the walk position of the bus each was
     reached from and the index of the line it came by (-1 for the slack),
-    and which lines the walk could take."""
+    and which buses it reached."""
 
-    buses: list[int]
-    up: list[int]
-    via: list[int]
-    closed: list[bool]
+    buses: np.ndarray
+    up: np.ndarray
+    via: np.ndarray
+    energized: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,35 +365,37 @@ class FeederGraph:
     across them.
 
     `adj[b]` lists (line, bus at its other end) for the lines at bus b, in
-    line order; `ends[k]` are the (from, to) buses of line k and `z[k]` its
-    impedance; `switches` maps each switch's name to its line.
+    line order; `ends[:, k]` are the (from, to) buses of line k and `z[k]`
+    its impedance; `switches` maps each switch's name to its line.
     """
 
     slack: int
     adj: tuple[list[tuple[int, int]], ...]
-    ends: tuple[tuple[int, int], ...]
+    ends: np.ndarray
     z: np.ndarray
     switches: dict[str, int]
 
     def walk(self, closed: list[bool]) -> Walk:
         """Walk breadth first from the slack over the lines with `closed[k]`
         true, taking the lines at each bus in line order."""
-        seen = [False] * len(self.adj)
+        adj, seen = self.adj, [False] * len(self.adj)
         seen[self.slack] = True
         buses, up, via = [self.slack], [-1], [-1]
         for i, b in enumerate(buses):  # `buses` grows while it is walked
-            for k, c in self.adj[b]:
+            for k, c in adj[b]:
                 if closed[k] and not seen[c]:
                     seen[c] = True
                     buses.append(c)
                     up.append(i)
                     via.append(k)
-        return Walk(buses, up, via, closed)
+        buses, up, via = np.array((buses, up, via), dtype=int)
+        energized = np.zeros(len(adj), dtype=bool)
+        energized[buses] = True
+        return Walk(buses, up, via, energized)
 
 
-def _index_graph(bus_ids: list[str], slack: int, lines: tuple[Line, ...]) -> FeederGraph:
-    index = {b: k for k, b in enumerate(bus_ids)}
-    adj: tuple[list[tuple[int, int]], ...] = tuple([] for _ in bus_ids)
+def _index_graph(index: dict[str, int], slack: int, lines: tuple[Line, ...]) -> FeederGraph:
+    adj: tuple[list[tuple[int, int]], ...] = tuple([] for _ in index)
     ends = []
     for k, ln in enumerate(lines):
         a, b = index.get(ln.from_bus), index.get(ln.to_bus)
@@ -360,7 +407,7 @@ def _index_graph(bus_ids: list[str], slack: int, lines: tuple[Line, ...]) -> Fee
     return FeederGraph(
         slack=slack,
         adj=adj,
-        ends=tuple(ends),
+        ends=np.array(ends, dtype=int).reshape(-1, 2).T,
         z=np.array([complex(ln.resistance, ln.reactance) for ln in lines], dtype=complex),
         switches={ln.name: k for k, ln in enumerate(lines) if ln.switch_state != "none"},
     )
@@ -429,11 +476,11 @@ class RadialTree:
 class CompiledNetwork:
     """One topology of a feeder, compiled for repeated solves.
 
-    `island` lists the energized buses in model order and `index` maps
-    each to its island position; `cols[i]` is the model index of island
-    bus i.
-    `lines` are the in-service lines on the island, in model order, with
-    the island positions of their ends.
+    `island` lists the energized buses in model order; `cols[i]` is the
+    model index of island bus i and `pos[k]` the island position of model
+    bus k (-1 off the island).  The in-service lines on the island, in
+    model order, run between island positions `line_ends[0]` and
+    `line_ends[1]`, with impedances `line_z`.
 
     A radial island of more than `SWEEP_BUSES` buses keeps its `tree` for
     the sweep and has `z` None; any other island has `tree` None and `z`,
@@ -443,9 +490,10 @@ class CompiledNetwork:
     """
 
     island: tuple[str, ...]
-    index: dict[str, int]
     cols: np.ndarray
-    lines: tuple[tuple[int, int, Line], ...]
+    pos: np.ndarray
+    line_ends: np.ndarray
+    line_z: np.ndarray
     slack_idx: int
     pq: np.ndarray
     z: np.ndarray | None
@@ -454,14 +502,14 @@ class CompiledNetwork:
     @cached_property
     def ybus(self) -> np.ndarray:
         n = len(self.island)
-        ybus = np.zeros((n, n), dtype=complex)
-        for i, j, ln in self.lines:
-            y = 1.0 / complex(ln.resistance, ln.reactance)
-            ybus[i, i] += y
-            ybus[j, j] += y
-            ybus[i, j] -= y
-            ybus[j, i] -= y
-        return ybus
+        i, j = self.line_ends
+        # Python's complex division, and each line's four entries in line
+        # order, as a loop over the lines adds them
+        y = np.array([1.0 / z for z in self.line_z.tolist()], dtype=complex)
+        at = np.stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i), axis=1)
+        ybus = np.zeros(n * n, dtype=complex)
+        np.add.at(ybus, at.ravel(), np.stack((y, y, -y, -y), axis=1).ravel())
+        return ybus.reshape(n, n)
 
     @cached_property
     def w(self) -> np.ndarray | None:
@@ -472,38 +520,35 @@ class CompiledNetwork:
 
 def _compile(model: FeederModel) -> CompiledNetwork:
     graph, walk = model._graph, model._island
-    bus_ids, lines = model.bus_ids, model.lines
-    energized = np.zeros(len(bus_ids), dtype=bool)
-    energized[walk.buses] = True
-    cols = np.flatnonzero(energized)
-    island = tuple(bus_ids[k] for k in cols.tolist())
-    index = dict(zip(island, range(len(island))))
-    n = len(island)
-    pos = np.cumsum(energized) - 1  # the island position of each energized bus
-    at, on = pos.tolist(), energized.tolist()
-    slack_idx = at[graph.slack]
+    cols = np.flatnonzero(walk.energized)
+    n = len(cols)
+    pos = np.full(len(walk.energized), -1)  # the island position of each model bus
+    pos[cols] = np.arange(n)
+    slack_idx = int(pos[graph.slack])
     pq = np.delete(np.arange(n), slack_idx)
-    # (line, island positions of its ends) for the in-service lines on the island
-    on_island = [(k, at[a], at[b]) for k, ((a, b), closed)
-                 in enumerate(zip(graph.ends, walk.closed)) if closed and on[a]]
+    # the in-service lines on the island: closed, with an energized end
+    on = model.closed & walk.energized[graph.ends[0]]
+    line_z = graph.z[on]
     tree = z = None
-    if len(on_island) == n - 1 and n > SWEEP_BUSES:  # radial: the lines span the island
+    if len(line_z) == n - 1 and n > SWEEP_BUSES:  # radial: the lines span the island
         tree = _walk_tree(walk, pos, graph.z)
     else:
-        walked = set(walk.via)
+        loops = on.copy()  # the lines on the island that the walk did not take
+        loops[walk.via[1:]] = False
         z = _zbus(
             n,
-            [(at[walk.buses[p]], at[b], graph.z[k])
-             for b, p, k in zip(walk.buses[1:], walk.up[1:], walk.via[1:])],
-            [(i, j, graph.z[k]) for k, i, j in on_island if k not in walked],
+            zip(pos[walk.buses[walk.up[1:]]].tolist(), pos[walk.buses[1:]].tolist(),
+                graph.z[walk.via[1:]].tolist()),
+            zip(*pos[graph.ends[:, loops]].tolist(), graph.z[loops].tolist()),
         )
         if z is not None:
             z = z[np.ix_(pq, pq)]
     return CompiledNetwork(
-        island=island,
-        index=index,
+        island=tuple(model.bus_ids[k] for k in cols.tolist()),
         cols=cols,
-        lines=tuple((i, j, lines[k]) for k, i, j in on_island),
+        pos=pos,
+        line_ends=pos[graph.ends[:, on]],
+        line_z=line_z,
         slack_idx=slack_idx,
         pq=pq,
         z=z,
@@ -518,8 +563,8 @@ def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
     depth-first walk takes them (Shirmohammadi et al. number the branches
     layer by layer from the same walk), so one reverse pass gives the
     subtree sizes, one forward pass the preorder slots and depths, and
-    array operations the rest."""
-    up = walk.up
+    array operations on the walk's arrays the rest."""
+    up = walk.up.tolist()
     n = len(up)
     size = [1] * n
     for i in range(n - 1, 0, -1):
@@ -533,12 +578,13 @@ def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
         free[p] += size[i]
         free[i] = slot[i] + 1
         depth[i] = depth[p] + 1
-    table = np.array((size, depth, walk.via, walk.buses, up, slot))
+    size, depth, slot = np.array((size, depth, slot), dtype=int)
     # the walk position at each preorder slot; the slack's is slot 0
     at = np.empty(n, dtype=int)
-    at[table[5]] = np.arange(n)
+    at[slot] = np.arange(n)
     # the rest in preorder over the load buses
-    size, depth, via, buses, up = table[:5, at[1:]]
+    at = at[1:]
+    size, depth = size[at], depth[at]
     m = n - 1
     k = np.arange(m)
     # the walk enters bus k after k entries and the exits of the k - depth + 1
@@ -549,12 +595,12 @@ def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
     walk_bus = np.empty(2 * m, dtype=int)
     walk_bus[enter - 1] = k
     walk_bus[leave] = k
-    z = z_line[via]
+    z = z_line[walk.via[at]]
     walk_z = z[walk_bus]
     walk_z[leave] = -z
     return RadialTree(
-        order=pos[buses],
-        up=table[5, up],
+        order=pos[walk.buses[at]],
+        up=slot[walk.up[at]],
         z=z,
         enter=enter,
         walk_bus=walk_bus,
@@ -564,7 +610,7 @@ def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
 
 
 def _zbus(
-    n: int, tree: list[tuple[int, int, complex]], loops: list[tuple[int, int, complex]]
+    n: int, tree: Iterable[tuple[int, int, complex]], loops: Iterable[tuple[int, int, complex]]
 ) -> np.ndarray | None:
     """Bus impedance matrix of an island of `n` buses with the slack as
     reference (its row and column stay zero), so Z[pq, pq] = Y_LL^-1.
@@ -771,10 +817,10 @@ def solve_power_flow(
     net = model.network
     s_spec = model._s_base
     if injections is not None:
-        if not isinstance(injections, np.ndarray) or injections.shape != (len(model.buses),):
+        if not isinstance(injections, np.ndarray) or injections.shape != (len(model.bus_ids),):
             raise PowerFlowError("injections need a P + jQ array, one entry per model bus")
         s_spec = s_spec + injections[net.cols]  # entries at dark buses are inert
-    v_slack = model.slack.v_set
+    v_slack = model.v_slack
 
     v0 = v_init.v if v_init is not None and v_init.bus_ids == net.island else None
     attempts = [(_fixed_point if net.tree is None else _sweep, v0), (_newton, v0)]
@@ -860,12 +906,14 @@ def apply_topology_event(
     if new_state not in ("open", "closed"):
         raise FeederError(f"bad switch state {new_state!r}")
     k = model.switch_line(switch_id)
-    lines = model.lines
+    lines, closed = model.lines, model.closed.copy()
+    closed[k] = new_state == "closed"
     updated = model._copy(
-        (), lines=lines[:k] + (replace(lines[k], switch_state=new_state),) + lines[k + 1:]
+        ("_pv_s",), closed=_frozen(closed),
+        lines=lines[:k] + (replace(lines[k], switch_state=new_state),) + lines[k + 1:],
     )
-    newly_dark = set(model._island.buses).difference(updated._island.buses)
-    illegal = sorted(b for b in (model.buses[i].id for i in newly_dark)
+    newly_dark = np.flatnonzero(model._island.energized & ~updated._island.energized)
+    illegal = sorted(b for b in map(model.bus_ids.__getitem__, newly_dark.tolist())
                      if b not in model.detachable_buses)
     if illegal:
         raise FeederError(

@@ -108,8 +108,8 @@ def linearize(model: FeederModel) -> LinearizedFeeder:
         pv_buses=pv_buses,
         pv_ratings=tuple(units[b].rating_s for b in pv_buses),
         v_base=sol.v_mag[model.network.pq],
-        v_slack_base=model.slack.v_set,
-        v_slack=model.slack.v_set,
+        v_slack_base=model.v_slack,
+        v_slack=model.v_slack,
         dv_dq=dv_dq,
         dv_dp=dv_dp,
         dv_dslack=dv_dslack,
@@ -181,8 +181,10 @@ class SimulationEngine:
             self._row = np.empty(len(model.bus_ids))
         else:
             # the profile drives PV output; any stored p_out/q_inj on the
-            # model is an analysis operating point, not simulation state
-            model = model._copy((), pv_units=tuple(
+            # model is an analysis operating point, not simulation state.
+            # The topology is the model's, so engines on one model share
+            # its compiled network
+            model = model._copy(("_island",), network=model.network, pv_units=tuple(
                 replace(u, p_out=0.0, q_inj=0.0) for u in model.pv_units))
             self.ratings = np.array([u.rating_s for u in model.pv_units], dtype=float)
             self._solve = SimulationEngine._solve_full

@@ -15,8 +15,9 @@ units found from the trace.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
-point with `np.max` reductions, the sweep's tree arrays from a
-depth-first walk of the island's lines, the window sums walked row by row from
+point with `np.max` reductions, Ybus as a loop over the `Line`
+objects, the sweep's tree arrays from a depth-first walk of the island's
+lines, the window sums walked row by row from
 zero, the band-violation run search bus by bus, and the outer-loop step
 as the engine ran it on a parameter block of one array per field, with
 the engine's outer-loop boundary composed from it.
@@ -44,7 +45,6 @@ from voltvar_sim.feeder import (
     FIXED_POINT_STEP,
     CompiledNetwork,
     FeederModel,
-    Line,
     PowerFlowSolution,
     RadialTree,
     solve_power_flow,
@@ -474,20 +474,39 @@ def fixed_point_reference(
     return v, converged, iterations, mismatch
 
 
-def radial_tree(slack_idx: int, lines: tuple[tuple[int, int, Line], ...]) -> RadialTree:
-    """The `RadialTree` of an island whose `lines` (island positions of
-    both ends, and the line) form a tree, walked depth first from the
-    slack with an explicit stack; the lines at a bus are taken in the
-    order of `lines`.  The package derives the same arrays from its
-    breadth-first island walk instead."""
-    adj: dict[int, list[tuple[int, Line]]] = {}
-    for i, j, ln in lines:
-        adj.setdefault(i, []).append((j, ln))
-        adj.setdefault(j, []).append((i, ln))
+def ybus_from_lines(model: FeederModel) -> np.ndarray:
+    """Ybus over `model.network.island` as a loop over the model's `Line`
+    objects: each in-service line on the island adds 1/z to the diagonal
+    entries of both its ends and -1/z to the two entries between them.
+    The package builds it from the compiled network's line arrays."""
+    island = model.network.island
+    index = {b: i for i, b in enumerate(island)}
+    ybus = np.zeros((len(island), len(island)), dtype=complex)
+    for ln in model.lines:
+        if ln.in_service and ln.from_bus in index:
+            i, j = index[ln.from_bus], index[ln.to_bus]
+            y = 1.0 / complex(ln.resistance, ln.reactance)
+            ybus[i, i] += y
+            ybus[j, j] += y
+            ybus[i, j] -= y
+            ybus[j, i] -= y
+    return ybus
+
+
+def radial_tree(slack_idx: int, line_ends: np.ndarray, line_z: np.ndarray) -> RadialTree:
+    """The `RadialTree` of an island whose lines form a tree, given as a
+    compiled network gives them (the island positions of both ends, and
+    the impedances), walked depth first from the slack with an explicit
+    stack; the lines at a bus are taken in the order given.  The package
+    derives the same arrays from its breadth-first island walk instead."""
+    adj: dict[int, list[tuple[int, complex]]] = {}
+    for i, j, zl in zip(*line_ends.tolist(), line_z.tolist()):
+        adj.setdefault(i, []).append((j, zl))
+        adj.setdefault(j, []).append((i, zl))
     order, up, z, enter, end = [slack_idx], [], [], [], {}
     walk, leaving = [], []  # the bus of each step of the walk, and whether it leaves it
     # a tuple on the stack enters a bus; an int leaves that preorder position
-    stack: list = [(j, 0, ln) for j, ln in reversed(adj.get(slack_idx, []))]
+    stack: list = [(j, 0, zl) for j, zl in reversed(adj.get(slack_idx, []))]
     while stack:
         item = stack.pop()
         if isinstance(item, int):
@@ -495,12 +514,12 @@ def radial_tree(slack_idx: int, lines: tuple[tuple[int, int, Line], ...]) -> Rad
             walk.append(item)
             leaving.append(True)
             continue
-        j, parent, ln = item
+        j, parent, zl = item
         k = len(order) - 1
         above = order[parent]
         order.append(j)
         up.append(parent)
-        z.append(complex(ln.resistance, ln.reactance))
+        z.append(zl)
         walk.append(k)
         leaving.append(False)
         enter.append(len(walk))

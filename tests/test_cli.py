@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import csv
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import voltvar_sim
 from voltvar_sim import cli
 from voltvar_sim.cli import main
 from voltvar_sim.feeder import feeder_to_dict, solve_power_flow
@@ -322,3 +326,20 @@ class TestPresets:
 def test_usage_error_exits_2():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_every_public_error_class_is_exported():
+    # a library caller catches what the package raises without importing
+    # a submodule; `codec.SchemaError` never leaves it (the feeder and
+    # scenario loaders raise FeederError or SimulationError instead)
+    internal = {"voltvar_sim.codec.SchemaError"}
+    found = set()
+    for info in pkgutil.iter_modules(voltvar_sim.__path__, "voltvar_sim."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == info.name and issubclass(cls, Exception)
+                    and not name.startswith("_") and f"{info.name}.{name}" not in internal):
+                found.add(name)
+                assert getattr(voltvar_sim, name, None) is cls, name
+                assert name in voltvar_sim.__all__, name
+    assert {"AnalysisError", "ControlError", "AdaptationError", "FeederError"} <= found

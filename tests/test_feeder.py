@@ -378,8 +378,8 @@ def test_fixed_point_agrees_with_oracle_and_newton(case):
     v_newton, converged, _, _ = feeder._newton(net, s, model.slack.v_set, None, 1e-12)
     assert converged
     assert np.max(np.abs(v - v_newton)) < 1e-10
-    if len(net.lines) == len(net.pq):  # radial: the sweep iterates the same map
-        tree = radial_tree(net.slack_idx, net.lines)
+    if len(net.line_z) == len(net.pq):  # radial: the sweep iterates the same map
+        tree = radial_tree(net.slack_idx, net.line_ends, net.line_z)
         swept = feeder._sweep(replace(net, z=None, tree=tree), s, model.slack.v_set, None,
                               DEFAULT_TOL)
         dense = feeder._fixed_point(net, s, model.slack.v_set, None, DEFAULT_TOL)
@@ -520,6 +520,24 @@ def test_close_then_reopen_matches_fresh_solve(ieee4):
     fresh = solve_power_flow(feeder_from_dict(feeder_to_dict(ieee4)))
     assert again.bus_ids == fresh.bus_ids
     assert again.v.tobytes() == fresh.v.tobytes()
+
+
+@pytest.mark.parametrize("v_set", [-1.0, 0.0, -0.0])
+def test_slack_set_point_must_be_positive(ieee4, v_set):
+    # -1.0 would solve to |V| = 1.0 pu and 0.0 to NaN voltages
+    doc = feeder_to_dict(ieee4)
+    doc["buses"][0]["v_set"] = v_set
+    assert doc["buses"][0]["kind"] == "slack"
+    with pytest.raises(FeederError, match="bus bus1: v_set must be finite and > 0"):
+        feeder_from_dict(doc)
+    with pytest.raises(FeederError, match="bus bus1: v_set must be finite and > 0"):
+        ieee4.with_slack_voltage(v_set)
+
+
+@pytest.mark.parametrize("v_pu", [float("nan"), float("inf")])
+def test_slack_voltage_must_be_finite(ieee4, v_pu):
+    with pytest.raises(FeederError, match="v_set must be finite"):
+        ieee4.with_slack_voltage(v_pu)
 
 
 def test_nan_load_scale_rejected(ieee4):

@@ -215,6 +215,7 @@ class TestEvents:
             apply_topology_event(ieee4, switch_id, "open")
 
     def test_network_compiled_once_per_topology(self, ieee4, monkeypatch):
+        model = feeder_from_dict(feeder_to_dict(ieee4))  # not compiled yet
         builds = []
         compile_ = feeder_module._compile
         monkeypatch.setattr(feeder_module, "_compile", lambda m: builds.append(m) or compile_(m))
@@ -226,9 +227,10 @@ class TestEvents:
             (25, SwitchEvent("switch1", "open")),
         )
         engine = SimulationEngine(
-            _scenario(ControllerKind("none"), horizon=30, events=events), ieee4
+            _scenario(ControllerKind("none"), horizon=30, events=events), model
         )
         assert len(builds) == 1
+        assert engine.model.network is model.network  # the engine's copy shares it
         while engine.tick < 15:
             engine.step_inner()
         assert len(builds) == 1

@@ -9,6 +9,7 @@ is imported and never written.
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import fields, replace
 from functools import lru_cache
@@ -32,7 +33,8 @@ from voltvar_sim.feeder import (
     voltage_sensitivities,
 )
 
-from oracles import fd_sensitivities, gauss_nodal_solve, injection_array, radial_tree
+from oracles import (fd_sensitivities, gauss_nodal_solve, injection_array, radial_tree,
+                     ybus_from_lines)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -46,7 +48,7 @@ def _swept(model: FeederModel) -> feeder.CompiledNetwork:
     """`model.network` with its island compiled to tree arrays, whatever
     its size."""
     net = model.network
-    return replace(net, z=None, tree=radial_tree(net.slack_idx, net.lines))
+    return replace(net, z=None, tree=radial_tree(net.slack_idx, net.line_ends, net.line_z))
 
 
 def _pv_injections(model: FeederModel, seed: int) -> dict[str, tuple[float, float]]:
@@ -92,7 +94,7 @@ def test_tree_arrays_walk_a_hand_built_tree():
                Line("c", "a", 0.03, 0.04), Line("s", "d", 0.04, 0.05)),
     )
     net = model.network
-    t = radial_tree(net.slack_idx, net.lines)
+    t = radial_tree(net.slack_idx, net.line_ends, net.line_z)
     assert [net.island[i] for i in t.order] == ["a", "b", "c", "d"]
     assert t.up.tolist() == [0, 1, 1, 0]
     assert t.z.tolist() == [0.01 + 0.02j, 0.02 + 0.03j, 0.03 + 0.04j, 0.04 + 0.05j]
@@ -158,6 +160,20 @@ def test_closing_a_loop_keeps_the_z_path(ladder):
     assert reopened.network.tree is not None
 
 
+@pytest.mark.parametrize("case", ["ieee4", "ieee4_closed", "feeder30", "ladder_tie"])
+def test_ybus_from_line_arrays_matches_the_line_loop(case, request):
+    if case == "ladder_tie":  # a meshed island on the Z path
+        ladder = request.getfixturevalue("ladder")
+        trunk = [b for b in ladder.bus_ids if b.startswith("t")]
+        tie = Line(trunk[10], trunk[-10], 0.002, 0.006, switch_state="open", id="tie")
+        model = apply_topology_event(replace(ladder, lines=ladder.lines + (tie,)), "tie", "closed")
+        assert model.network.z is not None
+    else:
+        model = request.getfixturevalue(case)
+    got, want = model.network.ybus, ybus_from_lines(model)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_3000_bus_ladder_builds_no_square_array():
     model = feeder_from_dict(gen.ladder_feeder(3000, 0))
     sol = solve_power_flow(model)
@@ -166,7 +182,7 @@ def test_3000_bus_ladder_builds_no_square_array():
     assert net.z is None and "ybus" not in vars(net) and "w" not in vars(net)
     arrays = [a for a in [*vars(net).values(), *vars(net.tree).values()]
               if isinstance(a, np.ndarray)]
-    assert arrays and all(a.ndim == 1 for a in arrays)
+    assert arrays and all(a.size <= 2 * len(net.island) for a in arrays)
 
 
 @lru_cache(maxsize=None)
@@ -178,13 +194,20 @@ def _walked_tree(model: FeederModel) -> feeder.RadialTree:
     """The tree arrays `_compile` derives from the island walk, on an
     island of any size."""
     net = model.network
-    pos = np.zeros(len(model.buses), dtype=int)
+    pos = np.zeros(len(model.bus_ids), dtype=int)
     pos[net.cols] = np.arange(len(net.cols))
     return feeder._walk_tree(model._island, pos, model._graph.z)
 
 
-# switch toggles (by lateral) and load scales, applied in turn
-_EVENTS = st.lists(st.one_of(st.integers(0, 2), st.floats(0.8, 1.25)), min_size=1, max_size=5)
+# switch toggles (by lateral), load scales and slack voltages, applied in turn
+_EVENTS = st.lists(st.one_of(st.tuples(st.just("switch"), st.integers(0, 2)),
+                             st.tuples(st.just("scale"), st.floats(0.8, 1.25)),
+                             st.tuples(st.just("slack"), st.floats(0.95, 1.05))),
+                   min_size=1, max_size=5)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -194,17 +217,26 @@ def test_events_keep_the_walked_tree_and_the_shared_index_exact(n, seed, lateral
     # islands on both sides of SWEEP_BUSES; closing laterals on the middle
     # size carries the island across it
     model = feeder_from_dict(_ladder_doc(n, seed, laterals))
+    built = model.buses
+    # the loads and slack voltage as per-bus Python arithmetic makes them
+    load_p, load_q = [b.load_p for b in built], [b.load_q for b in built]
+    v_slack = model.slack.v_set
     closed = set()
-    for ev in events:
-        if isinstance(ev, int):
-            sw = ev % laterals
+    for kind, value in events:
+        if kind == "switch":
+            sw = value % laterals
             state = "open" if sw in closed else "closed"
             closed.symmetric_difference_update({sw})
             model = apply_topology_event(model, f"sw{sw}", state)
+        elif kind == "scale":
+            model = model.with_scaled_loads(value)
+            load_p = [p * value for p in load_p]
+            load_q = [q * value for q in load_q]
         else:
-            model = model.with_scaled_loads(ev)
+            model = model.with_slack_voltage(value)
+            v_slack = value
         net = model.network
-        want = radial_tree(net.slack_idx, net.lines)
+        want = radial_tree(net.slack_idx, net.line_ends, net.line_z)
         got = _walked_tree(model)
         if net.tree is not None:
             assert len(net.island) > SWEEP_BUSES
@@ -212,11 +244,34 @@ def test_events_keep_the_walked_tree_and_the_shared_index_exact(n, seed, lateral
         for f in fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-        # a fresh, checked build indexes its own graph: the shared index
-        # must solve to the same bits
+        # the snapshot's arrays and the buses built from them on read
+        buses = model.buses
+        assert _bits([b.load_p for b in buses]) == _bits(load_p)
+        assert _bits([b.load_q for b in buses]) == _bits(load_q)
+        assert [b.v_set for b in buses] == [v_slack if b.kind == "slack" else b.v_set
+                                            for b in built]
+        assert [(b.id, b.kind, b.base_voltage) for b in buses] == \
+            [(b.id, b.kind, b.base_voltage) for b in built]
+        # a fresh, checked build indexes its own graph: it equals the
+        # snapshot, and the shared index must solve to the same bits
         fresh = feeder_from_dict(feeder_to_dict(model))
+        assert fresh == model
         assert fresh._graph is not model._graph
         sol, again = solve_power_flow(model), solve_power_flow(fresh)
         assert sol.bus_ids == again.bus_ids
         assert (sol.converged, sol.iterations) == (again.converged, again.iterations)
         assert sol.v.tobytes() == again.v.tobytes()
+
+
+def test_a_load_step_builds_no_bus(ladder):
+    def bus_count() -> int:
+        return sum(isinstance(o, feeder.Bus) for o in gc.get_objects())
+
+    solve_power_flow(ladder)
+    before = bus_count()
+    scaled = ladder.with_scaled_loads(1.15).with_scaled_loads(1 / 1.15)
+    solve_power_flow(scaled)
+    assert bus_count() == before
+    assert "buses" not in vars(scaled)
+    assert len(scaled.buses) == len(ladder.bus_ids)  # built on first read
+    assert bus_count() == before + len(ladder.bus_ids)
