@@ -14,6 +14,7 @@ from .adaptation import (AdaptationError, AdaptiveConfig, WindowStats, capacity_
                          window_stats)
 from .analysis import (AnalysisError, ConvergenceReport, StabilityReport, outer_b_matrix,
                        predict_sse, required_dq, spectral_radius, stability_report)
+from .codec import VoltVarError
 from .control import (AdaptiveParams, ControlError, ControllerKind, DroopParams,
                       adaptive_dispatch, delayed_dispatch, droop_dispatch, slope_to_cutoffs)
 from .feeder import (Bus, FeederError, FeederModel, Line, PowerFlowError, PowerFlowSolution,
@@ -59,6 +60,7 @@ __all__ = [
     "SubstationVoltage",
     "SwitchEvent",
     "TelegraphSpec",
+    "VoltVarError",
     "WindowStats",
     "adaptive_dispatch",
     "apply_topology_event",

@@ -27,10 +27,11 @@ import math
 
 import numpy as np
 
+from .codec import VoltVarError
 from .control import AdaptiveParams, check_adaptive, clamp
 
 
-class AdaptationError(ValueError):
+class AdaptationError(VoltVarError):
     """Invalid outer-loop configuration or window data."""
 
 

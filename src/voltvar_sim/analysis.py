@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import VoltVarError
 
-class AnalysisError(ValueError):
+
+class AnalysisError(VoltVarError):
     """Bad analysis input, a divergent series or a singular matrix."""
 
 

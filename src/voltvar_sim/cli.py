@@ -19,15 +19,14 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from . import analysis
-from .adaptation import AdaptationError
-from .control import ControlError
-from .feeder import (FeederError, FeederModel, PowerFlowError, energized_pv_buses,
-                     load_feeder, sensitivity_matrix, solve_power_flow)
+from .codec import VoltVarError
+from .feeder import (FeederModel, PowerFlowError, energized_pv_buses, load_feeder,
+                     sensitivity_matrix, solve_power_flow)
 from .presets import (BUILTIN_FEEDERS, PRESETS, get_preset, list_presets, load_builtin_feeder,
                       override_scenario)
 from .results import (metrics, metrics_table, sse_series, write_metrics, write_params_csv,
                       write_sweep_csv, write_trace_csv)
-from .scenario import Scenario, SimulationError, load_scenario, scenario_to_dict
+from .scenario import Scenario, load_scenario, scenario_to_dict
 from .sim import linearize, run as run_sim
 
 EXIT_OK = 0
@@ -65,7 +64,8 @@ def _resolve_run_inputs(args) -> tuple[FeederModel, Scenario]:
         raise _CliError("--scenario is required", EXIT_USAGE)
     key = scenario_ref.removeprefix("presets/")
     if key in PRESETS:
-        feeder, scenario = get_preset(key)
+        feeder = None if args.feeder is None else _resolve_feeder(args.feeder)
+        feeder, scenario = get_preset(key, feeder)
     else:
         path = Path(scenario_ref)
         if not path.exists():
@@ -76,8 +76,6 @@ def _resolve_run_inputs(args) -> tuple[FeederModel, Scenario]:
         scenario = load_scenario(path)
         if args.feeder is None:
             raise _CliError("--feeder is required with a scenario file", EXIT_USAGE)
-        feeder = _resolve_feeder(args.feeder)
-    if key in PRESETS and args.feeder is not None:
         feeder = _resolve_feeder(args.feeder)
     for k, v in _set_pairs(args):
         scenario = override_scenario(scenario, k, v)
@@ -257,8 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (SimulationError, FeederError, ControlError, AdaptationError,
-            analysis.AnalysisError) as exc:
+    except VoltVarError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -33,7 +33,12 @@ _SCALARS = {
 }
 
 
-class SchemaError(ValueError):
+class VoltVarError(ValueError):
+    """Base class of every error the package raises; a caller catches
+    this one class."""
+
+
+class SchemaError(VoltVarError):
     """A document value of the wrong form; `path` leads to it from the
     innermost key out."""
 

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import VoltVarError
+
 _SLOPE_RTOL = 1e-9
 
 
-class ControlError(ValueError):
+class ControlError(VoltVarError):
     """Invalid controller parameters."""
 
 

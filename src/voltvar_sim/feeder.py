@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import SchemaError, decode, encode
+from .codec import SchemaError, VoltVarError, decode, encode
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 30
@@ -83,7 +83,7 @@ FIXED_POINT_STEP = 1e-13
 SWEEP_BUSES = 120
 
 
-class FeederError(Exception):
+class FeederError(VoltVarError):
     """Invalid feeder description or topology request."""
 
 
@@ -110,8 +110,8 @@ class Bus:
     def __post_init__(self) -> None:
         if self.kind not in ("slack", "load"):
             raise FeederError(f"bus {self.id}: unknown kind {self.kind!r}")
-        if not self.base_voltage > 0:
-            raise FeederError(f"bus {self.id}: base_voltage must be > 0")
+        if not (math.isfinite(self.base_voltage) and self.base_voltage > 0):
+            raise FeederError(f"bus {self.id}: base_voltage must be finite and > 0")
         for name in ("load_p", "load_q", "v_set"):
             if not math.isfinite(getattr(self, name)):
                 raise FeederError(f"bus {self.id}: {name} must be finite")
@@ -135,6 +135,9 @@ class Line:
             raise FeederError(
                 f"line {self.name}: bad switch_state {self.switch_state!r}"
             )
+        for name in ("resistance", "reactance"):
+            if not math.isfinite(getattr(self, name)):
+                raise FeederError(f"line {self.name}: {name} must be finite")
         if abs(complex(self.resistance, self.reactance)) <= 0:
             raise FeederError(f"line {self.name}: impedance magnitude must be > 0")
 
@@ -158,6 +161,9 @@ class PvUnit:
     q_inj: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("rating_s", "p_out", "q_inj"):
+            if not math.isfinite(getattr(self, name)):
+                raise FeederError(f"pv at {self.bus}: {name} must be finite")
         if self.rating_s <= 0:
             raise FeederError(f"pv at {self.bus}: rating_s must be > 0")
         if self.p_out < 0:

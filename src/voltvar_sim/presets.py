@@ -20,8 +20,8 @@ from importlib.resources import files
 from typing import Callable
 
 from .adaptation import AdaptiveConfig
-from .codec import field_type, replace_path
-from .control import ControlError, ControllerKind
+from .codec import VoltVarError, field_type, replace_path
+from .control import ControllerKind
 from .feeder import FeederModel, feeder_from_dict
 from .scenario import (CloudCover, Intermittency, Scenario, SetpointChange, SimulationError,
                        SubstationVoltage, SwitchEvent, TelegraphSpec)
@@ -187,14 +187,17 @@ def list_presets() -> list[tuple[str, str]]:
     return [(name, p.description) for name, p in PRESETS.items()]
 
 
-def get_preset(name: str) -> tuple[FeederModel, Scenario]:
+def get_preset(name: str, feeder: FeederModel | None = None) -> tuple[FeederModel, Scenario]:
+    """The preset's feeder and its scenario; given `feeder`, the scenario
+    is built for that feeder in place of the preset's own."""
     key = name.removeprefix("presets/")
     if key not in PRESETS:
         raise SimulationError(
             f"unknown preset {name!r}; run the presets command for the catalog"
         )
     p = PRESETS[key]
-    feeder = load_builtin_feeder(p.feeder)
+    if feeder is None:
+        feeder = load_builtin_feeder(p.feeder)
     return feeder, p.build(feeder)
 
 
@@ -239,7 +242,7 @@ def override_scenario(scenario: Scenario, key: str, value: str) -> Scenario:
         return scenario
     except SimulationError:
         raise
-    except ControlError as exc:  # a value of the right type that the controller rejects
+    except VoltVarError as exc:  # a value of the right type that the scenario's parts reject
         raise SimulationError(f"bad value for override {key}: {value!r} ({exc})") from exc
     except ValueError as exc:
         raise SimulationError(f"bad value for override {key}: {value!r}") from exc

@@ -134,7 +134,8 @@ def metrics(trace: SimulationTrace, vf_lim: float) -> MetricsReport:
     over = trace.window_stats().vf > vf_lim
     fc_per = {b: int(n) for b, n in zip(trace.unit_buses, np.sum(over, axis=0))}
 
-    sustain_ticks = max(int(math.ceil(ANSI_SUSTAIN_S / trace.dt_inner)), 1)
+    # a sustain time longer than the horizon (inf at a tiny dt_inner) counts no run
+    sustain_ticks = max(math.ceil(min(ANSI_SUSTAIN_S / trace.dt_inner, h + 1)), 1)
     vvi_per: dict[str, int] = {}
     per = max(_BLOCK_BYTES // (h + 2), 1)  # buses per block of bool masks
     for i in range(0, len(trace.bus_ids), per):

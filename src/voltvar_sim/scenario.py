@@ -19,11 +19,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .adaptation import AdaptiveConfig
-from .codec import SchemaError, decode, encode, within
+from .codec import SchemaError, VoltVarError, decode, encode, within
 from .control import ControllerKind
 
 
-class SimulationError(ValueError):
+class SimulationError(VoltVarError):
     """Invalid scenario, event, or model/scenario mismatch."""
 
 
@@ -214,6 +214,8 @@ class Scenario:
             raise SimulationError("horizon must be >= t_outer")
         if not (math.isfinite(self.dt_inner) and self.dt_inner > 0):
             raise SimulationError("dt_inner must be finite and > 0")
+        if self.seed < 0:
+            raise SimulationError("seed must be >= 0")
         if not 0.5 <= self.mu <= 1.5:
             raise SimulationError("mu: set-point outside 0.5-1.5 pu")
         for name in ("droop_slope", "droop_deadband"):

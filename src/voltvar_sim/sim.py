@@ -17,6 +17,7 @@ engine and the linearized feeder it can run on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
@@ -73,6 +74,8 @@ class LinearizedFeeder:
         return (self.slack_id,) + self.load_bus_ids
 
     def with_slack_voltage(self, v_pu: float) -> "LinearizedFeeder":
+        if not (math.isfinite(v_pu) and v_pu > 0):
+            raise FeederError(f"bus {self.slack_id}: v_set must be finite and > 0")
         return replace(self, v_slack=v_pu)
 
     def voltages(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:

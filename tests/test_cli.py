@@ -9,12 +9,13 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import voltvar_sim
 from voltvar_sim import cli
 from voltvar_sim.cli import main
 from voltvar_sim.feeder import feeder_to_dict, solve_power_flow
-from voltvar_sim.presets import get_preset
+from voltvar_sim.presets import _OVERRIDES, get_preset
 from voltvar_sim.results import metrics, read_trace_csv
 from voltvar_sim.scenario import scenario_to_dict
 from voltvar_sim.sim import run
@@ -117,6 +118,21 @@ class TestRun:
         a = (out1 / "trace.csv").read_text()
         b = (out2 / "trace.csv").read_text()
         assert a != b
+
+    def test_preset_is_built_on_the_feeder_it_runs_on(self, tmp_path, monkeypatch, ieee4):
+        # intermittency has one telegraph series per unit of its feeder;
+        # built on feeder30, its events named buses that ieee4_mod lacks
+        built, ran = [], []
+        get_preset, run_sim = cli.get_preset, cli.run_sim
+        monkeypatch.setattr(cli, "get_preset", lambda *a: built.append(a) or get_preset(*a))
+        monkeypatch.setattr(cli, "run_sim", lambda sc, model: ran.append((sc, model)) or run_sim(sc, model))
+        assert main(["run", "--scenario", "presets/intermittency", "--feeder", "ieee4_mod",
+                     "--out", str(tmp_path)]) == 0
+        [(key, feeder)] = built  # one build, through the name the tracer times
+        [(scenario, model)] = ran
+        assert key == "intermittency" and feeder is model and model == ieee4
+        assert len(scenario.series) == len(ieee4.pv_buses) == 2
+        assert [ev.buses for _, ev in scenario.events] == [(b,) for b in ieee4.pv_buses]
 
     def test_linear_engine_run(self, tmp_path):
         assert main(["run", "--scenario", "fig3a", "--engine", "linear",
@@ -328,18 +344,67 @@ def test_usage_error_exits_2():
     assert main([]) == 2
 
 
-def test_every_public_error_class_is_exported():
-    # a library caller catches what the package raises without importing
-    # a submodule; `codec.SchemaError` never leaves it (the feeder and
-    # scenario loaders raise FeederError or SimulationError instead)
-    internal = {"voltvar_sim.codec.SchemaError"}
-    found = set()
+def _public_error_classes() -> dict[str, type]:
+    """Every public exception class of every module of the package, by
+    qualified name."""
+    found = {}
     for info in pkgutil.iter_modules(voltvar_sim.__path__, "voltvar_sim."):
         module = importlib.import_module(info.name)
         for name, cls in inspect.getmembers(module, inspect.isclass):
-            if (cls.__module__ == info.name and issubclass(cls, Exception)
-                    and not name.startswith("_") and f"{info.name}.{name}" not in internal):
-                found.add(name)
-                assert getattr(voltvar_sim, name, None) is cls, name
-                assert name in voltvar_sim.__all__, name
-    assert {"AnalysisError", "ControlError", "AdaptationError", "FeederError"} <= found
+            if cls.__module__ == info.name and issubclass(cls, Exception) and name[0] != "_":
+                found[f"{info.name}.{name}"] = cls
+    return found
+
+
+def test_every_public_error_class_is_exported():
+    # a library caller catches what the package raises with one class and
+    # without importing a submodule; `codec.SchemaError` never leaves it
+    # (the feeder and scenario loaders raise FeederError or SimulationError
+    # instead), but it is one of the family too
+    internal = {"voltvar_sim.codec.SchemaError"}
+    classes = _public_error_classes()
+    for qualified, cls in classes.items():
+        assert issubclass(cls, voltvar_sim.VoltVarError), qualified
+        if qualified not in internal:
+            assert getattr(voltvar_sim, cls.__name__, None) is cls, qualified
+            assert cls.__name__ in voltvar_sim.__all__, qualified
+    assert {"voltvar_sim.analysis.AnalysisError", "voltvar_sim.control.ControlError",
+            "voltvar_sim.adaptation.AdaptationError", "voltvar_sim.feeder.FeederError",
+            "voltvar_sim.feeder.PowerFlowError", "voltvar_sim.scenario.SimulationError",
+            "voltvar_sim.codec.VoltVarError"} <= set(classes)
+    assert issubclass(voltvar_sim.VoltVarError, ValueError)
+
+
+@pytest.mark.parametrize("cls", _public_error_classes().values(), ids=lambda cls: cls.__name__)
+def test_main_exits_2_on_every_package_error(cls, tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise cls("rejected for a reason")
+
+    monkeypatch.setattr(cli, "run_sim", fail)
+    assert main(["run", "--scenario", "presets/fig10a", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "rejected for a reason\n"
+
+
+# --set keys and --seed, and values of every kind: numbers and non-numbers
+_OVERRIDE_KEYS = sorted(_OVERRIDES) + ["--seed"]
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-320", "5e-324", "1e308",
+                     "1e400", "true", "false", "fast", "", " ", "delayed", "adaptive", "1_0"]),
+    st.floats().map(repr),
+    st.integers(-10**12, 10**12).map(str),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(key="--seed", value="-1")
+@example(key="seed", value="-1")
+@example(key="dt_inner", value="1e-320")
+@given(key=st.sampled_from(_OVERRIDE_KEYS), value=_VALUES)
+def test_no_override_value_escapes_main(tmp_path_factory, key, value):
+    # a horizon of 10^11 ticks runs out of memory, a resource limit and not
+    # an input check; memory grows with the horizon, so it is drawn small
+    if key == "horizon" and value.strip().lstrip("+-").isdigit():
+        assume(int(value) <= 10**4)
+    flag = ["--seed", value] if key == "--seed" else ["--set", f"{key}={value}"]
+    out = tmp_path_factory.mktemp("override")
+    assert main(["run", "--scenario", "presets/fig10a", *flag, "--out", str(out)]) in (0, 2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from voltvar_sim.feeder import (
     solve_power_flow,
     voltage_sensitivities,
 )
+from voltvar_sim.sim import linearize
 
 from oracles import (
     bus_injections,
@@ -524,20 +526,46 @@ def test_close_then_reopen_matches_fresh_solve(ieee4):
 
 @pytest.mark.parametrize("v_set", [-1.0, 0.0, -0.0])
 def test_slack_set_point_must_be_positive(ieee4, v_set):
-    # -1.0 would solve to |V| = 1.0 pu and 0.0 to NaN voltages
+    # -1.0 would solve to |V| = 1.0 pu and 0.0 to NaN voltages; on the
+    # linear twin, to about -0.98 pu and 0.01 pu
     doc = feeder_to_dict(ieee4)
     doc["buses"][0]["v_set"] = v_set
     assert doc["buses"][0]["kind"] == "slack"
     with pytest.raises(FeederError, match="bus bus1: v_set must be finite and > 0"):
         feeder_from_dict(doc)
-    with pytest.raises(FeederError, match="bus bus1: v_set must be finite and > 0"):
-        ieee4.with_slack_voltage(v_set)
+    for model in (ieee4, linearize(ieee4)):
+        with pytest.raises(FeederError, match="bus bus1: v_set must be finite and > 0"):
+            model.with_slack_voltage(v_set)
 
 
 @pytest.mark.parametrize("v_pu", [float("nan"), float("inf")])
 def test_slack_voltage_must_be_finite(ieee4, v_pu):
-    with pytest.raises(FeederError, match="v_set must be finite"):
-        ieee4.with_slack_voltage(v_pu)
+    for model in (ieee4, linearize(ieee4)):
+        with pytest.raises(FeederError, match="v_set must be finite"):
+            model.with_slack_voltage(v_pu)
+
+
+_NOT_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE)
+@pytest.mark.parametrize("part, key, message", [
+    ("lines", "resistance", "line bus1-bus2: resistance must be finite"),
+    ("lines", "reactance", "line bus1-bus2: reactance must be finite"),
+    ("pv_units", "rating_s", "pv at bus3: rating_s must be finite"),
+    ("pv_units", "p_out", "pv at bus3: p_out must be finite"),
+    ("pv_units", "q_inj", "pv at bus3: q_inj must be finite"),
+    ("buses", "base_voltage", "bus bus1: base_voltage must be finite and > 0"),
+])
+def test_feeder_numbers_must_be_finite(ieee4, part, key, message, value):
+    # a NaN resistance would make every solve return NaN without converging
+    doc = feeder_to_dict(ieee4)
+    row = doc[part][0]
+    row[key] = value
+    with pytest.raises(FeederError, match=message):
+        feeder_from_dict(json.loads(json.dumps(doc)))  # json reads NaN and Infinity
+    with pytest.raises(FeederError, match=message):
+        replace(getattr(ieee4, part)[0], **{key: value})  # through the constructor
 
 
 def test_nan_load_scale_rejected(ieee4):

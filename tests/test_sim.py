@@ -476,6 +476,8 @@ class TestScenarioValidation:
         pytest.param(lambda d: d.update(series={"s": {"telegraph": {"low": 0.9, "high": 0.5}}}),
                      "low <= high", id="telegraph-low-above-high"),
         pytest.param(lambda d: d.update(horizon=0), "horizon must be >= 1", id="horizon-zero"),
+        # numpy's generator takes no negative seed
+        pytest.param(lambda d: d.update(seed=-1), "seed must be >= 0", id="seed-negative"),
     ])
     def test_scenario_document_rejected(self, edit, match):
         doc = {"horizon": 40, "t_outer": 10, "controller": {"kind": "conventional"},
@@ -873,6 +875,14 @@ class TestMetrics:
         volts_long = [1.0] * 5 + [1.055] * 320 + [1.0] * 5
         rep2 = metrics(self._trace(volts_long), 0.03)
         assert rep2.vvi_per_bus["b"] == 320
+
+    @pytest.mark.parametrize("dt_inner", [1e-320, 5e-324, 1.0 / 3])
+    def test_sustain_longer_than_the_horizon_counts_no_run(self, dt_inner):
+        # 300 s over a tiny dt_inner is inf ticks, which once raised
+        # OverflowError; a run of the whole horizon is still too short
+        volts = [1.055] * 40
+        rep = metrics(replace(self._trace(volts), dt_inner=dt_inner), 0.03)
+        assert rep.vvi == 0
 
     def test_square_wave_window_counts_one_flicker(self):
         # +/-0.5% square wave; hand evaluation puts its window VF at ~5%,
