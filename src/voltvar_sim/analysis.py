@@ -13,6 +13,7 @@ Every input passes one check, or raises `AnalysisError`: entries are
 finite reals, A is a square matrix, voltage vectors hold one value per
 inverter, and (the controllers being local, M = diag(m_i) and
 K = diag(k_d,i)) slopes, gains and `mu` are a scalar or one per inverter.
+Gains also follow the simulator's rule for `k_d`: finite and > 0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class StabilityReport:
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Outer-loop convergence: the B matrix and its spectral radius.
-    `k_d_upper_scalar` is the single-inverter bound 2*(1/a + m)."""
+    `k_d_upper_scalar` is the single-inverter bound 2*(1/a + m), None for
+    several inverters or a bound beyond the float range."""
 
     b_matrix: np.ndarray
     rho_b: float
@@ -165,11 +167,15 @@ def outer_b_matrix(
     a = _finite(a_matrix, "A")
     n = a.shape[0]
     m, k = _diag(m_diag, n), _diag(k_diag, n)
+    if not np.all(k.diagonal() > 0):
+        raise AnalysisError("k_d must be finite and > 0")
     b = np.eye(n) - _closed_loop(a, m, a @ k)
     rho = spectral_radius(b)
     k_upper = None
     if n == 1 and a[0, 0] != 0:
-        k_upper = float(2.0 * (1.0 / a[0, 0] + m[0, 0]))
+        with np.errstate(over="ignore"):  # a bound past the float range is no bound
+            bound = float(2.0 * (1.0 / a[0, 0] + m[0, 0]))
+        k_upper = bound if np.isfinite(bound) else None
     return ConvergenceReport(
         b_matrix=b,
         rho_b=rho,

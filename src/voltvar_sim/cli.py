@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -122,6 +123,16 @@ def _analyze_params(args) -> dict[str, float]:
     return params
 
 
+def _strict(value):
+    """`value` with every float that is not finite as None: strict JSON
+    has no NaN or infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [_strict(x) for x in value]
+    return value
+
+
 def cmd_analyze(args) -> int:
     if args.feeder is None:
         raise _CliError("--feeder is required", EXIT_USAGE)
@@ -155,7 +166,7 @@ def cmd_analyze(args) -> int:
         "converges": conv.converges,
         "k_d_upper_scalar": conv.k_d_upper_scalar,
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps({k: _strict(v) for k, v in payload.items()}, indent=2, allow_nan=False))
     verdict = "STABLE" if stab.stable_spectral else "UNSTABLE"
     outcome = "CONVERGES" if conv.converges else "DIVERGES"
     print(f"inner loop: {verdict} (rho(MA) = {stab.rho_ma:.4f}, "

@@ -730,19 +730,19 @@ def _fixed_point(
     v_l = v_src if v0 is None else v0[pq]
     step = np.inf if len(pq) else 0.0
     iterations = 0
-    # on feeder-sized arrays call overhead, not arithmetic, is the cost of
-    # an iteration, so the step is one direct ufunc reduction (the loop is
-    # never entered with an empty `pq`)
+    # on feeder-sized arrays call overhead, not arithmetic, is the cost of an
+    # iteration: the mat-vecs are `dot` (the zgemv of `@` without matmul's
+    # dispatch), the step one direct ufunc reduction (never on an empty `pq`)
     with np.errstate(all="ignore"):
         while iterations < DEFAULT_MAX_ITER and step > FIXED_POINT_STEP:
-            v_new = v_src + z @ np.conj(s_l / v_l)
+            v_new = v_src + z.dot(np.conj(s_l / v_l))
             step = np.maximum.reduce(np.abs(v_new - v_l))
             v_l = v_new
             iterations += 1
             if not math.isfinite(step):
                 break
         v[pq] = v_l
-        ds = s_l - v_l * np.conj((net.ybus @ v)[pq])
+        ds = s_l - v_l * np.conj(net.ybus.dot(v)[pq])
         # max(max|Re|, max|Im|) over the interleaved parts
         mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
     converged = bool(step <= FIXED_POINT_STEP and mismatch <= tol)

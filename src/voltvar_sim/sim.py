@@ -82,8 +82,8 @@ class LinearizedFeeder:
         """Load-bus voltages at PV outputs `p` and var dispatches `q`."""
         return (
             self.v_base
-            + self.dv_dq @ (q - self.q_base)
-            + self.dv_dp @ (p - self.p_base)
+            + self.dv_dq.dot(q - self.q_base)
+            + self.dv_dp.dot(p - self.p_base)
             + self._slack_term
         )
 
@@ -181,7 +181,6 @@ class SimulationEngine:
             self.ratings = np.array(model.pv_ratings, dtype=float)
             self._solve = SimulationEngine._solve_linear
             self._dark_units = model.dark_pv_buses
-            self._row = np.empty(len(model.bus_ids))
         else:
             # the profile drives PV output; any stored p_out/q_inj on the
             # model is an analysis operating point, not simulation state.
@@ -192,8 +191,11 @@ class SimulationEngine:
             self.ratings = np.array([u.rating_s for u in model.pv_units], dtype=float)
             self._solve = SimulationEngine._solve_full
             self._dark_units = ()
+            self._inj = np.zeros(len(model.bus_ids), dtype=complex)
         self.model = model
         self.bus_ids = model.bus_ids
+        # the engine's own voltage row, refilled in place by each solve
+        self._row = np.full(len(self.bus_ids), np.nan)
         self.unit_buses = model.pv_buses
         n = len(self.unit_buses)
         if not n and scenario.controller_kind.name != "none":
@@ -330,6 +332,7 @@ class SimulationEngine:
         elif isinstance(ev, SwitchEvent):
             self.model = apply_topology_event(self.model, ev.switch_id, ev.state)
             self._last_solution = None  # island changed; cold start
+            self._row.fill(np.nan)  # buses the switch darkens read NaN
         elif isinstance(ev, LoadScale):
             self.model = self.model.with_scaled_loads(ev.factor)
 
@@ -340,7 +343,7 @@ class SimulationEngine:
         if self._params is None:
             return np.zeros(len(self.unit_buses))
         v = self.voltages[t - 1, self._unit_cols]
-        active = self._generating[t] & ~np.isnan(v)
+        active = self._generating[t] & (v == v)  # NaN on dark buses
         if kind.name == "adaptive":
             return np.where(active, adaptive_dispatch(self._rows, v), 0.0)
         if self.scenario.recompute_droop_capacity:
@@ -371,15 +374,14 @@ class SimulationEngine:
     # `bus_ids` order, converged).
 
     def _solve_full(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
-        inj = np.zeros(len(self.bus_ids), dtype=complex)
-        inj[self._unit_cols] = p + 1j * q
+        self._inj.real[self._unit_cols] = p
+        self._inj.imag[self._unit_cols] = q
         # through the `sim` namespace: perfbench's tracer patches it here
-        sol = solve_power_flow(self.model, injections=inj, v_init=self._last_solution)
+        sol = solve_power_flow(self.model, injections=self._inj, v_init=self._last_solution)
         if sol.converged:
             self._last_solution = sol
-        row = np.full(len(self.bus_ids), np.nan)  # dark buses stay NaN
-        row[self.model.network.cols] = sol.v_mag
-        return row, sol.converged
+        self._row[self.model.network.cols] = np.abs(sol.v)  # the caller copies the row out
+        return self._row, sol.converged
 
     def _solve_linear(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
         self._row[0] = self.model.v_slack  # the caller copies the row out
@@ -402,7 +404,7 @@ class SimulationEngine:
         t = self.tick
         if t >= self.scenario.horizon:
             raise SimulationError("simulation horizon exhausted")
-        for ev in self.live_events.get(t, []):
+        for ev in self.live_events.get(t, ()):
             self._apply_live_event(ev)
         self._solve_and_record(t, self._dispatch(t))
         if self.scenario.controller_kind.name == "adaptive" and t % self.scenario.t_outer == 0:

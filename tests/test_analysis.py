@@ -186,6 +186,8 @@ class TestOuterBMatrix:
         assert rep.k_d_upper_scalar == pytest.approx(2 * (1 / 0.2857 + 1.0))
         rep2 = outer_b_matrix(np.eye(2) * 0.3, 1.0, 4.0)
         assert rep2.k_d_upper_scalar is None
+        # a bound past the float range is none either, and raises no warning
+        assert outer_b_matrix(np.array([[0.25]]), 1e308, 4.0).k_d_upper_scalar is None
 
     def test_per_inverter_gains_match_scalar(self):
         a = np.array([[0.30, 0.28], [0.27, 0.44]])

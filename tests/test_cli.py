@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import voltvar_sim
 from voltvar_sim import cli
+from voltvar_sim.analysis import AnalysisError, outer_b_matrix
 from voltvar_sim.cli import main
 from voltvar_sim.feeder import feeder_to_dict, solve_power_flow
 from voltvar_sim.presets import _OVERRIDES, get_preset
@@ -212,6 +213,39 @@ class TestAnalyze:
 
     def test_unknown_analyze_key_exits_2(self):
         assert main(["analyze", "--feeder", "ieee4_mod", "--set", "tau=0.5"]) == 2
+
+    @pytest.mark.parametrize("k_d", ["-1", "0", "-0.0"])
+    def test_gain_held_to_the_run_rule(self, capsys, tmp_path, k_d):
+        # `analyze` and `run` take the same gains (`AdaptiveConfig`'s rule)
+        with pytest.raises(AnalysisError, match=r"^k_d must be finite and > 0$"):
+            outer_b_matrix(np.array([[0.30, 0.28], [0.27, 0.44]]), 1.0, [4.0, float(k_d)])
+        for argv in (["analyze", "--feeder", "ieee4_mod"],
+                     ["run", "--scenario", "presets/fig10a", "--out", str(tmp_path)]):
+            assert main(argv + ["--set", f"k_d={k_d}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "k_d must be finite and > 0" in captured.err
+
+    @staticmethod
+    def _strict_payload(out: str) -> dict:
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+        return json.JSONDecoder(parse_constant=reject).raw_decode(out)[0]
+
+    def test_bound_past_the_float_range_is_null(self, capsys):
+        assert main(["analyze", "--feeder", "ieee4_mod", "--set", "m=1e308"]) == 3
+        payload = self._strict_payload(capsys.readouterr().out)
+        assert payload["slope"] == 1e308
+        assert payload["k_d_upper_scalar"] is None
+
+    def test_non_finite_payload_floats_are_null(self, capsys, monkeypatch):
+        # a zero sensitivity row: no critical slope, no single-inverter bound
+        monkeypatch.setattr(cli, "sensitivity_matrix", lambda *a: np.zeros((1, 1)))
+        assert main(["analyze", "--feeder", "ieee4_mod"]) == 3
+        payload = self._strict_payload(capsys.readouterr().out)
+        assert payload["critical_slopes"] == [None]
+        assert payload["k_d_upper_scalar"] is None
+        assert payload["rho_b"] == 1.0
 
     def test_feeder_required(self):
         assert main(["analyze"]) == 2

@@ -775,6 +775,95 @@ class TestDivergenceHandling:
         assert trace.flags[19] == "pf_diverged"
 
 
+def _diverging_two_bus() -> FeederModel:
+    return FeederModel(
+        buses=(Bus("src", "slack", v_set=1.0), Bus("b2", "load", load_p=0.4, load_q=0.1)),
+        lines=(Line("src", "b2", 0.02, 0.2),),
+        pv_units=(PvUnit("b2", 0.3, p_out=0.0),),
+    )
+
+
+def _switch_pair(ieee4, feeder30):
+    switched = ((15, SwitchEvent("switch1", "closed")), (25, SwitchEvent("switch1", "open")))
+    return ieee4, [_scenario(ControllerKind("conventional"), horizon=40, events=switched),
+                   _scenario(ControllerKind("conventional"), horizon=40)]
+
+
+def _intermittency_pair(ieee4, feeder30):
+    _, sc = get_preset("intermittency", feeder30)
+    sc = replace(sc, horizon=200)
+    return feeder30, [replace(sc, controller_kind=ControllerKind("conventional")), sc]
+
+
+def _divergence_pair(ieee4, feeder30):
+    # 40x load diverges at ticks 8-10; scaled back, tick 11 converges again
+    diverge = ((8, LoadScale(40.0)), (11, LoadScale(1 / 40)))
+    return _diverging_two_bus(), [
+        _scenario(ControllerKind("conventional"), horizon=20, profile=0.2, events=diverge),
+        _scenario(ControllerKind("none"), horizon=20, profile=0.2, events=((8, LoadScale(9.0)),)),
+    ]
+
+
+class TestEngineBuffers:
+    """Each engine solves into its own injection array and voltage row;
+    engines on one model share its compiled network and nothing else."""
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(_switch_pair, id="ieee4-switch"),
+        pytest.param(_intermittency_pair, id="feeder30-intermittency"),
+        pytest.param(_divergence_pair, id="two-bus-diverged-tick"),
+    ])
+    def test_alternating_engines_match_solo_runs(self, case, ieee4, feeder30, monkeypatch):
+        model, scenarios = case(ieee4, feeder30)
+        alone = [run(sc, model) for sc in scenarios]
+        # the injection array and voltage row of every solve, per engine
+        used: dict[int, list[np.ndarray]] = {}
+        solving = []
+        solve_full, solve = SimulationEngine._solve_full, sim_module.solve_power_flow
+
+        def spy_full(engine, p, q):
+            solving[:] = [engine]
+            row, converged = solve_full(engine, p, q)
+            used[id(engine)].append(row)
+            return row, converged
+
+        def spy(m, injections=None, v_init=None):
+            used.setdefault(id(solving[0]), []).append(injections)
+            return solve(m, injections=injections, v_init=v_init)
+
+        monkeypatch.setattr(SimulationEngine, "_solve_full", spy_full)
+        monkeypatch.setattr(sim_module, "solve_power_flow", spy)
+        engines = [SimulationEngine(sc, model) for sc in scenarios]
+        assert engines[0].model.network is engines[1].model.network
+        for _ in range(1, scenarios[0].horizon):
+            for engine in engines:
+                engine.step_inner()
+        for engine, want in zip(engines, alone):
+            got = engine.run()
+            assert got.voltages.tobytes() == want.voltages.tobytes()
+            assert got.q_inj.tobytes() == want.q_inj.tobytes()
+            assert got.flags == want.flags
+        # no array of one engine's solves is (part of) another engine's
+        mine, theirs = ({id(x): x for x in used[id(e)]}.values() for e in engines)
+        assert not any(np.shares_memory(x, y) for x in mine for y in theirs)
+        assert all(len({id(x) for x in used[id(e)]}) == 2 for e in engines)  # one of each
+        if case is _switch_pair:  # bus4 is lit only while switch1 is closed
+            lit = ~np.isnan(alone[0].bus_voltage("bus4"))
+            assert np.flatnonzero(lit).tolist() == list(range(15, 25))
+
+    def test_diverged_ticks_carry_the_last_row(self):
+        model, (diverging, _) = _divergence_pair(None, None)
+        trace = run(diverging, model)
+        assert trace.flags[8:11] == ("pf_diverged",) * 3
+        assert trace.flags[11:] == ("",) * 9
+        assert np.all(trace.voltages[8:11] == trace.voltages[7])
+        # the first converged tick after them is its own solve, not the carried row
+        back = model.with_scaled_loads(40.0).with_scaled_loads(1 / 40)
+        fresh = solve_power_flow(back, injection_array(back, {"b2": (0.2, trace.q_inj[11, 0])}))
+        assert trace.voltages[11, 1] == pytest.approx(fresh.v_mag[1], abs=1e-8)
+        assert trace.voltages[11, 1] != trace.voltages[7, 1]
+
+
 class TestDeterminism:
     def test_identical_seed_bit_identical_trace(self):
         feeder, sc = get_preset("intermittency")
