@@ -133,6 +133,12 @@ def _strict(value):
     return value
 
 
+def _radius(x: float) -> str:
+    """A spectral radius for the summary lines: four decimals, in
+    exponent form from 1e6 on."""
+    return f"{x:.4f}" if abs(x) < 1e6 else f"{x:.4e}"
+
+
 def cmd_analyze(args) -> int:
     if args.feeder is None:
         raise _CliError("--feeder is required", EXIT_USAGE)
@@ -169,9 +175,9 @@ def cmd_analyze(args) -> int:
     print(json.dumps({k: _strict(v) for k, v in payload.items()}, indent=2, allow_nan=False))
     verdict = "STABLE" if stab.stable_spectral else "UNSTABLE"
     outcome = "CONVERGES" if conv.converges else "DIVERGES"
-    print(f"inner loop: {verdict} (rho(MA) = {stab.rho_ma:.4f}, "
+    print(f"inner loop: {verdict} (rho(MA) = {_radius(stab.rho_ma)}, "
           f"critical slopes {', '.join(f'{c:.4g}' for c in stab.critical_slopes)})")
-    print(f"outer loop: {outcome} (rho(B) = {conv.rho_b:.4f})")
+    print(f"outer loop: {outcome} (rho(B) = {_radius(conv.rho_b)})")
     if stab.stable_spectral and conv.converges:
         return EXIT_OK
     return EXIT_UNSTABLE

@@ -10,11 +10,16 @@ a trace back with its metrics unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import os
+import shutil
+import tempfile
+import warnings
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from pathlib import Path
@@ -214,6 +219,11 @@ _TRACE_HEADER = ["tick", "bus", "V_pu", "q_inj_pu", "p_out_pu", "mu_pu", "flags"
 _PARAMS_HEADER = ["tick", "bus", "m_p", "q_p", "q_min_p", "q_max_p", "v_min_p", "v_max_p", "mu"]
 # rows per CSV block; writing linear150's trace (151 buses, 3000 ticks) peaks at ~180 KB
 _BLOCK_ROWS = 512
+# fewest trace rows per formatting process; below twice this a trace is
+# written serially.  study30's 21,700-row and ladder300's ~12.5k-row
+# traces stay serial: split at 8,192 rows, study30's set-up time rose by
+# about 7%
+_SPLIT_ROWS = 32768
 
 
 def _csv_cell(s: str) -> str:
@@ -234,11 +244,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return cells[inv.ravel()]
 
 
-def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Long-format trace: one row per (tick, bus); the PV columns (var
-    dispatch, real output, set-point) are empty on buses without a unit.
-    Floats keep full round-trip precision.  Rows are built and written a
-    block of ticks at a time."""
+def _trace_rows(trace: SimulationTrace, t_start: int, t_stop: int, f) -> None:
+    """The trace CSV's rows of ticks [t_start, t_stop), written to text
+    file `f` a block of ticks at a time."""
     unit_of = {b: j for j, b in enumerate(trace.unit_buses)}
     has_unit = np.array([b in unit_of for b in trace.bus_ids], dtype=bool)
     cols = [unit_of[b] for b in trace.bus_ids if b in unit_of]
@@ -248,21 +256,85 @@ def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
     rows = np.empty((step, len(trace.bus_ids), len(_TRACE_HEADER)), dtype=object)
     rows[:, :, 1] = [_csv_cell(b) for b in trace.bus_ids]
     rows[:, ~has_unit, 3:6] = (",,,", "", "")
+    for t0 in range(t_start, t_stop, step):
+        t1 = min(t0 + step, t_stop)
+        v = trace.voltages[t0:t1]
+        units = np.stack([a[t0:t1, cols] for a in (trace.q_inj, trace.p_out, trace.mu)],
+                         axis=-1)
+        cells = _float_cells(np.concatenate([v.ravel(), units.ravel()]))
+        block = rows[: t1 - t0]
+        block[:, :, 0] = np.array([str(t) for t in range(t0, t1)], dtype=object)[:, None]
+        block[:, :, 2] = cells[: v.size].reshape(v.shape)
+        block[:, has_unit, 3:6] = cells[v.size :].reshape(units.shape)
+        block[:, :, 6] = np.array([ends[fl] for fl in trace.flags[t0:t1]],
+                                  dtype=object)[:, None]
+        f.write("".join(block.ravel().tolist()))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot tell or cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def write_trace_csv(trace: SimulationTrace, path: str | Path) -> None:
+    """Long-format trace: one row per (tick, bus); the PV columns (var
+    dispatch, real output, set-point) are empty on buses without a unit.
+    Floats keep full round-trip precision.  A trace of at least twice `_SPLIT_ROWS` rows
+    is cut into contiguous tick ranges, at most one per usable CPU, that
+    forked children format at the same time into unnamed temporary
+    files; they are appended in tick order.  A range's text depends on
+    its rows alone, so every split gives the same bytes."""
+    path = Path(path)
+    parts = max(1, min(_usable_cpus(), trace.horizon * len(trace.bus_ids) // _SPLIT_ROWS))
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(_TRACE_HEADER)
-        for t0 in range(0, trace.horizon, step):
-            t1 = min(t0 + step, trace.horizon)
-            v = trace.voltages[t0:t1]
-            units = np.stack([a[t0:t1, cols] for a in (trace.q_inj, trace.p_out, trace.mu)],
-                             axis=-1)
-            cells = _float_cells(np.concatenate([v.ravel(), units.ravel()]))
-            block = rows[: t1 - t0]
-            block[:, :, 0] = np.array([str(t) for t in range(t0, t1)], dtype=object)[:, None]
-            block[:, :, 2] = cells[: v.size].reshape(v.shape)
-            block[:, has_unit, 3:6] = cells[v.size :].reshape(units.shape)
-            block[:, :, 6] = np.array([ends[fl] for fl in trace.flags[t0:t1]],
-                                      dtype=object)[:, None]
-            f.write("".join(block.ravel().tolist()))
+        if parts == 1:
+            _trace_rows(trace, 0, trace.horizon, f)
+            return
+        bounds = [trace.horizon * k // parts for k in range(parts + 1)]
+        with contextlib.ExitStack() as stack:
+            tmps = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                    for _ in range(parts)]
+            pids: list[int] = []
+            try:
+                for tmp, t0, t1 in zip(tmps, bounds, bounds[1:]):
+                    pids.append(_format_in_child(trace, t0, t1, tmp))
+            finally:
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+            if any(codes):
+                raise OSError(f"could not format every part of trace {path}")
+            f.flush()
+            for tmp in tmps:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, f.buffer)
+
+
+def _format_in_child(trace: SimulationTrace, t_start: int, t_stop: int, tmp) -> int:
+    """Fork a child that writes the rows of ticks [t_start, t_stop) to
+    binary file `tmp`, UTF-8 encoded, and exits 0 (1 if that fails); the
+    parent gets the child's pid.  The child leaves through `os._exit`:
+    it never returns into the caller's stack, runs no atexit handler and
+    flushes no buffer it shares with the parent.
+
+    Python 3.12 and later warn when a process with threads forks, and
+    OpenBLAS may start threads at import.  The fork is safe all the
+    same: the child runs only `_trace_rows` and `os._exit`, so it takes
+    no lock another thread may hold and makes no BLAS call."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        with open(tmp.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
+            _trace_rows(trace, t_start, t_stop, out)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def write_params_csv(trace: SimulationTrace, path: str | Path) -> None:

@@ -238,6 +238,14 @@ class TestAnalyze:
         assert payload["slope"] == 1e308
         assert payload["k_d_upper_scalar"] is None
 
+    @pytest.mark.parametrize("setting", ["m=1e308", "k_d=1e308"])
+    def test_summary_lines_stay_short_at_huge_gains(self, capsys, setting):
+        assert main(["analyze", "--feeder", "ieee4_mod", "--set", setting]) == 3
+        out = capsys.readouterr().out.splitlines()
+        summary = [line for line in out if line.startswith(("inner loop:", "outer loop:"))]
+        assert len(summary) == 2
+        assert all(len(line) < 120 for line in summary), summary
+
     def test_non_finite_payload_floats_are_null(self, capsys, monkeypatch):
         # a zero sensitivity row: no critical slope, no single-inverter bound
         monkeypatch.setattr(cli, "sensitivity_matrix", lambda *a: np.zeros((1, 1)))

@@ -1,16 +1,17 @@
 """Trace and parameter CSV I/O against the row-at-a-time `csv` oracles:
-the block writers produce the same bytes, and the bulk reader rebuilds
-the same trace bit for bit."""
+the block writers produce the same bytes, split across forked processes
+or not, and the bulk reader rebuilds the same trace bit for bit."""
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from voltvar_sim import results
@@ -96,6 +97,81 @@ def test_writers_match_row_oracles(tmp_path_factory, trace, block_rows):
         write_params_csv(trace, d / "got_params.csv")
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
     assert (d / "got_params.csv").read_bytes() == (d / "want_params.csv").read_bytes()
+
+
+# two parts of two ticks each: the boundary falls between the two
+# flagged ticks, and the bus ids need quoting or are not ASCII
+_FLAGGED_SPLIT = SimulationTrace(
+    bus_ids=('s"q', "é,b", "x"), unit_buses=("é,b",),
+    voltages=np.array([[1.0, 0.99, np.nan]] * 4),
+    q_inj=np.array([[0.01], [-0.0], [0.02], [1e-310]]), p_out=np.full((4, 1), 0.15),
+    mu=np.ones((4, 1)), flags=("", "pf_diverged", "pf_diverged", ""),
+    param_log=ParamLog(), dt_inner=1.0, t_outer=10,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=traces(), cpus=st.integers(2, 4),
+       block_rows=st.sampled_from([1, 7, results._BLOCK_ROWS]))
+@example(trace=_FLAGGED_SPLIT, cpus=2, block_rows=results._BLOCK_ROWS)
+def test_split_writer_matches_row_oracle(tmp_path_factory, trace, cpus, block_rows):
+    # parts of one row or more, one per mocked CPU: every trace of two or more rows splits
+    d = tmp_path_factory.mktemp("csv")
+    write_trace_csv_rows(trace, d / "want.csv")
+    with mock.patch.object(results, "_SPLIT_ROWS", 1), \
+            mock.patch.object(results, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(results, "_BLOCK_ROWS", block_rows):
+        write_trace_csv(trace, d / "got.csv")
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+    assert sorted(f.name for f in d.iterdir()) == ["got.csv", "want.csv"]
+
+
+def _large_trace(horizon: int, n_bus: int) -> SimulationTrace:
+    rng = np.random.default_rng(7)
+    bus_ids = tuple(f"b{i}" for i in range(n_bus))
+    units = n_bus // 3
+    return SimulationTrace(
+        bus_ids=bus_ids, unit_buses=bus_ids[::3][:units],
+        voltages=1.0 + 0.05 * rng.standard_normal((horizon, n_bus)),
+        q_inj=0.01 * rng.standard_normal((horizon, units)),
+        p_out=np.full((horizon, units), 0.15), mu=np.ones((horizon, units)),
+        flags=tuple("pf_diverged" if t % 97 == 0 else "" for t in range(horizon)),
+        param_log=ParamLog(), dt_inner=1.0, t_outer=10,
+    )
+
+
+def test_split_keeps_the_bytes_and_reaps_a_failed_child(tmp_path):
+    trace = _large_trace(2000, 36)  # 72,000 rows: two parts of the default size
+    assert trace.horizon * len(trace.bus_ids) >= 2 * results._SPLIT_ROWS
+    (tmp_path / "one").mkdir()
+    (tmp_path / "two").mkdir()
+    with mock.patch.object(results, "_usable_cpus", lambda: 1), \
+            mock.patch.object(os, "fork", side_effect=AssertionError("forked on one CPU")):
+        write_trace_csv(trace, tmp_path / "one" / "trace.csv")
+    with mock.patch.object(results, "_usable_cpus", lambda: 2):
+        write_trace_csv(trace, tmp_path / "two" / "trace.csv")
+    serial = (tmp_path / "one" / "trace.csv").read_bytes()
+    assert (tmp_path / "two" / "trace.csv").read_bytes() == serial
+    assert serial.count(b"\r\n") == 1 + 72_000
+
+    pid = os.getpid()
+    real_rows = results._trace_rows
+
+    def rows_failing_in_children(*args):
+        if os.getpid() != pid:
+            raise RuntimeError("part failed")
+        real_rows(*args)
+
+    out = tmp_path / "fail"
+    out.mkdir()
+    with mock.patch.object(results, "_usable_cpus", lambda: 2), \
+            mock.patch.object(results, "_trace_rows", rows_failing_in_children), \
+            pytest.raises(OSError, match="trace.csv"):
+        write_trace_csv(trace, out / "trace.csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [f.name for f in out.iterdir()] == ["trace.csv"]
+    assert os.getpid() == pid
 
 
 def _same_trace(a: SimulationTrace, b: SimulationTrace) -> bool:
