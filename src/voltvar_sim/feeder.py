@@ -4,34 +4,36 @@ Positive-sequence balanced model, per-unit on a single system VA base.
 Models are immutable snapshots and every operation returns new objects.
 
 A checked model indexes its bus/line graph once, as a `FeederGraph` of
-integers with a map from switch name to line, and every snapshot copied
-from it shares that index: no copy changes line ends, names, impedances
-or which lines are switches.  What events change, a snapshot holds as
-arrays: `loads`, the complex load of each bus, `v_slack`, and `closed`,
-whether each line is in service.  A load step is one array multiply and
-a finiteness check, a slack-voltage step one checked number, and neither
-builds a `Bus`: the copy's `buses` tuple is built from the arrays when it
-is first read (by `==` or `feeder_to_dict`, say) and then kept.  Each
-topology is walked breadth first on the index, into arrays, and compiled
-once into a `CompiledNetwork`: the energized island, the model-to-island
-index, the in-service lines as integer ends and impedances, the PQ index,
-then the arrays its solves iterate on.
+integers with a map from switch name to line and one depth-first walk of
+the whole graph, and every snapshot copied from it shares that index: no
+copy changes line ends, names, impedances or which lines are switches.
+What events change, a snapshot holds as arrays: `loads`, the complex
+load of each bus, `v_slack`, and `closed`, whether each line is in
+service.  A load step is one array multiply and a finiteness check, a
+slack-voltage step one checked number, and neither builds a `Bus`: the
+copy's `buses` tuple is built from the arrays when it is first read (by
+`==` or `feeder_to_dict`, say) and then kept.  Each topology's island
+walk is cut from the index's walk with array calls (or, if it closes a
+line off that walk's tree, walked afresh) and compiled once into a
+`CompiledNetwork`: the energized island, the model-to-island index, the
+in-service lines as integer ends and impedances, the PQ index, then the
+arrays its solves iterate on.
 `FeederModel.network` builds it on first use and keeps it; snapshots that
 differ only in loads or slack voltage share it, and a switch operation
-copies the closed mask, re-walks the island and makes a model that
-compiles its own.  The compiled network is never written after it is
-built (its lazily built arrays are computed once and kept), and no
-snapshot writes to what it shares, so snapshots stay safe to use
-concurrently.
+copies the closed mask, cuts its island walk and makes a model that
+compiles its own.  The index and the compiled network are never written
+after they are built (a network's lazily built arrays are computed once
+and kept), and no snapshot writes to what it shares, so snapshots stay
+safe to use concurrently.
 
 `solve_power_flow` iterates the fixed point V_L = w V_S + Z conj(S_L / V_L)
 of the backward/forward sweep (Shirmohammadi et al. 1988; Teng 2003) in
 one of two forms, chosen per island when it is compiled:
 - a radial island of more than `SWEEP_BUSES` buses runs the sweep itself
   on tree arrays (depth-first preorder, subtree ranges, the enter and
-  leave steps of a walk down the tree, line impedances), derived from the
-  breadth-first island walk: each iteration is a few O(n) array calls,
-  and no n x n array is built;
+  leave steps of a walk down the tree, line impedances), read off the
+  depth-first island walk: each iteration is a few O(n) array calls, and
+  no n x n array is built;
 - any other island, meshed ones of every size included, runs the matrix
   form with a dense Z = Y_LL^-1 from the Z-bus building algorithm rather
   than a factorization, and w = -Z Y_LS.  Z needs O(n^2) memory and
@@ -63,6 +65,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -232,7 +235,7 @@ class FeederModel:
             loads=_frozen(loads), v_slack=slack.v_set, closed=_frozen(closed),
         )
         # every bus must be reachable from the slack with all switches closed
-        full = graph.walk([True] * len(self.lines)).energized
+        full = graph.full.energized
         if not full.all():
             raise PowerFlowError(f"disconnected bus: {ids[np.flatnonzero(~full)[0]]}")
         self.__dict__["detachable_buses"] = frozenset(
@@ -270,7 +273,7 @@ class FeederModel:
         """The graph walked over the in-service lines: the one walk of this
         topology, which gives the island, the sweep's tree and the spanning
         tree the Z-bus build follows."""
-        return self._graph.walk(self.closed.tolist())
+        return self._graph.walk(self.closed)
 
     @cached_property
     def network(self) -> CompiledNetwork:
@@ -352,15 +355,46 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class Walk(NamedTuple):
-    """A breadth-first walk from the slack: the model indices of the buses
-    reached, in walk order, with the walk position of the bus each was
-    reached from and the index of the line it came by (-1 for the slack),
-    and which buses it reached."""
+    """A depth-first walk from the slack, the lines at each bus taken in
+    line order: the model indices of the buses reached, in preorder, with
+    the walk position of the bus each was reached from and the index of
+    the line it came by (-1 for the slack), which buses it reached, and
+    each one's depth (0 at the slack) and subtree size: the buses below
+    position i fill positions i to i + size[i] - 1."""
 
     buses: np.ndarray
     up: np.ndarray
     via: np.ndarray
     energized: np.ndarray
+    size: np.ndarray
+    depth: np.ndarray
+
+
+def _depth_first(adj: tuple[list[tuple[int, int]], ...], slack: int, closed: list[bool]) -> Walk:
+    """Walk depth first from the slack over the lines with `closed[k]`
+    true.  A bus's unseen neighbours go on the stack in reverse line
+    order, so that they come off it in line order."""
+    seen = [False] * len(adj)
+    buses, up, via, depth = [], [], [], []
+    stack = [(slack, -1, -1)]
+    while stack:
+        b, p, k = stack.pop()
+        if seen[b]:  # reached again, through a loop, before it came off the stack
+            continue
+        seen[b] = True
+        i = len(buses)
+        buses.append(b)
+        up.append(p)
+        via.append(k)
+        depth.append(depth[p] + 1 if i else 0)
+        stack.extend((c, i, line) for line, c in reversed(adj[b]) if closed[line] and not seen[c])
+    size = [1] * len(buses)
+    for i in range(len(buses) - 1, 0, -1):
+        size[up[i]] += size[i]
+    energized = np.zeros(len(adj), dtype=bool)
+    energized[buses] = True
+    return Walk(*np.array((buses, up, via), dtype=int), energized,
+                *np.array((size, depth), dtype=int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +406,9 @@ class FeederGraph:
 
     `adj[b]` lists (line, bus at its other end) for the lines at bus b, in
     line order; `ends[:, k]` are the (from, to) buses of line k and `z[k]`
-    its impedance; `switches` maps each switch's name to its line.
+    its impedance; `switches` maps each switch's name to its line.  `full`
+    is the depth-first walk over every line, as if all were closed, and
+    `tie[k]` is true for each line off its tree.
     """
 
     slack: int
@@ -380,24 +416,34 @@ class FeederGraph:
     ends: np.ndarray
     z: np.ndarray
     switches: dict[str, int]
+    full: Walk
+    tie: np.ndarray
 
-    def walk(self, closed: list[bool]) -> Walk:
-        """Walk breadth first from the slack over the lines with `closed[k]`
-        true, taking the lines at each bus in line order."""
-        adj, seen = self.adj, [False] * len(self.adj)
-        seen[self.slack] = True
-        buses, up, via = [self.slack], [-1], [-1]
-        for i, b in enumerate(buses):  # `buses` grows while it is walked
-            for k, c in adj[b]:
-                if closed[k] and not seen[c]:
-                    seen[c] = True
-                    buses.append(c)
-                    up.append(i)
-                    via.append(k)
-        buses, up, via = np.array((buses, up, via), dtype=int)
-        energized = np.zeros(len(adj), dtype=bool)
+    def walk(self, closed: np.ndarray) -> Walk:
+        """The depth-first walk over the lines with `closed[k]` true: with no
+        tie closed, `full` less the subtrees below its open lines, in its
+        preorder, cut out by array calls.  A closed tie can close a loop or
+        feed a region whose tree line is open, so it is walked afresh."""
+        if (closed & self.tie).any():
+            return _depth_first(self.adj, self.slack, closed.tolist())
+        full, n = self.full, len(self.full.buses)
+        cut = np.flatnonzero(~closed[full.via[1:]]) + 1  # positions below an open line
+        # +1 where a cut subtree starts and -1 just past its end: positions
+        # inside any of them sum above zero
+        marks = (np.bincount(cut, minlength=n + 1)
+                 - np.bincount(cut + full.size[cut], minlength=n + 1))
+        kept = np.cumsum(marks[:n]) == 0
+        at = np.flatnonzero(kept)
+        # the kept positions before each position: a kept one's island position
+        before = np.zeros(n + 1, dtype=int)
+        np.cumsum(kept, out=before[1:])
+        up = before[full.up[at]]
+        up[0] = -1
+        buses = full.buses[at]
+        energized = np.zeros(len(self.adj), dtype=bool)
         energized[buses] = True
-        return Walk(buses, up, via, energized)
+        return Walk(buses, up, full.via[at], energized,
+                    before[at + full.size[at]] - before[at], full.depth[at])
 
 
 def _index_graph(index: dict[str, int], slack: int, lines: tuple[Line, ...]) -> FeederGraph:
@@ -410,12 +456,17 @@ def _index_graph(index: dict[str, int], slack: int, lines: tuple[Line, ...]) -> 
         adj[a].append((k, b))
         adj[b].append((k, a))
         ends.append((a, b))
+    full = Walk(*map(_frozen, _depth_first(adj, slack, [True] * len(lines))))
+    tie = np.ones(len(lines), dtype=bool)
+    tie[full.via[1:]] = False
     return FeederGraph(
         slack=slack,
         adj=adj,
         ends=np.array(ends, dtype=int).reshape(-1, 2).T,
         z=np.array([complex(ln.resistance, ln.reactance) for ln in lines], dtype=complex),
         switches={ln.name: k for k, ln in enumerate(lines) if ln.switch_state != "none"},
+        full=full,
+        tie=_frozen(tie),
     )
 
 
@@ -550,7 +601,7 @@ def _compile(model: FeederModel) -> CompiledNetwork:
         if z is not None:
             z = z[np.ix_(pq, pq)]
     return CompiledNetwork(
-        island=tuple(model.bus_ids[k] for k in cols.tolist()),
+        island=tuple(compress(model.bus_ids, walk.energized.tolist())),
         cols=cols,
         pos=pos,
         line_ends=pos[graph.ends[:, on]],
@@ -563,36 +614,14 @@ def _compile(model: FeederModel) -> CompiledNetwork:
 
 
 def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
-    """The `RadialTree` of a radial island from its breadth-first `walk`,
+    """The `RadialTree` of a radial island from its depth-first `walk`,
     with `pos` the island position of each model bus and `z_line` the line
-    impedances.  The walk meets each bus's children in the order a
-    depth-first walk takes them (Shirmohammadi et al. number the branches
-    layer by layer from the same walk), so one reverse pass gives the
-    subtree sizes, one forward pass the preorder slots and depths, and
-    array operations on the walk's arrays the rest."""
-    up = walk.up.tolist()
-    n = len(up)
-    size = [1] * n
-    for i in range(n - 1, 0, -1):
-        size[up[i]] += size[i]
-    # preorder slots counting the slack as 0; `free[i]` is the slot of the
-    # next child of walk position i
-    slot, depth, free = [0] * n, [0] * n, [1] * n
-    for i in range(1, n):
-        p = up[i]
-        slot[i] = free[p]
-        free[p] += size[i]
-        free[i] = slot[i] + 1
-        depth[i] = depth[p] + 1
-    size, depth, slot = np.array((size, depth, slot), dtype=int)
-    # the walk position at each preorder slot; the slack's is slot 0
-    at = np.empty(n, dtype=int)
-    at[slot] = np.arange(n)
-    # the rest in preorder over the load buses
-    at = at[1:]
-    size, depth = size[at], depth[at]
-    m = n - 1
+    impedances.  The walk's preorder, parents, subtree sizes and depths
+    are the tree's, the slack at position 0; its walk steps are array
+    operations on them."""
+    m = len(walk.buses) - 1
     k = np.arange(m)
+    size, depth = walk.size[1:], walk.depth[1:]
     # the walk enters bus k after k entries and the exits of the k - depth + 1
     # buses before it that are not above it, and leaves it after its subtree;
     # `enter` is one past the entering step
@@ -601,12 +630,12 @@ def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
     walk_bus = np.empty(2 * m, dtype=int)
     walk_bus[enter - 1] = k
     walk_bus[leave] = k
-    z = z_line[walk.via[at]]
+    z = z_line[walk.via[1:]]
     walk_z = z[walk_bus]
     walk_z[leave] = -z
     return RadialTree(
-        order=pos[walk.buses[at]],
-        up=slot[walk.up[at]],
+        order=pos[walk.buses[1:]],
+        up=walk.up[1:],
         z=z,
         enter=enter,
         walk_bus=walk_bus,
@@ -622,8 +651,11 @@ def _zbus(
     reference (its row and column stay zero), so Z[pq, pq] = Y_LL^-1.
     Lines come as (one end, other end, impedance).
     Built by the Z-bus building algorithm: a `tree` line (parent, child),
-    in breadth-first order, copies the row of the bus it hangs from, and a
-    line that closes a loop is a rank-1 update.  That is O(n) per tree line
+    taken after its parent's own line (the island walk's order), copies
+    the row of the bus it hangs from, and a line that closes a loop is a
+    rank-1 update.  On a radial island each entry is then a sum of line
+    impedances along a path from the slack, added in path order whatever
+    the parent-first order of the lines.  That is O(n) per tree line
     and O(n^2) per loop, with no factorization.  None when a loop has zero
     impedance (Y_LL singular)."""
     zb = np.zeros((n, n), dtype=complex)

@@ -365,9 +365,14 @@ class SimulationEngine:
         # `_solve` is kept unbound: a bound method on the engine would be a
         # reference cycle, keeping a finished engine until a full collection
         row, converged = self._solve(self, self.p_profile[t], q)
-        self.voltages[t] = row if converged or t == 0 else self.voltages[t - 1]
         if not converged:
             self.flags[t] = "pf_diverged"
+        if converged or t == 0:
+            self.voltages[t] = row
+        else:  # the last voltages, on the buses still energized (only a full model diverges)
+            cols = self.model.network.cols
+            self.voltages[t] = np.nan
+            self.voltages[t, cols] = self.voltages[t - 1, cols]
         self.q_rec[t] = q
 
     # Per-tick solves: (PV outputs, var dispatches) -> (voltage row in

@@ -18,6 +18,8 @@ Cases:
   `intermittency` run under each controller and its `k_d` sweep, and the
   generated `ladder300` and `linear150` runs, by the bytes of every file
   they write (`sweep.csv` included);
+- the `ladder300` plan at 3,000 buses, seed 0, whose switches close and
+  reopen laterals at the paper's scale, by the same files;
 - the stdout of `presets --show NAME` for every preset, and of `analyze`
   on both bundled feeders.
 
@@ -50,6 +52,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import gen  # noqa: E402  (perfbench/gen.py)
 import workloads  # noqa: E402  (perfbench/workloads.py)
 from voltvar_sim.cli import main  # noqa: E402
 from voltvar_sim.control import slope_to_cutoffs  # noqa: E402
@@ -106,6 +109,21 @@ def cli_files(argv: list[str], work: Path) -> dict[str, str]:
     return out
 
 
+def ladder_argv(n: int, seed: int, plan_dir: str) -> list[str]:
+    """Write the `ladder300` plan's feeder and scenario at `n` buses into
+    `plan_dir` (relative to the working directory): the `run` arguments
+    that solve it."""
+    Path(plan_dir).mkdir()
+    ladder = gen.ladder_feeder(n, seed, open_laterals=3)
+    gen.write_json(ladder, Path(plan_dir, "feeder.json"))
+    gen.write_json(gen.ladder_scenario(ladder, seed, workloads.LADDER_HORIZON,
+                                       workloads.LADDER_SWITCH_EVERY,
+                                       workloads.LADDER_LOAD_STEPS),
+                   Path(plan_dir, "scenario.json"))
+    return ["run", "--scenario", f"{plan_dir}/scenario.json",
+            "--feeder", f"{plan_dir}/feeder.json", "--out", f"{plan_dir}/out"]
+
+
 def cases(work: Path):
     for name in sorted(PRESETS):
         feeder, scenario = get_preset(name)
@@ -126,6 +144,7 @@ def cases(work: Path):
             for inv in workloads.WORKLOADS[wname].plan(seed, plan_dir):
                 yield f"{wname}/{seed}/{inv.label}", cli_files(list(inv.argv), plan_dir)
             os.chdir(work)
+    yield "ladder3000/0/run-adaptive", cli_files(ladder_argv(3000, 0, "ladder3000-0"), work)
     for name in sorted(PRESETS):
         yield f"presets/{name}", cli_files(["presets", "--show", name], work)
     for feeder in ("ieee4_mod", "feeder30"):

@@ -11,7 +11,8 @@ linear twin's derivatives are central differences of warm-started power
 flows, h pu apart, against which the Jacobian solve is checked.  The
 outer-loop records are read from a trace's parameter log, or built one
 unit at a time from the row blocks the outer-loop kernel returns, on
-units found from the trace.
+units found from the trace.  The island walk is checked against a plain
+breadth-first walk over the closed lines, found by bus id.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
@@ -493,12 +494,38 @@ def ybus_from_lines(model: FeederModel) -> np.ndarray:
     return ybus
 
 
+def breadth_first(model: FeederModel, closed: Sequence[bool]) -> tuple[list[bool], list]:
+    """A plain breadth-first walk from the slack over the lines of `model`
+    with `closed[k]` true, found by bus id: whether it reaches each bus
+    (in `bus_ids` order), and the (parent, bus, line) model indices of
+    each bus it reaches after the slack, in walk order.  The package walks
+    depth first."""
+    index = {b: i for i, b in enumerate(model.bus_ids)}
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for k, ln in enumerate(model.lines):
+        if closed[k]:
+            i, j = index[ln.from_bus], index[ln.to_bus]
+            adj.setdefault(i, []).append((j, k))
+            adj.setdefault(j, []).append((i, k))
+    seen = [False] * len(index)
+    seen[index[model.slack_id]] = True
+    queue, steps = [index[model.slack_id]], []
+    for b in queue:
+        for c, k in adj.get(b, []):
+            if not seen[c]:
+                seen[c] = True
+                queue.append(c)
+                steps.append((b, c, k))
+    return seen, steps
+
+
 def radial_tree(slack_idx: int, line_ends: np.ndarray, line_z: np.ndarray) -> RadialTree:
     """The `RadialTree` of an island whose lines form a tree, given as a
     compiled network gives them (the island positions of both ends, and
     the impedances), walked depth first from the slack with an explicit
     stack; the lines at a bus are taken in the order given.  The package
-    derives the same arrays from its breadth-first island walk instead."""
+    reads the same arrays off its island walk, which it cuts from one
+    walk of the whole feeder."""
     adj: dict[int, list[tuple[int, complex]]] = {}
     for i, j, zl in zip(*line_ends.tolist(), line_z.tolist()):
         adj.setdefault(i, []).append((j, zl))

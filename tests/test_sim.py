@@ -774,6 +774,18 @@ class TestDivergenceHandling:
         assert trace.voltages[8, 1] == trace.voltages[7, 1]
         assert trace.flags[19] == "pf_diverged"
 
+    def test_diverged_tick_after_a_switch_keeps_dark_buses_dark(self, ieee4_closed):
+        # the load step diverges the tick that also opens switch1: the
+        # carried row must not light bus4 again, nor its unit dispatch
+        events = ((5, LoadScale(20.0)), (5, SwitchEvent("switch1", "open")))
+        trace = run(_scenario(ControllerKind("conventional"), horizon=12, events=events),
+                    ieee4_closed)
+        assert trace.flags[5:8] == ("pf_diverged",) * 3
+        lit = [trace.bus_ids.index(b) for b in ("bus1", "bus2", "bus3")]
+        assert np.all(trace.voltages[5:, lit] == trace.voltages[4, lit])
+        assert np.all(np.isnan(trace.bus_voltage("bus4")[5:]))
+        assert np.all(trace.q_inj[6:, trace.unit_buses.index("bus4")] == 0.0)
+
 
 def _diverging_two_bus() -> FeederModel:
     return FeederModel(

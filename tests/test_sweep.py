@@ -33,8 +33,11 @@ from voltvar_sim.feeder import (
     voltage_sensitivities,
 )
 
-from oracles import (fd_sensitivities, gauss_nodal_solve, injection_array, radial_tree,
-                     ybus_from_lines)
+from voltvar_sim.scenario import SwitchEvent, scenario_from_dict
+from voltvar_sim.sim import run
+
+from oracles import (breadth_first, fd_sensitivities, gauss_nodal_solve, injection_array,
+                     radial_tree, ybus_from_lines)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -275,3 +278,107 @@ def test_a_load_step_builds_no_bus(ladder):
     assert "buses" not in vars(scaled)
     assert len(scaled.buses) == len(ladder.bus_ids)  # built on first read
     assert bus_count() == before + len(ladder.bus_ids)
+
+
+def _tied(model: FeederModel, ties) -> FeederModel:
+    """`model` with a normally-open tie switch between each pair of bus
+    indices in `ties`."""
+    ids = model.bus_ids
+    return replace(model, lines=model.lines + tuple(
+        Line(ids[a], ids[b], 0.002, 0.006, switch_state="open", id=f"tie{i}")
+        for i, (a, b) in enumerate(ties)))
+
+
+def _check_walk(model: FeederModel) -> None:
+    """The island walk against the breadth-first oracle, and the tree and
+    Z-bus arrays compiled from it."""
+    walk, net = model._island, model.network
+    reached, steps = breadth_first(model, model.closed.tolist())
+    assert walk.energized.tolist() == reached
+    # a preorder: each position after its parent and inside its subtree,
+    # one deeper, come by a closed line between the two, with the sizes
+    # of its children summing to its own
+    i = np.arange(1, len(walk.buses))
+    up = walk.up[1:]
+    assert walk.up[0] == -1 and walk.via[0] == -1 and walk.depth[0] == 0
+    assert np.all(up < i) and np.all(i < up + walk.size[up])
+    assert np.array_equal(walk.depth[1:], walk.depth[up] + 1)
+    assert model.closed[walk.via[1:]].all()
+    ends = np.sort(model._graph.ends[:, walk.via[1:]], axis=0)
+    assert np.array_equal(ends, np.sort([walk.buses[up], walk.buses[1:]], axis=0))
+    assert np.array_equal(np.bincount(up, walk.size[1:], len(i) + 1) + 1, walk.size)
+    if len(net.line_z) != len(net.island) - 1:  # meshed
+        return
+    want = radial_tree(net.slack_idx, net.line_ends, net.line_z)
+    got = _walked_tree(model)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+    if net.z is not None:  # the Z path: the same bytes from breadth-first tree lines
+        z_line = model._graph.z
+        bfs = feeder._zbus(len(net.island), ((net.pos[a], net.pos[b], z_line[k])
+                                             for a, b, k in steps), ())
+        assert net.z.tobytes() == bfs[np.ix_(net.pq, net.pq)].tobytes()
+
+
+@st.composite
+def _tied_states(draw):
+    n = draw(st.sampled_from([60, SWEEP_BUSES - 6, LADDER_BUSES]))
+    laterals = draw(st.integers(1, 3))
+    buses = n + 1 + 4 * laterals
+    pair = st.tuples(st.integers(0, buses - 1), st.integers(0, buses - 1))
+    ties = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=2))
+    switches = [f"sw{s}" for s in range(laterals)] + [f"tie{i}" for i in range(len(ties))]
+    states = draw(st.lists(st.lists(st.booleans(), min_size=len(switches),
+                                    max_size=len(switches)), min_size=1, max_size=3))
+    return (n, draw(st.integers(0, 2)), laterals), tuple(ties), switches, states
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_tied_states())
+def test_every_switch_state_walks_like_the_breadth_first_oracle(case):
+    # mask walks (no tie closed) and depth-first walks (a tie closed), on
+    # islands on both sides of SWEEP_BUSES, radial or meshed
+    doc, ties, switches, states = case
+    built = _tied(feeder_from_dict(_ladder_doc(*doc)), ties)
+    _check_walk(built)
+    for state in states:
+        model = built
+        for sw, closed in zip(switches, state):
+            if closed:
+                model = apply_topology_event(model, sw, "closed")
+        _check_walk(model)
+
+
+def test_a_tie_energizes_a_region_behind_its_open_tree_line():
+    model = feeder_from_dict(_ladder_doc(60, 0, 1))
+    ids = model.bus_ids
+    # from an early trunk bus to the far end of the dark lateral behind sw0
+    tied = _tied(model, [(ids.index("t0005"), ids.index("nol0_3"))])
+    assert tied._graph.tie.tolist() == [False] * len(model.lines) + [True]
+    lit = apply_topology_event(tied, "tie0", "closed")
+    assert not lit.closed[lit.switch_line("sw0")]
+    assert {f"nol0_{i}" for i in range(4)} <= set(lit.network.island)
+    assert lit.network.tree is None and len(lit.network.line_z) == len(lit.network.island) - 1
+    _check_walk(lit)
+    sol = solve_power_flow(lit)
+    oracle = gauss_nodal_solve(lit)
+    assert sol.converged
+    assert np.max(np.abs(sol.v - [oracle[b] for b in sol.bus_ids])) < 1e-9
+
+
+def test_switch_ticks_walk_the_whole_feeder_once(monkeypatch):
+    import workloads  # noqa: E402  (perfbench/workloads.py)
+
+    doc = _ladder_doc(workloads.LADDER_BUSES, 0, 3)
+    scenario = scenario_from_dict(gen.ladder_scenario(
+        doc, 0, workloads.LADDER_HORIZON, workloads.LADDER_SWITCH_EVERY,
+        workloads.LADDER_LOAD_STEPS))
+    calls = []
+    depth_first = feeder._depth_first
+    monkeypatch.setattr(feeder, "_depth_first",
+                        lambda *a: calls.append(a) or depth_first(*a))
+    trace = run(scenario, feeder_from_dict(doc))
+    switches = [t for t, ev in scenario.events if isinstance(ev, SwitchEvent)]
+    assert switches == [12, 24, 36] and "pf_diverged" not in trace.flags
+    assert len(calls) == 1  # the graph's own walk; every switch state is a mask of it
