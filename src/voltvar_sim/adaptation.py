@@ -60,6 +60,9 @@ class AdaptiveConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k_d) and self.k_d > 0):
             raise AdaptationError("k_d must be finite and > 0")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise AdaptationError(f"{name} must be finite")
         if not (self.vf_lim_bar > self.vf_lim > self.eps_vf > 0):
             raise AdaptationError("need vf_lim_bar > vf_lim > eps_vf > 0")
         if not (self.delta_vf_bar > self.delta_vf > 0):

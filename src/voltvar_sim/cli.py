@@ -5,8 +5,9 @@ Subcommands: `run` (simulate a scenario, write trace/params/metrics),
 exit code), `sweep` (one run per parameter value, combined SSE-vs-outer-
 iteration CSV), and `presets` (catalog of bundled scenarios).
 
-Exit codes: 0 ok, 2 usage or schema error, 3 analysis-declared unstable,
-4 I/O error.
+Exit codes: 0 ok, 2 usage or schema error (argparse's, or any
+`VoltVarError`), 3 analysis-declared unstable, 4 I/O error (any
+`OSError`).  `main` is the one place that maps an error to its code.
 """
 
 from __future__ import annotations
@@ -36,47 +37,30 @@ EXIT_UNSTABLE = 3
 EXIT_IO = 4
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _resolve_feeder(value: str) -> FeederModel:
-    if value in BUILTIN_FEEDERS:
-        return load_builtin_feeder(value)
-    path = Path(value)
-    if not path.exists():
-        raise _CliError(f"feeder file not found: {value}", EXIT_IO)
-    return load_feeder(path)
+    return load_builtin_feeder(value) if value in BUILTIN_FEEDERS else load_feeder(value)
 
 
 def _set_pairs(args) -> Iterator[list[str]]:
     """The `--set key=value` pairs as [key, value], in the order given."""
     for key_value in args.set or []:
         if "=" not in key_value:
-            raise _CliError(f"--set expects key=value, got {key_value!r}", EXIT_USAGE)
+            raise VoltVarError(f"--set expects key=value, got {key_value!r}")
         yield key_value.split("=", 1)
 
 
 def _resolve_run_inputs(args) -> tuple[FeederModel, Scenario]:
-    scenario_ref = args.scenario
-    if scenario_ref is None:
-        raise _CliError("--scenario is required", EXIT_USAGE)
-    key = scenario_ref.removeprefix("presets/")
+    key = args.scenario.removeprefix("presets/")
     if key in PRESETS:
         feeder = None if args.feeder is None else _resolve_feeder(args.feeder)
         feeder, scenario = get_preset(key, feeder)
     else:
-        path = Path(scenario_ref)
-        if not path.exists():
-            raise _CliError(
-                f"scenario not found (neither a preset nor a file): {scenario_ref}",
-                EXIT_IO,
-            )
-        scenario = load_scenario(path)
+        if not Path(args.scenario).exists():
+            raise FileNotFoundError(f"scenario not found (neither a preset nor a file): "
+                                    f"{args.scenario}")
+        scenario = load_scenario(args.scenario)
         if args.feeder is None:
-            raise _CliError("--feeder is required with a scenario file", EXIT_USAGE)
+            raise VoltVarError("--feeder is required with a scenario file")
         feeder = _resolve_feeder(args.feeder)
     for k, v in _set_pairs(args):
         scenario = override_scenario(scenario, k, v)
@@ -86,12 +70,8 @@ def _resolve_run_inputs(args) -> tuple[FeederModel, Scenario]:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("VOLTVAR_SIM_OUT") or "voltvar_out"
-    path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _CliError(f"cannot create output directory {path}: {exc}", EXIT_IO)
+    path = Path(args.out or os.environ.get("VOLTVAR_SIM_OUT") or "voltvar_out")
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -115,11 +95,11 @@ def _analyze_params(args) -> dict[str, float]:
     params = {"m": 1.0, "k_d": 4.0}
     for k, v in _set_pairs(args):
         if k not in ("m", "k_d"):
-            raise _CliError(f"analyze supports overrides m and k_d, not {k!r}", EXIT_USAGE)
+            raise VoltVarError(f"analyze supports overrides m and k_d, not {k!r}")
         try:
             params[k] = float(v)
         except ValueError:
-            raise _CliError(f"bad value for {k}: {v!r}", EXIT_USAGE)
+            raise VoltVarError(f"bad value for {k}: {v!r}")
     return params
 
 
@@ -140,8 +120,6 @@ def _radius(x: float) -> str:
 
 
 def cmd_analyze(args) -> int:
-    if args.feeder is None:
-        raise _CliError("--feeder is required", EXIT_USAGE)
     feeder = _resolve_feeder(args.feeder)
     params = _analyze_params(args)
     solution = solve_power_flow(feeder)
@@ -185,13 +163,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     feeder, scenario = _resolve_run_inputs(args)
-    if args.param not in ("k_d", "m", "tau", "T"):
-        raise _CliError(f"sweep parameter must be one of k_d, m, tau, T, not {args.param!r}", EXIT_USAGE)
-    if not args.values:
-        raise _CliError("sweep needs --values", EXIT_USAGE)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
-        raise _CliError("sweep needs at least one value", EXIT_USAGE)
+        raise VoltVarError("sweep needs at least one value")
     # every value is checked before the first run
     scenarios = [override_scenario(scenario, args.param, v) for v in values]
     model = linearize(feeder) if args.engine == "linear" else feeder
@@ -208,11 +182,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_presets(args) -> int:
     if args.show:
-        key = args.show.removeprefix("presets/")
-        if key not in PRESETS:
-            raise _CliError(f"unknown preset {args.show!r}", EXIT_USAGE)
-        doc = scenario_to_dict(get_preset(key)[1])
-        doc["feeder"] = PRESETS[key].feeder
+        doc = scenario_to_dict(get_preset(args.show)[1])
+        doc["feeder"] = PRESETS[args.show.removeprefix("presets/")].feeder
         print(json.dumps(doc, indent=2))
         return EXIT_OK
     width = max(len(n) for n, _ in list_presets())
@@ -229,10 +200,11 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-        p.add_argument("--feeder", help="feeder JSON file or builtin name "
-                                        f"({', '.join(BUILTIN_FEEDERS)})")
+        p.add_argument("--feeder", required=not scenario,
+                       help=f"feeder JSON file or builtin name ({', '.join(BUILTIN_FEEDERS)})")
         if scenario:
-            p.add_argument("--scenario", help="scenario JSON file or preset name (presets/NAME)")
+            p.add_argument("--scenario", required=True,
+                           help="scenario JSON file or preset name (presets/NAME)")
             p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
             p.add_argument("--engine", choices=("full", "linear"), default="full",
                            help="power-flow engine: full (fixed point or sweep, Newton fallback) "
@@ -251,7 +223,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="run a scenario per parameter value")
     common(p_sw)
-    p_sw.add_argument("--param", required=True, help="one of k_d, m, tau, T")
+    p_sw.add_argument("--param", required=True, choices=("k_d", "m", "tau", "T"))
     p_sw.add_argument("--values", required=True, help="comma-separated values")
     p_sw.set_defaults(func=cmd_sweep)
 
@@ -262,22 +234,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error (exit 2)
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except VoltVarError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
+    except (VoltVarError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, VoltVarError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -150,10 +150,10 @@ class TelegraphSpec:
     _json_keys = {f: f"telegraph.{f}" for f in ("dwell", "low", "high")}
 
     def __post_init__(self) -> None:
-        if not self.dwell >= 1:
-            raise SimulationError("telegraph dwell must be >= 1 tick")
-        if not 0 <= self.low <= self.high:
-            raise SimulationError("need 0 <= low <= high")
+        if not 1 <= self.dwell < math.inf:
+            raise SimulationError("telegraph dwell must be finite and >= 1 tick")
+        if not 0 <= self.low <= self.high < math.inf:
+            raise SimulationError("need 0 <= low <= high, all finite")
 
 
 def telegraph_series(

@@ -9,7 +9,8 @@ load scaling) apply at the start of their tick, so controllers first see
 a disturbance one tick later.
 
 Non-converged power-flow ticks are flagged and the previous voltages are
-carried forward; instability scenarios are themselves study targets, so
+carried forward on the buses still energized (a bus a switch darkened
+reads NaN); instability scenarios are themselves study targets, so
 the engine never aborts mid-run.  The engine reads a `scenario.Scenario`
 and returns a `results.SimulationTrace`; this module keeps only the
 engine and the linearized feeder it can run on.
@@ -333,6 +334,9 @@ class SimulationEngine:
             self.model = apply_topology_event(self.model, ev.switch_id, ev.state)
             self._last_solution = None  # island changed; cold start
             self._row.fill(np.nan)  # buses the switch darkens read NaN
+            # a unit on a bus the switch darkens dispatches nothing from this tick on
+            lit = self.model.network.pos[self._unit_cols] >= 0
+            self._generating[self.tick:] = (self.p_profile[self.tick:] > 0) & lit
         elif isinstance(ev, LoadScale):
             self.model = self.model.with_scaled_loads(ev.factor)
 

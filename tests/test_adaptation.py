@@ -271,6 +271,15 @@ class TestConfigValidation:
         with pytest.raises(AdaptationError):
             AdaptiveConfig(k_d=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["eps_sse", "eps_vf", "vf_lim", "vf_lim_bar", "delta_vf",
+                                      "delta_vf_bar", "m_init", "m_floor"])
+    def test_non_finite_constant_rejected(self, name, value):
+        # an infinite vf_lim_bar, eps_sse, delta_vf_bar or m_init passes the
+        # ordering checks, so finiteness is its own check
+        with pytest.raises(AdaptationError, match=f"^{name} must be finite$"):
+            AdaptiveConfig(**{name: value})
+
 
 def _same(got, want) -> bool:
     """Equal by bytes, shape and `repr`, so -0.0 and NaN bits count."""

@@ -15,7 +15,7 @@ import voltvar_sim
 from voltvar_sim import cli
 from voltvar_sim.analysis import AnalysisError, outer_b_matrix
 from voltvar_sim.cli import main
-from voltvar_sim.feeder import feeder_to_dict, solve_power_flow
+from voltvar_sim.feeder import Bus, FeederModel, Line, PvUnit, feeder_to_dict, solve_power_flow
 from voltvar_sim.presets import _OVERRIDES, get_preset
 from voltvar_sim.results import metrics, read_trace_csv
 from voltvar_sim.scenario import scenario_to_dict
@@ -74,7 +74,7 @@ class TestRun:
         assert main(["run", "--scenario", "/no/such/file.json",
                      "--out", str(tmp_path)]) == 4
 
-    def test_missing_feeder_file_exits_4(self, tmp_path):
+    def test_missing_feeder_file_exits_4(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({
             "horizon": 20, "t_outer": 10,
@@ -82,6 +82,30 @@ class TestRun:
         }))
         assert main(["run", "--scenario", str(scenario), "--feeder",
                      "/no/such/feeder.json", "--out", str(tmp_path)]) == 4
+        assert main(["analyze", "--feeder", "/no/such/feeder.json"]) == 4
+        assert "/no/such/feeder.json" in capsys.readouterr().err  # the OS's message
+
+    def test_out_under_a_regular_file_exits_4(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--scenario", "presets/fig3a", "--out", str(blocker / "out")]) == 4
+        assert str(blocker / "out") in capsys.readouterr().err  # the OS's message
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "m", "--values", "1"]])
+    def test_scenario_required_exits_2(self, tmp_path, capsys, command):
+        assert main(command + ["--out", str(tmp_path)]) == 2
+        assert "required: --scenario" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["vf_lim_bar", "eps_sse", "delta_vf_bar", "m_init"])
+    def test_non_finite_outer_loop_constant_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        # each passed its ordering check at infinity and ran
+        runs = []
+        monkeypatch.setattr(cli, "run_sim", lambda *a: runs.append(a))
+        assert main(["run", "--scenario", "presets/fig10a", "--set", f"{key}=inf",
+                     "--out", str(tmp_path)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert runs == []
 
     def test_malformed_scenario_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -255,8 +279,23 @@ class TestAnalyze:
         assert payload["k_d_upper_scalar"] is None
         assert payload["rho_b"] == 1.0
 
-    def test_feeder_required(self):
+    def test_feeder_required(self, capsys):
         assert main(["analyze"]) == 2
+        assert "required: --feeder" in capsys.readouterr().err
+
+    def test_base_flow_that_diverges_exits_3(self, tmp_path, capsys):
+        # a two-bus feeder at 9x the load it solves at
+        model = FeederModel(
+            buses=(Bus("src", "slack", v_set=1.0), Bus("b2", "load", load_p=3.6, load_q=0.9)),
+            lines=(Line("src", "b2", 0.02, 0.2),),
+            pv_units=(PvUnit("b2", 0.3, p_out=0.0),),
+        )
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(feeder_to_dict(model)))
+        assert main(["analyze", "--feeder", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "did not converge at the base operating point" in captured.err
 
 
 class TestSweep:
@@ -333,15 +372,18 @@ class TestSweep:
                      "--out", str(tmp_path)]) == 2
         assert runs == []
 
-    def test_bad_param_exits_2(self, tmp_path):
+    def test_bad_param_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", "fig3a", "--param", "zeta",
                      "--values", "1", "--out", str(tmp_path)]) == 2
+        assert "invalid choice: 'zeta'" in capsys.readouterr().err
 
     def test_bad_values_exit_2(self, tmp_path, monkeypatch):
         assert main(["sweep", "--scenario", "fig3a", "--param", "m",
                      "--values", "a,b", "--out", str(tmp_path)]) == 2
         assert main(["sweep", "--scenario", "fig3a", "--param", "m",
                      "--values", ",", "--out", str(tmp_path)]) == 2
+        assert main(["sweep", "--scenario", "fig3a", "--param", "m",
+                     "--values=", "--out", str(tmp_path)]) == 2
         # a bad value after good ones stops the sweep before its first run
         runs = []
         monkeypatch.setattr(cli, "run_sim", lambda *a: runs.append(a))
@@ -377,8 +419,9 @@ class TestPresets:
             assert (out_file / "metrics.json").read_text() == (
                 out_preset / "metrics.json").read_text(), name
 
-    def test_show_unknown_exits_2(self):
+    def test_show_unknown_exits_2(self, capsys):
         assert main(["presets", "--show", "fig99"]) == 2
+        assert "unknown preset 'fig99'" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -184,6 +184,20 @@ class TestEvents:
         assert np.all(np.isnan(v4[:30]))
         assert np.all(np.isfinite(v4[30:]))
 
+    @pytest.mark.parametrize("kind", [
+        ControllerKind("conventional"), ControllerKind("delayed", 0.5), ControllerKind("adaptive"),
+    ], ids=lambda k: k.name)
+    def test_unit_stops_dispatching_on_the_tick_its_bus_goes_dark(self, ieee4_closed, kind):
+        # the tick's voltages are read before the switch acts, so on tick 5
+        # bus4's unit still sees a lit bus; it must dispatch nothing there
+        events = ((5, SwitchEvent("switch1", "open")), (9, SwitchEvent("switch1", "closed")))
+        trace = run(_scenario(kind, horizon=16, events=events, profile=0.5), ieee4_closed)
+        v4, q4 = trace.bus_voltage("bus4"), trace.q_inj[:, trace.unit_buses.index("bus4")]
+        assert np.all(np.isnan(v4[5:9])) and np.all(np.isfinite(v4[9:]))
+        assert np.all(q4[1:5] != 0.0)
+        assert np.all(q4[5:10] == 0.0)  # dark, then lit but not yet measured
+        assert np.all(q4[10:] != 0.0)
+
     def test_tick0_substation_event_applies(self):
         model, sc = get_preset("intermittency")
         sc = replace(sc, events=((0, SubstationVoltage(1.05)),) + sc.events)
@@ -369,6 +383,17 @@ class TestEvents:
         with pytest.raises(SimulationError, match="series"):
             run(sc, ieee4)
 
+    @pytest.mark.parametrize("series, scale", [
+        ([0.5, 0.5, 0.25, 0.1, 0.1] + [0.9] * 8, [0.5, 0.5, 0.25, 0.1, 0.1]),
+        ([0.5, 0.5, 0.25], [0.5, 0.5, 0.25, 0.25, 0.25]),
+    ], ids=["longer", "shorter"])
+    def test_explicit_series_fits_the_ticks_left(self, ieee4, series, scale):
+        # cut to the 5 ticks left from tick 15, or held at its last value
+        sc = _scenario(ControllerKind("none"), horizon=20, series={"s": series},
+                       events=((15, Intermittency("s", ("bus3",))),))
+        p3 = run(sc, ieee4).p_out[:, 0]
+        assert p3.tolist() == [0.9] * 15 + [0.9 * x for x in scale]
+
     def test_event_on_unknown_pv_bus_rejected(self, ieee4):
         sc = _scenario(
             ControllerKind("none"), events=((10, CloudCover(0.5, ("bus9",))),)
@@ -549,6 +574,14 @@ class TestScenarioValidation:
     def test_nan_rejected(self, build):
         with pytest.raises(ValueError, match="must be|need"):
             build()
+
+    @pytest.mark.parametrize("kw", [{"dwell": math.inf}, {"high": math.inf},
+                                    {"low": math.inf, "high": math.inf}], ids=str)
+    def test_telegraph_constants_finite(self, kw):
+        # an infinite dwell never flips; an infinite level would reach the
+        # engine's PV bounds as a generic error
+        with pytest.raises(SimulationError, match="finite"):
+            TelegraphSpec(**kw)
 
     def test_json_round_trip(self, ieee4):
         for name in PRESETS:
