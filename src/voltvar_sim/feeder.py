@@ -48,12 +48,13 @@ converge within `DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson.
 All three solvers return complex voltages, which a `PowerFlowSolution`
 holds as `v`; a warm start reuses them as they are.
 Ybus is built on first use: the Z path reads it every solve, while on a
-sweep island only the Newton fallback and the sensitivities need it.
+sweep island only the Newton fallback needs it.
 
-`voltage_sensitivities` builds Newton's Jacobian at a solved operating
-point and solves it once for dV/dP, dV/dQ and dV/dV_slack, which
-linearize the feeder; `sensitivity_matrix` is the PV-bus rows of its
-dV/dQ.
+`voltage_sensitivities` gives dV/dP, dV/dQ and dV/dV_slack at a solved
+operating point, which linearize the feeder; `sensitivity_matrix` is the
+PV-bus rows of its dV/dQ.  The island that picks the sweep also picks
+how: on a sweep island a leaf-first elimination over the tree (O(n) per
+column, no Ybus), on any other one solve against Newton's Jacobian.
 """
 
 from __future__ import annotations
@@ -540,10 +541,10 @@ class CompiledNetwork:
     `line_ends[1]`, with impedances `line_z`.
 
     A radial island of more than `SWEEP_BUSES` buses keeps its `tree` for
-    the sweep and has `z` None; any other island has `tree` None and `z`,
-    which is None when Y_LL is singular (only the Newton path can then
-    report that).  `ybus` and `w` are built on first use: on a sweep
-    island only the Newton fallback and the sensitivities read Ybus.
+    the sweep and the sensitivities and has `z` None; any other island has
+    `tree` None and `z`, which is None when Y_LL is singular (only the
+    Newton path can then report that).  `ybus` and `w` are built on first
+    use: on a sweep island only the Newton fallback reads Ybus.
     """
 
     island: tuple[str, ...]
@@ -821,15 +822,21 @@ def _sweep(
             iterations += 1
             if not math.isfinite(step):
                 break
-        # (Ybus v) at a load bus: the line currents out to the buses below
-        # it less the current in from the bus above
-        i_in = (np.concatenate(([v_slack], v_l))[t.up] - v_l) / t.z
-        i_out = np.bincount(t.up, i_in.real, m + 1) + 1j * np.bincount(t.up, i_in.imag, m + 1)
-        ds = s_l - v_l * np.conj(i_out[1:] - i_in)
+        ds = s_l - v_l * np.conj(_tree_currents(t, v_slack, v_l))
         mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
     v[t.order] = v_l
     converged = bool(step <= FIXED_POINT_STEP and mismatch <= tol)
     return v, converged, iterations, mismatch
+
+
+def _tree_currents(t: RadialTree, v_slack: complex, v_l: np.ndarray) -> np.ndarray:
+    """(Ybus v) at each load bus of `t`, in preorder, from its voltages
+    `v_l`: the line currents out to the buses below it less the current
+    in from the bus above."""
+    m = len(v_l)
+    i_in = (np.concatenate(([v_slack], v_l))[t.up] - v_l) / t.z
+    i_out = np.bincount(t.up, i_in.real, m + 1) + 1j * np.bincount(t.up, i_in.imag, m + 1)
+    return i_out[1:] - i_in
 
 
 def solve_power_flow(
@@ -894,33 +901,145 @@ def voltage_sensitivities(
 
     dV/dP and dV/dQ have a row per load bus (`solution.load_bus_ids`) and
     a column per PV bus on the island, in island order; dV/dV_slack has a
-    row per load bus.  All three come from one solve against the
-    power-flow Jacobian, with a unit P and a unit Q column per PV bus and
-    the substation column -dS/dV_slack.
+    row per load bus.  Each column answers a unit P or a unit Q at one PV
+    bus, or a unit step of the substation voltage.  An island with a
+    `tree` (radial, more than `SWEEP_BUSES` buses) takes them from a
+    leaf-first elimination over that tree (`_tree_solve`), O(n) per
+    column, with no Ybus, no Jacobian and no n x n array; any other
+    island from one solve against the power-flow Jacobian
+    (`_dense_solve`).
     """
     if not solution.converged:
         raise PowerFlowError("sensitivity requires a converged operating point")
     net = model.network
     if net.island != solution.bus_ids:
         raise PowerFlowError("solution does not match the model topology")
-    pq = net.pq
     pv_buses = set(model.pv_buses)
     rows = np.flatnonzero([b in pv_buses for b in solution.load_bus_ids])
+    solve = _dense_solve if net.tree is None else _tree_solve
+    return solve(net, solution.v, rows)
+
+
+_SINGULAR = "singular Jacobian at operating point (near voltage collapse)"
+# `_tree_solve` on n load buses takes _TREE_BLOCK // n columns at a time,
+# so that each of its work arrays holds at most 2 * _TREE_BLOCK floats (16 MB)
+_TREE_BLOCK = 1 << 20
+
+
+def _dense_solve(
+    net: CompiledNetwork, v: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`voltage_sensitivities` at the island voltages `v`, with a PV bus
+    at each load row in `rows`: one solve against the power-flow Jacobian,
+    with a unit P and a unit Q column per PV bus and the substation column
+    -dS/dV_slack."""
+    pq = net.pq
     k = len(rows)
-    ds_dslack = solution.v[pq] * np.conj(net.ybus[pq, net.slack_idx])  # the slack angle is 0
+    ds_dslack = v[pq] * np.conj(net.ybus[pq, net.slack_idx])  # the slack angle is 0
     # (P or Q row, bus, column): unit P per PV bus, unit Q per PV bus, -dS/dV_slack
     rhs = np.zeros((2, len(pq), 2 * k + 1))
     rhs[0, rows, np.arange(k)] = rhs[1, rows, np.arange(k, 2 * k)] = 1.0
     rhs[:, :, 2 * k] = -ds_dslack.real, -ds_dslack.imag
     try:
-        x = np.linalg.solve(_jacobian(net.ybus, solution.v, pq),
-                            rhs.reshape(2 * len(pq), -1))[len(pq):]
+        x = np.linalg.solve(_jacobian(net.ybus, v, pq), rhs.reshape(2 * len(pq), -1))[len(pq):]
     except np.linalg.LinAlgError as exc:
-        raise PowerFlowError(
-            "singular Jacobian at operating point (near voltage collapse)"
-        ) from exc
+        raise PowerFlowError(_SINGULAR) from exc
     # copies, not views: the twin's per-tick mat-vecs are faster on contiguous blocks
     return x[:, :k].copy(), x[:, k:2 * k].copy(), x[:, 2 * k].copy()
+
+
+def _blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real 2 x 2 matrices, acting on (Re x, Im x), of the maps
+    x -> a x + b conj(x)."""
+    return np.stack((a.real + b.real, b.imag - a.imag, a.imag + b.imag, a.real - b.real),
+                    axis=-1).reshape(-1, 2, 2)
+
+
+def _tree_solve(
+    net: CompiledNetwork, v: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_dense_solve` on a radial island's `tree`, with no Ybus and no
+    Jacobian: O(n) per column.
+
+    About the voltages V, the load-bus power flow conj(S) = conj(V) Ybus V
+    linearizes to Y_LL dV + c conj(dV) = conj(dS)/conj(V) - Y_LS dV_slack,
+    with c = conj(S)/conj(V)^2 = (Ybus V)/conj(V).  On (Re dV, Im dV) that
+    is one real 2 x 2 block per bus, x -> Y_kk x + c_k conj(x), and one per
+    line, a product with its Ybus entry -1/z.  A block x -> a x + b conj(x)
+    is kept as the pair (a, b); its inverse is (conj(a), -b) / d, with
+    d = |a|^2 - |b|^2 its determinant.
+
+    Eliminating leaves first (reverse preorder) makes no fill-in on a
+    graph with no cycles (Tinney & Walker, Proc. IEEE 1967).  One scalar
+    pass takes each bus's pivot, its block less, for every child, the
+    line block times the child's inverse pivot times the line block, and
+    raises on a zero or non-finite d.  The right-hand sides, a unit P and
+    a unit Q column per PV bus and the substation column, are (2, columns)
+    rows reduced into their parents in the same order; a preorder pass
+    then substitutes back, and d|V| = Re(conj(V) dV)/|V| goes straight
+    into the outputs.  The columns go in blocks of `_TREE_BLOCK // n`, so
+    that the work arrays stay within 16 MB however many there are."""
+    t = net.tree
+    m, k = len(t.order), len(rows)
+    v_l = v[t.order]
+    y = 1 / t.z
+    up = (t.up - 1).tolist()  # the parent's preorder position, -1 for the slack
+    below = np.bincount(t.up, y.real, m + 1)[1:] + 1j * np.bincount(t.up, y.imag, m + 1)[1:]
+    a = (y + below).tolist()
+    b = (_tree_currents(t, v[net.slack_idx], v_l) / np.conj(v_l)).tolist()
+    y_sq, y_abs2 = (y * y).tolist(), (y.real * y.real + y.imag * y.imag).tolist()
+    det = [0.0] * m
+    for i in range(m - 1, -1, -1):
+        ai, bi = a[i], b[i]
+        d = det[i] = ai.real * ai.real + ai.imag * ai.imag - (bi.real * bi.real + bi.imag * bi.imag)
+        if not (d != 0 and math.isfinite(d)):
+            raise PowerFlowError(_SINGULAR)
+        p = up[i]
+        if p >= 0:
+            a[p] -= y_sq[i] * ai.conjugate() / d
+            b[p] += y_abs2[i] * bi / d
+    det_a = np.array(det)
+    inv_a, inv_b = np.conj(a) / det_a, -np.array(b) / det_a
+    pivots = _blocks(inv_a, inv_b)
+    # a bus's reduced rows, times `lift`, leave its parent's; its parent's
+    # solution, times `drop`, joins its own
+    lift = list(_blocks(-y * inv_a, -y * inv_b))
+    drop = list(_blocks(y * inv_a, np.conj(y) * inv_b))
+    links = [(i, p) for i, p in enumerate(up) if p >= 0]
+    # preorder position -> load row, and each column's bus in preorder
+    row_of = t.order - (t.order > net.slack_idx)
+    pre_of = np.empty(m, dtype=int)
+    pre_of[row_of] = np.arange(m)
+    pv_at = pre_of[np.concatenate((rows, rows))]
+    # conj(dS)/conj(V) for dS = 1 and dS = j
+    unit_p = v_l / (v_l.real * v_l.real + v_l.imag * v_l.imag)
+    unit = np.concatenate((unit_p, -1j * unit_p))
+    top = np.flatnonzero(t.up == 0)  # the buses fed by the slack: -Y_LS dV_slack = 1/z
+    to_mag = np.stack((v_l.real, v_l.imag), axis=1) / np.abs(v_l)[:, None]
+    dv_dp, dv_dq, dv_dslack = np.empty((m, k)), np.empty((m, k)), np.empty(m)
+    outs = ((dv_dp, 0), (dv_dq, k), (dv_dslack[:, None], 2 * k))
+    width = max(1, _TREE_BLOCK // m)
+    for c0 in range(0, 2 * k + 1, width):
+        c1 = min(c0 + width, 2 * k + 1)
+        x = np.zeros((m, 2, c1 - c0))
+        col = np.arange(c0, min(c1, 2 * k))
+        rhs = unit[col // k * m + pv_at[col]]
+        x[pv_at[col], 0, col - c0], x[pv_at[col], 1, col - c0] = rhs.real, rhs.imag
+        if c1 == 2 * k + 1:
+            x[top, 0, -1], x[top, 1, -1] = y[top].real, y[top].imag
+        xs = list(x)
+        for i, p in reversed(links):
+            xs[p] -= lift[i].dot(xs[i])
+        x = np.einsum("kij,kjc->kic", pivots, x)
+        xs = list(x)
+        for i, p in links:
+            xs[i] += drop[i].dot(xs[p])
+        dv = np.einsum("kic,ki->kc", x, to_mag)
+        for out, base in outs:
+            lo, hi = max(c0, base), min(c1, base + out.shape[1])
+            if lo < hi:
+                out[row_of, lo - base:hi - base] = dv[:, lo - c0:hi - c0]
+    return dv_dp, dv_dq, dv_dslack
 
 
 def sensitivity_matrix(model: FeederModel, solution: PowerFlowSolution) -> np.ndarray:

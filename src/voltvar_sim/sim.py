@@ -96,8 +96,10 @@ class LinearizedFeeder:
 
 def linearize(model: FeederModel) -> LinearizedFeeder:
     """Build the linearized feeder at the model's operating point: one
-    power-flow solve, then every derivative from one solve against its
-    Jacobian (`voltage_sensitivities`)."""
+    power-flow solve, then every derivative from `voltage_sensitivities`:
+    on a radial island of more than `feeder.SWEEP_BUSES` buses a leaf-first
+    elimination over its tree, with no Ybus and no n x n array, and on any
+    other island one solve against the power-flow Jacobian."""
     sol = solve_power_flow(model)
     if not sol.converged:
         raise SimulationError("cannot linearize: power flow did not converge")

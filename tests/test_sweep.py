@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -26,6 +27,7 @@ from voltvar_sim.feeder import (
     SWEEP_BUSES,
     FeederModel,
     Line,
+    PowerFlowError,
     apply_topology_event,
     feeder_from_dict,
     feeder_to_dict,
@@ -34,7 +36,7 @@ from voltvar_sim.feeder import (
 )
 
 from voltvar_sim.scenario import SwitchEvent, scenario_from_dict
-from voltvar_sim.sim import run
+from voltvar_sim.sim import linearize, run
 
 from oracles import (breadth_first, fd_sensitivities, gauss_nodal_solve, injection_array,
                      radial_tree, ybus_from_lines)
@@ -64,6 +66,11 @@ def _pv_injections(model: FeederModel, seed: int) -> dict[str, tuple[float, floa
 @pytest.fixture(scope="module")
 def ladder() -> FeederModel:
     return feeder_from_dict(gen.ladder_feeder(LADDER_BUSES, 0, open_laterals=2))
+
+
+@lru_cache(maxsize=None)
+def _ladder_doc(n: int, seed: int, laterals: int) -> dict:
+    return gen.ladder_feeder(n, seed, open_laterals=laterals)
 
 
 @pytest.mark.parametrize("n, seed, closed", [
@@ -126,10 +133,52 @@ def test_sensitivities_build_ybus_on_demand(ladder):
     net = model.network
     assert "ybus" not in vars(net)
     got = voltage_sensitivities(model, sol)
-    assert "ybus" in vars(net)
+    assert "ybus" not in vars(net)  # the tree elimination reads no Ybus
     for g, want in zip(got, fd_sensitivities(model)):
         assert g.shape == want.shape
         assert np.max(np.abs(g - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, seed, laterals, closed, block, pv", [
+    (130, 0, 1, False, None, True), (200, 1, 2, True, None, True),
+    (260, 2, 3, False, 7, True), (400, 3, 1, True, None, True),
+    (400, 4, 2, False, 1, True), (130, 5, 1, False, None, False),
+])
+def test_tree_sensitivities_match_the_dense_solve(n, seed, laterals, closed, block, pv,
+                                                  monkeypatch):
+    model = feeder_from_dict(_ladder_doc(n, seed, laterals))
+    if closed:  # a lateral closed: its buses join the tree
+        model = apply_topology_event(model, "sw0", "closed")
+    if not pv:  # only the substation column
+        model = replace(model, pv_units=())
+    scaled = model.with_scaled_loads(1.2)
+    sol = solve_power_flow(scaled, injections=injection_array(
+        scaled, _pv_injections(scaled, seed) if pv else {}))
+    assert sol.converged
+    net = scaled.network
+    assert net.tree is not None and len(net.island) > n
+    if block is not None:  # columns in blocks of `block`, the last one short
+        monkeypatch.setattr(feeder, "_TREE_BLOCK", block * len(net.pq))
+    got = voltage_sensitivities(scaled, sol)
+    pv_buses = set(scaled.pv_buses)
+    rows = np.flatnonzero([b in pv_buses for b in sol.load_bus_ids])
+    assert "ybus" not in vars(net)
+    want = feeder._dense_solve(net, sol.v, rows)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype and g.flags.c_contiguous
+        assert np.max(np.abs(g - w), initial=0.0) <= 1e-10 * np.max(np.abs(w), initial=0.0)
+
+
+def test_a_zero_tree_pivot_raises(ladder):
+    sol = solve_power_flow(ladder)
+    t = ladder.network.tree
+    # the last bus in preorder is a leaf: at 1 pu under a parent at 2 pu,
+    # its current is -1/z and its block x -> (x - conj(x))/z is singular
+    assert t.up[-1] > 0
+    v = np.ones(len(sol.v), dtype=complex)
+    v[t.order[t.up[-1] - 1]] = 2.0
+    with pytest.raises(PowerFlowError, match="singular Jacobian"):
+        voltage_sensitivities(ladder, replace(sol, v=v))
 
 
 def test_forced_nonconvergence_reaches_newton(ladder, monkeypatch):
@@ -178,7 +227,7 @@ def test_ybus_from_line_arrays_matches_the_line_loop(case, request):
 
 
 def test_3000_bus_ladder_builds_no_square_array():
-    model = feeder_from_dict(gen.ladder_feeder(3000, 0))
+    model = feeder_from_dict(_ladder_doc(3000, 0, 0))
     sol = solve_power_flow(model)
     assert sol.converged and len(sol.bus_ids) == 3001
     net = model.network
@@ -188,9 +237,17 @@ def test_3000_bus_ladder_builds_no_square_array():
     assert arrays and all(a.size <= 2 * len(net.island) for a in arrays)
 
 
-@lru_cache(maxsize=None)
-def _ladder_doc(n: int, seed: int, laterals: int) -> dict:
-    return gen.ladder_feeder(n, seed, open_laterals=laterals)
+def test_3000_bus_linearize_holds_little_more_than_its_arrays():
+    model = feeder_from_dict(_ladder_doc(3000, 0, 0))
+    tracemalloc.start()
+    try:
+        lin = linearize(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "ybus" not in vars(model.network)
+    out = lin.dv_dp.nbytes + lin.dv_dq.nbytes + lin.dv_dslack.nbytes
+    assert out > 40e6 and peak <= 4 * out  # 48 MB of sensitivities
 
 
 def _walked_tree(model: FeederModel) -> feeder.RadialTree:
