@@ -44,17 +44,18 @@ Both stop once no voltage moves by more than `FIXED_POINT_STEP` pu and
 then require the Newton mismatch test; that makes them as accurate as a
 Newton solve, which the tests' finite-difference sensitivities rely on.
 Near the loadability limit the fixed point stalls, so a solve that does not
-converge within `DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson.
-All three solvers return complex voltages, which a `PowerFlowSolution`
-holds as `v`; a warm start reuses them as they are.
-Ybus is built on first use: the Z path reads it every solve, while on a
-sweep island only the Newton fallback needs it.
+converge within `DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson,
+which steps the complex voltages.  All three solvers return complex
+voltages, which a `PowerFlowSolution` holds as `v`; a warm start reuses
+them as they are.
 
 `voltage_sensitivities` gives dV/dP, dV/dQ and dV/dV_slack at a solved
 operating point, which linearize the feeder; `sensitivity_matrix` is the
-PV-bus rows of its dV/dQ.  The island that picks the sweep also picks
-how: on a sweep island a leaf-first elimination over the tree (O(n) per
-column, no Ybus), on any other one solve against Newton's Jacobian.
+PV-bus rows of its dV/dQ.  They and Newton's steps solve one linearized
+power flow, whose island also picks how: on a sweep island a leaf-first
+elimination over the tree (O(n) per column), on any other a dense solve.
+Ybus is built on first use, and only Z islands read it, but for the dense
+solve a sweep island takes where the elimination meets a zero pivot.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
@@ -544,7 +545,8 @@ class CompiledNetwork:
     the sweep and the sensitivities and has `z` None; any other island has
     `tree` None and `z`, which is None when Y_LL is singular (only the
     Newton path can then report that).  `ybus` and `w` are built on first
-    use: on a sweep island only the Newton fallback reads Ybus.
+    use: on a sweep island only a zero pivot of the tree elimination reads
+    Ybus.
     """
 
     island: tuple[str, ...]
@@ -673,38 +675,6 @@ def _zbus(
     return zb
 
 
-def _dsbus_dv(ybus: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ibus = ybus @ v
-    diag = np.diag_indices_from(ybus)
-    vnorm = v / np.abs(v)
-    ds_dvm = np.multiply(ybus, vnorm)
-    np.multiply(v[:, None], np.conjugate(ds_dvm, out=ds_dvm), out=ds_dvm)
-    ds_dvm[diag] += np.conj(ibus) * vnorm
-    ds_dva = np.multiply(ybus, v)
-    np.multiply(-1j * v[:, None], np.conjugate(ds_dva, out=ds_dva), out=ds_dva)
-    ds_dva[diag] += 1j * v * np.conj(ibus)
-    return ds_dva, ds_dvm
-
-
-def _jacobian(ybus: np.ndarray, v: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """Newton's Jacobian over the PQ buses: rows dP then dQ, columns dVa
-    then dVm.  `pq` is every island position but the slack's, so each
-    block is a derivative less the slack's row and column: up to four
-    slices of it, written straight into the one array with no copy."""
-    npq = len(pq)
-    slack = int(np.count_nonzero(pq == np.arange(npq)))  # the buses before it keep their places
-    # (rows or columns of the derivative, where they go in the block)
-    pieces = ((slice(None, slack), slice(None, slack)),
-              (slice(slack + 1, None), slice(slack, None)))
-    jac = np.empty((2, npq, 2, npq))  # (dP or dQ, bus, dVa or dVm, bus)
-    for d, ds in enumerate(_dsbus_dv(ybus, v)):
-        for part, values in enumerate((ds.real, ds.imag)):
-            for rows, row_to in pieces:
-                for cols, col_to in pieces:
-                    jac[part, row_to, d, col_to] = values[rows, cols]
-    return jac.reshape(2 * npq, 2 * npq)
-
-
 def _newton(
     net: CompiledNetwork,
     s_spec: np.ndarray,
@@ -713,33 +683,28 @@ def _newton(
     tol: float,
 ) -> tuple[np.ndarray, bool, int, float]:
     """Newton-Raphson from `v0` or a flat start, on the `_fixed_point`
-    contract.  It steps the polar magnitudes and angles and builds the
-    phasors `v` from them before each mismatch test; a magnitude that is
-    not finite and positive stops it unconverged, with `v` all NaN."""
-    ybus, slack_idx, pq = net.ybus, net.slack_idx, net.pq
-    n, npq = len(net.island), len(pq)
-    v_mag = np.ones(n) if v0 is None else np.abs(v0)
-    v_ang = np.zeros(n) if v0 is None else np.angle(v0)
-    v_mag[slack_idx] = v_slack
-    v_ang[slack_idx] = 0.0
+    contract.  Each step solves the power flow linearized about the
+    complex voltages (`_linearized`) for conj(dS)/conj(V), dS being the
+    mismatch; a voltage that is not finite and nonzero stops it
+    unconverged, with `v` all NaN, and so does a singular system."""
+    pq = net.pq
+    v = np.ones(len(net.island), dtype=complex) if v0 is None else v0.copy()
+    v[net.slack_idx] = v_slack
     mismatch = np.inf
     for iterations in range(DEFAULT_MAX_ITER + 1):
-        if not np.all(np.isfinite(v_mag)) or np.any(v_mag <= 0):
-            v = np.full(n, np.nan, dtype=complex)  # a diverged step stays visibly invalid
+        if not (np.isfinite(v).all() and v.all()):
+            v = np.full(len(v), np.nan, dtype=complex)  # a diverged step stays visibly invalid
             break
-        v = v_mag * np.exp(1j * v_ang)
-        s_calc = v * np.conj(ybus @ v)
-        dpq = np.concatenate([s_spec.real[pq] - s_calc.real[pq],
-                              s_spec.imag[pq] - s_calc.imag[pq]])
-        mismatch = float(np.maximum.reduce(np.abs(dpq), initial=0.0))
+        ds = s_spec[pq] - v[pq] * np.conj(_currents(net, v))
+        mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
         if mismatch <= tol or iterations == DEFAULT_MAX_ITER:
             break
+        rhs = np.conj(ds) / np.conj(v[pq])
         try:
-            dx = np.linalg.solve(_jacobian(ybus, v, pq), dpq)
-        except np.linalg.LinAlgError:
+            dv = _linearized(net, v)(rhs.view(np.float64).reshape(-1, 2, 1))
+        except PowerFlowError:
             break
-        v_ang[pq] += dx[:npq]
-        v_mag[pq] += dx[npq:]
+        v[pq] += dv.ravel().view(complex)
     # every other exit follows a mismatch above `tol`
     return v, mismatch <= tol, iterations, mismatch
 
@@ -839,6 +804,17 @@ def _tree_currents(t: RadialTree, v_slack: complex, v_l: np.ndarray) -> np.ndarr
     return i_out[1:] - i_in
 
 
+def _currents(net: CompiledNetwork, v: np.ndarray) -> np.ndarray:
+    """(Ybus v) at the load buses, in `pq` order; on a tree island from
+    its line currents, with no Ybus."""
+    t = net.tree
+    if t is None:
+        return net.ybus.dot(v)[net.pq]
+    i = np.empty(len(v), dtype=complex)
+    i[t.order] = _tree_currents(t, v[net.slack_idx], v[t.order])
+    return i[net.pq]
+
+
 def solve_power_flow(
     model: FeederModel,
     injections: np.ndarray | None = None,
@@ -902,12 +878,10 @@ def voltage_sensitivities(
     dV/dP and dV/dQ have a row per load bus (`solution.load_bus_ids`) and
     a column per PV bus on the island, in island order; dV/dV_slack has a
     row per load bus.  Each column answers a unit P or a unit Q at one PV
-    bus, or a unit step of the substation voltage.  An island with a
-    `tree` (radial, more than `SWEEP_BUSES` buses) takes them from a
-    leaf-first elimination over that tree (`_tree_solve`), O(n) per
-    column, with no Ybus, no Jacobian and no n x n array; any other
-    island from one solve against the power-flow Jacobian
-    (`_dense_solve`).
+    bus, or a unit step of the substation voltage: the linearized power
+    flow (`_linearized`) solved for conj(dS)/conj(V), or for -Y_LS, then
+    d|V| = Re(conj(V) dV)/|V|.  On a tree island that is O(n) per column
+    with no n x n array, in blocks of `_TREE_BLOCK // n` columns.
     """
     if not solution.converged:
         raise PowerFlowError("sensitivity requires a converged operating point")
@@ -916,36 +890,42 @@ def voltage_sensitivities(
         raise PowerFlowError("solution does not match the model topology")
     pv_buses = set(model.pv_buses)
     rows = np.flatnonzero([b in pv_buses for b in solution.load_bus_ids])
-    solve = _dense_solve if net.tree is None else _tree_solve
-    return solve(net, solution.v, rows)
+    v = solution.v
+    v_l = v[net.pq]
+    m, k = len(v_l), len(rows)
+    # conj(dS)/conj(V) for dS = 1 and dS = j at each load bus, and -Y_LS
+    unit_p = v_l / (v_l.real * v_l.real + v_l.imag * v_l.imag)
+    unit = np.concatenate((unit_p, -1j * unit_p))
+    at_slack = np.zeros(len(v), dtype=complex)
+    at_slack[net.slack_idx] = 1.0
+    slack = -_currents(net, at_slack)
+    pv_at = np.concatenate((rows, rows))  # each column's load row
+    to_mag = np.stack((v_l.real, v_l.imag), axis=1) / np.abs(v_l)[:, None]
+    dv_dp, dv_dq, dv_dslack = np.empty((m, k)), np.empty((m, k)), np.empty(m)
+    outs = ((dv_dp, 0), (dv_dq, k), (dv_dslack[:, None], 2 * k))
+    solve = _linearized(net, v)
+    width = 2 * k + 1 if net.tree is None else max(1, _TREE_BLOCK // m)
+    for c0 in range(0, 2 * k + 1, width):
+        c1 = min(c0 + width, 2 * k + 1)
+        x = np.zeros((m, 2, c1 - c0))  # the right-hand sides, then their dV
+        col = np.arange(c0, min(c1, 2 * k))
+        rhs = unit[col // k * m + pv_at[col]]
+        x[pv_at[col], 0, col - c0], x[pv_at[col], 1, col - c0] = rhs.real, rhs.imag
+        if c1 == 2 * k + 1:
+            x[:, 0, -1], x[:, 1, -1] = slack.real, slack.imag
+        x = solve(x)
+        dv = np.einsum("kic,ki->kc", x, to_mag)
+        for out, base in outs:
+            lo, hi = max(c0, base), min(c1, base + out.shape[1])
+            if lo < hi:
+                out[:, lo - base:hi - base] = dv[:, lo - c0:hi - c0]
+    return dv_dp, dv_dq, dv_dslack
 
 
 _SINGULAR = "singular Jacobian at operating point (near voltage collapse)"
-# `_tree_solve` on n load buses takes _TREE_BLOCK // n columns at a time,
-# so that each of its work arrays holds at most 2 * _TREE_BLOCK floats (16 MB)
+# so that each of `voltage_sensitivities`' work arrays on a tree island
+# holds at most 2 * _TREE_BLOCK floats (16 MB)
 _TREE_BLOCK = 1 << 20
-
-
-def _dense_solve(
-    net: CompiledNetwork, v: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`voltage_sensitivities` at the island voltages `v`, with a PV bus
-    at each load row in `rows`: one solve against the power-flow Jacobian,
-    with a unit P and a unit Q column per PV bus and the substation column
-    -dS/dV_slack."""
-    pq = net.pq
-    k = len(rows)
-    ds_dslack = v[pq] * np.conj(net.ybus[pq, net.slack_idx])  # the slack angle is 0
-    # (P or Q row, bus, column): unit P per PV bus, unit Q per PV bus, -dS/dV_slack
-    rhs = np.zeros((2, len(pq), 2 * k + 1))
-    rhs[0, rows, np.arange(k)] = rhs[1, rows, np.arange(k, 2 * k)] = 1.0
-    rhs[:, :, 2 * k] = -ds_dslack.real, -ds_dslack.imag
-    try:
-        x = np.linalg.solve(_jacobian(net.ybus, v, pq), rhs.reshape(2 * len(pq), -1))[len(pq):]
-    except np.linalg.LinAlgError as exc:
-        raise PowerFlowError(_SINGULAR) from exc
-    # copies, not views: the twin's per-tick mat-vecs are faster on contiguous blocks
-    return x[:, :k].copy(), x[:, k:2 * k].copy(), x[:, 2 * k].copy()
 
 
 def _blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -955,32 +935,51 @@ def _blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     axis=-1).reshape(-1, 2, 2)
 
 
-def _tree_solve(
-    net: CompiledNetwork, v: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_dense_solve` on a radial island's `tree`, with no Ybus and no
-    Jacobian: O(n) per column.
+def _linearized(net: CompiledNetwork, v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The power flow linearized about the island voltages `v`, factored
+    once: about V, the load buses' conj(S) = conj(V) Ybus V moves by
+    conj(dS)/conj(V) = Y_LL dV + c conj(dV) + Y_LS dV_slack, with
+    c = (Ybus V)_L / conj(V_L).  The returned solve takes right-hand sides
+    of Y_LL dV + c conj(dV) = rhs as (Re, Im) pairs laid out (load bus in
+    `pq` order, 2, column), may overwrite them, and gives dV in that
+    layout.  On (Re dV, Im dV) each Ybus entry is a real 2 x 2 block
+    (`_blocks`), c joining the diagonal.  A tree island is eliminated
+    leaf first (`_tree_solver`); any other, or a tree with a zero pivot,
+    is solved densely, raising `PowerFlowError` if singular."""
+    solve = None if net.tree is None else _tree_solver(net, v)
+    if solve is not None:
+        return solve
+    pq = net.pq
+    m = len(pq)
+    c = _currents(net, v) / np.conj(v[pq])
+    jac = _blocks(net.ybus[np.ix_(pq, pq)], np.diag(c))
+    jac = jac.reshape(m, m, 2, 2).swapaxes(1, 2).reshape(2 * m, 2 * m)
 
-    About the voltages V, the load-bus power flow conj(S) = conj(V) Ybus V
-    linearizes to Y_LL dV + c conj(dV) = conj(dS)/conj(V) - Y_LS dV_slack,
-    with c = conj(S)/conj(V)^2 = (Ybus V)/conj(V).  On (Re dV, Im dV) that
-    is one real 2 x 2 block per bus, x -> Y_kk x + c_k conj(x), and one per
-    line, a product with its Ybus entry -1/z.  A block x -> a x + b conj(x)
-    is kept as the pair (a, b); its inverse is (conj(a), -b) / d, with
-    d = |a|^2 - |b|^2 its determinant.
+    def dense_solve(rhs: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(jac, rhs.reshape(2 * m, rhs.shape[2])).reshape(rhs.shape)
+        except np.linalg.LinAlgError as exc:
+            raise PowerFlowError(_SINGULAR) from exc
 
+    return dense_solve
+
+
+def _tree_solver(
+    net: CompiledNetwork, v: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """`_linearized` on a radial island's `tree`, with no Ybus: O(n) per
+    column, or None at a zero or non-finite pivot.  A bus's block,
+    x -> Y_kk x + c_k conj(x), is kept as the pair (a, b) of a map
+    x -> a x + b conj(x), whose inverse is (conj(a), -b) / d with
+    d = |a|^2 - |b|^2; a line's is a product with its Ybus entry -1/z.
     Eliminating leaves first (reverse preorder) makes no fill-in on a
     graph with no cycles (Tinney & Walker, Proc. IEEE 1967).  One scalar
-    pass takes each bus's pivot, its block less, for every child, the
-    line block times the child's inverse pivot times the line block, and
-    raises on a zero or non-finite d.  The right-hand sides, a unit P and
-    a unit Q column per PV bus and the substation column, are (2, columns)
-    rows reduced into their parents in the same order; a preorder pass
-    then substitutes back, and d|V| = Re(conj(V) dV)/|V| goes straight
-    into the outputs.  The columns go in blocks of `_TREE_BLOCK // n`, so
-    that the work arrays stay within 16 MB however many there are."""
+    pass takes each bus's pivot, its block less, per child, the line block
+    times the child's inverse pivot times the line block; the solve
+    reduces the right-hand rows into their parents in that order, in
+    place, and substitutes back in preorder."""
     t = net.tree
-    m, k = len(t.order), len(rows)
+    m = len(t.order)
     v_l = v[t.order]
     y = 1 / t.z
     up = (t.up - 1).tolist()  # the parent's preorder position, -1 for the slack
@@ -993,53 +992,33 @@ def _tree_solve(
         ai, bi = a[i], b[i]
         d = det[i] = ai.real * ai.real + ai.imag * ai.imag - (bi.real * bi.real + bi.imag * bi.imag)
         if not (d != 0 and math.isfinite(d)):
-            raise PowerFlowError(_SINGULAR)
+            return None
         p = up[i]
         if p >= 0:
             a[p] -= y_sq[i] * ai.conjugate() / d
             b[p] += y_abs2[i] * bi / d
     det_a = np.array(det)
     inv_a, inv_b = np.conj(a) / det_a, -np.array(b) / det_a
-    pivots = _blocks(inv_a, inv_b)
+    row = (t.order - (t.order > net.slack_idx)).tolist()  # each preorder position's load row
+    pivots = np.empty((m, 2, 2))
+    pivots[row] = _blocks(inv_a, inv_b)
     # a bus's reduced rows, times `lift`, leave its parent's; its parent's
     # solution, times `drop`, joins its own
-    lift = list(_blocks(-y * inv_a, -y * inv_b))
-    drop = list(_blocks(y * inv_a, np.conj(y) * inv_b))
-    links = [(i, p) for i, p in enumerate(up) if p >= 0]
-    # preorder position -> load row, and each column's bus in preorder
-    row_of = t.order - (t.order > net.slack_idx)
-    pre_of = np.empty(m, dtype=int)
-    pre_of[row_of] = np.arange(m)
-    pv_at = pre_of[np.concatenate((rows, rows))]
-    # conj(dS)/conj(V) for dS = 1 and dS = j
-    unit_p = v_l / (v_l.real * v_l.real + v_l.imag * v_l.imag)
-    unit = np.concatenate((unit_p, -1j * unit_p))
-    top = np.flatnonzero(t.up == 0)  # the buses fed by the slack: -Y_LS dV_slack = 1/z
-    to_mag = np.stack((v_l.real, v_l.imag), axis=1) / np.abs(v_l)[:, None]
-    dv_dp, dv_dq, dv_dslack = np.empty((m, k)), np.empty((m, k)), np.empty(m)
-    outs = ((dv_dp, 0), (dv_dq, k), (dv_dslack[:, None], 2 * k))
-    width = max(1, _TREE_BLOCK // m)
-    for c0 in range(0, 2 * k + 1, width):
-        c1 = min(c0 + width, 2 * k + 1)
-        x = np.zeros((m, 2, c1 - c0))
-        col = np.arange(c0, min(c1, 2 * k))
-        rhs = unit[col // k * m + pv_at[col]]
-        x[pv_at[col], 0, col - c0], x[pv_at[col], 1, col - c0] = rhs.real, rhs.imag
-        if c1 == 2 * k + 1:
-            x[top, 0, -1], x[top, 1, -1] = y[top].real, y[top].imag
+    lift = _blocks(-y * inv_a, -y * inv_b)
+    drop = _blocks(y * inv_a, np.conj(y) * inv_b)
+    links = [(row[i], row[p], lift[i], drop[i]) for i, p in enumerate(up) if p >= 0]
+
+    def tree_solve(rhs: np.ndarray) -> np.ndarray:
+        xs = list(rhs)
+        for i, p, lift_i, _ in reversed(links):
+            xs[p] -= lift_i.dot(xs[i])
+        x = np.einsum("kij,kjc->kic", pivots, rhs)
         xs = list(x)
-        for i, p in reversed(links):
-            xs[p] -= lift[i].dot(xs[i])
-        x = np.einsum("kij,kjc->kic", pivots, x)
-        xs = list(x)
-        for i, p in links:
-            xs[i] += drop[i].dot(xs[p])
-        dv = np.einsum("kic,ki->kc", x, to_mag)
-        for out, base in outs:
-            lo, hi = max(c0, base), min(c1, base + out.shape[1])
-            if lo < hi:
-                out[row_of, lo - base:hi - base] = dv[:, lo - c0:hi - c0]
-    return dv_dp, dv_dq, dv_dslack
+        for i, p, _, drop_i in links:
+            xs[i] += drop_i.dot(xs[p])
+        return x
+
+    return tree_solve
 
 
 def sensitivity_matrix(model: FeederModel, solution: PowerFlowSolution) -> np.ndarray:

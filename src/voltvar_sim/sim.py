@@ -99,7 +99,7 @@ def linearize(model: FeederModel) -> LinearizedFeeder:
     power-flow solve, then every derivative from `voltage_sensitivities`:
     on a radial island of more than `feeder.SWEEP_BUSES` buses a leaf-first
     elimination over its tree, with no Ybus and no n x n array, and on any
-    other island one solve against the power-flow Jacobian."""
+    other island one dense solve of the linearized power flow."""
     sol = solve_power_flow(model)
     if not sol.converged:
         raise SimulationError("cannot linearize: power flow did not converge")

@@ -24,9 +24,9 @@ Cases:
   on both bundled feeders.
 
 The bits depend on the OpenBLAS kernel (the Z-bus fixed point's complex
-mat-vec, the Newton fallback and the sensitivity solve go through it; the
-sweep that solves `ladder300` does not), on its thread count and on
-numpy's SIMD loops.  So the cases run in a child process with all three
+mat-vec and, on Z islands only, the Newton fallback and the sensitivity
+solve go through it; the sweep that solves `ladder300` and the tree
+elimination do not), on its thread count and on numpy's SIMD loops.  So the cases run in a child process with all three
 pinned (`PINNING`): the Haswell kernel, which any x86-64-v3 host can
 run, one BLAS thread, and numpy's AVX-512 loops switched off.  That body
 is checked in as `tests/digest.txt` (numpy 2.4.6, x86-64).  When the

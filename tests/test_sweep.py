@@ -38,6 +38,8 @@ from voltvar_sim.feeder import (
 from voltvar_sim.scenario import SwitchEvent, scenario_from_dict
 from voltvar_sim.sim import linearize, run
 
+from test_feeder import _two_bus
+
 from oracles import (breadth_first, fd_sensitivities, gauss_nodal_solve, injection_array,
                      radial_tree, ybus_from_lines)
 
@@ -54,6 +56,14 @@ def _swept(model: FeederModel) -> feeder.CompiledNetwork:
     its size."""
     net = model.network
     return replace(net, z=None, tree=radial_tree(net.slack_idx, net.line_ends, net.line_z))
+
+
+def _dense(model: FeederModel) -> FeederModel:
+    """A copy of `model` whose compiled island has no `tree`: its
+    linearized solves take the dense branch."""
+    out = model._copy(())
+    out.__dict__["network"] = replace(model.network, tree=None)
+    return out
 
 
 def _pv_injections(model: FeederModel, seed: int) -> dict[str, tuple[float, float]]:
@@ -160,39 +170,72 @@ def test_tree_sensitivities_match_the_dense_solve(n, seed, laterals, closed, blo
     if block is not None:  # columns in blocks of `block`, the last one short
         monkeypatch.setattr(feeder, "_TREE_BLOCK", block * len(net.pq))
     got = voltage_sensitivities(scaled, sol)
-    pv_buses = set(scaled.pv_buses)
-    rows = np.flatnonzero([b in pv_buses for b in sol.load_bus_ids])
     assert "ybus" not in vars(net)
-    want = feeder._dense_solve(net, sol.v, rows)
+    want = voltage_sensitivities(_dense(scaled), sol)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype and g.flags.c_contiguous
         assert np.max(np.abs(g - w), initial=0.0) <= 1e-10 * np.max(np.abs(w), initial=0.0)
 
 
-def test_a_zero_tree_pivot_raises(ladder):
-    sol = solve_power_flow(ladder)
-    t = ladder.network.tree
+def test_a_zero_tree_pivot_takes_the_dense_branch(ladder):
+    model = feeder_from_dict(feeder.feeder_to_dict(ladder))  # nothing compiled yet
+    sol = solve_power_flow(model)
+    t = model.network.tree
     # the last bus in preorder is a leaf: at 1 pu under a parent at 2 pu,
-    # its current is -1/z and its block x -> (x - conj(x))/z is singular
+    # its current is -1/z and its block x -> (x - conj(x))/z is singular,
+    # though the whole system is not
     assert t.up[-1] > 0
     v = np.ones(len(sol.v), dtype=complex)
     v[t.order[t.up[-1] - 1]] = 2.0
-    with pytest.raises(PowerFlowError, match="singular Jacobian"):
-        voltage_sensitivities(ladder, replace(sol, v=v))
+    point = replace(sol, v=v)
+    assert "ybus" not in vars(model.network)
+    got = voltage_sensitivities(model, point)
+    assert "ybus" in vars(model.network)  # built for that one solve
+    for g, w in zip(got, voltage_sensitivities(_dense(model), point)):
+        assert np.isfinite(g).all()
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
-def test_forced_nonconvergence_reaches_newton(ladder, monkeypatch):
-    model = feeder_from_dict(feeder.feeder_to_dict(ladder))
+@pytest.mark.parametrize("n, laterals", [(LADDER_BUSES, 2), (3000, 0)])
+def test_forced_nonconvergence_reaches_newton(n, laterals, monkeypatch):
+    model = feeder_from_dict(_ladder_doc(n, 0, laterals))
     want = solve_power_flow(model)
     assert "ybus" not in vars(model.network)
     calls = []
     newton = feeder._newton
     monkeypatch.setattr(feeder, "_newton", lambda *args: calls.append(args) or newton(*args))
     monkeypatch.setattr(feeder, "FIXED_POINT_STEP", -1.0)  # no step is ever small enough
-    got = solve_power_flow(model)
+    tracemalloc.start()
+    try:
+        got = solve_power_flow(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert got.converged and len(calls) == 1
-    assert "ybus" in vars(model.network)
+    assert "ybus" not in vars(model.network)  # Newton steps through the tree too
+    assert peak <= 16e6  # at 3,000 buses a dense Jacobian alone would be 288 MB
     assert np.max(np.abs(got.v - want.v)) < 1e-9
+
+
+@pytest.mark.parametrize("case, edge", [("two_bus", 11.75), ("feeder30", 3.75),
+                                        ("ladder", 5.0)])
+def test_newton_reaches_the_loadability_edge_from_a_flat_start(case, edge, request):
+    # the largest multiple of the loads, in steps of 0.25, at which Newton
+    # from a flat start converged when it stepped polar magnitudes and
+    # angles: the same on the dense branch (two_bus, feeder30) and the
+    # tree's (ladder)
+    model = _two_bus() if case == "two_bus" else request.getfixturevalue(case)
+    for mult, converges in ((edge, True), (edge + 0.25, False)):
+        scaled = model.with_scaled_loads(mult)
+        net = scaled.network
+        assert (net.tree is not None) == (case == "ladder")
+        v, converged, _, _ = feeder._newton(net, scaled._s_base, scaled.v_slack, None,
+                                            DEFAULT_TOL)
+        assert converged == converges
+        if case == "ladder" and converged:
+            dense = feeder._newton(replace(net, tree=None), scaled._s_base, scaled.v_slack,
+                                   None, DEFAULT_TOL)
+            assert dense[1] and np.max(np.abs(v - dense[0])) < 1e-12
 
 
 def test_closing_a_loop_keeps_the_z_path(ladder):
