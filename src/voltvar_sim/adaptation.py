@@ -218,11 +218,11 @@ def step_matrix(
     `params` holds the `AdaptiveParams` fields as rows, with one column
     per unit (at least one), and `voltages` and `p_pv` the (T, n) windows
     that close at the boundary.  The units that were energized and
-    generating on every tick of the window are stepped; their old and new
-    columns are checked (`check_adaptive`), and only then are the new ones
-    stored in `params`.  Returns the stepped units' indices and their new
-    (5, k) rows, which share no memory with `params`, or None when no unit
-    qualifies.
+    generating on every tick of the window are stepped.  Their old and new
+    columns are checked side by side in one `check_adaptive` call, and
+    only then are the new ones stored in `params`.  Returns the stepped
+    units' indices and their new (5, k) rows, which share no memory with
+    `params`, or None when no unit qualifies.
     """
     if p_pv.min() > 0 and not np.isnan(voltages.min()):  # every unit: no gather
         cols = slice(None)
@@ -232,9 +232,8 @@ def step_matrix(
         if not len(idx):
             return None
     rows = params[:, cols]
-    check_adaptive(*rows)
     new = _step_rows(rows, voltages[:, cols], p_pv[:, cols], rating_s[cols], cfg)
-    check_adaptive(*new)
+    check_adaptive(*np.concatenate((rows, new), axis=1))
     params[:, cols] = new
     return idx, new
 
@@ -261,5 +260,8 @@ def _step_rows(
     moved = np.abs(sse) > cfg.eps_sse
     q_min_p, q_max_p = capacity_limits(rating_s, p_avg)
     q_p = np.where(moved, q_p - cfg.k_d * sse, q_p)
-    m_p = _slope_update(m_p, np.abs(vf), moved, cfg)
-    return np.array([m_p, clamp(q_p, q_min_p, q_max_p), q_min_p, q_max_p, mu])
+    new = np.empty(rows.shape)
+    new[0] = _slope_update(m_p, np.abs(vf), moved, cfg)
+    new[1] = clamp(q_p, q_min_p, q_max_p)
+    new[2], new[3], new[4] = q_min_p, q_max_p, mu
+    return new

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import adaptation
 from .adaptation import capacity_limits
-from .adaptation import outer_loop_step  # noqa: F401 (perfbench's tracer patches it here)
+# perfbench's tracer hooks this name, but it never fires: the engine calls `step_matrix`
+from .adaptation import outer_loop_step  # noqa: F401
 from .control import (AdaptiveParams, ControlError, DroopParams, adaptive_dispatch,
                       delayed_dispatch, droop_dispatch)
 from .feeder import (FeederError, FeederModel, PowerFlowSolution, apply_topology_event,
@@ -79,14 +80,13 @@ class LinearizedFeeder:
             raise FeederError(f"bus {self.slack_id}: v_set must be finite and > 0")
         return replace(self, v_slack=v_pu)
 
-    def voltages(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Load-bus voltages at PV outputs `p` and var dispatches `q`."""
-        return (
-            self.v_base
-            + self.dv_dq.dot(q - self.q_base)
-            + self.dv_dp.dot(p - self.p_base)
-            + self._slack_term
-        )
+    def voltages(self, p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Load-bus voltages at PV outputs `p` and var dispatches `q`,
+        written into `out` when given (the same bits either way)."""
+        out = np.add(self.v_base, self.dv_dq.dot(q - self.q_base), out=out)
+        out += self.dv_dp.dot(p - self.p_base)
+        out += self._slack_term
+        return out
 
     @cached_property
     def _slack_term(self) -> np.ndarray:
@@ -172,7 +172,11 @@ class SimulationEngine:
     Controller state is one matrix with a row per parameter field and a
     column per unit (in `unit_buses` order), and each tick dispatches every
     unit with one elementwise call of its law on the rows, which reads only
-    that unit's own bus voltage (locality contract).  Only the constructor
+    that unit's own bus voltage (locality contract).  Each tick's dispatch
+    and voltages go straight into the trace arrays `q_rec` and `voltages`,
+    where a unit that does not dispatch keeps its 0 and a dark bus its NaN;
+    each horizon boundary steps the matrix in place
+    (`adaptation.step_matrix`).  Only the constructor
     tells a full `FeederModel` from a `LinearizedFeeder`: it binds the
     per-tick solve and rejects the events the linear model cannot take.
     """
@@ -197,8 +201,6 @@ class SimulationEngine:
             self._inj = np.zeros(len(model.bus_ids), dtype=complex)
         self.model = model
         self.bus_ids = model.bus_ids
-        # the engine's own voltage row, refilled in place by each solve
-        self._row = np.full(len(self.bus_ids), np.nan)
         self.unit_buses = model.pv_buses
         n = len(self.unit_buses)
         if not n and scenario.controller_kind.name != "none":
@@ -277,7 +279,7 @@ class SimulationEngine:
         self._last_solution: PowerFlowSolution | None = None
         for ev in self.live_events.get(0, []):
             self._apply_live_event(ev)
-        self._solve_and_record(0, self.q_rec[0])
+        self._solve(self, 0)
         self.tick = 1
 
     # -- setup helpers
@@ -335,23 +337,24 @@ class SimulationEngine:
         elif isinstance(ev, SwitchEvent):
             self.model = apply_topology_event(self.model, ev.switch_id, ev.state)
             self._last_solution = None  # island changed; cold start
-            self._row.fill(np.nan)  # buses the switch darkens read NaN
             # a unit on a bus the switch darkens dispatches nothing from this tick on
             lit = self.model.network.pos[self._unit_cols] >= 0
             self._generating[self.tick:] = (self.p_profile[self.tick:] > 0) & lit
         elif isinstance(ev, LoadScale):
             self.model = self.model.with_scaled_loads(ev.factor)
 
-    def _dispatch(self, t: int) -> np.ndarray:
-        """Every unit's var dispatch for tick `t` from the voltages of tick
-        t-1; units without real output or on a dark bus dispatch nothing."""
+    def _dispatch(self, t: int) -> None:
+        """Write every unit's var dispatch for tick `t`, from the voltages of
+        tick t-1, into `q_rec[t]`; units without real output or on a dark
+        bus dispatch nothing and keep the row's 0."""
         kind = self.scenario.controller_kind
         if self._params is None:
-            return np.zeros(len(self.unit_buses))
+            return
         v = self.voltages[t - 1, self._unit_cols]
         active = self._generating[t] & (v == v)  # NaN on dark buses
         if kind.name == "adaptive":
-            return np.where(active, adaptive_dispatch(self._rows, v), 0.0)
+            np.copyto(self.q_rec[t], adaptive_dispatch(self._rows, v), where=active)
+            return
         if self.scenario.recompute_droop_capacity:
             # var limits follow the leftover capacity, cut-offs stay pinned
             idx = np.flatnonzero(active)
@@ -365,39 +368,32 @@ class SimulationEngine:
                 raise SimulationError(f"droop limits at tick {t} for {buses}: {exc}") from exc
         q = (droop_dispatch(self._rows, v) if kind.name == "conventional"
              else delayed_dispatch(self._rows, kind.tau, v, self.q_rec[t - 1]))
-        return np.where(active, q, 0.0)
+        np.copyto(self.q_rec[t], q, where=active)
 
-    def _solve_and_record(self, t: int, q: np.ndarray) -> None:
-        # `_solve` is kept unbound: a bound method on the engine would be a
-        # reference cycle, keeping a finished engine until a full collection
-        row, converged = self._solve(self, self.p_profile[t], q)
-        if not converged:
-            self.flags[t] = "pf_diverged"
-        if converged or t == 0:
-            self.voltages[t] = row
-        else:  # the last voltages, on the buses still energized (only a full model diverges)
-            cols = self.model.network.cols
-            self.voltages[t] = np.nan
-            self.voltages[t, cols] = self.voltages[t - 1, cols]
-        self.q_rec[t] = q
+    # Per-tick solves, at tick `t`'s PV outputs and recorded dispatch,
+    # straight into the trace row `voltages[t]`.  Each is kept unbound
+    # (`_solve`): a bound method on the engine would be a reference cycle,
+    # keeping a finished engine until a full collection.
 
-    # Per-tick solves: (PV outputs, var dispatches) -> (voltage row in
-    # `bus_ids` order, converged).
-
-    def _solve_full(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
-        self._inj.real[self._unit_cols] = p
-        self._inj.imag[self._unit_cols] = q
+    def _solve_full(self, t: int) -> None:
+        self._inj.real[self._unit_cols] = self.p_profile[t]
+        self._inj.imag[self._unit_cols] = self.q_rec[t]
         # through the `sim` namespace: perfbench's tracer patches it here
         sol = solve_power_flow(self.model, injections=self._inj, v_init=self._last_solution)
+        cols = self.model.network.cols
         if sol.converged:
             self._last_solution = sol
-        self._row[self.model.network.cols] = np.abs(sol.v)  # the caller copies the row out
-        return self._row, sol.converged
+        else:
+            self.flags[t] = "pf_diverged"
+            if t:  # the last voltages, on the buses still energized
+                self.voltages[t, cols] = self.voltages[t - 1, cols]
+                return
+        self.voltages[t, cols] = np.abs(sol.v)
 
-    def _solve_linear(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
-        self._row[0] = self.model.v_slack  # the caller copies the row out
-        self._row[1:] = self.model.voltages(p, q)
-        return self._row, True
+    def _solve_linear(self, t: int) -> None:
+        row = self.voltages[t]
+        row[0] = self.model.v_slack
+        self.model.voltages(self.p_profile[t], self.q_rec[t], out=row[1:])
 
     def _outer_boundary(self, t: int) -> None:
         """Outer-loop step for every unit that was energized and generating
@@ -417,7 +413,8 @@ class SimulationEngine:
             raise SimulationError("simulation horizon exhausted")
         for ev in self.live_events.get(t, ()):
             self._apply_live_event(ev)
-        self._solve_and_record(t, self._dispatch(t))
+        self._dispatch(t)
+        self._solve(self, t)
         if self.scenario.controller_kind.name == "adaptive" and t % self.scenario.t_outer == 0:
             self._outer_boundary(t)  # t >= 1, so a whole window has closed
         self.tick += 1

@@ -694,12 +694,14 @@ class TestAdaptiveLoop:
         assert engine.tick == 10
 
     @pytest.mark.parametrize("fixture", ["ieee4", "ieee4_closed"])
-    @pytest.mark.parametrize("bad", ["new", "old"])
+    @pytest.mark.parametrize("bad", ["new", "old", "old-qp", "old-slope"])
     def test_failing_boundary_changes_nothing(self, fixture, bad, request, monkeypatch):
         # with bus4 dark (`ieee4`) the boundary steps a column subset, with
         # both units live (`ieee4_closed`) the whole matrix; a block that
         # fails its check leaves the matrix, the params and the log as the
-        # tick before left them
+        # tick before left them.  The step itself would repair the last two
+        # old columns (q_p clamped into the fresh limits, the slope floored
+        # at m_floor > 0), so only the check of the old columns catches them
         engine = SimulationEngine(_scenario(ControllerKind("adaptive")),
                                   request.getfixturevalue(fixture))
         while engine.tick < 30:
@@ -709,8 +711,15 @@ class TestAdaptiveLoop:
             monkeypatch.setattr(adaptation, "capacity_limits",
                                 lambda rating, p: (np.abs(rating) + 1.0, -np.abs(rating) - 1.0))
             match = "q_min_p <= q_p <= q_max_p"
-        else:  # a stored slope that is no longer valid
+        elif bad == "old":  # a stored slope that is no longer valid
             engine._params[0, 0] = np.nan
+            match = "m_p must be finite and >= 0"
+        elif bad == "old-qp":  # a stored offset above its var limit
+            engine._params[1, 0] = engine._params[3, 0] + 0.5
+            match = "q_min_p <= q_p <= q_max_p"
+        else:  # a stored negative slope
+            assert engine.scenario.adaptive.m_floor > 0
+            engine._params[0, 0] = -0.5
             match = "m_p must be finite and >= 0"
         matrix = engine._params.copy()
         log = list(engine._outer_log)
@@ -723,6 +732,9 @@ class TestAdaptiveLoop:
             params = engine.params
             assert np.array([getattr(params, f) for f in vars(params)]).tobytes() == \
                 matrix.tobytes()
+        else:  # the stored column is still the bad one the tick before left
+            with pytest.raises(ControlError, match=match):
+                engine.params
 
     @pytest.mark.parametrize("case", ["feeder30-intermittency", "twin150"])
     def test_adaptive_run_matches_reference_composition(self, case, monkeypatch):
@@ -849,37 +861,58 @@ def _divergence_pair(ieee4, feeder30):
     ]
 
 
+def _twin_pair(ieee4, feeder30):
+    lin = linearize(ieee4)
+    return lin, [_scenario(ControllerKind("conventional"), horizon=40),
+                 _scenario(ControllerKind("adaptive"), horizon=40)]
+
+
 class TestEngineBuffers:
-    """Each engine solves into its own injection array and voltage row;
-    engines on one model share its compiled network and nothing else."""
+    """Each engine solves into its own injection array and writes each tick
+    straight into its own trace arrays; engines on one model share its
+    compiled network and nothing else."""
 
     @pytest.mark.parametrize("case", [
         pytest.param(_switch_pair, id="ieee4-switch"),
         pytest.param(_intermittency_pair, id="feeder30-intermittency"),
         pytest.param(_divergence_pair, id="two-bus-diverged-tick"),
+        pytest.param(_twin_pair, id="ieee4-twin"),
     ])
     def test_alternating_engines_match_solo_runs(self, case, ieee4, feeder30, monkeypatch):
         model, scenarios = case(ieee4, feeder30)
         alone = [run(sc, model) for sc in scenarios]
-        # the injection array and voltage row of every solve, per engine
+        # the injection arrays and recorded voltage rows of every solve, per engine
         used: dict[int, list[np.ndarray]] = {}
-        solving = []
-        solve_full, solve = SimulationEngine._solve_full, sim_module.solve_power_flow
+        solving, engines = [], []
+        solve = sim_module.solve_power_flow
 
-        def spy_full(engine, p, q):
-            solving[:] = [engine]
-            row, converged = solve_full(engine, p, q)
-            used[id(engine)].append(row)
-            return row, converged
+        def spy_on(solve_tick):
+            def spy(engine, t):
+                solving[:] = [engine]
+                everyone = engines + [engine] * (engine not in engines)
+                before = [(e.voltages.copy(), e.q_rec.copy()) for e in everyone]
+                solve_tick(engine, t)
+                row = engine.voltages[t]
+                assert row.base is engine.voltages  # a view of its own trace
+                used.setdefault(id(engine), []).append(row)
+                # the solve wrote its engine's row `t` and nothing else
+                for e, (v, q) in zip(everyone, before):
+                    kept = np.arange(len(v)) != t if e is engine else slice(None)
+                    assert e.voltages[kept].tobytes() == v[kept].tobytes()
+                    assert e.q_rec.tobytes() == q.tobytes()
+            return spy
 
         def spy(m, injections=None, v_init=None):
             used.setdefault(id(solving[0]), []).append(injections)
             return solve(m, injections=injections, v_init=v_init)
 
-        monkeypatch.setattr(SimulationEngine, "_solve_full", spy_full)
+        for name in ("_solve_full", "_solve_linear"):
+            monkeypatch.setattr(SimulationEngine, name, spy_on(getattr(SimulationEngine, name)))
         monkeypatch.setattr(sim_module, "solve_power_flow", spy)
-        engines = [SimulationEngine(sc, model) for sc in scenarios]
-        assert engines[0].model.network is engines[1].model.network
+        for sc in scenarios:
+            engines.append(SimulationEngine(sc, model))
+        if case is not _twin_pair:
+            assert engines[0].model.network is engines[1].model.network
         for _ in range(1, scenarios[0].horizon):
             for engine in engines:
                 engine.step_inner()
@@ -891,7 +924,10 @@ class TestEngineBuffers:
         # no array of one engine's solves is (part of) another engine's
         mine, theirs = ({id(x): x for x in used[id(e)]}.values() for e in engines)
         assert not any(np.shares_memory(x, y) for x in mine for y in theirs)
-        assert all(len({id(x) for x in used[id(e)]}) == 2 for e in engines)  # one of each
+        for engine in engines:  # one injection array per full engine, and a row per tick
+            inj = [x for x in used[id(engine)] if x.dtype == complex]
+            assert len({id(x) for x in inj}) == (case is not _twin_pair)
+            assert len(used[id(engine)]) - len(inj) == engine.scenario.horizon
         if case is _switch_pair:  # bus4 is lit only while switch1 is closed
             lit = ~np.isnan(alone[0].bus_voltage("bus4"))
             assert np.flatnonzero(lit).tolist() == list(range(15, 25))
@@ -1179,6 +1215,19 @@ class TestLinearizedEngine:
         for got, want in zip((lin.dv_dp, lin.dv_dq, lin.dv_dslack), fd_sensitivities(model)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("fixture", ["ieee4", "feeder30"])
+    def test_voltages_into_out_match_the_allocating_call(self, fixture, request):
+        lin = linearize(request.getfixturevalue(fixture)).with_slack_voltage(1.02)
+        rng = np.random.default_rng(5)
+        k = len(lin.pv_buses)
+        for _ in range(5):
+            p, q = rng.uniform(0, 0.5, k), rng.uniform(-0.3, 0.3, k)
+            want = lin.voltages(p, q)
+            row = np.full(len(lin.bus_ids), np.nan)
+            got = lin.voltages(p, q, out=row[1:])
+            assert got.base is row and np.isnan(row[0])
+            assert got.tobytes() == want.tobytes()
 
     def test_one_power_flow_solve(self, feeder30, monkeypatch):
         solves = []
