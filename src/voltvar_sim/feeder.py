@@ -28,24 +28,23 @@ safe to use concurrently.
 
 `solve_power_flow` iterates the fixed point V_L = w V_S + Z conj(S_L / V_L)
 of the backward/forward sweep (Shirmohammadi et al. 1988; Teng 2003) in
-one of two forms, chosen per island when it is compiled:
-- a radial island of more than `SWEEP_BUSES` buses runs the sweep itself
-  on tree arrays (depth-first preorder, subtree ranges, the enter and
-  leave steps of a walk down the tree, line impedances), read off the
-  depth-first island walk: each iteration is a few O(n) array calls, and
-  no n x n array is built;
-- any other island, meshed ones of every size included, runs the matrix
-  form with a dense Z = Y_LL^-1 from the Z-bus building algorithm rather
-  than a factorization, and w = -Z Y_LS.  Z needs O(n^2) memory and
-  each iteration is an O(n^2) mat-vec, but on a few dozen buses that one
-  call is cheaper than the sweep's extra ones.  `SWEEP_BUSES` sits where
-  the two cost the same per solve.
-Both stop once no voltage moves by more than `FIXED_POINT_STEP` pu and
-then require the Newton mismatch test; that makes them as accurate as a
-Newton solve, which the tests' finite-difference sensitivities rely on.
+one loop, whose step the island's kind, fixed when it is compiled, picks:
+- on a radial island of more than `SWEEP_BUSES` buses the step is the
+  sweep itself on tree arrays (depth-first preorder, subtree ranges, the
+  enter and leave steps of a walk down the tree, line impedances), read
+  off the depth-first island walk: a few O(n) array calls, and no n x n
+  array is built;
+- on any other island, meshed ones of every size included, it is one
+  mat-vec with a dense Z = Y_LL^-1 from the Z-bus building algorithm
+  rather than a factorization, and w = -Z Y_LS: O(n^2) memory and time,
+  but on a few dozen buses that one call is cheaper than the sweep's
+  extra ones.  `SWEEP_BUSES` sits where the two cost the same per solve.
+The loop stops once no voltage moves by more than `FIXED_POINT_STEP` pu
+and then requires the Newton mismatch test; that makes it as accurate as
+a Newton solve, which the tests' finite-difference sensitivities rely on.
 Near the loadability limit the fixed point stalls, so a solve that does not
 converge within `DEFAULT_MAX_ITER` iterations falls back to Newton-Raphson,
-which steps the complex voltages.  All three solvers return complex
+which steps the complex voltages.  Both solvers return complex
 voltages, which a `PowerFlowSolution` holds as `v`; a warm start reuses
 them as they are.
 
@@ -541,12 +540,13 @@ class CompiledNetwork:
     model order, run between island positions `line_ends[0]` and
     `line_ends[1]`, with impedances `line_z`.
 
-    A radial island of more than `SWEEP_BUSES` buses keeps its `tree` for
-    the sweep and the sensitivities and has `z` None; any other island has
-    `tree` None and `z`, which is None when Y_LL is singular (only the
-    Newton path can then report that).  `ybus` and `w` are built on first
-    use: on a sweep island only a zero pivot of the tree elimination reads
-    Ybus.
+    The island's kind picks the fixed point's step: a radial island of
+    more than `SWEEP_BUSES` buses keeps its `tree` for the sweep step and
+    the sensitivities and has `z` None; any other island has `tree` None
+    and `z` for the mat-vec step, `z` being None when Y_LL is singular
+    (only the Newton path can then report that).  `ybus` and `w` are
+    built on first use: on a sweep island only a zero pivot of the tree
+    elimination reads Ybus.
     """
 
     island: tuple[str, ...]
@@ -716,80 +716,58 @@ def _fixed_point(
     v0: np.ndarray | None,
     tol: float,
 ) -> tuple[np.ndarray, bool, int, float]:
-    """Z-bus fixed point V_L <- w V_S + Z conj(S_L / V_L) from `v0` or the
-    no-load voltages.  Converged means the last step moved no voltage by
-    more than FIXED_POINT_STEP and the power mismatch is within `tol`."""
+    """The fixed point V_L <- w V_S + Z conj(S_L / V_L) over the island's
+    load buses in its own order (`pq`, or a tree's preorder), from `v0` or
+    the no-load voltages (w V_S, flat on a tree).  A step is one Z mat-vec,
+    or on a tree island the O(n) backward/forward sweep.  Converged means
+    the last step moved no voltage by more than FIXED_POINT_STEP and the
+    power mismatch is within `tol`."""
     v = np.full(len(net.island), v_slack, dtype=complex)
-    if net.z is None:
-        return v, False, 0, np.inf
-    pq, z = net.pq, net.z
-    s_l = s_spec[pq]
-    v_src = net.w * v_slack
-    v_l = v_src if v0 is None else v0[pq]
-    step = np.inf if len(pq) else 0.0
+    t, z = net.tree, net.z
+    if t is None:
+        if z is None:
+            return v, False, 0, np.inf
+        order = net.pq
+        v_start = v_src = net.w * v_slack
+    else:
+        order = t.order
+        m = len(order)
+        # running sums from 0 of the injected currents in preorder, and over
+        # the walk from the slack voltage
+        acc = np.zeros(m + 1, dtype=complex)
+        walk = np.empty(2 * m + 1, dtype=complex)
+        walk[0] = v_slack
+        currents, drops = acc[1:], walk[1:]
+        v_start = v[order]
+    s_l = s_spec[order]
+    v_l = v_start if v0 is None else v0[order]
+    step = np.inf if len(order) else 0.0
     iterations = 0
     # on feeder-sized arrays call overhead, not arithmetic, is the cost of an
     # iteration: the mat-vecs are `dot` (the zgemv of `@` without matmul's
-    # dispatch), the step one direct ufunc reduction (never on an empty `pq`)
+    # dispatch), the step one direct ufunc reduction (never on an empty island)
     with np.errstate(all="ignore"):
         while iterations < DEFAULT_MAX_ITER and step > FIXED_POINT_STEP:
-            v_new = v_src + z.dot(np.conj(s_l / v_l))
+            if t is None:
+                v_new = v_src + z.dot(np.conj(s_l / v_l))
+            else:
+                # backward: a line carries the currents of the subtree below
+                # it, one difference of the running sum; forward: each drop
+                # joins the walk's running sum on entering its bus and leaves
+                # it on leaving, so the sum on entering a bus is its voltage
+                np.add.accumulate(np.conj(s_l / v_l), out=currents)
+                np.multiply(t.walk_z, acc[t.walk_end] - acc[t.walk_bus], out=drops)
+                v_new = np.add.accumulate(walk, out=walk)[t.enter]
             step = np.maximum.reduce(np.abs(v_new - v_l))
             v_l = v_new
             iterations += 1
             if not math.isfinite(step):
                 break
-        v[pq] = v_l
-        ds = s_l - v_l * np.conj(net.ybus.dot(v)[pq])
+        v[order] = v_l
+        i_l = net.ybus.dot(v)[order] if t is None else _tree_currents(t, v_slack, v_l)
+        ds = s_l - v_l * np.conj(i_l)
         # max(max|Re|, max|Im|) over the interleaved parts
         mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
-    converged = bool(step <= FIXED_POINT_STEP and mismatch <= tol)
-    return v, converged, iterations, mismatch
-
-
-def _sweep(
-    net: CompiledNetwork,
-    s_spec: np.ndarray,
-    v_slack: float,
-    v0: np.ndarray | None,
-    tol: float,
-) -> tuple[np.ndarray, bool, int, float]:
-    """`_fixed_point`'s map and stop rule on a radial island's `tree`, as
-    the backward/forward sweep of Shirmohammadi et al. (1988): the current
-    through each line is the sum of the injected currents below it, and
-    each bus voltage is the slack voltage plus the drops (z times that
-    current) of the lines on its path.  O(n) per iteration; the closing
-    mismatch comes from the line currents."""
-    t = net.tree
-    v = np.full(len(net.island), v_slack, dtype=complex)
-    s_l = s_spec[t.order]
-    v_l = v[t.order] if v0 is None else v0[t.order]
-    m = len(s_l)
-    # running sums from 0 of the injected currents in preorder, and over
-    # the walk from the slack voltage
-    acc = np.zeros(m + 1, dtype=complex)
-    walk = np.empty(2 * m + 1, dtype=complex)
-    walk[0] = v_slack
-    currents, drops = acc[1:], walk[1:]
-    step = np.inf if m else 0.0
-    iterations = 0
-    with np.errstate(all="ignore"):
-        while iterations < DEFAULT_MAX_ITER and step > FIXED_POINT_STEP:
-            # backward: a line carries the currents of the subtree below it,
-            # one difference of the running sum; forward: each drop joins the
-            # walk's running sum on entering its bus and leaves it on leaving,
-            # so the sum on entering a bus is its voltage
-            np.add.accumulate(np.conj(s_l / v_l), out=currents)
-            np.multiply(t.walk_z, acc[t.walk_end] - acc[t.walk_bus], out=drops)
-            v_new = np.add.accumulate(walk, out=walk)[t.enter]
-            step = np.maximum.reduce(np.abs(v_new - v_l))
-            v_l = v_new
-            iterations += 1
-            if not math.isfinite(step):
-                break
-        ds = s_l - v_l * np.conj(_tree_currents(t, v_slack, v_l))
-        mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
-    v[t.order] = v_l
     converged = bool(step <= FIXED_POINT_STEP and mismatch <= tol)
     return v, converged, iterations, mismatch
 
@@ -830,10 +808,10 @@ def solve_power_flow(
     takes the specified injections, the slack voltage and a start, and
     returns (v, converged, iterations, mismatch).  They are tried in turn
     until one converges to a power mismatch of `DEFAULT_TOL`: the fixed
-    point (the sweep on a large radial island, the Z-bus form on any
-    other), then Newton-Raphson from the warm start, then, if there was
-    one, Newton-Raphson from a flat start.  Non-convergence is reported
-    via `converged=False`, not raised.
+    point (one loop, stepping by the sweep on a large radial island and by
+    the Z-bus mat-vec on any other), then Newton-Raphson from the warm
+    start, then, if there was one, Newton-Raphson from a flat start.
+    Non-convergence is reported via `converged=False`, not raised.
     """
     net = model.network
     s_spec = model._s_base
@@ -844,7 +822,7 @@ def solve_power_flow(
     v_slack = model.v_slack
 
     v0 = v_init.v if v_init is not None and v_init.bus_ids == net.island else None
-    attempts = [(_fixed_point if net.tree is None else _sweep, v0), (_newton, v0)]
+    attempts = [(_fixed_point, v0), (_newton, v0)]
     if v0 is not None:
         attempts.append((_newton, None))
     for solver, start in attempts:

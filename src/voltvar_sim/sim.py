@@ -407,16 +407,36 @@ class SimulationEngine:
     def step_inner(self) -> int:
         """Advance one tick: apply this tick's events, dispatch every
         controller from the previous voltages, solve, then run the outer
-        loop if this tick closes a horizon.  Returns the tick index."""
+        loop if this tick closes a horizon.  Returns the tick index.
+
+        A tick is all or nothing: if any of it raises, the engine is put
+        back as the tick found it, so stepping again applies its events
+        once.  The model and the last solution are only ever replaced; what
+        events write in place (`_generating`, `_params`) is copied first."""
         t = self.tick
         if t >= self.scenario.horizon:
             raise SimulationError("simulation horizon exhausted")
-        for ev in self.live_events.get(t, ()):
-            self._apply_live_event(ev)
-        self._dispatch(t)
-        self._solve(self, t)
-        if self.scenario.controller_kind.name == "adaptive" and t % self.scenario.t_outer == 0:
-            self._outer_boundary(t)  # t >= 1, so a whole window has closed
+        events = self.live_events.get(t, ())
+        model, last = self.model, self._last_solution
+        kinds = {type(ev) for ev in events} if events else ()
+        generating = self._generating[t:].copy() if SwitchEvent in kinds else None
+        params = (self._params.copy() if SetpointChange in kinds and self._params is not None
+                  else None)
+        try:
+            for ev in events:
+                self._apply_live_event(ev)
+            self._dispatch(t)
+            self._solve(self, t)
+            if self.scenario.controller_kind.name == "adaptive" and t % self.scenario.t_outer == 0:
+                self._outer_boundary(t)  # t >= 1, so a whole window has closed
+        except BaseException:
+            self.model, self._last_solution = model, last
+            if generating is not None:
+                self._generating[t:] = generating
+            if params is not None:
+                self._params[:] = params  # in place: `_rows` views its rows
+            self.voltages[t], self.q_rec[t], self.flags[t] = np.nan, 0.0, ""
+            raise
         self.tick += 1
         return t
 

@@ -16,12 +16,12 @@ breadth-first walk over the closed lines, found by bus id.
 
 The reference kernels at the end are the plain forms of the package's
 hot paths, kept to pin their arithmetic bit for bit: the Z-bus fixed
-point with `np.max` reductions, Ybus as a loop over the `Line`
-objects, the sweep's tree arrays from a depth-first walk of the island's
-lines, the window sums walked row by row from
-zero, the band-violation run search bus by bus, and the outer-loop step
-as the engine ran it on a parameter block of one array per field, with
-the engine's outer-loop boundary composed from it.
+point with `np.max` reductions, the tree sweep as a loop of its own,
+Ybus as a loop over the `Line` objects, the sweep's tree arrays from a
+depth-first walk of the island's lines, the window sums walked row by
+row from zero, the band-violation run search bus by bus, and the
+outer-loop step as the engine ran it on a parameter block of one array
+per field, with the engine's outer-loop boundary composed from it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from voltvar_sim.feeder import (
     FeederModel,
     PowerFlowSolution,
     RadialTree,
+    _tree_currents,
     solve_power_flow,
 )
 from voltvar_sim.results import ParamLog, SimulationTrace
@@ -472,6 +473,48 @@ def fixed_point_reference(
         mismatch = float(max(np.max(np.abs(ds.real), initial=0.0),
                              np.max(np.abs(ds.imag), initial=0.0)))
     converged = step <= FIXED_POINT_STEP and mismatch <= tol
+    return v, converged, iterations, mismatch
+
+
+def sweep_reference(
+    net: CompiledNetwork,
+    s_spec: np.ndarray,
+    v_slack: float,
+    v0: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, bool, int, float]:
+    """The fixed point on a radial island's `tree` as its own loop, the
+    backward/forward sweep: from `v0` or a flat start, the line currents
+    as differences of a running sum of the injected currents in preorder,
+    the bus voltages as a running sum of the line drops over the walk
+    down the tree, stepping until no voltage moves more than
+    FIXED_POINT_STEP; the closing mismatch from the line currents."""
+    t = net.tree
+    v = np.full(len(net.island), v_slack, dtype=complex)
+    s_l = s_spec[t.order]
+    v_l = v[t.order] if v0 is None else v0[t.order]
+    m = len(s_l)
+    acc = np.zeros(m + 1, dtype=complex)
+    walk = np.empty(2 * m + 1, dtype=complex)
+    walk[0] = v_slack
+    currents, drops = acc[1:], walk[1:]
+    step = np.inf if m else 0.0
+    iterations = 0
+    with np.errstate(all="ignore"):
+        while iterations < max_iter and step > FIXED_POINT_STEP:
+            np.add.accumulate(np.conj(s_l / v_l), out=currents)
+            np.multiply(t.walk_z, acc[t.walk_end] - acc[t.walk_bus], out=drops)
+            v_new = np.add.accumulate(walk, out=walk)[t.enter]
+            step = np.maximum.reduce(np.abs(v_new - v_l))
+            v_l = v_new
+            iterations += 1
+            if not math.isfinite(step):
+                break
+        ds = s_l - v_l * np.conj(_tree_currents(t, v_slack, v_l))
+        mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
+    v[t.order] = v_l
+    converged = bool(step <= FIXED_POINT_STEP and mismatch <= tol)
     return v, converged, iterations, mismatch
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +36,15 @@ from oracles import (
     gauss_nodal_solve,
     injection_array,
     radial_tree,
+    sweep_reference,
     total_losses,
     two_bus_voltage,
     voltage_at,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gen  # noqa: E402  (perfbench/gen.py)
 
 # frozen from the closed-form two-bus oracle (v1=1, z=0.01+j0.05, S=0.5+j0.2)
 TWO_BUS_V2 = 0.9844907599865401
@@ -389,8 +396,8 @@ def test_fixed_point_agrees_with_oracle_and_newton(case):
     assert np.max(np.abs(v - v_newton)) < 1e-10
     if len(net.line_z) == len(net.pq):  # radial: the sweep iterates the same map
         tree = radial_tree(net.slack_idx, net.line_ends, net.line_z)
-        swept = feeder._sweep(replace(net, z=None, tree=tree), s, model.slack.v_set, None,
-                              DEFAULT_TOL)
+        swept = feeder._fixed_point(replace(net, z=None, tree=tree), s, model.slack.v_set,
+                                    None, DEFAULT_TOL)
         dense = feeder._fixed_point(net, s, model.slack.v_set, None, DEFAULT_TOL)
         assert swept[1] == dense[1]
         assert np.max(np.abs(swept[0] - dense[0])) < 1e-12
@@ -420,13 +427,16 @@ def test_near_loadability_converges_through_newton_fallback(monkeypatch):
 
 
 def _fixed_point_case(name, request):
-    """(compiled network, S_spec, slack voltage, v0) of a named case."""
+    """(model, S_spec, v0) of a named case; the `ladder150` ones are a
+    radial island of more than `SWEEP_BUSES` buses, which steps by the
+    sweep."""
     feeder30 = request.getfixturevalue("feeder30")
     model, injections, v0 = feeder30, None, None
-    if name == "feeder30_warm":
-        base = solve_power_flow(feeder30)
-        v0 = base.v
-        injections = injection_array(feeder30, {b: (-0.02, 0.03) for b in feeder30.pv_buses})
+    if name.startswith("ladder150"):
+        model = feeder_from_dict(gen.ladder_feeder(150, 0))
+    if name.endswith("_warm"):
+        v0 = solve_power_flow(model).v
+        injections = injection_array(model, {b: (-0.02, 0.03) for b in model.pv_buses})
     elif name == "ieee4_closed":
         model = request.getfixturevalue("ieee4_closed")
     elif name == "feeder30_meshed":
@@ -435,22 +445,26 @@ def _fixed_point_case(name, request):
         model = _two_bus(load_p=4.5, load_q=1.8)
     elif name == "slack_only":
         model = FeederModel(buses=(Bus("s", "slack", v_set=1.02),), lines=())
-    elif name == "zero_in_v0":
-        base = solve_power_flow(feeder30)
-        v0 = base.v.copy()
+    elif name.endswith("zero_in_v0"):
+        v0 = solve_power_flow(model).v.copy()
         v0[5] = 0.0
-    return model.network, _spec(model, injections), model.slack.v_set, v0
+    return model, _spec(model, injections), v0
 
 
 @pytest.mark.parametrize("name", [
     "feeder30_cold", "feeder30_warm", "ieee4_closed", "feeder30_meshed",
     "two_bus_9x_load", "slack_only", "zero_in_v0",
+    "ladder150_cold", "ladder150_warm", "ladder150_zero_in_v0",
 ])
 def test_fixed_point_matches_reference_bit_for_bit(name, request, monkeypatch):
-    # the reference keeps the `np.max` reductions the kernel replaced
-    net, s, v_slack, v0 = _fixed_point_case(name, request)
-    got = feeder._fixed_point(net, s, v_slack, v0, DEFAULT_TOL)
-    want = fixed_point_reference(net, s, v_slack, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    # the references keep the `np.max` reductions the Z kernel replaced,
+    # and the sweep as a loop of its own
+    model, s, v0 = _fixed_point_case(name, request)
+    net = model.network
+    assert (net.tree is not None) == name.startswith("ladder150")
+    reference = fixed_point_reference if net.tree is None else sweep_reference
+    got = feeder._fixed_point(net, s, model.v_slack, v0, DEFAULT_TOL)
+    want = reference(net, s, model.v_slack, v0, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:3] == want[1:3]
     assert type(got[1]) is bool
@@ -460,22 +474,20 @@ def test_fixed_point_matches_reference_bit_for_bit(name, request, monkeypatch):
         assert (converged, iterations) == (False, DEFAULT_MAX_ITER)
     elif name == "slack_only":
         assert (converged, iterations, mismatch) == (True, 0, 0.0)
-    elif name == "zero_in_v0":
+    elif name.endswith("zero_in_v0"):
         # the first step is not finite, so the loop stops and Newton runs:
         # from the warm start (which fails on the zero) and then flat
         assert not converged and iterations == 1
-        model = request.getfixturevalue("feeder30")
-        warm = solve_power_flow(model)
-        v = warm.v.copy()
-        v[5] = 0.0
         calls = []
         newton = feeder._newton
         monkeypatch.setattr(
             feeder, "_newton", lambda *args: calls.append(args) or newton(*args)
         )
-        sol = solve_power_flow(model, v_init=replace(warm, v=v))
+        cold = solve_power_flow(model)
+        sol = solve_power_flow(model, v_init=replace(cold, v=v0))
         assert sol.converged and len(calls) == 2
-        assert np.max(np.abs(sol.v_mag - warm.v_mag)) < 1e-9
+        # the flat Newton lands within 4.1e-14 of the fixed point on the ladder
+        assert np.max(np.abs(sol.v - cold.v)) < (1e-9 if net.tree is None else 1e-13)
         stopped, converged, _, _ = newton(*calls[0])  # the zero magnitude stops it
         assert not converged and np.isnan(stopped).all()
     else:

@@ -694,20 +694,30 @@ class TestAdaptiveLoop:
         assert engine.tick == 10
 
     @pytest.mark.parametrize("fixture", ["ieee4", "ieee4_closed"])
-    @pytest.mark.parametrize("bad", ["new", "old", "old-qp", "old-slope"])
+    @pytest.mark.parametrize("bad", ["new", "old", "old-qp", "old-slope", "retry",
+                                     "retry-switch"])
     def test_failing_boundary_changes_nothing(self, fixture, bad, request, monkeypatch):
         # with bus4 dark (`ieee4`) the boundary steps a column subset, with
         # both units live (`ieee4_closed`) the whole matrix; a block that
         # fails its check leaves the matrix, the params and the log as the
         # tick before left them.  The step itself would repair the last two
         # old columns (q_p clamped into the fresh limits, the slope floored
-        # at m_floor > 0), so only the check of the old columns catches them
-        engine = SimulationEngine(_scenario(ControllerKind("adaptive")),
-                                  request.getfixturevalue(fixture))
-        while engine.tick < 30:
+        # at m_floor > 0), so only the check of the old columns catches them.
+        # The retries fail the tick-20 boundary as `new` does, on a tick with
+        # events, and then step on: the failed tick's events act once
+        model = request.getfixturevalue(fixture)
+        stop, events = 30, ()
+        if bad == "retry":
+            stop, events = 20, ((20, LoadScale(1.5)), (20, SetpointChange(1.01)))
+        elif bad == "retry-switch":
+            state = "closed" if fixture == "ieee4" else "open"
+            stop, events = 20, ((20, SwitchEvent("switch1", state)),)
+        scenario = _scenario(ControllerKind("adaptive"), events=events)
+        engine = SimulationEngine(scenario, model)
+        while engine.tick < stop:
             engine.step_inner()
-        assert len(engine._outer_log) == 2
-        if bad == "new":  # var limits with q_min > q_max
+        assert len(engine._outer_log) == stop // 10 - 1
+        if bad in ("new", "retry", "retry-switch"):  # var limits with q_min > q_max
             monkeypatch.setattr(adaptation, "capacity_limits",
                                 lambda rating, p: (np.abs(rating) + 1.0, -np.abs(rating) - 1.0))
             match = "q_min_p <= q_p <= q_max_p"
@@ -723,18 +733,32 @@ class TestAdaptiveLoop:
             match = "m_p must be finite and >= 0"
         matrix = engine._params.copy()
         log = list(engine._outer_log)
+        before = (engine.model, engine._last_solution, engine._generating.copy())
         with pytest.raises(ControlError, match=match):
             engine.step_inner()
-        assert engine.tick == 30
+        assert engine.tick == stop
         assert engine._params.tobytes() == matrix.tobytes()
         assert engine._outer_log == log
-        if bad == "new":
+        assert engine.model is before[0] and engine._last_solution is before[1]
+        assert engine._generating.tobytes() == before[2].tobytes()
+        assert np.isnan(engine.voltages[stop:]).all() and not engine.q_rec[stop:].any()
+        assert not any(engine.flags[stop:])
+        if not bad.startswith("old"):
             params = engine.params
             assert np.array([getattr(params, f) for f in vars(params)]).tobytes() == \
                 matrix.tobytes()
         else:  # the stored column is still the bad one the tick before left
             with pytest.raises(ControlError, match=match):
                 engine.params
+        if bad.startswith("retry"):  # stepped on, the run is one that never failed
+            monkeypatch.undo()
+            never = SimulationEngine(scenario, model)
+            got, want = engine.run(), never.run()
+            assert engine.model.loads.tobytes() == never.model.loads.tobytes()
+            for a, b in zip((got.voltages, got.q_inj, *got.param_log),
+                            (want.voltages, want.q_inj, *want.param_log)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert got.flags == want.flags
 
     @pytest.mark.parametrize("case", ["feeder30-intermittency", "twin150"])
     def test_adaptive_run_matches_reference_composition(self, case, monkeypatch):

@@ -2,7 +2,7 @@
 
 `_compile` picks the sweep only for a radial island of more than
 `SWEEP_BUSES` buses, and no test lowers that constant: the small-tree
-checks compile the tree arrays and run the sweep routine directly.  The
+checks compile the tree arrays and run the fixed point on them directly.  The
 ladders come from the benchmark's generator (`perfbench/gen.py`), which
 is imported and never written.
 """
@@ -100,7 +100,7 @@ def test_sweep_matches_the_dense_fixed_point(n, seed, closed):
     base = solve_power_flow(model)
     for v0 in (None, base.v):
         v_z, conv_z, it_z, _ = feeder._fixed_point(net, s, v_slack, v0, DEFAULT_TOL)
-        v_t, conv_t, it_t, mismatch = feeder._sweep(swept, s, v_slack, v0, DEFAULT_TOL)
+        v_t, conv_t, it_t, mismatch = feeder._fixed_point(swept, s, v_slack, v0, DEFAULT_TOL)
         assert conv_z and conv_t and mismatch <= DEFAULT_TOL
         assert abs(it_t - it_z) <= 1
         assert np.max(np.abs(v_t - v_z)) < 1e-12
