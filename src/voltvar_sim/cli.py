@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
+from functools import cache
 from pathlib import Path
 
 from . import analysis
@@ -192,7 +193,10 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing keeps no
+    state in it (`--set`'s list is made afresh on each parse)."""
     parser = argparse.ArgumentParser(
         prog="voltvar-sim",
         description="Simulate and analyze local volt/VAR control on distribution feeders.",

@@ -24,7 +24,8 @@ copies the closed mask, cuts its island walk and makes a model that
 compiles its own.  The index and the compiled network are never written
 after they are built (a network's lazily built arrays are computed once
 and kept), and no snapshot writes to what it shares, so snapshots stay
-safe to use concurrently.
+safe to use concurrently.  Every array a snapshot holds or compiles is
+made read-only where it is created, so a stray write raises.
 
 `solve_power_flow` iterates the fixed point V_L = w V_S + Z conj(S_L / V_L)
 of the backward/forward sweep (Shirmohammadi et al. 1988; Teng 2003) in
@@ -232,7 +233,7 @@ class FeederModel:
         closed = np.array([ln.in_service for ln in self.lines], dtype=bool)
         self.__dict__.update(
             _graph=graph, bus_ids=tuple(ids), _bus_source=self.buses,
-            _pv_at=np.array([index[b] for b in pv_buses], dtype=int),
+            _pv_at=_frozen(np.array([index[b] for b in pv_buses], dtype=int)),
             loads=_frozen(loads), v_slack=slack.v_set, closed=_frozen(closed),
         )
         # every bus must be reachable from the slack with all switches closed
@@ -274,7 +275,7 @@ class FeederModel:
         """The graph walked over the in-service lines: the one walk of this
         topology, which gives the island, the sweep's tree and the spanning
         tree the Z-bus build follows."""
-        return self._graph.walk(self.closed)
+        return Walk(*map(_frozen, self._graph.walk(self.closed)))
 
     @cached_property
     def network(self) -> CompiledNetwork:
@@ -284,7 +285,8 @@ class FeederModel:
     @cached_property
     def _pv_s(self) -> np.ndarray:
         """The PV units' complex output P + jQ, in `pv_units` order."""
-        return np.array([complex(u.p_out, u.q_inj) for u in self.pv_units], dtype=complex)
+        return _frozen(np.array([complex(u.p_out, u.q_inj) for u in self.pv_units],
+                                dtype=complex))
 
     @cached_property
     def _s_base(self) -> np.ndarray:
@@ -295,7 +297,7 @@ class FeederModel:
         at = net.pos[self._pv_at]
         on = at >= 0
         s[at[on]] += self._pv_s[on]
-        return s
+        return _frozen(s)
 
     def switch_line(self, switch_id: str) -> int:
         """The index in `lines` of the switch named `switch_id`."""
@@ -350,7 +352,8 @@ _SNAPSHOT = ("lines", "pv_units", "name", "bus_ids", "detachable_buses", "_graph
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """`a`, read-only: snapshots share their arrays."""
+    """`a`, read-only: snapshots share their arrays, and a builtin feeder's
+    model is shared by the whole process, so a stray write raises."""
     a.flags.writeable = False
     return a
 
@@ -463,8 +466,9 @@ def _index_graph(index: dict[str, int], slack: int, lines: tuple[Line, ...]) -> 
     return FeederGraph(
         slack=slack,
         adj=adj,
-        ends=np.array(ends, dtype=int).reshape(-1, 2).T,
-        z=np.array([complex(ln.resistance, ln.reactance) for ln in lines], dtype=complex),
+        ends=_frozen(np.array(ends, dtype=int).reshape(-1, 2).T),
+        z=_frozen(np.array([complex(ln.resistance, ln.reactance) for ln in lines],
+                           dtype=complex)),
         switches={ln.name: k for k, ln in enumerate(lines) if ln.switch_state != "none"},
         full=full,
         tie=_frozen(tie),
@@ -567,15 +571,15 @@ class CompiledNetwork:
         # order, as a loop over the lines adds them
         y = np.array([1.0 / z for z in self.line_z.tolist()], dtype=complex)
         at = np.stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i), axis=1)
-        ybus = np.zeros(n * n, dtype=complex)
-        np.add.at(ybus, at.ravel(), np.stack((y, y, -y, -y), axis=1).ravel())
-        return ybus.reshape(n, n)
+        ybus = np.zeros((n, n), dtype=complex)
+        np.add.at(ybus.ravel(), at.ravel(), np.stack((y, y, -y, -y), axis=1).ravel())
+        return _frozen(ybus)
 
     @cached_property
     def w(self) -> np.ndarray | None:
         """-Z Y_LS: the load-bus voltages per unit of slack voltage at no
         load (Z path only)."""
-        return None if self.z is None else -self.z @ self.ybus[self.pq, self.slack_idx]
+        return None if self.z is None else _frozen(-self.z @ self.ybus[self.pq, self.slack_idx])
 
 
 def _compile(model: FeederModel) -> CompiledNetwork:
@@ -602,15 +606,15 @@ def _compile(model: FeederModel) -> CompiledNetwork:
             zip(*pos[graph.ends[:, loops]].tolist(), graph.z[loops].tolist()),
         )
         if z is not None:
-            z = z[np.ix_(pq, pq)]
+            z = _frozen(z[np.ix_(pq, pq)])
     return CompiledNetwork(
         island=tuple(compress(model.bus_ids, walk.energized.tolist())),
-        cols=cols,
-        pos=pos,
-        line_ends=pos[graph.ends[:, on]],
-        line_z=line_z,
+        cols=_frozen(cols),
+        pos=_frozen(pos),
+        line_ends=_frozen(pos[graph.ends[:, on]]),
+        line_z=_frozen(line_z),
         slack_idx=slack_idx,
-        pq=pq,
+        pq=_frozen(pq),
         z=z,
         tree=tree,
     )
@@ -637,13 +641,13 @@ def _walk_tree(walk: Walk, pos: np.ndarray, z_line: np.ndarray) -> RadialTree:
     walk_z = z[walk_bus]
     walk_z[leave] = -z
     return RadialTree(
-        order=pos[walk.buses[1:]],
-        up=walk.up[1:],
-        z=z,
-        enter=enter,
-        walk_bus=walk_bus,
-        walk_end=(k + size)[walk_bus],
-        walk_z=walk_z,
+        order=_frozen(pos[walk.buses[1:]]),
+        up=walk.up[1:],  # a view of the walk's read-only array
+        z=_frozen(z),
+        enter=_frozen(enter),
+        walk_bus=_frozen(walk_bus),
+        walk_end=_frozen((k + size)[walk_bus]),
+        walk_z=_frozen(walk_z),
     )
 
 
@@ -686,7 +690,9 @@ def _newton(
     contract.  Each step solves the power flow linearized about the
     complex voltages (`_linearized`) for conj(dS)/conj(V), dS being the
     mismatch; a voltage that is not finite and nonzero stops it
-    unconverged, with `v` all NaN, and so does a singular system."""
+    unconverged, with `v` all NaN, and so does a singular system or a
+    mismatch above the starting one, which no converging solve measured
+    on the bundled feeders and generated ladders ever showed."""
     pq = net.pq
     v = np.ones(len(net.island), dtype=complex) if v0 is None else v0.copy()
     v[net.slack_idx] = v_slack
@@ -697,7 +703,9 @@ def _newton(
             break
         ds = s_spec[pq] - v[pq] * np.conj(_currents(net, v))
         mismatch = float(np.maximum.reduce(np.abs(ds.view(np.float64)), initial=0.0))
-        if mismatch <= tol or iterations == DEFAULT_MAX_ITER:
+        if iterations == 0:
+            start = mismatch
+        if mismatch <= tol or mismatch > start or iterations == DEFAULT_MAX_ITER:
             break
         rhs = np.conj(ds) / np.conj(v[pq])
         try:
@@ -776,9 +784,9 @@ def _tree_currents(t: RadialTree, v_slack: complex, v_l: np.ndarray) -> np.ndarr
     """(Ybus v) at each load bus of `t`, in preorder, from its voltages
     `v_l`: the line currents out to the buses below it less the current
     in from the bus above."""
-    m = len(v_l)
     i_in = (np.concatenate(([v_slack], v_l))[t.up] - v_l) / t.z
-    i_out = np.bincount(t.up, i_in.real, m + 1) + 1j * np.bincount(t.up, i_in.imag, m + 1)
+    i_out = np.zeros(len(v_l) + 1, dtype=complex)
+    np.add.at(i_out, t.up, i_in)
     return i_out[1:] - i_in
 
 
@@ -821,7 +829,8 @@ def solve_power_flow(
         s_spec = s_spec + injections[net.cols]  # entries at dark buses are inert
     v_slack = model.v_slack
 
-    v0 = v_init.v if v_init is not None and v_init.bus_ids == net.island else None
+    same = v_init is not None and (v_init.bus_ids is net.island or v_init.bus_ids == net.island)
+    v0 = v_init.v if same else None
     attempts = [(_fixed_point, v0), (_newton, v0)]
     if v0 is not None:
         attempts.append((_newton, None))

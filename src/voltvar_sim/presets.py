@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib.resources import files
 from typing import Callable
 
@@ -29,7 +30,11 @@ from .scenario import (CloudCover, Intermittency, Scenario, SetpointChange, Simu
 BUILTIN_FEEDERS = ("ieee4_mod", "feeder30")
 
 
+@cache
 def load_builtin_feeder(name: str) -> FeederModel:
+    """The bundled feeder `name`, decoded and checked once per process and
+    shared read-only by every caller, so its graph index, compiled network
+    and base injections are built once for every run on it."""
     if name not in BUILTIN_FEEDERS:
         raise SimulationError(
             f"unknown builtin feeder {name!r}; have {', '.join(BUILTIN_FEEDERS)}"

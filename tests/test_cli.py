@@ -159,6 +159,30 @@ class TestRun:
         assert len(scenario.series) == len(ieee4.pv_buses) == 2
         assert [ev.buses for _, ev in scenario.events] == [(b,) for b in ieee4.pv_buses]
 
+    def test_runs_in_one_process_do_not_depend_on_their_order(self, tmp_path):
+        # every run on feeder30 shares one model and one parser
+        def runs(order: tuple[str, ...], tag: str) -> None:
+            for c in order:
+                assert main(["run", "--scenario", "presets/intermittency", "--set",
+                             f"controller={c}", "--out", str(tmp_path / tag / c)]) == 0
+
+        runs(("conventional", "adaptive"), "forward")
+        runs(("adaptive", "conventional"), "reverse")
+        for c in ("conventional", "adaptive"):
+            for name in ("trace.csv", "params.csv", "metrics.json", "metrics.txt"):
+                assert (tmp_path / "forward" / c / name).read_bytes() == \
+                    (tmp_path / "reverse" / c / name).read_bytes()
+
+    def test_set_overrides_do_not_carry_to_the_next_call(self, tmp_path, monkeypatch):
+        seen = []
+        run_sim = cli.run_sim
+        monkeypatch.setattr(cli, "run_sim", lambda sc, model: seen.append(sc) or run_sim(sc, model))
+        assert main(["run", "--scenario", "presets/fig3a", "--set", "m=2",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", "--scenario", "presets/fig3a", "--out", str(tmp_path / "b")]) == 0
+        assert [sc.droop_slope for sc in seen] == [2.0, 1.0]
+        assert cli._parser() is cli._parser()
+
     def test_linear_engine_run(self, tmp_path):
         assert main(["run", "--scenario", "fig3a", "--engine", "linear",
                      "--out", str(tmp_path)]) == 0

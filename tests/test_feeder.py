@@ -27,6 +27,7 @@ from voltvar_sim.feeder import (
     solve_power_flow,
     voltage_sensitivities,
 )
+from voltvar_sim.presets import BUILTIN_FEEDERS, get_preset, load_builtin_feeder
 from voltvar_sim.sim import linearize
 
 from oracles import (
@@ -515,6 +516,56 @@ def test_copies_keep_the_topology_but_not_the_injections(ieee4):
     closed = apply_topology_event(model, "switch1", "closed")  # walks its own island
     assert closed._island is not model._island
     assert "network" not in vars(closed) and "_s_base" not in vars(closed)
+
+
+def _arrays(obj, seen: set[int]):
+    """Every numpy array reachable from `obj` through attributes, tuples,
+    lists and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (tuple, list)):
+        items = obj
+    elif isinstance(obj, dict):
+        items = obj.values()
+    else:
+        items = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    for item in items:
+        yield from _arrays(item, seen)
+
+
+def test_a_builtin_feeder_is_one_model_per_process(feeder30):
+    for name in BUILTIN_FEEDERS:
+        assert load_builtin_feeder(name) is load_builtin_feeder(name)
+    assert load_builtin_feeder("feeder30") is feeder30
+    assert get_preset("intermittency")[0] is feeder30
+
+
+@pytest.mark.parametrize("name", BUILTIN_FEEDERS + ("ladder150",))
+def test_every_array_of_a_solved_model_is_read_only(name):
+    # a builtin model is shared by every run in the process: a write into
+    # anything it holds must raise, not leak into the next run
+    if name in BUILTIN_FEEDERS:
+        model = load_builtin_feeder(name)
+    else:  # a radial island of more than SWEEP_BUSES buses: a tree
+        model = feeder_from_dict(gen.ladder_feeder(150, 0))
+    voltage_sensitivities(model, solve_power_flow(model))
+    net = model.network
+    assert (net.tree is not None) == (name == "ladder150")
+    net.ybus, net.w  # built on first use; a tree island may never read them
+    arrays = list(_arrays(model, set()))
+    found = {id(a) for a in arrays}
+    want = [model.loads, model.closed, model._s_base, *model._island, net.cols, net.pos,
+            net.line_ends, net.line_z, net.pq, net.ybus]
+    want += [net.z, net.w] if net.tree is None else list(vars(net.tree).values())
+    assert all(id(a) in found for a in want)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_graph_index_is_shared_by_every_copy(ieee4, monkeypatch):

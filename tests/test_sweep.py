@@ -218,17 +218,22 @@ def test_forced_nonconvergence_reaches_newton(n, laterals, monkeypatch):
 
 
 @pytest.mark.parametrize("case, edge", [("two_bus", 11.75), ("feeder30", 3.75),
-                                        ("ladder", 5.0)])
+                                        ("ladder", 5.0), ("ladder300", 4.25)])
 def test_newton_reaches_the_loadability_edge_from_a_flat_start(case, edge, request):
     # the largest multiple of the loads, in steps of 0.25, at which Newton
     # from a flat start converged when it stepped polar magnitudes and
-    # angles: the same on the dense branch (two_bus, feeder30) and the
-    # tree's (ladder)
-    model = _two_bus() if case == "two_bus" else request.getfixturevalue(case)
+    # angles, and before it stopped on a growing mismatch: the same on the
+    # dense branch (two_bus, feeder30) and the tree's (the ladders)
+    if case == "two_bus":
+        model = _two_bus()
+    elif case == "ladder300":
+        model = feeder_from_dict(gen.ladder_feeder(300, 0))
+    else:
+        model = request.getfixturevalue(case)
     for mult, converges in ((edge, True), (edge + 0.25, False)):
         scaled = model.with_scaled_loads(mult)
         net = scaled.network
-        assert (net.tree is not None) == (case == "ladder")
+        assert (net.tree is not None) == case.startswith("ladder")
         v, converged, _, _ = feeder._newton(net, scaled._s_base, scaled.v_slack, None,
                                             DEFAULT_TOL)
         assert converged == converges
@@ -236,6 +241,15 @@ def test_newton_reaches_the_loadability_edge_from_a_flat_start(case, edge, reque
             dense = feeder._newton(replace(net, tree=None), scaled._s_base, scaled.v_slack,
                                    None, DEFAULT_TOL)
             assert dense[1] and np.max(np.abs(v - dense[0])) < 1e-12
+
+
+def test_diverging_newton_stops_before_its_iteration_limit():
+    # past the edge the mismatch rises above its start, which stops the solve
+    model = _two_bus().with_scaled_loads(12.0)
+    _, converged, iterations, mismatch = feeder._newton(
+        model.network, model._s_base, model.v_slack, None, DEFAULT_TOL)
+    assert not converged and mismatch > DEFAULT_TOL
+    assert iterations < DEFAULT_MAX_ITER
 
 
 def test_closing_a_loop_keeps_the_z_path(ladder):
