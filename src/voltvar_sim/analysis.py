@@ -105,16 +105,15 @@ def stability_report(a_matrix: np.ndarray, slopes: np.ndarray | float) -> Stabil
     if np.any(m.diagonal() < 0):
         raise AnalysisError("slopes must be >= 0")
     row_sums = np.sum(np.abs(a), axis=1)
-    critical = tuple(
-        float(1.0 / s) if s > 0 else float("inf") for s in row_sums
-    )
-    margins = tuple(float(1.0 - mi * s) for mi, s in zip(m.diagonal(), row_sums))
+    with np.errstate(divide="ignore", over="ignore"):  # a zero row; an extreme slope
+        critical = 1.0 / row_sums
+        margins = 1.0 - m.diagonal() * row_sums
     rho = spectral_radius(m @ a)
     return StabilityReport(
         rho_ma=rho,
-        row_sum_margins=margins,
-        critical_slopes=critical,
-        stable_sufficient=bool(all(mg > 0 for mg in margins)),
+        row_sum_margins=tuple(margins.tolist()),
+        critical_slopes=tuple(critical.tolist()),
+        stable_sufficient=bool(np.all(margins > 0)),
         stable_spectral=bool(rho < 1.0),
     )
 

@@ -213,9 +213,9 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--engine", choices=("full", "linear"), default="full",
                            help="power-flow engine: full (fixed point or sweep, Newton fallback) "
                                 "or linearized")
+            p.add_argument("--out", help="output directory (fallback: $VOLTVAR_SIM_OUT)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a documented scenario/analysis key")
-        p.add_argument("--out", help="output directory (fallback: $VOLTVAR_SIM_OUT)")
 
     p_run = sub.add_parser("run", help="simulate a scenario and write trace + metrics")
     common(p_run)

@@ -76,11 +76,12 @@ class SimulationTrace:
 
     def window_stats(self) -> WindowStats:
         """Statistics of the complete windows of `t_outer` ticks that the
-        outer loop sees (ticks 1..T, T+1..2*T, ...) per unit, against the
-        trace's set-points, as arrays of shape (n_windows, n_units); window
-        k closes at tick (k + 1) * T."""
+        outer loop sees (ticks 1..T, T+1..2*T, ...) per unit, each against the
+        set-point at its closing tick as the outer loop judges it, as arrays of
+        shape (n_windows, n_units); window k closes at tick (k + 1) * T."""
         width = self.t_outer
         k = (self.horizon - 1) // width
+        mu = self.mu[width : 1 + k * width : width]  # (k, n): each window's closing tick
 
         cols = _positions(self.unit_buses, self.bus_ids)
 
@@ -91,7 +92,7 @@ class SimulationTrace:
         out = np.empty((3, k, len(cols)))
         for i in range(0, len(cols), per):
             s = window_stats(windows(self.voltages[:, cols[i : i + per]]),
-                             windows(self.mu[:, i : i + per]), windows(self.p_out[:, i : i + per]))
+                             mu[:, i : i + per], windows(self.p_out[:, i : i + per]))
             out[..., i : i + per] = (s.sse_avg, s.vf, s.p_pv_avg)
         return WindowStats(*out)
 

@@ -312,8 +312,8 @@ class SimulationEngine:
 
     @property
     def params(self) -> DroopParams | AdaptiveParams | None:
-        """Every unit's parameters as a checked block of copies, built from
-        the parameter matrix on each access; None without control."""
+        """Every unit's settings (not a tick's derived droop limits) as a checked
+        block of copies, built from the matrix on each access; None without control."""
         return None if self._params is None else self._take(range(len(self.unit_buses)))
 
     def _take(self, idx):
@@ -331,7 +331,10 @@ class SimulationEngine:
         if isinstance(ev, SetpointChange):
             if self._params is not None:
                 idx = self._unit_indices(ev.buses)
-                self._put(idx, self._take(idx).with_setpoint(ev.mu))
+                block = self._take(idx).with_setpoint(ev.mu)
+                self._params = self._params.copy()
+                self._rows = type(self._rows)(*self._params)
+                self._put(idx, block)
         elif isinstance(ev, SubstationVoltage):
             self.model = self.model.with_slack_voltage(ev.v_pu)
         elif isinstance(ev, SwitchEvent):
@@ -339,6 +342,7 @@ class SimulationEngine:
             self._last_solution = None  # island changed; cold start
             # a unit on a bus the switch darkens dispatches nothing from this tick on
             lit = self.model.network.pos[self._unit_cols] >= 0
+            self._generating = self._generating.copy()
             self._generating[self.tick:] = (self.p_profile[self.tick:] > 0) & lit
         elif isinstance(ev, LoadScale):
             self.model = self.model.with_scaled_loads(ev.factor)
@@ -346,28 +350,24 @@ class SimulationEngine:
     def _dispatch(self, t: int) -> None:
         """Write every unit's var dispatch for tick `t`, from the voltages of
         tick t-1, into `q_rec[t]`; units without real output or on a dark
-        bus dispatch nothing and keep the row's 0."""
-        kind = self.scenario.controller_kind
+        bus dispatch nothing and keep the row's 0.  Under `recompute_droop_capacity`
+        the droop's limits are derived from the settings each tick, not stored."""
         if self._params is None:
             return
+        kind = self.scenario.controller_kind
         v = self.voltages[t - 1, self._unit_cols]
         active = self._generating[t] & (v == v)  # NaN on dark buses
-        if kind.name == "adaptive":
-            np.copyto(self.q_rec[t], adaptive_dispatch(self._rows, v), where=active)
-            return
-        if self.scenario.recompute_droop_capacity:
-            # var limits follow the leftover capacity, cut-offs stay pinned
-            idx = np.flatnonzero(active)
-            d = self._take(idx)
-            q_min, q_max = capacity_limits(self.ratings[idx], self.p_profile[t, idx])
-            try:
-                self._put(idx, DroopParams.from_setpoints(
-                    d.mu, d.deadband_d, d.v_min, d.v_max, q_min, q_max))
+        rows = self._rows
+        if kind.name != "adaptive" and self.scenario.recompute_droop_capacity:
+            try:  # var limits follow the leftover capacity, cut-offs stay pinned
+                rows = DroopParams.from_setpoints(rows.mu, rows.deadband_d, rows.v_min, rows.v_max,
+                                                  *capacity_limits(self.ratings, self.p_profile[t]))
             except ControlError as exc:  # cut-offs pinned too close to the deadband
-                buses = ", ".join(self.unit_buses[j] for j in idx)
+                buses = ", ".join(self.unit_buses[j] for j in np.flatnonzero(active))
                 raise SimulationError(f"droop limits at tick {t} for {buses}: {exc}") from exc
-        q = (droop_dispatch(self._rows, v) if kind.name == "conventional"
-             else delayed_dispatch(self._rows, kind.tau, v, self.q_rec[t - 1]))
+        q = (adaptive_dispatch(rows, v) if kind.name == "adaptive" else
+             droop_dispatch(rows, v) if kind.name == "conventional" else
+             delayed_dispatch(rows, kind.tau, v, self.q_rec[t - 1]))
         np.copyto(self.q_rec[t], q, where=active)
 
     # Per-tick solves, at tick `t`'s PV outputs and recorded dispatch,
@@ -411,30 +411,22 @@ class SimulationEngine:
 
         A tick is all or nothing: if any of it raises, the engine is put
         back as the tick found it, so stepping again applies its events
-        once.  The model and the last solution are only ever replaced; what
-        events write in place (`_generating`, `_params`) is copied first."""
+        once.  Events replace the model, the last solution, `_generating` and
+        the parameter matrix, so the undo restores one tuple of references;
+        the outer loop's in-place store of the matrix comes last, after its check."""
         t = self.tick
         if t >= self.scenario.horizon:
             raise SimulationError("simulation horizon exhausted")
-        events = self.live_events.get(t, ())
-        model, last = self.model, self._last_solution
-        kinds = {type(ev) for ev in events} if events else ()
-        generating = self._generating[t:].copy() if SwitchEvent in kinds else None
-        params = (self._params.copy() if SetpointChange in kinds and self._params is not None
-                  else None)
+        state = (self.model, self._last_solution, self._generating, self._params, self._rows)
         try:
-            for ev in events:
+            for ev in self.live_events.get(t, ()):
                 self._apply_live_event(ev)
             self._dispatch(t)
             self._solve(self, t)
             if self.scenario.controller_kind.name == "adaptive" and t % self.scenario.t_outer == 0:
                 self._outer_boundary(t)  # t >= 1, so a whole window has closed
         except BaseException:
-            self.model, self._last_solution = model, last
-            if generating is not None:
-                self._generating[t:] = generating
-            if params is not None:
-                self._params[:] = params  # in place: `_rows` views its rows
+            self.model, self._last_solution, self._generating, self._params, self._rows = state
             self.voltages[t], self.q_rec[t], self.flags[t] = np.nan, 0.0, ""
             raise
         self.tick += 1

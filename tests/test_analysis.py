@@ -68,6 +68,12 @@ class TestStabilityReport:
         rep = stability_report(a, [1.0, 1.0])
         assert rep.critical_slopes[1] == np.inf
 
+    def test_extreme_slope_gives_verdicts_without_warning(self):
+        # 1e308 times a row sum of 2 overflows: the margins are -inf
+        rep = stability_report(np.full((4, 4), 0.5), 1e308)
+        assert rep.row_sum_margins == (-np.inf,) * 4
+        assert not rep.stable_sufficient and not rep.stable_spectral
+
     def test_non_square_a_rejected(self):
         with pytest.raises(AnalysisError, match="square"):
             stability_report(np.ones((2, 3)), 1.0)

@@ -262,6 +262,12 @@ class TestAnalyze:
     def test_unknown_analyze_key_exits_2(self):
         assert main(["analyze", "--feeder", "ieee4_mod", "--set", "tau=0.5"]) == 2
 
+    def test_analyze_takes_no_out_flag(self, capsys, tmp_path):
+        # analyze writes no file, so `--out` is an unknown flag there
+        assert main(["analyze", "--feeder", "ieee4_mod", "--out", str(tmp_path / "x")]) == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("k_d", ["-1", "0", "-0.0"])
     def test_gain_held_to_the_run_rule(self, capsys, tmp_path, k_d):
         # `analyze` and `run` take the same gains (`AdaptiveConfig`'s rule)

@@ -313,6 +313,47 @@ class TestEvents:
         v3 = trace.bus_voltage("bus3")
         assert v3[130] < v3[59]  # lower set-point pulls the equilibrium down
 
+    @pytest.mark.parametrize("fixture", ["ieee4", "ieee4_closed"])
+    def test_failed_droop_tick_retries_as_one_that_never_failed(self, fixture, request,
+                                                               monkeypatch):
+        # a tick with a set-point move and a load step fails once while it
+        # derives its droop limits; stepped on, the engine matches one that
+        # never failed, byte for byte, its stored settings included
+        model = request.getfixturevalue(fixture)
+        scenario = _scenario(ControllerKind("delayed", 0.9), slope=3.0,
+                             events=((20, SetpointChange(1.01)), (20, LoadScale(1.5))),
+                             recompute_droop_capacity=True)
+        engine, never = SimulationEngine(scenario, model), SimulationEngine(scenario, model)
+        while engine.tick < 20:
+            engine.step_inner()
+
+        def fail(*args):
+            raise RuntimeError("no limits at tick 20")
+
+        monkeypatch.setattr(sim_module, "capacity_limits", fail)
+        with pytest.raises(RuntimeError, match="no limits"):
+            engine.step_inner()
+        assert engine.tick == 20
+        monkeypatch.undo()
+        got, want = engine.run(), never.run()
+        for a, b in ((got.voltages, want.voltages), (got.q_inj, want.q_inj),
+                     (engine.model.loads, never.model.loads),
+                     *zip(vars(engine.params).values(), vars(never.params).values())):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got.flags == want.flags
+
+    def test_recomputed_droop_limits_leave_the_settings(self):
+        # fig3b's delayed droop derives each tick's var limits from its
+        # pinned cut-offs and dispatches with them: the matrix keeps the
+        # settings it started with
+        model, scenario = get_preset("fig3b")
+        assert scenario.recompute_droop_capacity
+        engine = SimulationEngine(scenario, model)
+        settings = engine._params.tobytes()
+        while engine.tick < scenario.horizon:
+            engine.step_inner()
+            assert engine._params.tobytes() == settings, engine.tick
+
     def test_intermittency_uses_named_series(self, ieee4):
         sc = _scenario(
             ControllerKind("none"),
@@ -778,6 +819,31 @@ class TestAdaptiveLoop:
         for a, b in zip((got.voltages, got.q_inj, *got.param_log),
                         (want.voltages, want.q_inj, *want.param_log)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("engine", ["full", "linear"])
+    def test_window_sse_is_the_sse_the_outer_loop_acted_on(self, engine, monkeypatch):
+        # the trace's windows (the SSE of `sweep.csv`) are judged against
+        # each window's closing-tick set-point, as the outer loop judges
+        # them, across the set-point step at tick 150 too
+        model, scenario = get_preset("setpoint_step")
+        if engine == "linear":
+            model = linearize(model)
+        acted = []
+        means = adaptation._window_means
+
+        def spy(*args):
+            out = means(*args)
+            acted.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(adaptation, "_window_means", spy)
+        eng = SimulationEngine(scenario, model)
+        trace = eng.run()
+        monkeypatch.undo()
+        sse = trace.window_stats().sse_avg
+        assert [t for t, _, _ in eng._outer_log] == list(range(10, 300, 10))
+        for (t, units, _), want in zip(eng._outer_log, acted, strict=True):
+            assert sse[t // 10 - 1, units].tobytes() == want.tobytes(), t
 
     def test_params_are_the_last_logged_blocks(self, ieee4_closed, monkeypatch):
         sc = _scenario(ControllerKind("adaptive"), profile={"bus3": 0.9, "bus4": ((30, 0.5),)},
